@@ -14,31 +14,36 @@ every solve.  The pair is never integrated across long ranges: windows
 are short, so the exponential dominance of the growing solution stays
 mild and the quotients formed downstream stay well conditioned.
 
-Integration is classical RK4 on a fixed grid, vectorized over a batch
-of windows, validated by step doubling against the configured
-tolerances, with renormalization checkpoints: whenever a row's state
-exceeds ~1e120 it is rescaled by a common factor and the log of that
-factor is carried separately.  Common factors cancel in every quotient
-the drawdown laws form, so the bookkeeping is exact.
+Integration is classical RK4 on a fixed grid, batched over windows and
+validated by step doubling against the configured tolerances.  The ODE
+is linear, so one RK4 step is a 2x2 matrix, y_{j+1} = M_j y_j, and a
+sweep is the product of its step matrices.  Blocks of steps build all
+their matrices in one vectorized pass and multiply them pairwise, with
+no per-step Python loop; every partial product is rescaled by a power
+of two whose exponent is carried as a separate log factor.  Common
+factors cancel in every quotient the drawdown laws form, so the
+bookkeeping is exact.  The Wronskian monitor needs no product at all:
+the determinant of the state grows by det M_j per step (Liouville's
+formula for the discrete map), so the log-Wronskian is a running sum of
+log det M_j and never suffers the cancellation of u'v - uv'.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BPoly
 
-from .errors import DegenerateBasisError, NumericError, ValidationError
+from .errors import NumericError, ValidationError
 from .models import DiffusionModel, scale_density
 
 _MOD = "basis"
 
-_RENORM_UP = 1e100
-_RENORM_DOWN = 1e-100
+_BLOCK_ROW_STEPS = 1 << 13   # rows x steps of one block of step matrices
 _CHECKPOINT_FRACS = (0.0, 0.25, 0.5, 0.75, 1.0)
+_LN2 = math.log(2.0)
+_FRAME_BITS = 332            # dense log frames step by 2**332, about 1e100
 
 
 @dataclass(frozen=True)
@@ -76,220 +81,148 @@ DEFAULT_SETTINGS = OdeSettings()
 
 
 # ---------------------------------------------------------------------------
-# batched RK4 sweep
+# RK4 as a product of step matrices
 # ---------------------------------------------------------------------------
 
-def _rhs(model, alpha, x, y, out):
-    mu = np.asarray(model.drift(x), dtype=float)
-    s2 = np.asarray(model.diffusion_sq(x), dtype=float)
-    fac = 2.0 / s2
-    out[:, 0] = y[:, 1]
-    out[:, 1] = fac * (alpha * y[:, 0] - mu * y[:, 1])
-    out[:, 2] = y[:, 3]
-    out[:, 3] = fac * (alpha * y[:, 2] - mu * y[:, 3])
-    return out
+def _mul(a, b):
+    """Stacked 2x2 products a @ b; the matrices span the two leading axes."""
+    return a[:, :1] * b[None, 0] + a[:, 1:] * b[None, 1]
 
 
-def _sweep_scalar(model, alpha, l, r, y0, n, *, record_dense=False,
-                  checkpoints=()):
-    """Single-window variant of _sweep running on python floats.
+def _normalize(m, ex):
+    """Scale each stacked matrix by a power of two so that its largest
+    entry lies in [0.5, 1); the scaling is exact and its exponent is
+    added to ex."""
+    _, e = np.frexp(np.abs(m).max(axis=(0, 1)))
+    return np.ldexp(m, -e), ex + e
 
-    Identical state, shear, and renormalization rules; the model
-    coefficients are evaluated in one vectorized pass over the
-    half-step grid up front, so the time loop has no per-step numpy
-    dispatch.  Long single-window solves (large alpha, long windows)
-    are an order of magnitude faster this way.
+
+def _stage(a, b, c, k):
+    """A (I + c K) for A = [[0, 1], [a, b]] and K = (k00, k01, k10, k11)."""
+    x00, x01, x10, x11 = 1.0 + c * k[0], c * k[1], c * k[2], 1.0 + c * k[3]
+    return x10, x11, a * x00 + b * x10, a * x01 + b * x11
+
+
+def _step_matrices(model, alpha, l, h, j0, steps):
+    """D_j = M_j - I for steps j0 .. j0 + steps - 1 of every row, shaped
+    (2, 2, steps, rows).
+
+    On y' = A(x) y with A = [[0, 1], [a, b]], a = 2 alpha / sigma_sq and
+    b = -2 mu / sigma_sq, the RK4 step from x_j is y -> M_j y with
+    M_j = I + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A(x_j),
+    K2 = A(x_j + h/2)(I + h/2 K1), K3 = A(x_j + h/2)(I + h/2 K2) and
+    K4 = A(x_j + h)(I + h K3).  The model is evaluated once on the
+    half-step grid of the whole block.
     """
-    lf, rf = float(l[0]), float(r[0])
-    h = (rf - lf) / n
-    half = lf + 0.5 * h * np.arange(2 * n + 1)
-    mu_g = np.broadcast_to(
-        np.asarray(model.drift(half), dtype=float), half.shape).tolist()
-    fac_g = np.broadcast_to(
-        2.0 / np.asarray(model.diffusion_sq(half), dtype=float),
-        half.shape).tolist()
-    a = float(alpha)
-    hh, h6 = 0.5 * h, h / 6.0
-    u, up = float(y0[0, 0]), float(y0[0, 1])
-    vt, vtp = float(y0[0, 2]), float(y0[0, 3])
-    lam_u = lam_v = 0.0
-    C = 0.0
-
-    def clipped_exp(e):
-        return math.exp(-745.0 if e < -745.0 else (50.0 if e > 50.0 else e))
-
-    def vrec():
-        f = clipped_exp(lam_v - lam_u)
-        return vt * f + C * u, vtp * f + C * up
-
-    dense_x = dense_y = dense_lam = None
-    if record_dense:
-        dense_x = np.empty((n + 1, 1))
-        dense_y = np.empty((n + 1, 1, 4))
-        dense_lam = np.empty((n + 1, 1))
-        dense_x[0, 0] = lf
-        vr, vpr = vrec()
-        dense_y[0, 0] = (u, up, vr, vpr)
-        dense_lam[0, 0] = lam_u
-    cp_idx = sorted({min(n, int(round(f * n))) for f in checkpoints})
-    cp_out = []
-    if 0 in cp_idx:
-        cp_out.append((0, np.array([lf]), np.array([up * vt - u * vtp]),
-                       np.array([lam_u + lam_v])))
-
-    for j in range(n):
-        m = 2 * j
-        mu, fac = mu_g[m], fac_g[m]
-        k10, k11 = up, fac * (a * u - mu * up)
-        k12, k13 = vtp, fac * (a * vt - mu * vtp)
-        mu, fac = mu_g[m + 1], fac_g[m + 1]
-        b0, b1, b2, b3 = u + hh * k10, up + hh * k11, vt + hh * k12, vtp + hh * k13
-        k20, k21 = b1, fac * (a * b0 - mu * b1)
-        k22, k23 = b3, fac * (a * b2 - mu * b3)
-        b0, b1, b2, b3 = u + hh * k20, up + hh * k21, vt + hh * k22, vtp + hh * k23
-        k30, k31 = b1, fac * (a * b0 - mu * b1)
-        k32, k33 = b3, fac * (a * b2 - mu * b3)
-        mu, fac = mu_g[m + 2], fac_g[m + 2]
-        b0, b1, b2, b3 = u + h * k30, up + h * k31, vt + h * k32, vtp + h * k33
-        k40, k41 = b1, fac * (a * b0 - mu * b1)
-        k42, k43 = b3, fac * (a * b2 - mu * b3)
-        u += h6 * (k10 + 2.0 * (k20 + k30) + k40)
-        up += h6 * (k11 + 2.0 * (k21 + k31) + k41)
-        vt += h6 * (k12 + 2.0 * (k22 + k32) + k42)
-        vtp += h6 * (k13 + 2.0 * (k23 + k33) + k43)
-
-        den = u * u + up * up
-        if den > 0.0:
-            ce = (vt * u + vtp * up) / den
-            if abs(ce) * max(abs(u), abs(up)) > 0.25 * max(abs(vt), abs(vtp)):
-                vt -= ce * u
-                vtp -= ce * up
-                C += ce * clipped_exp(lam_v - lam_u)
-
-        um = max(abs(u), abs(up))
-        if um > _RENORM_UP:
-            u /= um
-            up /= um
-            lam_u += math.log(um)
-        vm = max(abs(vt), abs(vtp))
-        if 0.0 < vm < _RENORM_DOWN:
-            vt /= vm
-            vtp /= vm
-            lam_v += math.log(vm)
-
-        if record_dense:
-            dense_x[j + 1, 0] = lf + (j + 1) * h
-            vr, vpr = vrec()
-            dense_y[j + 1, 0] = (u, up, vr, vpr)
-            dense_lam[j + 1, 0] = lam_u
-        if (j + 1) in cp_idx:
-            cp_out.append((j + 1, np.array([lf + (j + 1) * h]),
-                           np.array([up * vt - u * vtp]),
-                           np.array([lam_u + lam_v])))
-
-    vr, vpr = vrec()
-    return dict(y=np.array([[u, up, vr, vpr]]), lam=np.array([lam_u]),
-                checkpoints=cp_out,
-                dense=(dense_x, dense_y, dense_lam) if record_dense else None)
+    xs = l + (0.5 * h) * np.arange(2 * j0, 2 * (j0 + steps) + 1)[:, None]
+    fac = 2.0 / np.broadcast_to(
+        np.asarray(model.diffusion_sq(xs), dtype=float), xs.shape)
+    a = alpha * fac
+    b = -fac * np.broadcast_to(np.asarray(model.drift(xs), dtype=float), xs.shape)
+    a1, a2, a3 = a[:-1:2], a[1::2], a[2::2]
+    b1, b2, b3 = b[:-1:2], b[1::2], b[2::2]
+    k1 = (0.0, 1.0, a1, b1)
+    k2 = _stage(a2, b2, 0.5 * h, k1)
+    k3 = _stage(a2, b2, 0.5 * h, k2)
+    k4 = _stage(a3, b3, h, k3)
+    h6 = h / 6.0
+    d = np.stack([h6 * (p + 2.0 * (q + s) + t) for p, q, s, t in zip(k1, k2, k3, k4)])
+    return d.reshape((2, 2) + d.shape[1:])
 
 
-def _sweep(model, alpha, l, r, y0, n, *, record_dense=False, checkpoints=()):
+def _tree_product(m):
+    """M_{k-1} ... M_0 of a stack (2, 2, k, rows) by pairwise products,
+    as (mantissa, base-2 exponent)."""
+    ex = np.zeros(m.shape[2:], dtype=np.int64)
+    while m.shape[2] > 1:
+        k = m.shape[2] // 2 * 2
+        p, e = _normalize(_mul(m[:, :, 1:k:2], m[:, :, 0:k:2]),
+                          ex[1:k:2] + ex[0:k:2])
+        m = np.concatenate([p, m[:, :, k:]], axis=2)
+        ex = np.concatenate([e, ex[k:]])
+    return m[:, :, 0], ex[0]
+
+
+def _prefix_product(m):
+    """Inclusive prefix products M_i ... M_0 of a stack (2, 2, k, rows)
+    by recursive doubling, in place, as (mantissas, base-2 exponents)."""
+    ex = np.zeros(m.shape[2:], dtype=np.int64)
+    d = 1
+    while d < m.shape[2]:
+        m[:, :, d:], ex[d:] = _normalize(_mul(m[:, :, d:], m[:, :, :-d]),
+                                         ex[d:] + ex[:-d])
+        d *= 2
+    return m, ex
+
+
+def _dense_frames(l, h, n, nodes):
+    """(x, (u, u', v, v'), lam) per node from the normalized node states.
+
+    The log frame lam steps up by 332 log 2 (about log 1e100) each time
+    the magnitude first crosses another such factor and is constant in
+    between, so neighbouring nodes almost always share a frame.  Frames
+    are whole powers of two, so moving a node into its frame is exact.
+    """
+    ys = np.concatenate([y for y, _ in nodes], axis=2)
+    ex = np.concatenate([e for _, e in nodes])
+    frame = _FRAME_BITS * (np.maximum.accumulate(np.maximum(ex, 0), axis=0)
+                           // _FRAME_BITS)
+    ys = np.ldexp(ys, ex - frame).astype(float)
+    xs = l + h * np.arange(n + 1)[:, None]
+    return xs, ys.transpose(2, 3, 1, 0).reshape(n + 1, -1, 4), frame * _LN2
+
+
+def _sweep(model, alpha, l, r, y0, n, *, record_dense=False):
     """Fixed-grid RK4 over a batch of windows [l_i, r_i], n steps each.
 
-    The state per row is (u, u', vt, vt') where vt is a *sheared*
-    companion: the flat solution minus an accumulated multiple C of u.
-    Shearing leaves the Wronskian invariant in exact arithmetic and
-    keeps vt near the decaying envelope, so the Wronskian monitor
-    u' vt - u vt' never suffers the catastrophic cancellation that
-    u' v - u v' does once u dominates.  The true flat solution is
-    reconstructed as v = vt e^{lam_v - lam_u} + C u in u's frame.
+    The state Y = [[u, v], [u', v']] of every row (y0 is (2, 2, rows))
+    is kept as a mantissa with its largest entry in [0.5, 1) and a
+    base-2 exponent; lam = exponent * log 2.  Each block of at most
+    _BLOCK_ROW_STEPS row-steps builds its step matrices in one pass and
+    multiplies them pairwise; dense records take inclusive prefix
+    products instead, one per node.  Every partial product is
+    renormalized the same way.
 
-    Renormalization is per pair: the u pair is scaled down when it
-    exceeds ~1e100 (log factor lam_u), the vt pair scaled up when it
-    falls below ~1e-100 (log factor lam_v <= 0).
+    The Wronskian u'v - uv' = -det Y is never formed from the state: by
+    Liouville's formula for the discrete map, log|det Y| grows by
+    log det M_j per step, and det M_j = 1 + O(h) is computed from
+    D_j = M_j - I without cancellation.  Checkpoints record the running
+    sum as (index, x, log-determinant growth).
     """
-    B = l.shape[0]
-    if B == 1:
-        return _sweep_scalar(model, alpha, l, r, y0, n,
-                             record_dense=record_dense, checkpoints=checkpoints)
+    B = l.size
     h = (r - l) / n
-    y = y0.astype(float).copy()
-    lam_u = np.zeros(B)
-    lam_v = np.zeros(B)
-    C = np.zeros(B)
-    k1 = np.empty_like(y); k2 = np.empty_like(y)
-    k3 = np.empty_like(y); k4 = np.empty_like(y)
-
-    def v_reconstructed():
-        fac = np.exp(np.clip(lam_v - lam_u, -745.0, 50.0))
-        vr = y[:, 2] * fac + C * y[:, 0]
-        vpr = y[:, 3] * fac + C * y[:, 1]
-        return vr, vpr
-
-    dense_x = dense_y = dense_lam = None
-    if record_dense:
-        dense_x = np.empty((n + 1, B))
-        dense_y = np.empty((n + 1, B, 4))
-        dense_lam = np.empty((n + 1, B))
-        dense_x[0] = l
-        vr, vpr = v_reconstructed()
-        dense_y[0] = np.column_stack([y[:, 0], y[:, 1], vr, vpr])
-        dense_lam[0] = lam_u
-    cp_idx = sorted({min(n, int(round(f * n))) for f in checkpoints})
-    cp_out = []
-    if 0 in cp_idx:
-        cp_out.append((0, l.copy(), y[:, 1] * y[:, 2] - y[:, 0] * y[:, 3],
-                       lam_u + lam_v))
-
-    for j in range(n):
-        x = l + j * h
-        _rhs(model, alpha, x, y, k1)
-        _rhs(model, alpha, x + 0.5 * h, y + (0.5 * h)[:, None] * k1, k2)
-        _rhs(model, alpha, x + 0.5 * h, y + (0.5 * h)[:, None] * k2, k3)
-        _rhs(model, alpha, x + h, y + h[:, None] * k3, k4)
-        y += (h / 6.0)[:, None] * (k1 + 2.0 * (k2 + k3) + k4)
-
-        # shear: remove the u-direction content of the companion
-        umag = np.maximum(np.abs(y[:, 0]), np.abs(y[:, 1]))
-        vmag = np.maximum(np.abs(y[:, 2]), np.abs(y[:, 3]))
-        denom = y[:, 0] ** 2 + y[:, 1] ** 2
+    block = max(1, _BLOCK_ROW_STEPS // B)
+    y, ex = _normalize(y0, np.zeros(B, dtype=np.int64))
+    cp_idx = sorted({int(round(f * n)) for f in _CHECKPOINT_FRACS[1:]})
+    logdet = np.zeros(B)
+    checkpoints = [(0, l, logdet)]
+    nodes = [(y[:, :, None], ex[None])]
+    for j0 in range(0, n, block):
+        steps = min(block, n - j0)
+        m = _step_matrices(model, alpha, l, h, j0, steps)
         with np.errstate(invalid="ignore", divide="ignore"):
-            c_eff = (y[:, 2] * y[:, 0] + y[:, 3] * y[:, 1]) / denom
-        trig = (denom > 0) & (np.abs(c_eff) * umag > 0.25 * vmag)
-        if trig.any():
-            ce = np.where(trig, c_eff, 0.0)
-            y[:, 2] -= ce * y[:, 0]
-            y[:, 3] -= ce * y[:, 1]
-            C += ce * np.exp(np.clip(lam_v - lam_u, -745.0, 50.0))
-
-        # per-pair renormalization
-        umag = np.maximum(np.abs(y[:, 0]), np.abs(y[:, 1]))
-        mask = umag > _RENORM_UP
-        if mask.any():
-            y[mask, 0] /= umag[mask]
-            y[mask, 1] /= umag[mask]
-            lam_u[mask] += np.log(umag[mask])
-        vmag = np.maximum(np.abs(y[:, 2]), np.abs(y[:, 3]))
-        mask = (vmag < _RENORM_DOWN) & (vmag > 0)
-        if mask.any():
-            y[mask, 2] /= vmag[mask]
-            y[mask, 3] /= vmag[mask]
-            lam_v[mask] += np.log(vmag[mask])
-
+            cum = logdet + np.cumsum(np.log1p(
+                m[0, 0] + m[1, 1] + m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]), axis=0)
+        checkpoints += [(c, l + c * h, cum[c - j0 - 1])
+                        for c in cp_idx if j0 < c <= j0 + steps]
+        logdet = cum[-1]
+        m[0, 0] += 1.0
+        m[1, 1] += 1.0
         if record_dense:
-            dense_x[j + 1] = l + (j + 1) * h
-            vr, vpr = v_reconstructed()
-            dense_y[j + 1] = np.column_stack([y[:, 0], y[:, 1], vr, vpr])
-            dense_lam[j + 1] = lam_u
-        if (j + 1) in cp_idx:
-            xc = l + (j + 1) * h
-            cp_out.append((j + 1, xc, y[:, 1] * y[:, 2] - y[:, 0] * y[:, 3],
-                           lam_u + lam_v))
-
-    vr, vpr = v_reconstructed()
-    y_out = np.column_stack([y[:, 0], y[:, 1], vr, vpr])
-    return dict(y=y_out, lam=lam_u, checkpoints=cp_out,
-                dense=(dense_x, dense_y, dense_lam) if record_dense else None)
+            # in extended precision, where the platform has it: each node
+            # gets its own product, and rounding that differs from node to
+            # node would be amplified by the interpolant's g''
+            q, eq = _prefix_product(m.astype(np.longdouble))
+            ys, es = _normalize(_mul(q, y[:, :, None]), eq + ex)
+            nodes.append((ys, es))
+            y, ex = ys[:, :, -1], es[-1]
+        else:
+            p, ep = _tree_product(m)
+            y, ex = _normalize(_mul(p, y), ep + ex)
+    return dict(y=y.astype(float).transpose(2, 1, 0).reshape(B, 4),
+                lam=ex * _LN2,
+                checkpoints=checkpoints,
+                dense=_dense_frames(l, h, n, nodes) if record_dense else None)
 
 
 def _initial_steps(model, alpha, l, r, max_steps):
@@ -344,18 +277,17 @@ def _endpoint_gap(a, b, abs_tol):
         return float(np.max(np.abs(va - vb) / sc))
 
 
-def _drift_from_checkpoints(model, cps, rows=None):
-    """Max log-deviation of the scale Wronskian across checkpoints."""
-    if len(cps) < 2:
-        return 0.0
+def _drift_from_checkpoints(model, cps, sprime_l, rows):
+    """Max log-deviation of the scale Wronskian across checkpoints.
+
+    |u'v - uv'| starts at S'(l) and has grown by the checkpoint's
+    log-determinant sum; the scale Wronskian divides by S'(x) there.
+    """
     logs = []
-    for (_, xc, wraw, lam_sum) in cps:
-        xr = xc if rows is None else xc[rows]
-        wr = wraw if rows is None else wraw[rows]
-        lr = lam_sum if rows is None else lam_sum[rows]
-        sp = np.asarray(scale_density(model, xr), dtype=float)
+    for (_, xc, logdet) in cps:
+        sp = np.asarray(scale_density(model, xc[rows]), dtype=float)
         with np.errstate(divide="ignore"):
-            logs.append(np.log(np.abs(wr)) - np.log(sp) + lr)
+            logs.append(np.log(sprime_l[rows]) + logdet[rows] - np.log(sp))
     logs = np.array(logs)
     if not np.all(np.isfinite(logs)):
         return math.inf
@@ -363,12 +295,12 @@ def _drift_from_checkpoints(model, cps, rows=None):
 
 
 def _solve_adaptive(model, alpha, l, r, settings, *, record_dense=False,
-                    check_rows=None):
+                    check_rows=slice(None)):
     n = _initial_steps(model, alpha, l, r, settings.max_steps)
-    y0 = np.zeros((l.shape[0], 4))
     sprime_l = np.asarray(scale_density(model, l), dtype=float)
-    y0[:, 1] = sprime_l
-    y0[:, 2] = 1.0
+    y0 = np.zeros((2, 2, l.shape[0]))
+    y0[1, 0] = sprime_l      # u(l) = 0, u'(l) = S'(l)
+    y0[0, 1] = 1.0           # v(l) = 1, v'(l) = 0
     # RK4 propagates the Wronskian through det of the per-step update
     # matrix, whose truncation error is not controlled by the endpoint
     # gap when the drift term is large, so the doubling loop accepts a
@@ -382,17 +314,16 @@ def _solve_adaptive(model, alpha, l, r, settings, *, record_dense=False,
                 f"step budget exhausted: {n2} steps needed, cap {settings.max_steps}; "
                 f"window length {float(np.max(r - l)):g}, alpha {alpha:g}",
                 operation="solve", value=n2, module=_MOD)
-        cur = _sweep(model, alpha, l, r, y0, n2,
-                     checkpoints=_CHECKPOINT_FRACS)
+        cur = _sweep(model, alpha, l, r, y0, n2)
         gap = _endpoint_gap(prev, cur, settings.abs_tol)
-        drift = _drift_from_checkpoints(model, cur["checkpoints"], rows=check_rows)
+        drift = _drift_from_checkpoints(model, cur["checkpoints"], sprime_l,
+                                        check_rows)
         if gap <= settings.rel_tol and drift <= drift_tol:
             n = n2
             break
         prev, n = cur, n2
     if record_dense:
-        cur = _sweep(model, alpha, l, r, y0, n,
-                     record_dense=True, checkpoints=_CHECKPOINT_FRACS)
+        cur = _sweep(model, alpha, l, r, y0, n, record_dense=True)
     cur.update(n_steps=n, endpoint_gap=gap, w_drift=drift, sprime_l=sprime_l)
     return cur
 
@@ -461,6 +392,24 @@ def batch_endpoints(model: DiffusionModel, alpha: float,
 # dense single-window basis
 # ---------------------------------------------------------------------------
 
+def _quintic_hermite(x0, x1, g0, gp0, gpp0, g1, gp1, gpp1, x, nder):
+    """Value and first nder derivatives at x of the quintic on [x0, x1]
+    with (g, g', g'') given at both ends, evaluated in Bernstein form."""
+    dx = x1 - x0
+    c1 = gp0 / 5.0 * dx + g0
+    c4 = g1 - gp1 / 5.0 * dx
+    c = [g0, c1, gpp0 / 20.0 * dx * dx - g0 + 2.0 * c1,
+         gpp1 / 20.0 * dx * dx + 2.0 * c4 - g1, c4, g1]
+    t = (x - x0) / dx
+    out = []
+    for _ in range(nder + 1):
+        deg = len(c) - 1
+        out.append(float(sum(math.comb(deg, k) * t ** k * (1.0 - t) ** (deg - k) * ck
+                             for k, ck in enumerate(c))))
+        c = [deg * (b - a) / dx for a, b in zip(c, c[1:])]
+    return out
+
+
 class SolutionRecord:
     """One basis solution with dense evaluation.
 
@@ -525,19 +474,18 @@ class SolutionBasis:
         s2 = float(self.model.diffusion_sq(x))
         return (2.0 / s2) * (self.alpha * g - mu * gp)
 
-    def _eval_cols(self, x: float, col: int) -> tuple[float, float, float]:
+    def _eval_cols(self, x: float, col: int, nder: int = 1):
         """Quintic Hermite on the containing segment, in that segment's
-        left-node renormalization frame.  Returns (g, g', log_factor)."""
+        left-node renormalization frame.  Returns (g, g', ..., g^(nder),
+        log_factor)."""
         i = self._segment(x)
         x0, x1 = self._xs[i], self._xs[i + 1]
-        lam0, lam1 = self._lams[i], self._lams[i + 1]
-        adj = math.exp(lam1 - lam0)
+        adj = math.exp(self._lams[i + 1] - self._lams[i])
         g0, gp0 = self._ys[i, col], self._ys[i, col + 1]
         g1, gp1 = self._ys[i + 1, col] * adj, self._ys[i + 1, col + 1] * adj
-        gpp0 = self._second_deriv(x0, g0, gp0)
-        gpp1 = self._second_deriv(x1, g1, gp1)
-        poly = BPoly.from_derivatives([x0, x1], [[g0, gp0, gpp0], [g1, gp1, gpp1]])
-        return float(poly(x)), float(poly.derivative()(x)), lam0
+        vals = _quintic_hermite(x0, x1, g0, gp0, self._second_deriv(x0, g0, gp0),
+                                g1, gp1, self._second_deriv(x1, g1, gp1), x, nder)
+        return (*vals, float(self._lams[i]))
 
     def _lam_at(self, x: float) -> float:
         return float(self._lams[self._segment(x)])
@@ -552,11 +500,12 @@ class SolutionBasis:
 
     def wronskian_drift(self) -> float:
         """Max log-deviation of the scale Wronskian across the solver's
-        interior checkpoints, measured on the sheared companion so the
-        figure is free of subtraction cancellation.  This is the
-        certified conservation monitor; pointwise wronskian(x) values
-        reconstructed from the stored basis lose relative accuracy once
-        the growing solution dominates."""
+        interior checkpoints, read from the running sum of the step
+        matrices' log-determinants, so the figure is free of subtraction
+        cancellation.  This is the certified conservation monitor;
+        pointwise wronskian(x) values reconstructed from the stored
+        basis lose relative accuracy once the growing solution
+        dominates."""
         return float(self.meta["w_drift"])
 
     def residual(self, xs) -> np.ndarray:
@@ -573,22 +522,10 @@ class SolutionBasis:
         for x in np.atleast_1d(np.asarray(xs, dtype=float)):
             mu = float(self.model.drift(x))
             s2 = float(self.model.diffusion_sq(x))
-            i = self._segment(x)
-            x0, x1 = self._xs[i], self._xs[i + 1]
-            lam0, lam1 = self._lams[i], self._lams[i + 1]
-            adj = math.exp(lam1 - lam0)
             res = []
             den = 1e-300
             for col in (0, 2):
-                g0, gp0 = self._ys[i, col], self._ys[i, col + 1]
-                g1, gp1 = self._ys[i + 1, col] * adj, self._ys[i + 1, col + 1] * adj
-                poly = BPoly.from_derivatives(
-                    [x0, x1],
-                    [[g0, gp0, self._second_deriv(x0, g0, gp0)],
-                     [g1, gp1, self._second_deriv(x1, g1, gp1)]])
-                g = float(poly(x))
-                gp = float(poly.derivative()(x))
-                gpp = float(poly.derivative(2)(x))
+                g, gp, gpp, _ = self._eval_cols(x, col, nder=2)
                 res.append(abs(0.5 * s2 * gpp + mu * gp - self.alpha * g))
                 den = max(den, abs(self.alpha * g) + abs(mu * gp)
                           + 0.5 * s2 * abs(gpp))
@@ -632,14 +569,8 @@ def solve_local_basis(model: DiffusionModel, alpha: float, l: float, r: float,
     return basis
 
 
-def scale_derivative(model: DiffusionModel, record: SolutionRecord, x: float,
-                     side: str = "right") -> float:
-    """g'(x)/S'(x) for a solution record.  The solutions are C^1 across
-    interior points, so both one-sided values agree; side is accepted
-    for endpoint bookkeeping."""
-    if side not in ("left", "right"):
-        raise ValidationError("side must be 'left' or 'right'",
-                              operation="scale_derivative", value=side, module=_MOD)
+def scale_derivative(model: DiffusionModel, record: SolutionRecord, x: float) -> float:
+    """g'(x)/S'(x) for a solution record."""
     return record.scale_deriv(x)
 
 

@@ -1,5 +1,6 @@
-"""Window solver against elementary solutions, Wronskian conservation,
-renormalization bookkeeping, and interpolation residuals."""
+"""Window solver against elementary solutions and a sequential RK4 loop,
+Wronskian conservation, renormalization bookkeeping, and interpolation
+residuals."""
 
 import math
 
@@ -15,6 +16,7 @@ from ddkit import (
     geometric_brownian,
     ornstein_uhlenbeck,
 )
+from ddkit import basis
 from ddkit.basis import (
     OdeSettings,
     batch_endpoints,
@@ -22,6 +24,7 @@ from ddkit.basis import (
     solve_local_basis,
     wronskian,
 )
+from ddkit.models import scale_density
 
 # closed forms on [0, 1]:
 #   BM, alpha = 1/2:      u = sinh(x),  v = cosh(x)
@@ -164,3 +167,77 @@ def test_normalization_rescales_but_preserves_quotients():
     # true values are unchanged: the factor sits in the log channel
     assert_allclose(norm.u.value(1.0), plain.u.value(1.0), rtol=1e-12)
     assert_allclose(norm.v.value(0.3), plain.v.value(0.3), rtol=1e-10)
+
+
+def _sequential_rk4(model, alpha, l, r, n):
+    """Classical RK4 on (u, u', v, v') for one window, one step at a time;
+    returns the state at every node."""
+    h = (r - l) / n
+
+    def f(x, y):
+        mu, s2 = float(model.drift(x)), float(model.diffusion_sq(x))
+        return np.array([y[1], 2.0 / s2 * (alpha * y[0] - mu * y[1]),
+                         y[3], 2.0 / s2 * (alpha * y[2] - mu * y[3])])
+
+    y = np.array([0.0, float(scale_density(model, l)), 1.0, 0.0])
+    out = [y]
+    for j in range(n):
+        x = l + j * h
+        k1 = f(x, y)
+        k2 = f(x + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(x + h, y + h * k3)
+        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: drifted_brownian(mu=1.0, sigma_sq=0.8),
+    lambda: ornstein_uhlenbeck(theta=1.0),
+])
+@pytest.mark.parametrize("n_windows", [1, 3])
+def test_step_matrix_product_matches_sequential_rk4(make, n_windows):
+    m = make()
+    n, alpha = 256, 3.0
+    l = np.linspace(-1.0, 0.5, n_windows)
+    r = l + 1.2
+    y0 = np.zeros((2, 2, n_windows))
+    y0[1, 0] = scale_density(m, l)
+    y0[0, 1] = 1.0
+    out = basis._sweep(m, alpha, l, r, y0, n)
+    for i in range(n_windows):
+        ref = _sequential_rk4(m, alpha, l[i], r[i], n)
+        assert_allclose(out["y"][i] * math.exp(out["lam"][i]), ref[-1], rtol=1e-12)
+        for j, xc, logdet in out["checkpoints"]:
+            u, up, v, vp = ref[j]
+            assert_allclose(xc[i], l[i] + j * (r[i] - l[i]) / n, rtol=1e-15)
+            assert_allclose(math.log(scale_density(m, l[i])) + logdet[i],
+                            math.log(abs(up * v - u * vp)), rtol=0, atol=1e-12)
+    assert [c[0] for c in out["checkpoints"]] == [0, 64, 128, 192, 256]
+
+
+def test_batch_spanning_several_blocks_matches_single_windows():
+    m = drifted_brownian(mu=1.0)
+    zs = np.linspace(0.5, 4.0, 40)
+    out = batch_endpoints(m, 20.0, zs - 1.0, zs)
+    assert zs.size * out.n_steps > 2 * basis._BLOCK_ROW_STEPS
+    for i, z in enumerate(zs):
+        one = batch_endpoints(m, 20.0, np.array([z - 1.0]), np.array([z]))
+        assert one.n_steps == out.n_steps
+        for name in ("u_r", "up_r", "v_r", "vp_r"):
+            assert_allclose(getattr(out, name)[i] * math.exp(out.lam[i]),
+                            getattr(one, name)[0] * math.exp(one.lam[0]),
+                            rtol=1e-12)
+
+
+def test_dense_basis_spanning_several_blocks_matches_endpoints():
+    m = ornstein_uhlenbeck(theta=1.0)
+    dense = solve_local_basis(m, 50.0, -1.0, 2.0)
+    assert dense.meta["n_steps"] > 2 * basis._BLOCK_ROW_STEPS
+    ep = batch_endpoints(m, 50.0, np.array([-1.0]), np.array([2.0]))
+    assert ep.n_steps == dense.meta["n_steps"]
+    end = dense.endpoint_data()
+    scale = math.exp(end["lam_r"] - ep.lam[0])
+    assert_allclose(end["r"][0] * scale, ep.u_r[0], rtol=1e-12)
+    assert_allclose(end["r"][1] * scale, ep.up_r[0], rtol=1e-12)

@@ -2,10 +2,15 @@
 estimator contracts, and the Poisson structure of excursion counts."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ddkit
 from ddkit import mc, verify
 from ddkit.errors import UnsupportedModelError, ValidationError
 from ddkit.models import (brownian, custom_model, drifted_brownian,
@@ -389,3 +394,15 @@ def test_verification_report_passes_on_bm():
     assert all(abs(r.z_score) <= 3.0 for r in rep.rows)
     assert max(r.dt_move for r in rep.rows) < 1.0
     assert any("PASS" in line for line in rep.lines())
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    """scipy.signal serves only the OU exact step and costs about 0.6 s
+    to import, so importing the package and its CLI must not load it."""
+    src = str(Path(ddkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, ddkit, ddkit.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
