@@ -572,8 +572,3 @@ def solve_local_basis(model: DiffusionModel, alpha: float, l: float, r: float,
 def scale_derivative(model: DiffusionModel, record: SolutionRecord, x: float) -> float:
     """g'(x)/S'(x) for a solution record."""
     return record.scale_deriv(x)
-
-
-def wronskian(basis: SolutionBasis, x: float) -> float:
-    """Scale Wronskian of the basis at x; +1 by construction at l."""
-    return basis.wronskian(x)

@@ -14,6 +14,17 @@ reproducibility first and speed second:
   only on its own history;
 * reductions concatenate chunk results in index order.
 
+One block stepper serves ``simulate`` and the coupled (dt/2, dt) pair
+of ``paired_simulate``: a single run is one arm at dt, a pair is a fine
+arm at dt/2 and a coarse arm at dt whose normals are combined from
+consecutive pairs of the fine ones.  A block covers 256 fine steps
+(128 coarse steps in a pair) and draws, per path, the fine normals,
+then, under the exact scheme, each arm's bridge uniforms u_min and
+then u_max, fine arm first.  That draw order is part of the
+determinism contract: a different random stream, or a different order
+within a block, changes every path.  One chunk driver runs this
+stepper and the excursion counter over fixed 2048-path chunks.
+
 The excursion counter skips work where the count cannot move.  A path
 whose open excursion is already delta-deep is counted once that
 excursion closes, and it closes only when the path climbs back to its
@@ -57,7 +68,6 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -201,10 +211,6 @@ class PathCollection:
                           m_tau_hat=float(self.m_tau_hat[i]),
                           stopped=bool(self.stopped[i]))
 
-    def __iter__(self) -> Iterator[PathSample]:
-        for i in range(len(self)):
-            yield self[i]
-
     @property
     def unstopped_fraction(self) -> float:
         return float(1.0 - self.stopped.mean())
@@ -296,6 +302,13 @@ def _euler_blocks(model, x_cur, z, dt):
     return xb, xprev
 
 
+def _grid_block(model, cfg, x_cur, z, dt):
+    """(X block, previous X per step) under cfg's scheme."""
+    if cfg.scheme == "exact_bm":
+        return _exact_blocks(model, x_cur, z, dt)
+    return _euler_blocks(model, x_cur, z, dt)
+
+
 def _require_scheme(model, cfg):
     if cfg.scheme == "exact_bm" and model.exact_step is None:
         raise UnsupportedModelError(
@@ -303,112 +316,28 @@ def _require_scheme(model, cfg):
             operation="simulate", value=model.model_id, module=_MOD)
 
 
-# ---------------------------------------------------------------------------
-# drawdown simulation
-# ---------------------------------------------------------------------------
-
-def _drawdown_chunk(model, x, delta, cfg, first, count):
-    gens = _generators(cfg.seed, first, count)
-    n_steps = cfg.n_steps
-    dt = cfg.dt
-    bridge = cfg.scheme == "exact_bm"
-
-    x_cur = np.full(count, float(x))
-    m_cur = np.full(count, float(x))
-    tau = np.full(count, n_steps * dt)
-    m_tau = np.full(count, float(x))
-    stopped = np.zeros(count, dtype=bool)
-    alive = np.arange(count)
-    step_base = 0
-
-    while alive.size and step_base < n_steps:
-        length = min(_BLOCK_STEPS, n_steps - step_base)
-        z = _draw_normals(gens, alive, length)
-        if bridge:
-            u_min = _draw_uniforms(gens, alive, length)
-            u_max = _draw_uniforms(gens, alive, length)
-            xb, xprev = _exact_blocks(model, x_cur[alive], z, dt)
-            probe, tops = _bridge_extremes(model, xprev, xb, u_min, u_max,
-                                           dt)
-        else:
-            xb, _ = _euler_blocks(model, x_cur[alive], z, dt)
-            probe, tops = xb, xb
-        # running maximum before each step's end; the probe (bridge
-        # minimum, or the grid point itself) stops the path when it
-        # falls delta below.  A new-maximum step cannot stop: its probe
-        # stays above the old maximum minus delta or the bridge dip is
-        # caught on the spot.
-        m_shift = np.maximum.accumulate(
-            np.concatenate([m_cur[alive][:, None], tops[:, :-1]], axis=1),
-            axis=1)
-        hit = m_shift - probe >= delta
-        any_hit = hit.any(axis=1)
-        k_hit = np.argmax(hit, axis=1)
-
-        rows = np.flatnonzero(any_hit)
-        if rows.size:
-            g = alive[rows]
-            kk = k_hit[rows]
-            off = 0.5 if bridge else 1.0
-            tau[g] = (step_base + kk + off) * dt
-            m_tau[g] = m_shift[rows, kk]
-            stopped[g] = True
-
-        keep = np.flatnonzero(~any_hit)
-        x_cur[alive[keep]] = xb[keep, -1]
-        m_cur[alive[keep]] = np.maximum(m_cur[alive[keep]],
-                                        np.max(tops[keep], axis=1))
-        alive = alive[keep]
-        step_base += length
-
-    m_tau[~stopped] = m_cur[~stopped]
-    tau[~stopped] = n_steps * dt
-    return tau, m_tau, stopped
-
-
-def simulate(model: DiffusionModel, x: float, delta: float,
-             cfg: McConfig) -> PathCollection:
-    """Run n_paths independent trajectories until the first drawdown of
-    size delta, the horizon, or the state space ends.
-
-    Identical (seed, cfg) give bit-identical results at any thread
-    count: every path's randomness is keyed on (seed, path index) and
-    consumed in fixed blocks.
-    """
-    validate_query(model, x, delta)
-    _require_scheme(model, cfg)
+def _check_dt(cfg, delta, operation):
     if cfg.dt > delta * delta / 100.0:
         raise ValidationError(
             "dt must be at most delta^2 / 100 to resolve the drawdown",
-            operation="simulate", value=cfg.dt, module=_MOD)
+            operation=operation, value=cfg.dt, module=_MOD)
 
+
+def _run_chunks(fn, cfg, *args):
+    """fn(*args, cfg, first, count) over the fixed path chunks, on up to
+    thread_cap() threads; results come back in path order."""
     chunks = [(i, min(_CHUNK_PATHS, cfg.n_paths - i))
               for i in range(0, cfg.n_paths, _CHUNK_PATHS)]
     workers = min(thread_cap(), len(chunks))
     if workers <= 1:
-        parts = [_drawdown_chunk(model, x, delta, cfg, f, c)
-                 for f, c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_drawdown_chunk, model, x, delta, cfg, f, c)
-                    for f, c in chunks]
-            parts = [f.result() for f in futs]
-
-    tau = np.concatenate([p[0] for p in parts])
-    m_tau = np.concatenate([p[1] for p in parts])
-    stopped = np.concatenate([p[2] for p in parts])
-    out = PathCollection(x=float(x), delta=float(delta), cfg=cfg,
-                         tau_hat=tau, m_tau_hat=m_tau, stopped=stopped)
-    if out.unstopped_fraction > 0.01:
-        warnings.warn(
-            f"{out.unstopped_fraction:.1%} of paths did not reach the "
-            f"drawdown by t_max={cfg.t_max:g}; estimates carry that bias",
-            stacklevel=2)
-    return out
+        return [fn(*args, cfg, f, c) for f, c in chunks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futs = [pool.submit(fn, *args, cfg, f, c) for f, c in chunks]
+        return [f.result() for f in futs]
 
 
 # ---------------------------------------------------------------------------
-# coupled dt-pairs: same randomness at dt and dt/2
+# drawdown simulation: one stepper for a single run and the coupled dt-pair
 # ---------------------------------------------------------------------------
 
 def _paired_normals(model, cfg, z, dt_half):
@@ -426,82 +355,112 @@ def _paired_normals(model, cfg, z, dt_half):
     return (z1 + z2) / math.sqrt(2.0)
 
 
-def _paired_chunk(model, x, delta, cfg, first, count):
-    """One chunk of the coupled (dt, dt/2) pair; cfg.dt is the coarse
-    step.  Returns two result triples, fine first."""
+def _drawdown_chunk(model, x, delta, dts, cfg, first, count):
+    """One chunk of drawdown paths on each arm of dts: (cfg.dt,) for a
+    single run, (cfg.dt/2, cfg.dt) for the coupled pair.  Returns one
+    (tau, m_tau, stopped) triple per arm, fine first.
+
+    Arm i takes one step per i+1 fine steps, and a block draws in the
+    order the module docstring fixes.  A path keeps drawing while
+    either arm is running, so both arms read the same stream.
+    """
     gens = _generators(cfg.seed, first, count)
-    dt_c = cfg.dt
-    dt_f = 0.5 * dt_c
-    n_blocks = -(-cfg.n_steps // (_BLOCK_STEPS // 2))
+    n_fine = cfg.n_steps * len(dts)
     bridge = cfg.scheme == "exact_bm"
-    lc_full = _BLOCK_STEPS // 2
+    off = 0.5 if bridge else 1.0
 
-    arms = []
-    for dt in (dt_f, dt_c):
-        arms.append({
-            "dt": dt,
-            "x": np.full(count, float(x)),
-            "m": np.full(count, float(x)),
-            "tau": np.full(count, cfg.n_steps * dt_c),
-            "mt": np.full(count, float(x)),
-            "stopped": np.zeros(count, dtype=bool),
-            "step": 0,
-        })
+    x_cur = np.full((len(dts), count), float(x))
+    m_cur = x_cur.copy()
+    m_tau = x_cur.copy()
+    tau = np.full((len(dts), count), cfg.n_steps * cfg.dt)
+    stopped = np.zeros((len(dts), count), dtype=bool)
     alive = np.arange(count)
+    base = 0
 
-    for blk in range(n_blocks):
-        lc = min(lc_full, cfg.n_steps - blk * lc_full)
-        lf = 2 * lc
-        z = _draw_normals(gens, alive, lf)
-        z_arm = {0: z, 1: _paired_normals(model, cfg, z, dt_f)}
+    while alive.size and base < n_fine:
+        length = min(_BLOCK_STEPS, n_fine - base)
+        z = _draw_normals(gens, alive, length)
+        zs = ((z,) if len(dts) == 1
+              else (z, _paired_normals(model, cfg, z, dts[0])))
         if bridge:
-            u = {(i, j): _draw_uniforms(gens, alive, lf if i == 0 else lc)
-                 for i in (0, 1) for j in (0, 1)}
-        arm_alive = []
-        for i, st in enumerate(arms):
-            dt = st["dt"]
-            length = lf if i == 0 else lc
-            live = ~st["stopped"][alive]
+            us = [(_draw_uniforms(gens, alive, zi.shape[1]),
+                   _draw_uniforms(gens, alive, zi.shape[1])) for zi in zs]
+        running = np.zeros(alive.size, dtype=bool)
+        for i, dt in enumerate(dts):
+            live = ~stopped[i, alive]
+            xb, xprev = _grid_block(model, cfg, x_cur[i, alive], zs[i], dt)
             if bridge:
-                xb, xprev = _exact_blocks(model, st["x"][alive], z_arm[i],
-                                          dt)
-                probe, tops = _bridge_extremes(model, xprev, xb,
-                                               u[(i, 0)], u[(i, 1)], dt)
+                probe, tops = _bridge_extremes(model, xprev, xb, *us[i], dt)
             else:
-                xb, _ = _euler_blocks(model, st["x"][alive], z_arm[i], dt)
                 probe, tops = xb, xb
+            # running maximum before each step's end; the probe (bridge
+            # minimum, or the grid point itself) stops the path when it
+            # falls delta below.  A new-maximum step cannot stop: its
+            # probe stays above the old maximum minus delta or the
+            # bridge dip is caught on the spot.
             m_shift = np.maximum.accumulate(
-                np.concatenate([st["m"][alive][:, None], tops[:, :-1]],
+                np.concatenate([m_cur[i, alive][:, None], tops[:, :-1]],
                                axis=1), axis=1)
             hit = (m_shift - probe >= delta) & live[:, None]
             any_hit = hit.any(axis=1)
-            k_hit = np.argmax(hit, axis=1)
             rows = np.flatnonzero(any_hit)
             if rows.size:
+                kk = np.argmax(hit[rows], axis=1)
                 g = alive[rows]
-                kk = k_hit[rows]
-                off = 0.5 if bridge else 1.0
-                st["tau"][g] = (st["step"] + kk + off) * dt
-                st["mt"][g] = m_shift[rows, kk]
-                st["stopped"][g] = True
-            rest = np.flatnonzero(live & ~any_hit)
-            st["x"][alive[rest]] = xb[rest, -1]
-            st["m"][alive[rest]] = np.maximum(
-                st["m"][alive[rest]], np.max(tops[rest], axis=1))
-            st["step"] += length
-            arm_alive.append(live & ~any_hit)
-        either = arm_alive[0] | arm_alive[1]
-        alive = alive[either]
-        if not alive.size:
-            break
+                tau[i, g] = (base // (i + 1) + kk + off) * dt
+                m_tau[i, g] = m_shift[rows, kk]
+                stopped[i, g] = True
+            keep = live & ~any_hit
+            g = alive[keep]
+            x_cur[i, g] = xb[keep, -1]
+            m_cur[i, g] = np.maximum(m_cur[i, g], np.max(tops[keep], axis=1))
+            running |= keep
+        alive = alive[running]
+        base += length
 
-    out = []
-    for st in arms:
-        un = ~st["stopped"]
-        st["mt"][un] = st["m"][un]
-        st["tau"][un] = cfg.n_steps * dt_c
-        out.append((st["tau"], st["mt"], st["stopped"]))
-    return out[0], out[1]
+    m_tau[~stopped] = m_cur[~stopped]
+    return list(zip(tau, m_tau, stopped))
+
+
+def _drawdown_paths(model, x, delta, cfg, paired):
+    """PathCollections of simulate (one) or paired_simulate (fine,
+    coarse); warns, on behalf of the public caller, when the first arm
+    leaves more than 1% of paths unstopped."""
+    validate_query(model, x, delta)
+    _require_scheme(model, cfg)
+    _check_dt(cfg, delta, "paired_simulate" if paired else "simulate")
+    dts = (0.5 * cfg.dt, cfg.dt) if paired else (cfg.dt,)
+    parts = _run_chunks(_drawdown_chunk, cfg, model, x, delta, dts)
+    cols = []
+    for i, dt in enumerate(dts):
+        # both arms of a pair simulate exactly n_steps coarse steps of
+        # time; an aligned t_max keeps each arm's step count consistent
+        arm_cfg = (McConfig(n_paths=cfg.n_paths, dt=dt,
+                            t_max=cfg.n_steps * cfg.dt, seed=cfg.seed,
+                            scheme=cfg.scheme) if paired else cfg)
+        tau, m_tau, stopped = (np.concatenate([p[i][j] for p in parts])
+                               for j in range(3))
+        cols.append(PathCollection(x=float(x), delta=float(delta),
+                                   cfg=arm_cfg, tau_hat=tau,
+                                   m_tau_hat=m_tau, stopped=stopped))
+    if cols[0].unstopped_fraction > 0.01:
+        warnings.warn(
+            f"{cols[0].unstopped_fraction:.1%} of paths did not reach the "
+            f"drawdown by t_max={cfg.t_max:g}; estimates carry that bias",
+            stacklevel=3)
+    return cols
+
+
+def simulate(model: DiffusionModel, x: float, delta: float,
+             cfg: McConfig) -> PathCollection:
+    """Run n_paths independent trajectories until the first drawdown of
+    size delta, the horizon, or the state space ends.
+
+    Identical (seed, cfg) give bit-identical results at any thread
+    count: every path's randomness is keyed on (seed, path index) and
+    consumed in fixed blocks.
+    """
+    return _drawdown_paths(model, x, delta, cfg, False)[0]
 
 
 def paired_simulate(model: DiffusionModel, x: float, delta: float,
@@ -513,45 +472,7 @@ def paired_simulate(model: DiffusionModel, x: float, delta: float,
     of halving dt directly, with far less noise than two independent
     runs would leave; that is the dt-pair rule's measurement.
     """
-    validate_query(model, x, delta)
-    _require_scheme(model, cfg)
-    if cfg.dt > delta * delta / 100.0:
-        raise ValidationError(
-            "dt must be at most delta^2 / 100 to resolve the drawdown",
-            operation="paired_simulate", value=cfg.dt, module=_MOD)
-
-    chunks = [(i, min(_CHUNK_PATHS, cfg.n_paths - i))
-              for i in range(0, cfg.n_paths, _CHUNK_PATHS)]
-    workers = min(thread_cap(), len(chunks))
-    if workers <= 1:
-        parts = [_paired_chunk(model, x, delta, cfg, f, c)
-                 for f, c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_paired_chunk, model, x, delta, cfg, f, c)
-                    for f, c in chunks]
-            parts = [f.result() for f in futs]
-
-    cols = []
-    # both arms simulate exactly n_steps coarse steps of time; an
-    # aligned t_max keeps each arm's own step count consistent with it
-    horizon = cfg.n_steps * cfg.dt
-    for armidx, dt in ((0, 0.5 * cfg.dt), (1, cfg.dt)):
-        arm_cfg = McConfig(n_paths=cfg.n_paths, dt=dt, t_max=horizon,
-                           seed=cfg.seed, scheme=cfg.scheme)
-        tau = np.concatenate([p[armidx][0] for p in parts])
-        m_tau = np.concatenate([p[armidx][1] for p in parts])
-        stopped = np.concatenate([p[armidx][2] for p in parts])
-        cols.append(PathCollection(x=float(x), delta=float(delta),
-                                   cfg=arm_cfg, tau_hat=tau,
-                                   m_tau_hat=m_tau, stopped=stopped))
-    fine, coarse = cols
-    if fine.unstopped_fraction > 0.01:
-        warnings.warn(
-            f"{fine.unstopped_fraction:.1%} of paths did not reach the "
-            f"drawdown by t_max={cfg.t_max:g}; estimates carry that bias",
-            stacklevel=2)
-    return fine, coarse
+    return tuple(_drawdown_paths(model, x, delta, cfg, True))
 
 
 # ---------------------------------------------------------------------------
@@ -761,9 +682,8 @@ def _excursion_chunk(model, x, y, delta, cfg, first, count):
     gens = _generators(cfg.seed, first, count)
     n_steps = cfg.n_steps
     dt = cfg.dt
-    exact = cfg.scheme == "exact_bm"
     step = model.exact_step
-    skips = exact and step.kind in ("arith", "loggauss")
+    skips = cfg.scheme == "exact_bm" and step.kind in ("arith", "loggauss")
 
     x_cur = np.full(count, float(x))
     level = np.full(count, float(x))
@@ -780,10 +700,7 @@ def _excursion_chunk(model, x, y, delta, cfg, first, count):
         blocks = []
         if full.size:
             z = _draw_normals(gens, full, length)
-            if exact:
-                xb, _ = _exact_blocks(model, x_cur[full], z, dt)
-            else:
-                xb, _ = _euler_blocks(model, x_cur[full], z, dt)
+            xb, _ = _grid_block(model, cfg, x_cur[full], z, dt)
             blocks.extend(zip(full, xb))
         for g in alive[deep]:
             tail, x_cur[g] = _deep_block(gens[g], step, float(x_cur[g]),
@@ -843,22 +760,8 @@ def excursion_counts(model: DiffusionModel, x: float, y: float, delta: float,
         raise ValidationError("need x < y inside the state space",
                               operation="excursion_counts", value=y,
                               module=_MOD)
-    if cfg.dt > delta * delta / 100.0:
-        raise ValidationError(
-            "dt must be at most delta^2 / 100 to resolve the drawdown",
-            operation="excursion_counts", value=cfg.dt, module=_MOD)
-
-    chunks = [(i, min(_CHUNK_PATHS, cfg.n_paths - i))
-              for i in range(0, cfg.n_paths, _CHUNK_PATHS)]
-    workers = min(thread_cap(), len(chunks))
-    if workers <= 1:
-        parts = [_excursion_chunk(model, x, y, delta, cfg, f, c)
-                 for f, c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_excursion_chunk, model, x, y, delta, cfg,
-                                f, c) for f, c in chunks]
-            parts = [f.result() for f in futs]
+    _check_dt(cfg, delta, "excursion_counts")
+    parts = _run_chunks(_excursion_chunk, cfg, model, x, y, delta)
     counts = np.concatenate([p[0] for p in parts])
     done = np.concatenate([p[1] for p in parts])
     frac = float(1.0 - done.mean())
@@ -872,6 +775,10 @@ def excursion_counts(model: DiffusionModel, x: float, y: float, delta: float,
 # raw trajectories (demos, diagnostics, extract_excursions input)
 # ---------------------------------------------------------------------------
 
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def sample_trajectory(model: DiffusionModel, x: float, cfg: McConfig,
                       n_steps: int | None = None,
                       path_index: int = 0) -> np.ndarray:
@@ -882,12 +789,17 @@ def sample_trajectory(model: DiffusionModel, x: float, cfg: McConfig,
                               operation="sample_trajectory", value=x,
                               module=_MOD)
     _require_scheme(model, cfg)
-    steps = cfg.n_steps if n_steps is None else int(n_steps)
-    if steps < 1:
-        raise ValidationError("n_steps must be >= 1",
+    steps = cfg.n_steps if n_steps is None else n_steps
+    if not (_is_integer(steps) and steps >= 1):
+        raise ValidationError("n_steps must be an integer >= 1",
                               operation="sample_trajectory", value=n_steps,
                               module=_MOD)
-    gens = _generators(cfg.seed, path_index, 1)
+    if not (_is_integer(path_index) and 0 <= int(path_index) < 2 ** 64):
+        raise ValidationError("path_index must be an integer in [0, 2^64)",
+                              operation="sample_trajectory",
+                              value=path_index, module=_MOD)
+    steps = int(steps)
+    gens = _generators(cfg.seed, int(path_index), 1)
     out = np.empty(steps + 1)
     out[0] = x
     x_cur = np.full(1, float(x))
@@ -895,10 +807,7 @@ def sample_trajectory(model: DiffusionModel, x: float, cfg: McConfig,
     while donefill <= steps:
         length = min(_BLOCK_STEPS, steps - donefill + 1)
         z = _draw_normals(gens, [0], length)
-        if cfg.scheme == "exact_bm":
-            xb, _ = _exact_blocks(model, x_cur, z, cfg.dt)
-        else:
-            xb, _ = _euler_blocks(model, x_cur, z, cfg.dt)
+        xb, _ = _grid_block(model, cfg, x_cur, z, cfg.dt)
         out[donefill:donefill + length] = xb[0]
         x_cur = xb[:, -1].copy()
         donefill += length

@@ -22,7 +22,6 @@ from ddkit.basis import (
     batch_endpoints,
     scale_derivative,
     solve_local_basis,
-    wronskian,
 )
 from ddkit.models import scale_density
 
@@ -69,7 +68,7 @@ def test_initial_conditions_and_wronskian_normalization():
     # u has unit scale slope at l, so the scale Wronskian starts at +1
     assert_allclose(scale_derivative(m, basis.u, -0.5), 1.0, rtol=1e-10)
     for x in (-0.5, -0.1, 0.4, 1.0, 1.5):
-        assert_allclose(wronskian(basis, x), 1.0, rtol=1e-8)
+        assert_allclose(basis.wronskian(x), 1.0, rtol=1e-8)
 
 
 @pytest.mark.parametrize("make,lo", [

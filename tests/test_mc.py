@@ -81,15 +81,26 @@ def test_estimate_transform_rejects_negative_rates():
 # reproducibility
 # ---------------------------------------------------------------------------
 
-def test_bit_identical_across_thread_counts(monkeypatch):
+def _drawdown_arms(paired, cfg):
+    """(simulate,) or the (fine, coarse) arms of paired_simulate."""
+    if paired:
+        return mc.paired_simulate(BM, 0.0, 1.0, cfg)
+    return (mc.simulate(BM, 0.0, 1.0, cfg),)
+
+
+@pytest.mark.parametrize("paired", [False, True],
+                         ids=["simulate", "paired_simulate"])
+def test_bit_identical_across_thread_counts(monkeypatch, paired):
     cfg = mc.McConfig(n_paths=3000, dt=0.01, t_max=40.0, seed=11)
     monkeypatch.setenv("DDKIT_THREADS", "1")
-    one = mc.simulate(BM, 0.0, 1.0, cfg)
+    one = _drawdown_arms(paired, cfg)
     monkeypatch.setenv("DDKIT_THREADS", "4")
-    four = mc.simulate(BM, 0.0, 1.0, cfg)
-    assert np.array_equal(one.tau_hat, four.tau_hat)
-    assert np.array_equal(one.m_tau_hat, four.m_tau_hat)
-    assert np.array_equal(one.stopped, four.stopped)
+    four = _drawdown_arms(paired, cfg)
+    assert len(one) == len(four) == (2 if paired else 1)
+    for a, b in zip(one, four):
+        assert np.array_equal(a.tau_hat, b.tau_hat)
+        assert np.array_equal(a.m_tau_hat, b.m_tau_hat)
+        assert np.array_equal(a.stopped, b.stopped)
 
 
 def test_repeat_call_is_identical():
@@ -100,12 +111,17 @@ def test_repeat_call_is_identical():
     assert np.array_equal(a.m_tau_hat, b.m_tau_hat)
 
 
-def test_path_count_extension_preserves_prefix():
-    # per-path streams: the first 1000 paths do not depend on n_paths
-    a = mc.simulate(BM, 0.0, 1.0, small_cfg(n_paths=1000, seed=21))
-    b = mc.simulate(BM, 0.0, 1.0, small_cfg(n_paths=1500, seed=21))
-    assert np.array_equal(a.tau_hat, b.tau_hat[:1000])
-    assert np.array_equal(a.m_tau_hat, b.m_tau_hat[:1000])
+@pytest.mark.parametrize("paired", [False, True],
+                         ids=["simulate", "paired_simulate"])
+def test_path_count_extension_preserves_prefix(paired):
+    # per-path streams: the first 3000 paths do not depend on n_paths,
+    # across a chunk boundary and with the chunk pool running
+    short = _drawdown_arms(paired, small_cfg(n_paths=3000, seed=21))
+    long = _drawdown_arms(paired, small_cfg(n_paths=5000, seed=21))
+    for a, b in zip(short, long):
+        assert np.array_equal(a.tau_hat, b.tau_hat[:3000])
+        assert np.array_equal(a.m_tau_hat, b.m_tau_hat[:3000])
+        assert np.array_equal(a.stopped, b.stopped[:3000])
 
 
 def test_excursion_counts_bit_identical_across_thread_counts(monkeypatch):
@@ -377,6 +393,18 @@ def test_sample_trajectory_shape_and_determinism():
     assert np.array_equal(t1, t2)
     t3 = mc.sample_trajectory(BM, 0.0, cfg, n_steps=500, path_index=1)
     assert not np.array_equal(t1, t3)
+    t4 = mc.sample_trajectory(BM, 0.0, cfg, n_steps=np.int64(500),
+                              path_index=np.uint64(1))
+    assert np.array_equal(t3, t4)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(path_index=-1), dict(path_index=2 ** 64), dict(path_index=2.7),
+    dict(path_index=True), dict(n_steps=2.5), dict(n_steps=0),
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_sample_trajectory_rejects_bad_index_and_steps(kw):
+    with pytest.raises(ValidationError):
+        mc.sample_trajectory(BM, 0.0, small_cfg(), **kw)
 
 
 def test_sample_trajectory_stays_in_state_space():
