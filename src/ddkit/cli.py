@@ -83,28 +83,25 @@ def _require_keys(doc, allowed, where):
               value=extra)
 
 
+def _finite(v, what):
+    if not isinstance(v, (int, float)) or isinstance(v, bool) \
+            or not math.isfinite(v):
+        _fail(f"{what} must be a finite number", value=v)
+    return float(v)
+
+
 def _number(doc, key, where, default=None, required=False):
     if key not in doc:
         if required:
             _fail(f"{where} is missing required key {key!r}")
         return default
-    v = doc[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool) \
-            or not math.isfinite(v):
-        _fail(f"{where}.{key} must be a finite number", value=v)
-    return float(v)
+    return _finite(doc[key], f"{where}.{key}")
 
 
 def _grid_values(raw, name):
     if not isinstance(raw, list) or not raw:
         _fail(f"grids.{name} must be a nonempty array", value=raw)
-    out = []
-    for v in raw:
-        if not isinstance(v, (int, float)) or isinstance(v, bool) \
-                or not math.isfinite(v):
-            _fail(f"grids.{name} entries must be finite numbers", value=v)
-        out.append(float(v))
-    return tuple(out)
+    return tuple(_finite(v, f"each entry of grids.{name}") for v in raw)
 
 
 def load_config(path: str) -> dict:
@@ -151,7 +148,7 @@ def parse_run_config(doc: dict, command: str, seed_override=None,
         raw = qdoc["box"]
         if not (isinstance(raw, list) and len(raw) == 2):
             _fail("query.box must be [lo, hi]", value=raw)
-        box = (float(raw[0]), float(raw[1]))
+        box = tuple(_finite(v, "each entry of query.box") for v in raw)
     exit_lower = _number(qdoc, "exit_lower", "query")
 
     want = _GRID_FOR[command]

@@ -155,16 +155,18 @@ def nu(model: DiffusionModel, z: float, delta: float) -> float:
 def _nu_sp(model, z, delta):
     """nu(z) * S'(z): the survival-rate integrand in the level variable.
 
-    Constant-coefficient kinds get the z-free closed form; far in the
-    tail the generic ratio would divide one underflowed quantity by
-    another.
+    Takes arrays of levels; a float for scalar z.  Constant-coefficient
+    kinds get the z-free closed form; far in the tail the generic ratio
+    would divide one underflowed quantity by another.
     """
     if model.kind == "bm":
-        return 1.0 / delta
-    if model.kind == "drifted_bm":
+        rate = 1.0 / delta
+    elif model.kind == "drifted_bm":
         g = 2.0 * model.params["mu"] / model.params["sigma_sq"]
-        return g / math.expm1(g * delta)
-    return float(scale_density(model, z)) / scale_diff(model, z - delta, z)
+        rate = g / math.expm1(g * delta)
+    else:
+        return scale_density(model, z) / scale_diff(model, z - delta, z)
+    return rate if np.ndim(z) == 0 else np.full(np.shape(z), rate)
 
 
 def _settings_for(tol: float) -> OdeSettings:
@@ -294,7 +296,7 @@ def tail_curve(model: DiffusionModel, query: DrawdownQuery, grid) -> TailCurve:
         prev_y = float(y)
     with np.errstate(under="ignore"):
         tail = np.exp(-exps)
-        dens = np.array([_nu_sp(model, float(y), query.delta) for y in g]) * tail
+        dens = _nu_sp(model, g, query.delta) * tail
     return TailCurve(x=query.x, delta=query.delta, grid=g, tail=tail,
                      density=dens)
 
@@ -335,8 +337,7 @@ def _march_mass(model, x, delta, beta, mass_cap, y_stop=None):
         for _ in range(60):
             mid = y + 0.5 * h
             pts = mid + 0.5 * h * _GL_X
-            vals = [_nu_sp(model, float(p), delta) for p in pts]
-            dN = 0.5 * h * float(np.dot(_GL_W, vals))
+            dN = 0.5 * h * float(np.dot(_GL_W, _nu_sp(model, pts, delta)))
             if dN <= 1.0 or h <= 1e-13 * max(1.0, abs(y)):
                 break
             h *= 0.5
@@ -372,9 +373,8 @@ def _node_values(model, nodes, delta, alpha, settings, cache):
     missing = [float(y) for y in nodes if float(y) not in cache]
     if missing:
         arr = np.asarray(missing)
-        sps = np.array([float(scale_density(model, y)) for y in missing])
-        nu_vals = np.array([1.0 / scale_diff(model, y - delta, y)
-                            for y in missing])
+        sps = scale_density(model, arr)
+        nu_vals = 1.0 / scale_diff(model, arr - delta, arr)
         if alpha == 0.0:
             b_vals, c_vals = nu_vals, nu_vals
         else:
@@ -567,8 +567,7 @@ def conditional_curve(model: DiffusionModel, query: DrawdownQuery,
                          _settings_for(query.tol))
     b_v, _ = _endpoint_quotients(ep, np.full(ys.shape, query.delta),
                                  "conditional_curve")
-    nu_v = np.array([1.0 / scale_diff(model, float(y) - query.delta, float(y))
-                     for y in ys])
+    nu_v = 1.0 / scale_diff(model, ys - query.delta, ys)
     with np.errstate(under="ignore"):
         out = np.exp(-R) * b_v / nu_v
     return np.clip(out, 0.0, 1.0)

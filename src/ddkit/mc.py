@@ -101,6 +101,10 @@ def thread_cap() -> int:
 # configuration and sample types
 # ---------------------------------------------------------------------------
 
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Simulation settings.
@@ -118,7 +122,7 @@ class McConfig:
     scheme: str = "exact_bm"
 
     def __post_init__(self):
-        if not (isinstance(self.n_paths, int) and self.n_paths >= 1000):
+        if not (_is_integer(self.n_paths) and self.n_paths >= 1000):
             raise ValidationError("n_paths must be an integer >= 1000",
                                   operation="McConfig", value=self.n_paths,
                                   module=_MOD)
@@ -132,7 +136,7 @@ class McConfig:
             raise ValidationError("t_max must be finite and >= dt",
                                   operation="McConfig", value=self.t_max,
                                   module=_MOD)
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
+        if not (_is_integer(self.seed) and 0 <= int(self.seed) < 2 ** 64):
             raise ValidationError("seed must be a 64-bit unsigned integer",
                                   operation="McConfig", value=self.seed,
                                   module=_MOD)
@@ -140,6 +144,10 @@ class McConfig:
             raise ValidationError("scheme must be 'euler' or 'exact_bm'",
                                   operation="McConfig", value=self.scheme,
                                   module=_MOD)
+        # numpy integers are stored as ints, so streams and reports
+        # match the same config given with Python ints
+        object.__setattr__(self, "n_paths", int(self.n_paths))
+        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def n_steps(self) -> int:
@@ -774,10 +782,6 @@ def excursion_counts(model: DiffusionModel, x: float, y: float, delta: float,
 # ---------------------------------------------------------------------------
 # raw trajectories (demos, diagnostics, extract_excursions input)
 # ---------------------------------------------------------------------------
-
-def _is_integer(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
 
 def sample_trajectory(model: DiffusionModel, x: float, cfg: McConfig,
                       n_steps: int | None = None,

@@ -10,11 +10,12 @@ interior.  Everything downstream is built from two derived objects:
 
 and the speed density m'(x) = 2 / (sigma_sq(x) S'(x)).
 
-The catalog kinds (bm, drifted_bm, gbm, ou) carry closed-form scale
-functions, closed-form increasing/decreasing eigenfunction ratios where
-elementary ones exist, and exact Gaussian transition steps used by the
-Monte Carlo engine.  Custom models are assembled from a small set of
-named coefficient forms and fall back on quadrature for S and S'.
+Every model carries S' and S(b) - S(a) as two required array callables,
+which ``scale_density``, ``scale_diff`` and ``scale`` call.  The catalog
+kinds (bm, drifted_bm, gbm, ou) give them in closed form, along with
+eigenfunction ratios where elementary ones exist and exact Gaussian
+transition steps used by the Monte Carlo engine.  Custom models are
+assembled from named coefficient forms and get both by quadrature.
 
 ``scale_ref`` is the normalization point where S' = 1; it is distinct
 from the anchor of a ScaleMap, which only fixes where S vanishes.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,7 +37,7 @@ from .errors import DomainError, NumericError, UnsupportedModelError, Validation
 
 _MOD = "models"
 
-# quadrature defaults for the no-closed-form fallback path
+# quadrature settings of the custom-model scale callables
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 
 CATALOG_KINDS = ("bm", "drifted_bm", "gbm", "ou")
@@ -97,12 +99,13 @@ class ExactStepSpec:
 
 @dataclass(frozen=True, eq=False)
 class DiffusionModel:
-    """Immutable bundle of coefficients and derived closed forms.
+    """Immutable bundle of coefficients and their scale structure.
 
-    drift and diffusion_sq accept scalars or ndarrays.  The closed-form
-    slots are None for custom models, in which case quadrature is used.
-    ``scale_raw`` is S anchored at scale_ref, ``scale_density_fn`` is S'
-    normalized to 1 at scale_ref.
+    drift, diffusion_sq and the two required scale callables accept
+    scalars or ndarrays.  ``scale_density_fn(x)`` is S' normalized to 1
+    at scale_ref; ``scale_diff_fn(a, b)`` is S(b) - S(a), a and b
+    broadcast, formed without subtracting two values of S, which cancel
+    once both sit within an ulp of a bounded scale's limit.
     """
 
     model_id: str
@@ -110,20 +113,13 @@ class DiffusionModel:
     drift: Callable
     diffusion_sq: Callable
     interval: tuple[float, float]
+    scale_density_fn: Callable
+    scale_diff_fn: Callable
     a_in_state_space: bool = False
     scale_ref: float = 0.0
     params: dict = field(default_factory=dict)
-    scale_raw: Callable | None = None
-    scale_density_fn: Callable | None = None
-    # cancellation-free S(b) - S(a) where the plain difference of
-    # scale_raw values loses all digits (bounded scale, far tails)
-    scale_diff_fn: Callable | None = None
     eig: Callable[[float], EigenRatios] | None = None
     exact_step: ExactStepSpec | None = None
-
-    @property
-    def has_closed_scale(self) -> bool:
-        return self.scale_raw is not None
 
     def contains(self, x) -> bool:
         a, b = self.interval
@@ -178,12 +174,22 @@ def _default_ref(interval):
     return 0.0
 
 
+def _real(v, what, op):
+    """v as a float; refuses bools, strings, None and non-finite values."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) \
+            or not math.isfinite(v):
+        raise ValidationError(f"{what} must be a finite number", operation=op,
+                              value=v, module=_MOD)
+    return float(v)
+
+
 def _check_ref(ref, interval, kind):
+    ref = _real(ref, "scale_ref", kind)
     a, b = interval
     if not (a < ref < b):
         raise ValidationError("scale_ref must lie inside the interval",
                               operation=kind, value=ref, module=_MOD)
-    return float(ref)
+    return ref
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +220,8 @@ def brownian(sigma_sq: float = 1.0, interval=(-math.inf, math.inf),
         diffusion_sq=lambda x: sigma_sq + 0.0 * np.asarray(x, dtype=float),
         interval=interval, a_in_state_space=a_in_state_space, scale_ref=ref,
         params={"sigma_sq": sigma_sq},
-        scale_raw=lambda x: np.asarray(x, dtype=float) - ref,
         scale_density_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        scale_diff_fn=lambda a, b: np.subtract(b, a, dtype=float),
         eig=eig,
         exact_step=ExactStepSpec(kind="arith", mu_sim=0.0, sig_sq_sim=sigma_sq),
     )
@@ -240,14 +246,11 @@ def drifted_brownian(mu: float, sigma_sq: float = 1.0,
                      interval, "drifted_brownian")
     g = 2.0 * mu / sigma_sq  # S'(x) = exp(-g (x - ref))
 
-    def scale_raw(x):
-        x = np.asarray(x, dtype=float)
-        return -np.expm1(-g * (x - ref)) / g
-
     def scale_diff_fn(a, b):
         # S(b) - S(a) = S'(a) (1 - e^{-g (b-a)}) / g, exact deep in the
-        # tail where both raw values round to the same bound
-        return math.exp(-g * (a - ref)) * (-math.expm1(-g * (b - a))) / g
+        # tail where S(a) and S(b) round to the same bound
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return np.exp(-g * (a - ref)) * (-np.expm1(-g * (b - a))) / g
 
     def eig(alpha):
         disc = math.sqrt(mu * mu + 2.0 * alpha * sigma_sq)
@@ -264,7 +267,6 @@ def drifted_brownian(mu: float, sigma_sq: float = 1.0,
         diffusion_sq=lambda x: sigma_sq + 0.0 * np.asarray(x, dtype=float),
         interval=interval, a_in_state_space=a_in_state_space, scale_ref=ref,
         params={"mu": mu, "sigma_sq": sigma_sq},
-        scale_raw=scale_raw,
         scale_density_fn=lambda x: np.exp(-g * (np.asarray(x, dtype=float) - ref)),
         scale_diff_fn=scale_diff_fn,
         eig=eig,
@@ -292,19 +294,14 @@ def geometric_brownian(mu_bar: float, sigma_bar_sq: float,
     ref = _check_ref(ref, interval, "geometric_brownian")
     p = 2.0 * mu_bar / sigma_bar_sq  # S'(x) = (x/ref)^(-p)
 
-    def scale_raw(x):
-        x = np.asarray(x, dtype=float)
-        if p == 1.0:
-            return ref * np.log(x / ref)
-        return (ref / (1.0 - p)) * ((x / ref) ** (1.0 - p) - 1.0)
-
     def scale_diff_fn(a, b):
-        # stable for b/a near 1 and for tails where the raw power values
-        # agree to rounding
+        # stable for b/a near 1 and for tails where the power values
+        # S(a) and S(b) agree to rounding
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         q = 1.0 - p
         if q == 0.0:
-            return ref * math.log1p((b - a) / a)
-        return (ref / q) * (a / ref) ** q * math.expm1(q * math.log1p((b - a) / a))
+            return ref * np.log1p((b - a) / a)
+        return (ref / q) * (a / ref) ** q * np.expm1(q * np.log1p((b - a) / a))
 
     def eig(alpha):
         disc = math.sqrt((1.0 - p) ** 2 + 8.0 * alpha / sigma_bar_sq)
@@ -321,7 +318,6 @@ def geometric_brownian(mu_bar: float, sigma_bar_sq: float,
         diffusion_sq=lambda x: sigma_bar_sq * np.asarray(x, dtype=float) ** 2,
         interval=interval, a_in_state_space=a_in_state_space, scale_ref=ref,
         params={"mu_bar": mu_bar, "sigma_bar_sq": sigma_bar_sq},
-        scale_raw=scale_raw,
         scale_density_fn=lambda x: (np.asarray(x, dtype=float) / ref) ** (-p),
         scale_diff_fn=scale_diff_fn,
         eig=eig,
@@ -346,16 +342,15 @@ def ornstein_uhlenbeck(theta: float, mean: float = 0.0, sigma_sq: float = 1.0,
     ref = scale_ref if scale_ref is not None else (mean if interval[0] < mean < interval[1]
                                                    else _default_ref(interval))
     ref = _check_ref(ref, interval, "ornstein_uhlenbeck")
-    a = theta / sigma_sq  # S'(x) = exp(a ((x-mean)^2 - (ref-mean)^2))
-    c0 = a * (ref - mean) ** 2
-    sq = math.sqrt(a)
-    # S(x) - S(ref) = (sqrt(pi/a)/2) e^{-c0} (erfi(sq (x-mean)) - erfi(sq (ref-mean)))
-    pref = 0.5 * math.sqrt(math.pi / a) * math.exp(-c0)
-    e_ref = erfi(sq * (ref - mean))
+    k = theta / sigma_sq  # S'(x) = exp(k ((x-mean)^2 - (ref-mean)^2))
+    c0 = k * (ref - mean) ** 2
+    sq = math.sqrt(k)
+    # S(b) - S(a) = (sqrt(pi/k)/2) e^{-c0} (erfi(sq (b-mean)) - erfi(sq (a-mean)))
+    pref = 0.5 * math.sqrt(math.pi / k) * math.exp(-c0)
 
-    def scale_raw(x):
-        x = np.asarray(x, dtype=float)
-        return pref * (erfi(sq * (x - mean)) - e_ref)
+    def scale_diff_fn(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return pref * (erfi(sq * (b - mean)) - erfi(sq * (a - mean)))
 
     return DiffusionModel(
         model_id=model_id, kind="ou",
@@ -363,9 +358,9 @@ def ornstein_uhlenbeck(theta: float, mean: float = 0.0, sigma_sq: float = 1.0,
         diffusion_sq=lambda x: sigma_sq + 0.0 * np.asarray(x, dtype=float),
         interval=interval, a_in_state_space=a_in_state_space, scale_ref=ref,
         params={"theta": theta, "mean": mean, "sigma_sq": sigma_sq},
-        scale_raw=scale_raw,
-        scale_density_fn=lambda x: np.exp(a * ((np.asarray(x, dtype=float) - mean) ** 2
+        scale_density_fn=lambda x: np.exp(k * ((np.asarray(x, dtype=float) - mean) ** 2
                                                - (ref - mean) ** 2)),
+        scale_diff_fn=scale_diff_fn,
         eig=None,  # no elementary eigenfunctions; hitting uses a truncation box
         exact_step=ExactStepSpec(kind="ou", theta=theta, mean=mean, sig_sq_sim=sigma_sq),
     )
@@ -387,23 +382,26 @@ def _build_form(doc, role):
         raise ValidationError(f"{role} must be a dict with a 'form' key",
                               operation="custom_model", value=doc, module=_MOD)
     form = doc["form"]
-    try:
-        if form == "constant":
-            c = float(doc["value"])
-            return lambda x: c + 0.0 * np.asarray(x, dtype=float)
-        if form == "affine":
-            a0, b0 = float(doc["intercept"]), float(doc["slope"])
-            return lambda x: a0 + b0 * np.asarray(x, dtype=float)
-        if form == "power":
-            c, p = float(doc["coef"]), float(doc["exponent"])
-            return lambda x: c * np.asarray(x, dtype=float) ** p
-        if form == "quadratic":
-            c0, c1, c2 = (float(doc["c0"]), float(doc["c1"]), float(doc["c2"]))
-            return lambda x: (c0 + np.asarray(x, dtype=float)
-                              * (c1 + c2 * np.asarray(x, dtype=float)))
-    except KeyError as e:
-        raise ValidationError(f"{role} form {form!r} is missing key {e.args[0]!r}",
-                              operation="custom_model", value=doc, module=_MOD)
+
+    def num(key):
+        if key not in doc:
+            raise ValidationError(f"{role} form {form!r} is missing key {key!r}",
+                                  operation="custom_model", value=doc, module=_MOD)
+        return _real(doc[key], f"{role} {key!r}", "custom_model")
+
+    if form == "constant":
+        c = num("value")
+        return lambda x: c + 0.0 * np.asarray(x, dtype=float)
+    if form == "affine":
+        a0, b0 = num("intercept"), num("slope")
+        return lambda x: a0 + b0 * np.asarray(x, dtype=float)
+    if form == "power":
+        c, p = num("coef"), num("exponent")
+        return lambda x: c * np.asarray(x, dtype=float) ** p
+    if form == "quadratic":
+        c0, c1, c2 = num("c0"), num("c1"), num("c2")
+        return lambda x: (c0 + np.asarray(x, dtype=float)
+                          * (c1 + c2 * np.asarray(x, dtype=float)))
     raise ValidationError(f"unknown coefficient form for {role}: {form!r}",
                           operation="custom_model", value=form, module=_MOD)
 
@@ -427,10 +425,38 @@ def custom_model(drift_form: dict, diffusion_sq_form: dict,
         bad = float(probes[np.argmin(np.asarray(vals))])
         raise ValidationError("diffusion_sq must be strictly positive in the interior",
                               operation="custom_model", value=bad, module=_MOD)
+
+    def sprime(x):
+        # exp(-int_ref^x 2 mu / sigma_sq), one adaptive quad per point
+        def f(u):
+            s2 = float(dsq(u))
+            if not s2 > 0:
+                raise NumericError("diffusion_sq non-positive on integration path",
+                                   operation="scale_density", value=u, module=_MOD)
+            return 2.0 * float(drift(u)) / s2
+
+        val, err = integrate.quad(f, ref, x, **_QUAD_OPTS)
+        if not math.isfinite(val):
+            raise NumericError("log scale-density integral diverged",
+                               operation="scale_density", value=x, module=_MOD)
+        return math.exp(-val)
+
+    def diff(lo, hi):
+        if lo == hi:
+            return 0.0
+        val, err = integrate.quad(sprime, lo, hi, **_QUAD_OPTS)
+        if abs(err) > 1e-9 * max(1.0, abs(val)):
+            raise NumericError("scale quadrature did not converge",
+                               operation="scale", value=(lo, hi), module=_MOD,
+                               partial=val)
+        return val
+
     return DiffusionModel(
         model_id=model_id, kind="custom", drift=drift, diffusion_sq=dsq,
         interval=interval, a_in_state_space=a_in_state_space, scale_ref=ref,
         params={"drift": dict(drift_form), "diffusion_sq": dict(diffusion_sq_form)},
+        scale_density_fn=np.vectorize(sprime, otypes=[float]),
+        scale_diff_fn=np.vectorize(diff, otypes=[float]),
     )
 
 
@@ -496,7 +522,10 @@ def model_from_dict(doc: dict) -> DiffusionModel:
     if not isinstance(model_id, str) or not model_id:
         raise ValidationError("model_id must be a nonempty string",
                               operation="model_from_dict", value=model_id, module=_MOD)
-    a_flag = bool(doc.get("a_in_state_space", False))
+    a_flag = doc.get("a_in_state_space", False)
+    if not isinstance(a_flag, bool):
+        raise ValidationError("a_in_state_space must be true or false",
+                              operation="model_from_dict", value=a_flag, module=_MOD)
 
     if kind == "custom":
         for key in ("drift", "diffusion_sq"):
@@ -520,7 +549,8 @@ def model_from_dict(doc: dict) -> DiffusionModel:
         raise ValidationError(f"kind {kind!r} needs params {missing}",
                               operation="model_from_dict", value=missing,
                               module=_MOD)
-    kwargs = {k: float(v) for k, v in params.items()}
+    kwargs = {k: _real(v, f"params.{k}", "model_from_dict")
+              for k, v in params.items()}
     return _CONSTRUCTORS[kind](interval=interval, model_id=model_id,
                                a_in_state_space=a_flag, **kwargs)
 
@@ -553,68 +583,38 @@ def _require_interior(model, x, op):
                           value=float(np.atleast_1d(bad)[0]), module=_MOD)
 
 
-def _log_sprime_quad(model, x):
-    """log S'(x) by quadrature of -2 mu / sigma_sq from scale_ref."""
-    def f(u):
-        s2 = float(model.diffusion_sq(u))
-        if not s2 > 0:
-            raise NumericError("diffusion_sq non-positive on integration path",
-                               operation="scale_density", value=u, module=_MOD)
-        return 2.0 * float(model.drift(u)) / s2
-
-    val, err = integrate.quad(f, model.scale_ref, x, **_QUAD_OPTS)
-    if not math.isfinite(val):
-        raise NumericError("log scale-density integral diverged",
-                           operation="scale_density", value=x, module=_MOD)
-    return -val
-
-
 def scale_density(model: DiffusionModel, x):
-    """S'(x), normalized so S'(scale_ref) = 1.  Scalar in, scalar out."""
+    """S'(x), normalized so S'(scale_ref) = 1.  Takes arrays; a float
+    for scalar x."""
     _require_interior(model, x, "scale_density")
-    if model.scale_density_fn is not None:
-        out = model.scale_density_fn(x)
-        return float(out) if np.ndim(x) == 0 else np.asarray(out, dtype=float)
-    if np.ndim(x) == 0:
-        return math.exp(_log_sprime_quad(model, float(x)))
-    return np.array([math.exp(_log_sprime_quad(model, float(v))) for v in np.asarray(x).ravel()],
-                    dtype=float).reshape(np.shape(x))
+    out = np.asarray(model.scale_density_fn(x), dtype=float)
+    return float(out) if out.ndim == 0 else out
 
 
-def scale_diff(model: DiffusionModel, a: float, b: float) -> float:
+def scale_diff(model: DiffusionModel, a, b):
     """S(b) - S(a): the only way scale values enter any law.
 
-    Catalog models with a bounded scale provide a dedicated difference
-    form; subtracting scale_raw values there would cancel to zero once
-    both sit within an ulp of the bound.
+    a and b broadcast against each other; a float when both are
+    scalars.  A difference that overflows or is otherwise not finite
+    raises NumericError.
     """
-    _require_interior(model, [a, b], "scale")
-    if model.scale_diff_fn is not None:
-        return float(model.scale_diff_fn(a, b))
-    if model.scale_raw is not None:
-        return float(model.scale_raw(b)) - float(model.scale_raw(a))
-    if a == b:
-        return 0.0
-    val, err = integrate.quad(lambda u: scale_density(model, u), a, b, **_QUAD_OPTS)
-    if abs(err) > 1e-9 * max(1.0, abs(val)):
-        raise NumericError("scale quadrature did not converge",
-                           operation="scale", value=(a, b), module=_MOD,
-                           partial=val)
-    return float(val)
+    _require_interior(model, a, "scale")
+    _require_interior(model, b, "scale")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(model.scale_diff_fn(a, b), dtype=float)
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        pa, pb = np.broadcast_arrays(a, b)
+        i = np.flatnonzero(bad)[0]
+        raise NumericError("scale difference is not finite", operation="scale",
+                           value=(float(pa.flat[i]), float(pb.flat[i])),
+                           module=_MOD)
+    return float(out) if out.ndim == 0 else out
 
 
 def scale(model: DiffusionModel, x, anchor: float | None = None):
     """S(x) - S(anchor); anchor defaults to the model's scale_ref."""
-    x0 = model.scale_ref if anchor is None else anchor
-    _require_interior(model, x0, "scale")
-    if np.ndim(x) == 0:
-        return scale_diff(model, x0, float(x))
-    _require_interior(model, x, "scale")
-    if model.scale_raw is not None:
-        base = float(model.scale_raw(x0))
-        return np.asarray(model.scale_raw(x), dtype=float) - base
-    return np.array([scale_diff(model, x0, float(v)) for v in np.asarray(x).ravel()],
-                    dtype=float).reshape(np.shape(x))
+    return scale_diff(model, model.scale_ref if anchor is None else anchor, x)
 
 
 @dataclass(frozen=True, eq=False)

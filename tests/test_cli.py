@@ -118,6 +118,33 @@ def test_missing_required_model_param_exits_2(tmp_path, capsys):
     assert "sigma_bar_sq" in err
 
 
+OU_MODEL = {"kind": "ou", "params": {"theta": 1.0}}
+FREE_CUSTOM = {"drift": {"form": "constant", "value": 0.0},
+               "diffusion_sq": {"form": "constant", "value": 1.0}}
+
+
+@pytest.mark.parametrize("model,query_extra,needle", [
+    (OU_MODEL, {"box": ["a", 3]}, "query.box"),
+    (OU_MODEL, {"box": [None, 3]}, "query.box"),
+    ({"kind": "drifted_bm", "params": {"mu": "abc"}}, {}, "params.mu"),
+    ({"kind": "drifted_bm", "params": {"mu": None}}, {}, "params.mu"),
+    ({"kind": "custom", "params": dict(
+        FREE_CUSTOM, drift={"form": "constant", "value": "abc"})}, {}, "drift"),
+    ({"kind": "custom", "params": dict(FREE_CUSTOM, scale_ref="zz")}, {},
+     "scale_ref"),
+    ({"kind": "bm", "a_in_state_space": "false"}, {}, "a_in_state_space"),
+], ids=["box-str", "box-null", "mu-str", "mu-null", "form-value-str",
+        "scale-ref-str", "flag-str"])
+def test_malformed_model_or_query_value_exits_2(tmp_path, capsys, model,
+                                                query_extra, needle):
+    doc = {"model": model, "query": dict({"x": 0.0, "delta": 1.0}, **query_extra),
+           "grids": {"y_grid": [0.5]}}
+    cfg = write_cfg(tmp_path, doc)
+    code, _, err = run(["hit", "--config", cfg], capsys)
+    assert code == 2
+    assert needle in err
+
+
 def test_bad_delta_exits_2(tmp_path, capsys):
     doc = bm_doc(grids={"y_grid": [1.0]})
     doc["query"]["delta"] = -1.0

@@ -46,14 +46,21 @@ def test_config_rejects_small_path_count():
 @pytest.mark.parametrize("field,value", [
     ("dt", 0.0), ("dt", -1.0), ("dt", math.inf),
     ("t_max", 0.001), ("t_max", math.nan),
-    ("seed", -1), ("seed", 2 ** 64), ("seed", 1.5),
-    ("scheme", "milstein"),
+    ("seed", -1), ("seed", 2 ** 64), ("seed", 1.5), ("seed", True),
+    ("seed", np.int64(-1)), ("n_paths", 1000.0), ("scheme", "milstein"),
 ])
 def test_config_rejects_bad_fields(field, value):
     base = dict(n_paths=1000, dt=0.01, t_max=1.0, seed=0)
     base[field] = value
     with pytest.raises(ValidationError):
         mc.McConfig(**base)
+
+
+def test_config_accepts_numpy_integers():
+    # as sample_trajectory does; stored as ints, so the streams match
+    cfg = small_cfg(n_paths=np.int64(3000), seed=np.uint64(5))
+    assert cfg == small_cfg(n_paths=3000, seed=5)
+    assert type(cfg.n_paths) is int and type(cfg.seed) is int
 
 
 def test_simulate_enforces_dt_guard():

@@ -10,6 +10,7 @@ from scipy import integrate
 
 from ddkit import (
     DomainError,
+    NumericError,
     ScaleMap,
     SpeedDensity,
     ValidationError,
@@ -19,6 +20,7 @@ from ddkit import (
     geometric_brownian,
     model_from_dict,
     model_from_json,
+    nu,
     ornstein_uhlenbeck,
     scale,
     scale_density,
@@ -144,6 +146,49 @@ def test_custom_ou_twin_through_quadrature():
     for x in (-1.5, -0.2, 0.9):
         assert_allclose(scale_density(cm, x), scale_density(tw, x), rtol=1e-9)
         assert_allclose(scale(cm, x), scale(tw, x), rtol=1e-9, atol=1e-12)
+
+
+ARRAY_MODELS = {
+    "bm": lambda: brownian(sigma_sq=2.0),
+    "drifted_bm": lambda: drifted_brownian(mu=-0.7, sigma_sq=1.3),
+    "gbm": lambda: geometric_brownian(mu_bar=0.05, sigma_bar_sq=0.09),
+    "ou": lambda: ornstein_uhlenbeck(theta=0.8, mean=0.4, sigma_sq=1.5),
+    "custom_dbm_twin": lambda: custom_model({"form": "constant", "value": 1.0},
+                                            {"form": "constant", "value": 1.0}),
+    "custom_ou_twin": lambda: custom_model(
+        {"form": "affine", "intercept": 0.0, "slope": -1.0},
+        {"form": "constant", "value": 1.0}),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_MODELS.values(), ids=ARRAY_MODELS.keys())
+def test_array_scale_calls_match_scalar_calls(make):
+    """Array calls agree elementwise with scalar calls; scalars give floats.
+    The custom twins' accuracy against the catalog is checked above."""
+    m = make()
+    xs = np.linspace(0.5 if m.kind == "gbm" else -1.5, 2.5, 5)
+    a, b = xs[:, None], xs[None, :] + 0.25
+    sd = scale_density(m, xs)
+    assert sd.shape == xs.shape
+    assert_allclose(sd, [scale_density(m, float(x)) for x in xs], rtol=1e-14)
+    d = scale_diff(m, a, b)
+    assert d.shape == (5, 5)
+    assert_allclose(d, [[scale_diff(m, float(u), float(v)) for v in b[0]]
+                        for u in a[:, 0]], rtol=1e-14)
+    assert_allclose(scale(m, xs), [scale(m, float(x)) for x in xs], rtol=1e-14)
+    assert type(scale_density(m, 1.0)) is float
+    assert type(scale_diff(m, 1.0, 1.5)) is float
+    assert type(scale(m, 1.5)) is float
+
+
+def test_scale_overflow_is_numeric_error():
+    # e^{800} overflows in the drifted-BM difference form, erfi(30) in OU's
+    with pytest.raises(NumericError):
+        nu(drifted_brownian(1.0, 1.0), -400.0, 1.0)
+    with pytest.raises(NumericError):
+        scale_diff(drifted_brownian(1.0, 1.0), np.array([-1.0, -400.0]), 0.0)
+    with pytest.raises(NumericError):
+        scale(ornstein_uhlenbeck(theta=1.0), 30.0)
 
 
 def test_anchor_shift_is_additive():
