@@ -10,9 +10,13 @@ In scale-derivative terms (g+ = g'/S') this pins the scale Wronskian
     w(x) = (u'(x) v(x) - u(x) v'(x)) / S'(x)
 
 to exactly +1 on the whole window, which is the invariant monitored by
-every solve.  The pair is never integrated across long ranges: windows
-are short, so the exponential dominance of the growing solution stays
-mild and the quotients formed downstream stay well conditioned.
+every solve.
+
+The API is endpoint-only: batch_endpoints returns (u, u', v, v') at the
+right end of every window and nothing in between, which is all any law
+needs.  A value inside a window is the endpoint of a shorter window with
+the same left end, and hitting and exit transforms are quotients of
+right-end values of two windows (see laws.exit_transform).
 
 Integration is classical RK4 on a fixed grid, batched over windows and
 validated by step doubling against the configured tolerances.  The ODE
@@ -43,7 +47,6 @@ _MOD = "basis"
 _BLOCK_ROW_STEPS = 1 << 13   # rows x steps of one block of step matrices
 _CHECKPOINT_FRACS = (0.0, 0.25, 0.5, 0.75, 1.0)
 _LN2 = math.log(2.0)
-_FRAME_BITS = 332            # dense log frames step by 2**332, about 1e100
 
 
 @dataclass(frozen=True)
@@ -55,10 +58,12 @@ class OdeSettings:
     10 * rel_tol before a grid is accepted, because determinant error
     of RK4 is one order worse than state error for drifted models and
     the endpoint gap alone would let it slip through.  max_steps caps
-    the finest grid tried before giving up.  normalization optionally
-    rescales the stored basis so that the larger solution has magnitude
-    1 at that point; the factor is folded into the log-scale channel
-    and cancels in all quotients.
+    the finest grid tried before giving up.
+
+    normalization is accepted and ignored.  It named a point at which
+    to rescale a stored basis, but every number a solver returns enters
+    the laws only through quotients in which a common factor cancels,
+    and the solver already carries its own power-of-two scale.
     """
 
     rel_tol: float = 1e-10
@@ -143,45 +148,14 @@ def _tree_product(m):
     return m[:, :, 0], ex[0]
 
 
-def _prefix_product(m):
-    """Inclusive prefix products M_i ... M_0 of a stack (2, 2, k, rows)
-    by recursive doubling, in place, as (mantissas, base-2 exponents)."""
-    ex = np.zeros(m.shape[2:], dtype=np.int64)
-    d = 1
-    while d < m.shape[2]:
-        m[:, :, d:], ex[d:] = _normalize(_mul(m[:, :, d:], m[:, :, :-d]),
-                                         ex[d:] + ex[:-d])
-        d *= 2
-    return m, ex
-
-
-def _dense_frames(l, h, n, nodes):
-    """(x, (u, u', v, v'), lam) per node from the normalized node states.
-
-    The log frame lam steps up by 332 log 2 (about log 1e100) each time
-    the magnitude first crosses another such factor and is constant in
-    between, so neighbouring nodes almost always share a frame.  Frames
-    are whole powers of two, so moving a node into its frame is exact.
-    """
-    ys = np.concatenate([y for y, _ in nodes], axis=2)
-    ex = np.concatenate([e for _, e in nodes])
-    frame = _FRAME_BITS * (np.maximum.accumulate(np.maximum(ex, 0), axis=0)
-                           // _FRAME_BITS)
-    ys = np.ldexp(ys, ex - frame).astype(float)
-    xs = l + h * np.arange(n + 1)[:, None]
-    return xs, ys.transpose(2, 3, 1, 0).reshape(n + 1, -1, 4), frame * _LN2
-
-
-def _sweep(model, alpha, l, r, y0, n, *, record_dense=False):
+def _sweep(model, alpha, l, r, y0, n):
     """Fixed-grid RK4 over a batch of windows [l_i, r_i], n steps each.
 
     The state Y = [[u, v], [u', v']] of every row (y0 is (2, 2, rows))
     is kept as a mantissa with its largest entry in [0.5, 1) and a
     base-2 exponent; lam = exponent * log 2.  Each block of at most
     _BLOCK_ROW_STEPS row-steps builds its step matrices in one pass and
-    multiplies them pairwise; dense records take inclusive prefix
-    products instead, one per node.  Every partial product is
-    renormalized the same way.
+    multiplies them pairwise, renormalizing every partial product.
 
     The Wronskian u'v - uv' = -det Y is never formed from the state: by
     Liouville's formula for the discrete map, log|det Y| grows by
@@ -196,7 +170,6 @@ def _sweep(model, alpha, l, r, y0, n, *, record_dense=False):
     cp_idx = sorted({int(round(f * n)) for f in _CHECKPOINT_FRACS[1:]})
     logdet = np.zeros(B)
     checkpoints = [(0, l, logdet)]
-    nodes = [(y[:, :, None], ex[None])]
     for j0 in range(0, n, block):
         steps = min(block, n - j0)
         m = _step_matrices(model, alpha, l, h, j0, steps)
@@ -208,21 +181,10 @@ def _sweep(model, alpha, l, r, y0, n, *, record_dense=False):
         logdet = cum[-1]
         m[0, 0] += 1.0
         m[1, 1] += 1.0
-        if record_dense:
-            # in extended precision, where the platform has it: each node
-            # gets its own product, and rounding that differs from node to
-            # node would be amplified by the interpolant's g''
-            q, eq = _prefix_product(m.astype(np.longdouble))
-            ys, es = _normalize(_mul(q, y[:, :, None]), eq + ex)
-            nodes.append((ys, es))
-            y, ex = ys[:, :, -1], es[-1]
-        else:
-            p, ep = _tree_product(m)
-            y, ex = _normalize(_mul(p, y), ep + ex)
-    return dict(y=y.astype(float).transpose(2, 1, 0).reshape(B, 4),
-                lam=ex * _LN2,
-                checkpoints=checkpoints,
-                dense=_dense_frames(l, h, n, nodes) if record_dense else None)
+        p, ep = _tree_product(m)
+        y, ex = _normalize(_mul(p, y), ep + ex)
+    return dict(y=y.transpose(2, 1, 0).reshape(B, 4), lam=ex * _LN2,
+                checkpoints=checkpoints)
 
 
 def _initial_steps(model, alpha, l, r, max_steps):
@@ -283,19 +245,17 @@ def _drift_from_checkpoints(model, cps, sprime_l, rows):
     |u'v - uv'| starts at S'(l) and has grown by the checkpoint's
     log-determinant sum; the scale Wronskian divides by S'(x) there.
     """
-    logs = []
-    for (_, xc, logdet) in cps:
-        sp = np.asarray(scale_density(model, xc[rows]), dtype=float)
-        with np.errstate(divide="ignore"):
-            logs.append(np.log(sprime_l[rows]) + logdet[rows] - np.log(sp))
-    logs = np.array(logs)
+    xs = np.stack([xc[rows] for _, xc, _ in cps])
+    logdet = np.stack([ld[rows] for _, _, ld in cps])
+    sp = np.asarray(scale_density(model, xs), dtype=float)
+    with np.errstate(divide="ignore"):
+        logs = np.log(sprime_l[rows]) + logdet - np.log(sp)
     if not np.all(np.isfinite(logs)):
         return math.inf
     return float(np.max(np.abs(logs - logs[0])))
 
 
-def _solve_adaptive(model, alpha, l, r, settings, *, record_dense=False,
-                    check_rows=slice(None)):
+def _solve_adaptive(model, alpha, l, r, settings, check_rows):
     n = _initial_steps(model, alpha, l, r, settings.max_steps)
     sprime_l = np.asarray(scale_density(model, l), dtype=float)
     y0 = np.zeros((2, 2, l.shape[0]))
@@ -322,14 +282,12 @@ def _solve_adaptive(model, alpha, l, r, settings, *, record_dense=False,
             n = n2
             break
         prev, n = cur, n2
-    if record_dense:
-        cur = _sweep(model, alpha, l, r, y0, n, record_dense=True)
-    cur.update(n_steps=n, endpoint_gap=gap, w_drift=drift, sprime_l=sprime_l)
+    cur.update(n_steps=n, w_drift=drift, sprime_l=sprime_l)
     return cur
 
 
 # ---------------------------------------------------------------------------
-# batched endpoint API (used by the drawdown laws)
+# batched endpoint API
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
@@ -388,187 +346,7 @@ def batch_endpoints(model: DiffusionModel, alpha: float,
     )
 
 
-# ---------------------------------------------------------------------------
-# dense single-window basis
-# ---------------------------------------------------------------------------
-
-def _quintic_hermite(x0, x1, g0, gp0, gpp0, g1, gp1, gpp1, x, nder):
-    """Value and first nder derivatives at x of the quintic on [x0, x1]
-    with (g, g', g'') given at both ends, evaluated in Bernstein form."""
-    dx = x1 - x0
-    c1 = gp0 / 5.0 * dx + g0
-    c4 = g1 - gp1 / 5.0 * dx
-    c = [g0, c1, gpp0 / 20.0 * dx * dx - g0 + 2.0 * c1,
-         gpp1 / 20.0 * dx * dx + 2.0 * c4 - g1, c4, g1]
-    t = (x - x0) / dx
-    out = []
-    for _ in range(nder + 1):
-        deg = len(c) - 1
-        out.append(float(sum(math.comb(deg, k) * t ** k * (1.0 - t) ** (deg - k) * ck
-                             for k, ck in enumerate(c))))
-        c = [deg * (b - a) / dx for a, b in zip(c, c[1:])]
-    return out
-
-
-class SolutionRecord:
-    """One basis solution with dense evaluation.
-
-    value() and raw_deriv() return true-scale numbers and can overflow
-    for extreme alpha * window products; value_scaled() returns a
-    (mantissa, log_factor) pair that never does.
-    """
-
-    def __init__(self, basis: "SolutionBasis", col: int):
-        self._basis = basis
-        self._col = col
-
-    def value(self, x: float) -> float:
-        m, lg = self.value_scaled(x)
-        return m * math.exp(lg)
-
-    def raw_deriv(self, x: float) -> float:
-        g, gp, lg = self._basis._eval_cols(x, self._col)
-        return gp * math.exp(lg)
-
-    def scale_deriv(self, x: float) -> float:
-        g, gp, lg = self._basis._eval_cols(x, self._col)
-        sp = scale_density(self._basis.model, x)
-        return gp / sp * math.exp(lg)
-
-    def value_scaled(self, x: float) -> tuple[float, float]:
-        g, gp, lg = self._basis._eval_cols(x, self._col)
-        return g, lg
-
-    def log_scale(self, x: float) -> float:
-        return self._basis._lam_at(x)
-
-
-class SolutionBasis:
-    """Dense basis (u, v) on one window with Wronskian diagnostics."""
-
-    def __init__(self, model, alpha, l, r, settings, dense, meta):
-        self.model = model
-        self.alpha = alpha
-        self.interval = (l, r)
-        self.settings = settings
-        self.wronskian_ref = 1.0
-        xs, ys, lams = dense
-        self._xs = xs[:, 0]
-        self._ys = ys[:, 0, :]
-        self._lams = lams[:, 0]
-        self.meta = meta
-        self.u = SolutionRecord(self, 0)
-        self.v = SolutionRecord(self, 2)
-
-    # -- dense evaluation -------------------------------------------------
-    def _segment(self, x: float) -> int:
-        l, r = self.interval
-        if not (l <= x <= r):
-            raise ValidationError("evaluation point outside the solved window",
-                                  operation="evaluate", value=x, module=_MOD)
-        i = int(np.searchsorted(self._xs, x, side="right") - 1)
-        return min(max(i, 0), len(self._xs) - 2)
-
-    def _second_deriv(self, x, g, gp):
-        mu = float(self.model.drift(x))
-        s2 = float(self.model.diffusion_sq(x))
-        return (2.0 / s2) * (self.alpha * g - mu * gp)
-
-    def _eval_cols(self, x: float, col: int, nder: int = 1):
-        """Quintic Hermite on the containing segment, in that segment's
-        left-node renormalization frame.  Returns (g, g', ..., g^(nder),
-        log_factor)."""
-        i = self._segment(x)
-        x0, x1 = self._xs[i], self._xs[i + 1]
-        adj = math.exp(self._lams[i + 1] - self._lams[i])
-        g0, gp0 = self._ys[i, col], self._ys[i, col + 1]
-        g1, gp1 = self._ys[i + 1, col] * adj, self._ys[i + 1, col + 1] * adj
-        vals = _quintic_hermite(x0, x1, g0, gp0, self._second_deriv(x0, g0, gp0),
-                                g1, gp1, self._second_deriv(x1, g1, gp1), x, nder)
-        return (*vals, float(self._lams[i]))
-
-    def _lam_at(self, x: float) -> float:
-        return float(self._lams[self._segment(x)])
-
-    # -- diagnostics -------------------------------------------------------
-    def wronskian(self, x: float) -> float:
-        """Scale Wronskian (u' v - u v') / S' at x, true scale."""
-        u, up, lg = self._eval_cols(x, 0)
-        v, vp, _ = self._eval_cols(x, 2)
-        sp = scale_density(self.model, x)
-        return (up * v - u * vp) / sp * math.exp(2.0 * lg)
-
-    def wronskian_drift(self) -> float:
-        """Max log-deviation of the scale Wronskian across the solver's
-        interior checkpoints, read from the running sum of the step
-        matrices' log-determinants, so the figure is free of subtraction
-        cancellation.  This is the certified conservation monitor;
-        pointwise wronskian(x) values reconstructed from the stored
-        basis lose relative accuracy once the growing solution
-        dominates."""
-        return float(self.meta["w_drift"])
-
-    def residual(self, xs) -> np.ndarray:
-        """ODE residual of the dense interpolants at xs, relative to the
-        local magnitude of the basis pair.
-
-        The yardstick is the operator magnitude of whichever of u, v is
-        locally dominant; the pair never vanishes jointly, so the figure
-        stays meaningful at the isolated zeros of one component, where a
-        per-component ratio would divide rounding noise by a vanishing
-        scale.
-        """
-        out = []
-        for x in np.atleast_1d(np.asarray(xs, dtype=float)):
-            mu = float(self.model.drift(x))
-            s2 = float(self.model.diffusion_sq(x))
-            res = []
-            den = 1e-300
-            for col in (0, 2):
-                g, gp, gpp, _ = self._eval_cols(x, col, nder=2)
-                res.append(abs(0.5 * s2 * gpp + mu * gp - self.alpha * g))
-                den = max(den, abs(self.alpha * g) + abs(mu * gp)
-                          + 0.5 * s2 * abs(gpp))
-            out.append(max(res) / den)
-        return np.asarray(out)
-
-    def endpoint_data(self):
-        """(u, u', v, v') true-scale at both ends plus log factor at r.
-        At l the factor is 0 by construction."""
-        yl = self._ys[0]
-        yr = self._ys[-1]
-        return dict(l=tuple(yl), r=tuple(yr), lam_r=float(self._lams[-1]))
-
-
-def solve_local_basis(model: DiffusionModel, alpha: float, l: float, r: float,
-                      settings: OdeSettings | None = None) -> SolutionBasis:
-    """Dense (u, v) basis on [l, r] with u(l)=0, u'(l)=S'(l), v(l)=1, v'(l)=0."""
-    settings = settings or DEFAULT_SETTINGS
-    a, b = model.interval
-    if not (a < l < r < b):
-        raise ValidationError("need A < l < r < B strictly",
-                              operation="solve_local_basis", value=(l, r), module=_MOD)
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValidationError("alpha must be positive and finite",
-                              operation="solve_local_basis", value=alpha, module=_MOD)
-    la = np.array([float(l)])
-    ra = np.array([float(r)])
-    out = _solve_adaptive(model, alpha, la, ra, settings, record_dense=True)
-    basis = SolutionBasis(model, alpha, float(l), float(r), settings,
-                          out["dense"],
-                          meta=dict(n_steps=out["n_steps"],
-                                    endpoint_gap=out["endpoint_gap"],
-                                    w_drift=out["w_drift"]))
-    if settings.normalization is not None:
-        # fold a common rescale into the log channel; quotients unchanged
-        xn = float(settings.normalization)
-        mag = max(abs(basis.u.value_scaled(xn)[0]), abs(basis.v.value_scaled(xn)[0]))
-        if mag > 0:
-            basis._ys /= mag
-            basis._lams += math.log(mag)
-    return basis
-
-
-def scale_derivative(model: DiffusionModel, record: SolutionRecord, x: float) -> float:
-    """g'(x)/S'(x) for a solution record."""
-    return record.scale_deriv(x)
+def solve_local_basis(model, alpha, l, r, settings=None):
+    """batch_endpoints on the one window [l, r].  Kept only because the
+    benchmark's tracer binds this name; it goes when its list drops it."""
+    return batch_endpoints(model, alpha, np.array([l]), np.array([r]), settings)

@@ -35,7 +35,7 @@ from scipy import integrate
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from . import invlap
-from .basis import OdeSettings, batch_endpoints, solve_local_basis
+from .basis import OdeSettings, batch_endpoints
 from .errors import (DegenerateBasisError, DomainError, NumericError,
                      UnsupportedModelError, ValidationError)
 from .models import DiffusionModel, scale_density, scale_diff, validate_query
@@ -594,29 +594,27 @@ def _interior(model, v, op):
                           module=_MOD)
 
 
-def _truncated_hit(model, x, y, alpha, lo, hi, settings):
-    """One-sided hitting transform approximated on a finite box."""
-    if x < y:
-        if alpha == 0.0:
-            return scale_diff(model, lo, x) / scale_diff(model, lo, y)
-        sb = solve_local_basis(model, alpha, lo, y, settings)
-        gx, lgx = sb.u.value_scaled(x)
-        gy, lgy = sb.u.value_scaled(y)
-        return math.exp(lgx - lgy) * gx / gy
+def _psi_ratio(model, alpha, l, r, settings, op):
+    """u_[l0, r0](r0) / u_[l1, r1](r1), from one solve of both windows;
+    exit_transform states the identity behind it.  At alpha = 0,
+    u_[l, r](r) = S(r) - S(l)."""
     if alpha == 0.0:
-        return scale_diff(model, x, hi) / scale_diff(model, y, hi)
-    sb = solve_local_basis(model, alpha, y, hi, settings)
-    end = sb.endpoint_data()
-    u_hi, _, v_hi, _ = end["r"]
-    ux, lgx = sb.u.value_scaled(x)
-    vx, _ = sb.v.value_scaled(x)
-    # solution vanishing at hi, evaluated against its value at y (=u_hi)
-    num = vx * u_hi - ux * v_hi
-    if abs(u_hi) < 1e-13 * max(abs(u_hi), abs(v_hi)):
-        raise DegenerateBasisError("truncated hitting basis degenerate",
-                                   operation="hitting_laplace", value=hi,
+        return scale_diff(model, l[0], r[0]) / scale_diff(model, l[1], r[1])
+    ep = batch_endpoints(model, alpha, np.asarray(l, dtype=float),
+                         np.asarray(r, dtype=float), settings)
+    if not np.all(np.isfinite(ep.u_r) & (ep.u_r > 0.0)):
+        raise DegenerateBasisError("window endpoint value is not finite and "
+                                   "positive", operation=op, value=(l, r),
                                    module=_MOD)
-    return math.exp(lgx) * num / u_hi
+    return math.exp(math.log(ep.u_r[0]) - math.log(ep.u_r[1])
+                    + ep.lam[0] - ep.lam[1])
+
+
+def _truncated_hit(model, x, y, alpha, lo, hi, settings):
+    """One-sided hitting transform with the far end absorbing at the
+    box edge."""
+    l, r = ([lo, lo], [x, y]) if x < y else ([x, y], [hi, hi])
+    return _psi_ratio(model, alpha, l, r, settings, "hitting_laplace")
 
 
 def hitting_laplace(model: DiffusionModel, x: float, y: float, alpha: float,
@@ -630,6 +628,12 @@ def hitting_laplace(model: DiffusionModel, x: float, y: float, alpha: float,
     pushed to the box edge, re-solved on an enlarged box, and the
     difference reported as the truncation sensitivity (full_output
     returns the (value, sensitivity) pair).
+
+    On a box the transform is a ratio of one solution at two points
+    (Borodin & Salminen, Handbook of Brownian Motion, II.10).  As in
+    exit_transform, downward it is psi(x) / psi(y) with psi vanishing at
+    hi, that is u_[x, hi](hi) / u_[y, hi](hi); upward it is
+    u_[lo, x](x) / u_[lo, y](y).  Each is one two-window solve.
     """
     _interior(model, x, "hitting_laplace")
     _interior(model, y, "hitting_laplace")
@@ -682,7 +686,15 @@ def exit_probability(model: DiffusionModel, x: float, a: float,
 
 def exit_transform(model: DiffusionModel, x: float, a: float, bnd: float,
                    alpha: float, settings: OdeSettings | None = None) -> float:
-    """E^x[e^{-alpha T_a}; T_a < T_bnd] from one basis on [a, bnd]."""
+    """E^x[e^{-alpha T_a}; T_a < T_bnd] = psi(x) / psi(a).
+
+    psi is the solution vanishing at bnd.  Every window [l, r] pins the
+    scale Wronskian of its basis (u, v) to +1, so v(r) u - u(r) v is
+    psi with psi'(bnd) = S'(bnd) for any l, and psi(l) = -u_[l, bnd](bnd).
+    The value is u_[x, bnd](bnd) / u_[a, bnd](bnd), a quotient of two
+    right-end values from one solve of the windows [x, bnd] and [a, bnd];
+    at alpha = 0 it is exit_probability.
+    """
     _interior(model, a, "exit_transform")
     _interior(model, bnd, "exit_transform")
     _interior(model, x, "exit_transform")
@@ -694,18 +706,8 @@ def exit_transform(model: DiffusionModel, x: float, a: float, bnd: float,
         raise ValidationError("alpha must be finite and >= 0",
                               operation="exit_transform", value=alpha,
                               module=_MOD)
-    if alpha == 0.0:
-        return exit_probability(model, x, a, bnd)
-    sb = solve_local_basis(model, alpha, a, bnd, settings or _settings_for(1e-9))
-    end = sb.endpoint_data()
-    u_r, _, v_r, _ = end["r"]
-    if abs(u_r) < 1e-13 * max(abs(u_r), abs(v_r)):
-        raise DegenerateBasisError("exit basis degenerate at the right end",
-                                   operation="exit_transform", value=bnd,
-                                   module=_MOD)
-    ux, lgx = sb.u.value_scaled(x)
-    vx, _ = sb.v.value_scaled(x)
-    val = math.exp(lgx) * (vx * u_r - ux * v_r) / u_r
+    val = _psi_ratio(model, alpha, [x, a], [bnd, bnd],
+                     settings or _settings_for(1e-9), "exit_transform")
     return min(max(val, 0.0), 1.0)
 
 

@@ -439,7 +439,11 @@ def custom_model(drift_form: dict, diffusion_sq_form: dict,
         if not math.isfinite(val):
             raise NumericError("log scale-density integral diverged",
                                operation="scale_density", value=x, module=_MOD)
-        return math.exp(-val)
+        try:
+            return math.exp(-val)
+        except OverflowError:
+            raise NumericError("scale density overflows", operation="scale_density",
+                               value=x, module=_MOD) from None
 
     def diff(lo, hi):
         if lo == hi:
@@ -585,9 +589,15 @@ def _require_interior(model, x, op):
 
 def scale_density(model: DiffusionModel, x):
     """S'(x), normalized so S'(scale_ref) = 1.  Takes arrays; a float
-    for scalar x."""
+    for scalar x.  A density that overflows or is otherwise not finite
+    raises NumericError."""
     _require_interior(model, x, "scale_density")
-    out = np.asarray(model.scale_density_fn(x), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(model.scale_density_fn(x), dtype=float)
+    if not np.isfinite(out).all():
+        i = np.flatnonzero(~np.isfinite(out))[0]
+        raise NumericError("scale density is not finite", operation="scale_density",
+                           value=float(np.asarray(x, dtype=float).flat[i]), module=_MOD)
     return float(out) if out.ndim == 0 else out
 
 

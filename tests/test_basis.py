@@ -1,6 +1,5 @@
-"""Window solver against elementary solutions and a sequential RK4 loop,
-Wronskian conservation, renormalization bookkeeping, and interpolation
-residuals."""
+"""Window solver against elementary solutions at several window ends, a
+sequential RK4 loop, Wronskian conservation and the exponent carry."""
 
 import math
 
@@ -17,58 +16,56 @@ from ddkit import (
     ornstein_uhlenbeck,
 )
 from ddkit import basis
-from ddkit.basis import (
-    OdeSettings,
-    batch_endpoints,
-    scale_derivative,
-    solve_local_basis,
-)
+from ddkit.basis import OdeSettings, batch_endpoints
 from ddkit.models import scale_density
 
-# closed forms on [0, 1]:
-#   BM, alpha = 1/2:      u = sinh(x),  v = cosh(x)
-#   mu = 1, sig2 = 1, alpha = 1/2:  roots -1 +- sqrt(2)
-#       u = e^{-x} sinh(sqrt2 x)/sqrt2,  v = e^{-x}(cosh(sqrt2 x) + sinh(sqrt2 x)/sqrt2)
-SINH_1 = 1.1752011936438014
-COSH_1 = 1.5430806348152437
-SINH_035 = 0.3571897294372719
-DBM_U_1 = 0.5033690243900353
-DBM_V_1 = 1.304677973964021
-DBM_UPLUS_1 = 2.201494821295411     # u'(1) e^{2}
-DBM_U_035 = 0.25683609260615164
+RS = np.array([0.35, 0.6, 1.0])
+
+
+def _true(ep, name):
+    """True-scale endpoint values of one field."""
+    return getattr(ep, name) * np.exp(ep.lam)
 
 
 def test_bm_basis_matches_hyperbolic_solutions():
-    m = brownian()
-    basis = solve_local_basis(m, alpha=0.5, l=0.0, r=1.0)
-    assert basis.wronskian_ref == 1.0
-    assert_allclose(basis.u.value(1.0), SINH_1, rtol=1e-9)
-    assert_allclose(basis.v.value(1.0), COSH_1, rtol=1e-9)
-    # dense interior evaluation through the quintic interpolant
-    assert_allclose(basis.u.value(0.35), SINH_035, rtol=1e-8)
-    # scale derivative: S' = 1, so u+ = u' = cosh
-    assert_allclose(scale_derivative(m, basis.u, 1.0), COSH_1, rtol=1e-9)
-    assert_allclose(scale_derivative(m, basis.v, 0.0), 0.0, atol=1e-12)
+    # BM, alpha = 1/2 on [0, r]: u = sinh, v = cosh, and S' = 1
+    ep = batch_endpoints(brownian(), 0.5, np.zeros(RS.size), RS)
+    assert_allclose(_true(ep, "u_r"), np.sinh(RS), rtol=1e-9)
+    assert_allclose(_true(ep, "up_r"), np.cosh(RS), rtol=1e-9)
+    assert_allclose(_true(ep, "v_r"), np.cosh(RS), rtol=1e-9)
+    assert_allclose(_true(ep, "vp_r"), np.sinh(RS), rtol=1e-9)
 
 
 def test_drifted_bm_basis_matches_exponential_solutions():
+    # mu = 1, sig2 = 1, alpha = 1/2: roots -1 +- sqrt2, S'(x) = e^{-2x}
+    #   u = e^{-x} sinh(sqrt2 x)/sqrt2,  v = e^{-x}(cosh(sqrt2 x) + sinh(sqrt2 x)/sqrt2)
     m = drifted_brownian(mu=1.0, sigma_sq=1.0)
-    basis = solve_local_basis(m, alpha=0.5, l=0.0, r=1.0)
-    assert_allclose(basis.u.value(1.0), DBM_U_1, rtol=1e-9)
-    assert_allclose(basis.v.value(1.0), DBM_V_1, rtol=1e-9)
-    assert_allclose(basis.u.value(0.35), DBM_U_035, rtol=1e-8)
-    assert_allclose(scale_derivative(m, basis.u, 1.0), DBM_UPLUS_1, rtol=1e-9)
+    ep = batch_endpoints(m, 0.5, np.zeros(RS.size), RS)
+    q = math.sqrt(2.0)
+    sh, ch = np.sinh(q * RS), np.cosh(q * RS)
+    assert_allclose(_true(ep, "u_r"), np.exp(-RS) * sh / q, rtol=1e-9)
+    assert_allclose(_true(ep, "v_r"), np.exp(-RS) * (ch + sh / q), rtol=1e-9)
+    # scale derivative u' / S' = u' e^{2r}
+    assert_allclose(_true(ep, "up_r") * np.exp(2.0 * RS),
+                    np.exp(RS) * (ch - sh / q), rtol=1e-9)
+    assert_allclose(ep.sprime_r, np.exp(-2.0 * RS), rtol=1e-14)
 
 
 def test_initial_conditions_and_wronskian_normalization():
     m = drifted_brownian(mu=-0.4, sigma_sq=1.7)
-    basis = solve_local_basis(m, alpha=0.8, l=-0.5, r=1.5)
-    assert_allclose(basis.u.value(-0.5), 0.0, atol=1e-14)
-    assert_allclose(basis.v.value(-0.5), 1.0, rtol=1e-12)
-    # u has unit scale slope at l, so the scale Wronskian starts at +1
-    assert_allclose(scale_derivative(m, basis.u, -0.5), 1.0, rtol=1e-10)
-    for x in (-0.5, -0.1, 0.4, 1.0, 1.5):
-        assert_allclose(basis.wronskian(x), 1.0, rtol=1e-8)
+    l, h = -0.5, 1e-7
+    # u(l) = 0, u'(l) = S'(l), v(l) = 1, v'(l) = 0, seen on a window of length h
+    short = batch_endpoints(m, 0.8, np.array([l]), np.array([l + h]))
+    assert_allclose(short.sprime_l[0], scale_density(m, l), rtol=1e-15)
+    assert_allclose(_true(short, "u_r")[0] / h, short.sprime_l[0], rtol=1e-6)
+    assert_allclose(_true(short, "up_r")[0], short.sprime_l[0], rtol=1e-6)
+    assert_allclose(_true(short, "v_r")[0], 1.0, rtol=1e-12)
+    assert_allclose(_true(short, "vp_r")[0], 0.0, atol=1e-6)
+    # the scale Wronskian (u'v - uv') / S' stays +1 at every window end
+    rs = np.array([-0.1, 0.4, 1.0, 1.5])
+    ep = batch_endpoints(m, 0.8, np.full(rs.size, l), rs)
+    w = (ep.up_r * ep.v_r - ep.u_r * ep.vp_r) / ep.sprime_r * np.exp(2.0 * ep.lam)
+    assert_allclose(w, 1.0, rtol=1e-8)
 
 
 @pytest.mark.parametrize("make,lo", [
@@ -79,43 +76,28 @@ def test_initial_conditions_and_wronskian_normalization():
 ])
 @pytest.mark.parametrize("alpha", [0.01, 0.5, 5.0, 50.0])
 def test_wronskian_drift_across_models_and_alphas(make, lo, alpha):
-    m = make()
-    basis = solve_local_basis(m, alpha=alpha, l=lo, r=lo + 3.0)
-    assert basis.wronskian_drift() <= 1e-8
-    assert basis.meta["w_drift"] <= 1e-8
+    ep = batch_endpoints(make(), alpha, np.array([lo]), np.array([lo + 3.0]))
+    assert ep.w_drift <= 1e-8
 
 
 def test_long_window_wronskian():
-    m = brownian()
-    basis = solve_local_basis(m, alpha=50.0, l=-5.0, r=5.0)
-    assert basis.wronskian_drift() <= 1e-8
-
-
-def test_interpolation_residual_stays_small():
-    rng = np.random.default_rng(7)
-    for make, lo in ((lambda: brownian(), -1.0),
-                     (lambda: drifted_brownian(mu=0.7), -1.0),
-                     (lambda: geometric_brownian(mu_bar=0.1, sigma_bar_sq=0.4), 0.6)):
-        m = make()
-        basis = solve_local_basis(m, alpha=2.0, l=lo, r=lo + 1.0)
-        xs = rng.uniform(lo, lo + 1.0, size=64)
-        assert np.max(basis.residual(xs)) <= 1e-7
+    ep = batch_endpoints(brownian(), 50.0, np.array([-5.0]), np.array([5.0]))
+    assert ep.w_drift <= 1e-8
 
 
 def test_renormalization_kicks_in_and_quotients_survive():
     """alpha large enough that raw solutions overflow without rescaling:
     BM with alpha = 1000 on a length-10 window grows like e^{447}."""
-    m = brownian()
-    basis = solve_local_basis(m, alpha=1000.0, l=0.0, r=10.0)
-    u_r, lg = basis.u.value_scaled(10.0)
-    assert lg > 0.0          # at least one renormalization happened
-    assert math.isfinite(u_r)
+    ep = batch_endpoints(brownian(), 1000.0, np.array([0.0]), np.array([10.0]))
+    assert ep.lam[0] > 0.0   # the exponent carry took over
+    assert math.isfinite(ep.u_r[0])
     k = math.sqrt(2000.0)
-    # u'(r)/u(r) -> k coth(10 k) = k to machine accuracy
-    ur, _ = basis.u.value_scaled(10.0)
-    upr = basis._ys[-1, 1]
-    assert_allclose(upr / ur, k, rtol=1e-9)
-    assert basis.wronskian_drift() <= 1e-7
+    # u = sinh(k x)/k, so log u(10) = 10k - log(2k) to machine accuracy
+    assert_allclose(ep.lam[0] + math.log(ep.u_r[0]), 10.0 * k - math.log(2.0 * k),
+                    rtol=1e-12)
+    # u'(r)/u(r) = k coth(10 k) = k to machine accuracy
+    assert_allclose(ep.up_r[0] / ep.u_r[0], k, rtol=1e-9)
+    assert ep.w_drift <= 1e-7
 
 
 def test_batch_endpoints_agree_with_single_solves():
@@ -123,11 +105,10 @@ def test_batch_endpoints_agree_with_single_solves():
     zs = np.linspace(0.5, 4.0, 8)
     out = batch_endpoints(m, 0.5, zs - 1.0, zs)
     for i, z in enumerate(zs):
-        basis = solve_local_basis(m, 0.5, float(z - 1.0), float(z))
-        ur_b = out.u_r[i] * math.exp(out.lam[i])
-        assert_allclose(ur_b, basis.u.value(float(z)), rtol=1e-9)
+        one = batch_endpoints(m, 0.5, np.array([z - 1.0]), np.array([z]))
+        assert_allclose(_true(out, "u_r")[i], _true(one, "u_r")[0], rtol=1e-9)
         cb = out.up_r[i] / (out.u_r[i] * out.sprime_r[i])
-        cs = scale_derivative(m, basis.u, float(z)) / basis.u.value(float(z))
+        cs = one.up_r[0] / (one.u_r[0] * one.sprime_r[0])
         assert_allclose(cb, cs, rtol=1e-9)
     assert out.w_drift <= 1e-8
 
@@ -140,32 +121,22 @@ def test_settings_validation_and_window_checks():
     with pytest.raises(ValidationError):
         OdeSettings(max_steps=10)
     m = brownian()
+    one, zero = np.array([1.0]), np.array([0.0])
     with pytest.raises(ValidationError):
-        solve_local_basis(m, alpha=0.5, l=1.0, r=0.0)
+        batch_endpoints(m, 0.5, one, zero)
     with pytest.raises(ValidationError):
-        solve_local_basis(m, alpha=-1.0, l=0.0, r=1.0)
+        batch_endpoints(m, -1.0, zero, one)
+    with pytest.raises(ValidationError):
+        batch_endpoints(m, 0.5, np.array([0.0, 0.5]), one)
     g = geometric_brownian(mu_bar=0.1, sigma_bar_sq=0.2)
     with pytest.raises(ValidationError):
-        solve_local_basis(g, alpha=0.5, l=-0.5, r=1.0)
+        batch_endpoints(g, 0.5, np.array([-0.5]), one)
 
 
 def test_step_budget_exhaustion_reports():
-    m = brownian()
     with pytest.raises(NumericError):
-        solve_local_basis(m, alpha=1e6, l=0.0, r=10.0,
-                          settings=OdeSettings(max_steps=2000))
-
-
-def test_normalization_rescales_but_preserves_quotients():
-    m = brownian()
-    plain = solve_local_basis(m, 0.5, 0.0, 1.0)
-    norm = solve_local_basis(m, 0.5, 0.0, 1.0,
-                             settings=OdeSettings(normalization=1.0))
-    mag = max(abs(norm.u.value_scaled(1.0)[0]), abs(norm.v.value_scaled(1.0)[0]))
-    assert_allclose(mag, 1.0, rtol=1e-12)
-    # true values are unchanged: the factor sits in the log channel
-    assert_allclose(norm.u.value(1.0), plain.u.value(1.0), rtol=1e-12)
-    assert_allclose(norm.v.value(0.3), plain.v.value(0.3), rtol=1e-10)
+        batch_endpoints(brownian(), 1e6, np.array([0.0]), np.array([10.0]),
+                        settings=OdeSettings(max_steps=2000))
 
 
 def _sequential_rk4(model, alpha, l, r, n):
@@ -228,15 +199,3 @@ def test_batch_spanning_several_blocks_matches_single_windows():
             assert_allclose(getattr(out, name)[i] * math.exp(out.lam[i]),
                             getattr(one, name)[0] * math.exp(one.lam[0]),
                             rtol=1e-12)
-
-
-def test_dense_basis_spanning_several_blocks_matches_endpoints():
-    m = ornstein_uhlenbeck(theta=1.0)
-    dense = solve_local_basis(m, 50.0, -1.0, 2.0)
-    assert dense.meta["n_steps"] > 2 * basis._BLOCK_ROW_STEPS
-    ep = batch_endpoints(m, 50.0, np.array([-1.0]), np.array([2.0]))
-    assert ep.n_steps == dense.meta["n_steps"]
-    end = dense.endpoint_data()
-    scale = math.exp(end["lam_r"] - ep.lam[0])
-    assert_allclose(end["r"][0] * scale, ep.u_r[0], rtol=1e-12)
-    assert_allclose(end["r"][1] * scale, ep.up_r[0], rtol=1e-12)

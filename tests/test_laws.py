@@ -341,6 +341,30 @@ def test_exit_transforms():
         exit_transform(BM, 1.5, 0.0, 1.0, 0.5)
 
 
+# OU(theta=1), generator g''/2 - x g' = alpha g, has the solutions
+# e^{x^2/2} D_{-alpha}(+-sqrt2 x) (D the parabolic-cylinder function), the
+# + sign decaying at +inf.  Frozen from mpmath.pcfd at 50 digits:
+#   hit   dec(1)/dec(-0.5),                       dec(x) = e^{x^2/2} D_{-a}(sqrt2 x)
+#   exit  f(0)/f(-0.6), f(z) = inc(1.1) dec(z) - inc(z) dec(1.1),  inc(x) = dec(-x)
+OU_HIT_DOWN = {50.0: 4.6983306592311619e-7, 200.0: 1.3996609804796442e-13}
+OU_EXIT = {50.0: 0.0021275481617638063, 200.0: 5.2013832285473993e-6}
+
+
+@pytest.mark.parametrize("alpha", [50.0, 200.0])
+def test_hit_and_exit_stay_accurate_when_the_value_is_small(alpha):
+    # GBM(0.05, 0.09) in log space is drifted BM with m = 0.05 - 0.09/2
+    m, s2 = 0.005, 0.09
+    y, a, b = 0.0, math.log(0.6), math.log(1.9)
+    gam = math.sqrt(m * m + 2.0 * alpha * s2) / s2
+    ref = math.exp(-m * (y - a) / s2) * math.sinh(gam * (b - y)) / math.sinh(gam * (b - a))
+    gbm = geometric_brownian(mu_bar=0.05, sigma_bar_sq=0.09)
+    assert_allclose(exit_transform(gbm, 1.0, 0.6, 1.9, alpha), ref, rtol=1e-9)
+    assert_allclose(hitting_laplace(OU, 1.0, -0.5, alpha, box=(-6.0, 6.0)),
+                    OU_HIT_DOWN[alpha], rtol=1e-9)
+    assert_allclose(exit_transform(OU, 0.0, -0.6, 1.1, alpha), OU_EXIT[alpha],
+                    rtol=1e-9)
+
+
 # -- CDF of tau -------------------------------------------------------------
 
 def test_tau_cdf_brownian_against_series():

@@ -191,6 +191,25 @@ def test_scale_overflow_is_numeric_error():
         scale(ornstein_uhlenbeck(theta=1.0), 30.0)
 
 
+def test_scale_density_overflow_is_numeric_error():
+    # OU: S'(x) = e^{x^2}, past the float range at x = 30
+    ou = ornstein_uhlenbeck(theta=1.0)
+    with pytest.raises(NumericError):
+        scale_density(ou, 30.0)
+    with pytest.raises(NumericError):
+        scale_density(ou, np.array([1.0, 30.0]))
+
+
+def test_custom_scale_overflow_is_numeric_error():
+    # constant drift -50: log S'(x) = 100 x passes 709 before x = 20
+    m = custom_model({"form": "constant", "value": -50.0},
+                     {"form": "constant", "value": 1.0})
+    with pytest.raises(NumericError):
+        scale_density(m, 20.0)
+    with pytest.raises(NumericError):
+        scale_diff(m, 19.0, 20.0)
+
+
 def test_anchor_shift_is_additive():
     m = drifted_brownian(mu=0.5)
     xs = np.linspace(-2, 2, 17)
