@@ -18,22 +18,30 @@ needs.  A value inside a window is the endpoint of a shorter window with
 the same left end, and hitting and exit transforms are quotients of
 right-end values of two windows (see laws.exit_transform).
 
-Integration is classical RK4 on a fixed grid, batched over windows and
-validated by step doubling against the configured tolerances.  The ODE
-is linear, so one RK4 step is a 2x2 matrix, y_{j+1} = M_j y_j, and a
-sweep is the product of its step matrices.  Blocks of steps build all
-their matrices in one vectorized pass and multiply them pairwise, with
-no per-step Python loop; every partial product is rescaled by a power
-of two whose exponent is carried as a separate log factor.  Common
-factors cancel in every quotient the drawdown laws form, so the
-bookkeeping is exact.  The Wronskian monitor needs no product at all:
-the determinant of the state grows by det M_j per step (Liouville's
-formula for the discrete map), so the log-Wronskian is a running sum of
-log det M_j and never suffers the cancellation of u'v - uv'.
+Integration multiplies Chebyshev panel propagators, batched over
+windows.  A window is cut into equal panels with k h <= 1, k the faster
+exponential rate |mu|/sigma_sq + sqrt((mu/sigma_sq)^2 + 2 alpha/sigma_sq)
+of the two solutions.  On a panel the unknown is y'' at the N + 1
+Chebyshev points, in the integral form y' = y'_0 + J1 y'',
+y = y_0 + y'_0 (x - x_0) + J2 y'', which unlike differentiation matrices
+has no rounding floor that grows with N (Greengard, SIAM J. Numer. Anal.
+28, 1991).  Each panel moves (y, y') by a 2x2 map; the maps are
+multiplied pairwise, every partial product rescaled by an exact power of
+two carried as a log factor that cancels in the laws' quotients.
+
+A degree ladder (8, 12, 16, 24, ...) on fixed panels certifies the
+result: a degree is accepted once its endpoint values agree with the
+previous degree's to rel_tol and the Wronskian monitor holds, and a
+ladder that stops improving first raises NumericError at its rounding
+floor.  The log-Wronskian grows by log det of each panel map (Liouville)
+and is read from node values inside a panel, so one-panel windows get
+interior checkpoints too.  n_steps counts panel nodes per window: the
+mean panel count, rounded up, times the accepted degree.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,7 +52,9 @@ from .models import DiffusionModel, scale_density
 
 _MOD = "basis"
 
-_BLOCK_ROW_STEPS = 1 << 13   # rows x steps of one block of step matrices
+_BLOCK_NODES = 1 << 15        # panels x (degree + 1) of one block of panels
+_DEGREES = (8, 12, 16, 24, 32, 48, 64, 96, 128)
+_PICARD_MAX = 60
 _CHECKPOINT_FRACS = (0.0, 0.25, 0.5, 0.75, 1.0)
 _LN2 = math.log(2.0)
 
@@ -53,17 +63,14 @@ _LN2 = math.log(2.0)
 class OdeSettings:
     """Accuracy knobs for the window solver.
 
-    rel_tol / abs_tol bound the accepted step-doubling gap at the right
-    endpoint; the sweep also has to hold the Wronskian monitor within
-    10 * rel_tol before a grid is accepted, because determinant error
-    of RK4 is one order worse than state error for drifted models and
-    the endpoint gap alone would let it slip through.  max_steps caps
-    the finest grid tried before giving up.
+    rel_tol / abs_tol bound the accepted degree-ladder gap at the right
+    endpoint; the solve also has to hold the Wronskian monitor within
+    10 * rel_tol before a degree is accepted.  max_steps caps panels x
+    degree for one window: a window past it is refused before any panel
+    is solved, and the ladder stops where the next degree would pass it.
 
-    normalization is accepted and ignored.  It named a point at which
-    to rescale a stored basis, but every number a solver returns enters
-    the laws only through quotients in which a common factor cancels,
-    and the solver already carries its own power-of-two scale.
+    normalization is accepted and ignored: every number the solver
+    returns enters the laws through quotients in which a scale cancels.
     """
 
     rel_tol: float = 1e-10
@@ -86,7 +93,7 @@ DEFAULT_SETTINGS = OdeSettings()
 
 
 # ---------------------------------------------------------------------------
-# RK4 as a product of step matrices
+# Chebyshev panel propagators
 # ---------------------------------------------------------------------------
 
 def _mul(a, b):
@@ -102,37 +109,61 @@ def _normalize(m, ex):
     return np.ldexp(m, -e), ex + e
 
 
-def _stage(a, b, c, k):
-    """A (I + c K) for A = [[0, 1], [a, b]] and K = (k00, k01, k10, k11)."""
-    x00, x01, x10, x11 = 1.0 + c * k[0], c * k[1], c * k[2], 1.0 + c * k[3]
-    return x10, x11, a * x00 + b * x10, a * x01 + b * x11
+@functools.lru_cache(maxsize=None)
+def _cheb(n):
+    """Points t_j = -cos(j pi / n) on [-1, 1] and the stacked matrix
+    [J1; J2] taking the values of a degree-n polynomial there to the
+    values of its first and second antiderivatives from -1."""
+    theta = np.pi - np.pi * np.arange(n + 1) / n
+    ev = np.cos(np.outer(theta, np.arange(n + 3)))    # T_0 .. T_{n+2} there
+    k = np.arange(n + 2)
+    a = np.zeros((n + 3, n + 2))    # Chebyshev coefficients -> antiderivative's
+    a[k + 1, k] = np.where(k == 0, 1.0, 0.5 / (k + 1))
+    a[k[2:] - 1, k[2:]] = -0.5 / (k[2:] - 1)
+    a[0] -= (-1.0) ** np.arange(n + 3) @ a          # vanishing at -1
+    # discrete orthogonality at these points inverts ev[:, :-2] exactly
+    w = np.where(np.arange(n + 1) % n == 0, 0.5, 1.0)
+    c = a[:-1, :-1] @ ((2.0 / n) * w[:, None] * ev[:, :-2].T * w)
+    return np.cos(theta), np.vstack([ev[:, :-1] @ c, ev @ a @ c])
 
 
-def _step_matrices(model, alpha, l, h, j0, steps):
-    """D_j = M_j - I for steps j0 .. j0 + steps - 1 of every row, shaped
-    (2, 2, steps, rows).
+def _coefficients(model, xs):
+    """mu and sigma_sq at the points xs, broadcast to their shape."""
+    return [np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+            for f in (model.drift, model.diffusion_sq)]
 
-    On y' = A(x) y with A = [[0, 1], [a, b]], a = 2 alpha / sigma_sq and
-    b = -2 mu / sigma_sq, the RK4 step from x_j is y -> M_j y with
-    M_j = I + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A(x_j),
-    K2 = A(x_j + h/2)(I + h/2 K1), K3 = A(x_j + h/2)(I + h/2 K2) and
-    K4 = A(x_j + h)(I + h K3).  The model is evaluated once on the
-    half-step grid of the whole block.
-    """
-    xs = l + (0.5 * h) * np.arange(2 * j0, 2 * (j0 + steps) + 1)[:, None]
-    fac = 2.0 / np.broadcast_to(
-        np.asarray(model.diffusion_sq(xs), dtype=float), xs.shape)
-    a = alpha * fac
-    b = -fac * np.broadcast_to(np.asarray(model.drift(xs), dtype=float), xs.shape)
-    a1, a2, a3 = a[:-1:2], a[1::2], a[2::2]
-    b1, b2, b3 = b[:-1:2], b[1::2], b[2::2]
-    k1 = (0.0, 1.0, a1, b1)
-    k2 = _stage(a2, b2, 0.5 * h, k1)
-    k3 = _stage(a2, b2, 0.5 * h, k2)
-    k4 = _stage(a3, b3, h, k3)
-    h6 = h / 6.0
-    d = np.stack([h6 * (p + 2.0 * (q + s) + t) for p, q, s, t in zip(k1, k2, k3, k4)])
-    return d.reshape((2, 2) + d.shape[1:])
+
+def _panel_states(model, alpha, x0, h, n):
+    """(y, z = (h/2) y') at the n + 1 points of the panels [x0, x0 + h],
+    shaped (n + 1, 2, panels), from the starts (1, 0) and (0, 1).  In
+    t = 2 (x - x0)/h - 1 the unknown g = (h/2)^2 y'' solves the Volterra
+    equation g = ca y + cb z; its fixed-point iteration converges for
+    any k h."""
+    t, jj = _cheb(n)
+    hs = 0.5 * h
+    mu, s2 = _coefficients(model, x0 + (t[:, None] + 1.0) * hs)
+    # the two starts of every panel side by side: all (1, 0), then all (0, 1)
+    ca = np.tile(2.0 * alpha * hs * hs / s2, 2)
+    cb = np.tile(-2.0 * hs * mu / s2, 2)
+    k, tp1 = h.size, t[:, None] + 1.0
+    g0 = ca.copy()            # ca y + cb z at zero integrals: y = 1, z = 0
+    g0[:, k:] = ca[:, k:] * tp1 + cb[:, k:]   # from (0, 1): y = t + 1, z = 1
+    g, end, q = g0, 0.0, np.empty((2 * n + 2, 2 * k))
+    for _ in range(_PICARD_MAX):
+        np.matmul(jj, g, out=q)
+        # the iteration error of every column is largest at its right end
+        qn = q[n::n + 1]
+        if np.all(np.abs(qn - end) <= 1e-14 * (1.0 + np.abs(qn))):
+            q[n + 1:, :k] += 1.0
+            q[n + 1:, k:] += tp1
+            q[:n + 1, k:] += 1.0
+            return q[n + 1:].reshape(n + 1, 2, k), q[:n + 1].reshape(n + 1, 2, k)
+        end = qn.copy()
+        g = ca * q[n + 1:]
+        g += cb * q[:n + 1]
+        g += g0
+    raise NumericError(f"panel iteration did not converge at degree {n}",
+                       operation="solve", value=float(np.min(x0)), module=_MOD)
 
 
 def _tree_product(m):
@@ -148,95 +179,78 @@ def _tree_product(m):
     return m[:, :, 0], ex[0]
 
 
-def _sweep(model, alpha, l, r, y0, n):
-    """Fixed-grid RK4 over a batch of windows [l_i, r_i], n steps each.
-
-    The state Y = [[u, v], [u', v']] of every row (y0 is (2, 2, rows))
-    is kept as a mantissa with its largest entry in [0.5, 1) and a
-    base-2 exponent; lam = exponent * log 2.  Each block of at most
-    _BLOCK_ROW_STEPS row-steps builds its step matrices in one pass and
-    multiplies them pairwise, renormalizing every partial product.
-
-    The Wronskian u'v - uv' = -det Y is never formed from the state: by
-    Liouville's formula for the discrete map, log|det Y| grows by
-    log det M_j per step, and det M_j = 1 + O(h) is computed from
-    D_j = M_j - I without cancellation.  Checkpoints record the running
-    sum as (index, x, log-determinant growth).
+def _sweep(model, alpha, l, r, y0, panels, n):
+    """Product of the degree-n maps of windows [l_i, r_i] cut into
+    panels[i] equal panels, in blocks of at most _BLOCK_NODES nodes,
+    applied to the states y0 (2, 2, rows) as a mantissa with its largest
+    entry in [0.5, 1) and lam = base-2 exponent * log 2.  Checkpoints
+    (x, log det growth) sit at the node nearest each fraction in
+    _CHECKPOINT_FRACS of every window: log det summed over the panels
+    before it plus log det of its panel's node states.
     """
     B = l.size
-    h = (r - l) / n
-    block = max(1, _BLOCK_ROW_STEPS // B)
+    h = (r - l) / panels
+    pos = np.multiply.outer(_CHECKPOINT_FRACS, panels)
+    cp_panel = np.minimum(pos.astype(np.int64), panels - 1)
+    cp_node = np.rint(np.arccos(1.0 - 2.0 * (pos - cp_panel)) * (n / np.pi)).astype(int)
+    cp_x = l + (cp_panel + 0.5 * (_cheb(n)[0][cp_node] + 1.0)) * h
+    cp_logdet = np.zeros(pos.shape)
     y, ex = _normalize(y0, np.zeros(B, dtype=np.int64))
-    cp_idx = sorted({int(round(f * n)) for f in _CHECKPOINT_FRACS[1:]})
     logdet = np.zeros(B)
-    checkpoints = [(0, l, logdet)]
-    for j0 in range(0, n, block):
-        steps = min(block, n - j0)
-        m = _step_matrices(model, alpha, l, h, j0, steps)
+    block = max(1, _BLOCK_NODES // (B * (n + 1)))
+    for j0 in range(0, int(panels.max()), block):
+        live = (j0 + np.arange(min(block, panels.max() - j0)))[:, None] < panels
+        jj, ii = np.nonzero(live)
+        ys, zs = _panel_states(model, alpha, l[ii] + (j0 + jj) * h[ii], h[ii], n)
+        hs = 0.5 * h[ii]
+        m = np.eye(2)[:, :, None, None] * np.ones(live.shape)
+        m[:, :, jj, ii] = [[ys[n, 0], hs * ys[n, 1]], [zs[n, 0] / hs, zs[n, 1]]]
+        ld = np.zeros(live.shape + (n + 1,))
+        f, i = np.nonzero((cp_panel >= j0) & (cp_panel < j0 + live.shape[0]))
+        j = cp_panel[f, i] - j0
         with np.errstate(invalid="ignore", divide="ignore"):
-            cum = logdet + np.cumsum(np.log1p(
-                m[0, 0] + m[1, 1] + m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]), axis=0)
-        checkpoints += [(c, l + c * h, cum[c - j0 - 1])
-                        for c in cp_idx if j0 < c <= j0 + steps]
-        logdet = cum[-1]
-        m[0, 0] += 1.0
-        m[1, 1] += 1.0
+            ld[jj, ii] = np.log(ys[:, 0] * zs[:, 1] - ys[:, 1] * zs[:, 0]).T
+            before = logdet + np.cumsum(ld[..., n], axis=0) - ld[..., n]
+            cp_logdet[f, i] = before[j, i] + ld[j, i, cp_node[f, i]]
+            logdet = before[-1] + ld[-1, :, n]
         p, ep = _tree_product(m)
         y, ex = _normalize(_mul(p, y), ep + ex)
     return dict(y=y.transpose(2, 1, 0).reshape(B, 4), lam=ex * _LN2,
-                checkpoints=checkpoints)
+                checkpoints=(cp_x, cp_logdet))
 
 
-def _initial_steps(model, alpha, l, r, max_steps):
-    """Grid sizing from the local exponential rate of the two solutions."""
-    ts = np.linspace(0.0, 1.0, 9)
-    xs = (l[:, None] + ts[None, :] * (r - l)[:, None]).ravel()
-    mu = np.abs(np.asarray(model.drift(xs), dtype=float))
-    s2 = np.asarray(model.diffusion_sq(xs), dtype=float)
+def _panel_counts(model, alpha, l, r, max_steps):
+    """Panels per window with k h <= 1, k the larger exponential rate of
+    the two solutions at nine points of the window; counts past
+    max_steps (or not finite) are clipped to max_steps + 1."""
+    xs = l[:, None] + np.linspace(0.0, 1.0, 9) * (r - l)[:, None]
+    mu, s2 = _coefficients(model, xs)
     if np.any(~(s2 > 0.0)):
         raise NumericError("diffusion_sq non-positive inside a solver window",
-                           operation="solve", value=float(xs[np.argmin(s2)]),
+                           operation="solve", value=float(xs.flat[np.argmin(s2)]),
                            module=_MOD)
-    rate = mu / s2 + np.sqrt((mu / s2) ** 2 + 2.0 * alpha / s2)
-    rate = rate.reshape(l.shape[0], ts.size).max(axis=1)
-    n = int(np.ceil(8.0 * np.max(rate * (r - l))))
-    if n > max_steps:
-        # 8 steps per e-fold is already minimal for RK4; a requirement
-        # past the cap cannot be rescued by the doubling ladder
-        raise NumericError(
-            f"window too stiff: resolving the local solution scale needs "
-            f"about {n} steps, cap {max_steps}; alpha {alpha:g}, window "
-            f"length {float(np.max(r - l)):g}",
-            operation="solve", value=n, module=_MOD)
-    n = max(64, min(n, max_steps // 2))
-    return ((n + 7) // 8) * 8
+    with np.errstate(over="ignore"):
+        g = np.abs(mu) / s2
+        need = np.ceil((g + np.sqrt(g * g + 2.0 * alpha / s2)).max(axis=1) * (r - l))
+    return np.fmin(np.maximum(need, 1.0), max_steps + 1).astype(np.int64)
 
 
 def _endpoint_gap(a, b, abs_tol):
     """Relative disagreement of two sweeps at r, log-scale aware.
 
-    Each component is measured against the magnitude of its solution
-    pair (u, u') or (v, v'), not only its own: a derivative can sit
-    many orders below its solution (v' ~ alpha v near alpha = 0), where
-    its own-relative accuracy is limited by accumulated rounding and
-    one more digit never arrives.  Downstream everything enters through
-    quotients with the partner, so pair-scale absolute accuracy is the
-    certificate that matters.
+    Each component is measured against the larger magnitude of its
+    solution pair (u, u') or (v, v'): a derivative can sit orders below
+    its solution (v' ~ alpha v near alpha = 0), where its own digits run
+    out, and the laws use it only in quotients with its partner.
     """
     lam0 = np.minimum(a["lam"], b["lam"])
     with np.errstate(invalid="ignore", over="ignore"):
-        fa = np.exp(a["lam"] - lam0)[:, None]
-        fb = np.exp(b["lam"] - lam0)[:, None]
-        va = a["y"] * fa
-        vb = b["y"] * fb
+        va = (a["y"] * np.exp(a["lam"] - lam0)[:, None]).reshape(-1, 2, 2)
+        vb = (b["y"] * np.exp(b["lam"] - lam0)[:, None]).reshape(-1, 2, 2)
         if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vb))):
             return math.inf
-        mag = np.maximum(np.abs(va), np.abs(vb))
-        sc = np.empty_like(mag)
-        sc[:, :2] = mag[:, :2].max(axis=1, keepdims=True)
-        sc[:, 2:] = mag[:, 2:].max(axis=1, keepdims=True)
-        np.maximum(sc, abs_tol, out=sc)
-        return float(np.max(np.abs(va - vb) / sc))
+        pair = np.maximum(np.abs(va), np.abs(vb)).max(axis=2, keepdims=True)
+        return float(np.max(np.abs(va - vb) / np.maximum(pair, abs_tol)))
 
 
 def _drift_from_checkpoints(model, cps, sprime_l, rows):
@@ -245,8 +259,7 @@ def _drift_from_checkpoints(model, cps, sprime_l, rows):
     |u'v - uv'| starts at S'(l) and has grown by the checkpoint's
     log-determinant sum; the scale Wronskian divides by S'(x) there.
     """
-    xs = np.stack([xc[rows] for _, xc, _ in cps])
-    logdet = np.stack([ld[rows] for _, _, ld in cps])
+    xs, logdet = cps[0][:, rows], cps[1][:, rows]
     sp = np.asarray(scale_density(model, xs), dtype=float)
     with np.errstate(divide="ignore"):
         logs = np.log(sprime_l[rows]) + logdet - np.log(sp)
@@ -256,34 +269,39 @@ def _drift_from_checkpoints(model, cps, sprime_l, rows):
 
 
 def _solve_adaptive(model, alpha, l, r, settings, check_rows):
-    n = _initial_steps(model, alpha, l, r, settings.max_steps)
+    panels = _panel_counts(model, alpha, l, r, settings.max_steps)
     sprime_l = np.asarray(scale_density(model, l), dtype=float)
     y0 = np.zeros((2, 2, l.shape[0]))
     y0[1, 0] = sprime_l      # u(l) = 0, u'(l) = S'(l)
     y0[0, 1] = 1.0           # v(l) = 1, v'(l) = 0
-    # RK4 propagates the Wronskian through det of the per-step update
-    # matrix, whose truncation error is not controlled by the endpoint
-    # gap when the drift term is large, so the doubling loop accepts a
-    # grid only once both figures are in tolerance.
+    where = f"alpha {alpha:g}, window length {float(np.max(r - l)):g}"
     drift_tol = 10.0 * settings.rel_tol
-    prev = _sweep(model, alpha, l, r, y0, n)
-    while True:
-        n2 = 2 * n
-        if n2 > settings.max_steps:
+    prev, last = None, math.inf
+    for n in _DEGREES:
+        if panels.max() * n > settings.max_steps:    # before any panel array
             raise NumericError(
-                f"step budget exhausted: {n2} steps needed, cap {settings.max_steps}; "
-                f"window length {float(np.max(r - l)):g}, alpha {alpha:g}",
-                operation="solve", value=n2, module=_MOD)
-        cur = _sweep(model, alpha, l, r, y0, n2)
-        gap = _endpoint_gap(prev, cur, settings.abs_tol)
-        drift = _drift_from_checkpoints(model, cur["checkpoints"], sprime_l,
-                                        check_rows)
-        if gap <= settings.rel_tol and drift <= drift_tol:
-            n = n2
-            break
-        prev, n = cur, n2
-    cur.update(n_steps=n, w_drift=drift, sprime_l=sprime_l)
-    return cur
+                f"window too stiff: {panels.max()} panels of degree {n} pass the "
+                f"cap of {settings.max_steps} panel nodes; {where}",
+                operation="solve", value=int(panels.max() * n), module=_MOD)
+        cur = _sweep(model, alpha, l, r, y0, panels, n)
+        if prev is not None:
+            gap = _endpoint_gap(prev, cur, settings.abs_tol)
+            drift = _drift_from_checkpoints(model, cur["checkpoints"], sprime_l,
+                                            check_rows)
+            if gap <= settings.rel_tol and drift <= drift_tol:
+                return BatchEndpoints(
+                    *cur["y"].T.copy(), lam=cur["lam"], sprime_l=sprime_l,
+                    sprime_r=np.asarray(scale_density(model, r), dtype=float),
+                    w_drift=drift, n_steps=-(-int(panels.sum()) // l.size) * n,
+                    endpoint_gap=gap)
+            err = max(gap / settings.rel_tol, drift / drift_tol)
+            if not err < last:
+                break
+            last = err
+        prev = cur
+    raise NumericError(f"rounding floor: the degree ladder stopped improving at "
+                       f"degree {n}, endpoint gap {gap:.2g}, Wronskian drift "
+                       f"{drift:.2g}; {where}", operation="solve", value=gap, module=_MOD)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +313,9 @@ class BatchEndpoints:
     """Scaled endpoint data for a batch of windows.
 
     True values at r are (field) * exp(lam); the common factor exp(lam)
-    cancels in the quotients the laws form.
+    cancels in the quotients the laws form.  endpoint_gap is the
+    accepted degree-ladder gap, the measured relative accuracy of the
+    endpoint values.
     """
 
     u_r: np.ndarray
@@ -307,6 +327,7 @@ class BatchEndpoints:
     sprime_r: np.ndarray
     w_drift: float
     n_steps: int
+    endpoint_gap: float
 
 
 def batch_endpoints(model: DiffusionModel, alpha: float,
@@ -331,19 +352,8 @@ def batch_endpoints(model: DiffusionModel, alpha: float,
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValidationError("alpha must be positive and finite",
                               operation="batch_endpoints", value=alpha, module=_MOD)
-    B = l.size
-    stride = max(1, B // max_check_rows)
-    check_rows = np.arange(0, B, stride)
-    out = _solve_adaptive(model, alpha, l, r, settings, check_rows=check_rows)
-    y = out["y"]
-    return BatchEndpoints(
-        u_r=y[:, 0].copy(), up_r=y[:, 1].copy(),
-        v_r=y[:, 2].copy(), vp_r=y[:, 3].copy(),
-        lam=out["lam"].copy(),
-        sprime_l=out["sprime_l"],
-        sprime_r=np.asarray(scale_density(model, r), dtype=float),
-        w_drift=out["w_drift"], n_steps=out["n_steps"],
-    )
+    check_rows = np.arange(0, l.size, max(1, l.size // max_check_rows))
+    return _solve_adaptive(model, alpha, l, r, settings, check_rows)
 
 
 def solve_local_basis(model, alpha, l, r, settings=None):

@@ -88,8 +88,9 @@ class TransformResult:
     [0, 1] whenever beta * x >= 0; a start below zero with beta > 0
     legitimately raises the cap to e^(-beta x).  abs_error_estimate
     combines the truncation remainder bound, the last grid-doubling
-    change, and an allowance for the ODE layer; truncation_point is
-    the level where the outer integral was cut.
+    change, and the window solver's measured certificate (the largest
+    accepted degree-ladder gap of the node solves, times |value|);
+    truncation_point is the level where the outer integral was cut.
     """
 
     value: float
@@ -170,8 +171,9 @@ def _nu_sp(model, z, delta):
 
 
 def _settings_for(tol: float) -> OdeSettings:
-    # one decade tighter than the quadrature target, kept inside
-    # [1e-12, 1e-6] so loose requests still get a certified basis
+    # the degree ladder certifies one decade tighter than the quadrature
+    # target, inside [1e-12, 1e-6]: loose requests still get a certified
+    # basis, and tight ones stay above the panel solver's rounding floor
     rel = min(max(tol / 10.0, 1e-12), 1e-6)
     return OdeSettings(rel_tol=rel, abs_tol=rel / 100.0)
 
@@ -191,6 +193,20 @@ def _endpoint_quotients(ep, windows, op):
     return b, chat
 
 
+def _window_factors(model, z, delta, alpha, settings, op):
+    """(b, chat) at level z from one window solve; nu(z) at alpha = 0."""
+    _check_window(model, z, delta, op)
+    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha >= 0):
+        raise ValidationError("alpha must be finite and >= 0",
+                              operation=op, value=alpha, module=_MOD)
+    if alpha == 0.0:
+        return (nu(model, z, delta),) * 2
+    ep = batch_endpoints(model, alpha, np.array([z - delta]), np.array([z]),
+                         settings or _settings_for(1e-9))
+    b, chat = _endpoint_quotients(ep, np.array([delta]), op)
+    return float(b[0]), float(chat[0])
+
+
 def b_factor(model: DiffusionModel, z: float, delta: float, alpha: float,
              settings: OdeSettings | None = None) -> float:
     """Discounted mass of delta-deep excursions at level z.
@@ -199,16 +215,7 @@ def b_factor(model: DiffusionModel, z: float, delta: float, alpha: float,
     alpha.  Computed as 1 / u(z) from the window basis, which is
     invariant under basis recombination.
     """
-    _check_window(model, z, delta, "b_factor")
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha >= 0):
-        raise ValidationError("alpha must be finite and >= 0",
-                              operation="b_factor", value=alpha, module=_MOD)
-    if alpha == 0.0:
-        return nu(model, z, delta)
-    ep = batch_endpoints(model, alpha, np.array([z - delta]), np.array([z]),
-                         settings or _settings_for(1e-9))
-    b, _ = _endpoint_quotients(ep, np.array([delta]), "b_factor")
-    return float(b[0])
+    return _window_factors(model, z, delta, alpha, settings, "b_factor")[0]
 
 
 def c_hat(model: DiffusionModel, z: float, delta: float, alpha: float,
@@ -219,16 +226,7 @@ def c_hat(model: DiffusionModel, z: float, delta: float, alpha: float,
     Equals nu(z) at alpha = 0 and dominates both nu and b_factor for
     alpha > 0; the run-up-only intensity is c_hat - nu.
     """
-    _check_window(model, z, delta, "c_hat")
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha >= 0):
-        raise ValidationError("alpha must be finite and >= 0",
-                              operation="c_hat", value=alpha, module=_MOD)
-    if alpha == 0.0:
-        return nu(model, z, delta)
-    ep = batch_endpoints(model, alpha, np.array([z - delta]), np.array([z]),
-                         settings or _settings_for(1e-9))
-    _, chat = _endpoint_quotients(ep, np.array([delta]), "c_hat")
-    return float(chat[0])
+    return _window_factors(model, z, delta, alpha, settings, "c_hat")[1]
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +367,14 @@ def _nodes_from_table(ys, Qs, nseg):
 
 
 def _node_values(model, nodes, delta, alpha, settings, cache):
-    """(nu, b, chat, S') at each node, memoized across mesh doublings."""
+    """(nu, b, chat, S', solve gap) at each node, memoized over mesh doublings."""
     missing = [float(y) for y in nodes if float(y) not in cache]
     if missing:
         arr = np.asarray(missing)
         sps = scale_density(model, arr)
         nu_vals = 1.0 / scale_diff(model, arr - delta, arr)
         if alpha == 0.0:
-            b_vals, c_vals = nu_vals, nu_vals
+            b_vals, c_vals, gap = nu_vals, nu_vals, 0.0
         else:
             try:
                 ep = batch_endpoints(model, alpha, arr - delta, arr, settings)
@@ -388,10 +386,10 @@ def _node_values(model, nodes, delta, alpha, settings, cache):
                     module=_MOD) from exc
             b_vals, c_vals = _endpoint_quotients(
                 ep, np.full(arr.shape, delta), "transform")
+            gap = ep.endpoint_gap
         for y, nv, bv, cv, sp in zip(missing, nu_vals, b_vals, c_vals, sps):
-            cache[y] = (float(nv), float(bv), float(cv), float(sp))
-    out = np.array([cache[float(y)] for y in nodes])
-    return out[:, 0], out[:, 1], out[:, 2], out[:, 3]
+            cache[y] = (float(nv), float(bv), float(cv), float(sp), gap)
+    return np.array([cache[float(y)] for y in nodes]).T
 
 
 def _int_exp_cubic(t, g):
@@ -438,8 +436,8 @@ def _transform_core(model, query, role_swap, tables=None):
     value = None
     while nseg <= 65536:
         nodes = _nodes_from_table(ys, Qs, nseg)
-        nu_v, b_v, c_v, sp_v = _node_values(model, nodes, delta, alpha,
-                                            settings, cache)
+        nu_v, b_v, c_v, sp_v, gap_v = _node_values(model, nodes, delta, alpha,
+                                                   settings, cache)
         if role_swap:
             expo = b_v * sp_v
             outside = np.maximum(c_v - nu_v, 0.0) * sp_v
@@ -465,7 +463,7 @@ def _transform_core(model, query, role_swap, tables=None):
                            operation="transform", value=nseg, module=_MOD,
                            partial=value)
 
-    abs_err = remainder + abs(value - prev) + 1e-12 * abs(value)
+    abs_err = remainder + abs(value - prev) + float(gap_v.max()) * abs(value)
     cap = min(1.0, math.exp(-beta * x)) if beta * x >= 0 else math.exp(-beta * x)
     if value < 0.0:
         abs_err += -value
@@ -521,8 +519,8 @@ def _runup_exponent(model, x, ys_eval, delta, alpha, tol):
     nseg = 32
     while nseg <= 65536:
         nodes = _nodes_from_table(ys, Ns, nseg)
-        nu_v, b_v, c_v, sp_v = _node_values(model, nodes, delta, alpha,
-                                            settings, cache)
+        nu_v, b_v, c_v, sp_v, _ = _node_values(model, nodes, delta, alpha,
+                                               settings, cache)
         rho = np.maximum(c_v - nu_v, 0.0) * sp_v
         R = CubicSpline(nodes, rho).antiderivative()(ys_eval)
         if prev is not None and np.max(np.abs(R - prev)) <= (tol / 10.0) * (

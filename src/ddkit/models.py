@@ -86,16 +86,6 @@ class ExactStepSpec:
     def bridge_sig_sq(self) -> float:
         return self.sig_sq_sim
 
-    def to_sim(self, x):
-        if self.kind == "loggauss":
-            return np.log(x)
-        return x
-
-    def from_sim(self, y):
-        if self.kind == "loggauss":
-            return np.exp(y)
-        return y
-
 
 @dataclass(frozen=True, eq=False)
 class DiffusionModel:
@@ -574,6 +564,8 @@ def model_from_json(text: str) -> DiffusionModel:
 
 def _require_interior(model, x, op):
     a, b = model.interval
+    if isinstance(x, (float, int, np.floating, np.integer)) and a < x < b:
+        return      # scalar fast path; nan and +-inf fail a strict comparison
     arr = np.asarray(x, dtype=float)
     if arr.size == 0:
         return

@@ -1,5 +1,6 @@
-"""Window solver against elementary solutions at several window ends, a
-sequential RK4 loop, Wronskian conservation and the exponent carry."""
+"""Window solver against elementary solutions at several window ends,
+multi-panel products, a sequential RK4 loop, Wronskian conservation and
+the exponent carry."""
 
 import math
 
@@ -139,9 +140,39 @@ def test_step_budget_exhaustion_reports():
                         settings=OdeSettings(max_steps=2000))
 
 
+def test_multi_panel_product_matches_closed_forms():
+    # BM, alpha = 50 on [-5, 5]: u = sinh(10 (x + 5)) / 10 over 100 panels
+    ep = batch_endpoints(brownian(), 50.0, np.array([-5.0]), np.array([5.0]))
+    assert ep.n_steps >= 100 * 8
+    assert_allclose(ep.lam[0] + math.log(ep.u_r[0]),
+                    100.0 - math.log(20.0) + math.log1p(-math.exp(-200.0)),
+                    rtol=1e-12)
+    # drifted BM: y'' = a y + b y' with a = 2 alpha / s2, b = -2 mu / s2 has
+    # roots p, q, and both solutions are combinations of e^{p s}, e^{q s}
+    mu, s2, alpha, l = 1.0, 0.8, 3.0, -1.0
+    m = drifted_brownian(mu=mu, sigma_sq=s2)
+    rs = l + np.array([0.3, 1.2, 2.5, 4.0])
+    ep = batch_endpoints(m, alpha, np.full(rs.size, l), rs)
+    assert ep.n_steps > 2 * 12    # several panels per window
+    d = math.sqrt(mu * mu + 2.0 * alpha * s2) / s2
+    p, q = -mu / s2 + d, -mu / s2 - d
+    s = rs - l
+
+    def sol(y0, yp0):
+        cp, cq = (yp0 - q * y0) / (p - q), (p * y0 - yp0) / (p - q)
+        return (cp * np.exp(p * s) + cq * np.exp(q * s),
+                cp * p * np.exp(p * s) + cq * q * np.exp(q * s))
+
+    u, up = sol(0.0, scale_density(m, l))
+    v, vp = sol(1.0, 0.0)
+    for name, want in (("u_r", u), ("up_r", up), ("v_r", v), ("vp_r", vp)):
+        assert_allclose(_true(ep, name), want, rtol=1e-12)
+    assert ep.w_drift <= 1e-12
+
+
 def _sequential_rk4(model, alpha, l, r, n):
     """Classical RK4 on (u, u', v, v') for one window, one step at a time;
-    returns the state at every node."""
+    returns the state at r."""
     h = (r - l) / n
 
     def f(x, y):
@@ -150,7 +181,6 @@ def _sequential_rk4(model, alpha, l, r, n):
                          y[3], 2.0 / s2 * (alpha * y[2] - mu * y[3])])
 
     y = np.array([0.0, float(scale_density(model, l)), 1.0, 0.0])
-    out = [y]
     for j in range(n):
         x = l + j * h
         k1 = f(x, y)
@@ -158,8 +188,7 @@ def _sequential_rk4(model, alpha, l, r, n):
         k3 = f(x + 0.5 * h, y + 0.5 * h * k2)
         k4 = f(x + h, y + h * k3)
         y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out.append(y)
-    return np.array(out)
+    return y
 
 
 @pytest.mark.parametrize("make", [
@@ -168,34 +197,61 @@ def _sequential_rk4(model, alpha, l, r, n):
 ])
 @pytest.mark.parametrize("n_windows", [1, 3])
 def test_step_matrix_product_matches_sequential_rk4(make, n_windows):
+    # the pairwise product of panel maps, with its power-of-two carry,
+    # against the same panel maps applied one at a time and against an
+    # independent sequential RK4 loop
     m = make()
-    n, alpha = 256, 3.0
+    n, alpha = 16, 3.0
     l = np.linspace(-1.0, 0.5, n_windows)
     r = l + 1.2
+    panels = np.array([6, 3, 11])[:n_windows]
     y0 = np.zeros((2, 2, n_windows))
     y0[1, 0] = scale_density(m, l)
     y0[0, 1] = 1.0
-    out = basis._sweep(m, alpha, l, r, y0, n)
+    out = basis._sweep(m, alpha, l, r, y0, panels, n)
+    cp_x, cp_logdet = out["checkpoints"]
     for i in range(n_windows):
-        ref = _sequential_rk4(m, alpha, l[i], r[i], n)
-        assert_allclose(out["y"][i] * math.exp(out["lam"][i]), ref[-1], rtol=1e-12)
-        for j, xc, logdet in out["checkpoints"]:
-            u, up, v, vp = ref[j]
-            assert_allclose(xc[i], l[i] + j * (r[i] - l[i]) / n, rtol=1e-15)
-            assert_allclose(math.log(scale_density(m, l[i])) + logdet[i],
-                            math.log(abs(up * v - u * vp)), rtol=0, atol=1e-12)
-    assert [c[0] for c in out["checkpoints"]] == [0, 64, 128, 192, 256]
+        got = out["y"][i] * math.exp(out["lam"][i])
+        h = (r[i] - l[i]) / panels[i]
+        state = y0[:, :, i]
+        for j in range(panels[i]):
+            one = basis._sweep(m, alpha, np.array([l[i] + j * h]),
+                               np.array([l[i] + (j + 1) * h]),
+                               np.eye(2)[:, :, None], np.array([1]), n)
+            state = (one["y"][0].reshape(2, 2).T * math.exp(one["lam"][0])) @ state
+        assert_allclose(got, state.T.ravel(), rtol=1e-12)
+        assert_allclose(got, _sequential_rk4(m, alpha, l[i], r[i], 2048), rtol=1e-10)
+        assert_allclose(cp_x[[0, -1], i], [l[i], r[i]], rtol=1e-15)
+        assert_allclose(math.log(scale_density(m, l[i])) + cp_logdet[:, i],
+                        np.log(scale_density(m, cp_x[:, i])), rtol=0, atol=1e-12)
 
 
 def test_batch_spanning_several_blocks_matches_single_windows():
     m = drifted_brownian(mu=1.0)
     zs = np.linspace(0.5, 4.0, 40)
-    out = batch_endpoints(m, 20.0, zs - 1.0, zs)
-    assert zs.size * out.n_steps > 2 * basis._BLOCK_ROW_STEPS
+    lengths = np.geomspace(0.05, 30.0, zs.size)   # 1 to 222 panels at alpha 20
+    out = batch_endpoints(m, 20.0, zs - lengths, zs)
+    panels = basis._panel_counts(m, 20.0, zs - lengths, zs, 10**9)
+    assert panels.min() == 1
+    assert panels.max() > 2 * (basis._BLOCK_NODES // (zs.size * 9))
     for i, z in enumerate(zs):
-        one = batch_endpoints(m, 20.0, np.array([z - 1.0]), np.array([z]))
-        assert one.n_steps == out.n_steps
+        one = batch_endpoints(m, 20.0, np.array([z - lengths[i]]), np.array([z]))
         for name in ("u_r", "up_r", "v_r", "vp_r"):
             assert_allclose(getattr(out, name)[i] * math.exp(out.lam[i]),
                             getattr(one, name)[0] * math.exp(one.lam[0]),
                             rtol=1e-12)
+
+
+def test_degree_ladder_at_its_rounding_floor_raises():
+    g = geometric_brownian(mu_bar=0.05, sigma_bar_sq=0.09)
+    args = (g, 12.5, np.array([0.7]), np.array([1.0]))
+    assert batch_endpoints(*args).endpoint_gap <= 1e-10
+    with pytest.raises(NumericError, match="rounding floor"):
+        batch_endpoints(*args, settings=OdeSettings(rel_tol=1e-17, abs_tol=1e-17))
+
+
+def test_panel_iteration_cap_raises_numeric_error(monkeypatch):
+    monkeypatch.setattr(basis, "_PICARD_MAX", 2)
+    with pytest.raises(NumericError, match="did not converge"):
+        batch_endpoints(ornstein_uhlenbeck(theta=1.0), 0.5, np.array([0.0]),
+                        np.array([1.0]))

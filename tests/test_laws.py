@@ -19,6 +19,7 @@ from ddkit import (
     geometric_brownian,
     ornstein_uhlenbeck,
 )
+from ddkit import laws
 from ddkit.laws import (
     DrawdownQuery,
     TailCurve,
@@ -231,6 +232,24 @@ def test_joint_transform_invariant_under_scale_normalization():
                     rtol=1e-10)
     assert_allclose(max_tail(m0, DrawdownQuery(0.0, 1.0), 1.5),
                     max_tail(m1, DrawdownQuery(0.0, 1.0), 1.5), rtol=1e-12)
+
+
+def test_ou_transform_window_work_stays_bounded(monkeypatch):
+    """Rows x n_steps over every window solve of one OU transform: a
+    count, so it cannot flake.  221,292 panel nodes when the panel
+    solver was written (the RK4 grids it replaced ran 12,589,056 accepted
+    row-steps); a fallback to step-sized grids would blow this bound."""
+    work = []
+    solve = laws.batch_endpoints
+
+    def counted(model, alpha, l, r, *args, **kwargs):
+        ep = solve(model, alpha, l, r, *args, **kwargs)
+        work.append(len(l) * ep.n_steps)
+        return ep
+
+    monkeypatch.setattr(laws, "batch_endpoints", counted)
+    joint_transform(OU, DrawdownQuery(0.0, 1.0, alpha=0.5))
+    assert 0 < sum(work) <= 2 * 221_292
 
 
 def test_joint_transform_respects_discount_cap():

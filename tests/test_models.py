@@ -269,6 +269,22 @@ def test_domain_errors_on_scale_evaluation():
         scale(g, 0.0)   # boundary point itself is outside the open interval
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1.0, 0.0, 2.0, 3.5])
+@pytest.mark.parametrize("wrap", [float, np.float64, np.float32])
+def test_scalar_and_array_points_raise_the_same_domain_error(x, wrap):
+    m = brownian(interval=(0.0, 2.0))
+    with pytest.raises(DomainError) as scalar:
+        scale_density(m, wrap(x))
+    with pytest.raises(DomainError) as array:
+        scale_density(m, np.array([0.5, x]))
+    assert scalar.value.operation == array.value.operation == "scale_density"
+    assert str(scalar.value).split(" (value=")[0] == str(array.value).split(" (value=")[0]
+    if math.isfinite(x):
+        assert scalar.value.value == array.value.value == x
+    else:
+        assert not math.isfinite(scalar.value.value)
+
+
 def test_model_from_dict_roundtrip():
     doc = {
         "model_id": "dbm-test",
