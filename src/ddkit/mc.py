@@ -25,6 +25,17 @@ determinism contract: a different random stream, or a different order
 within a block, changes every path.  One chunk driver runs this
 stepper and the excursion counter over fixed 2048-path chunks.
 
+The 256-step blocks here and the excursion counter's 4096-step blocks
+define the streams; how a block's work is run is not part of the
+contract.  Consecutive calls on a generator read one stream, so the
+stepper fills each path's normals with one call and all of its
+block's uniforms (every arm's u_min and u_max, in the order above)
+with another, straight into the rows of the block's arrays.  The excursion counter
+runs a 4096-step block in sub-blocks of at most 2048 x 256 points;
+full rows carry their stepping state across them bit-identically,
+deep rows (below) draw row by row but share their arithmetic, and one
+row-vectorized scan counts the excursions of a whole sub-block.
+
 The excursion counter skips work where the count cannot move.  A path
 whose open excursion is already delta-deep is counted once that
 excursion closes, and it closes only when the path climbs back to its
@@ -82,7 +93,9 @@ _BLOCK_STEPS = 256
 
 
 def thread_cap() -> int:
-    """Worker cap from DDKIT_THREADS; 0 or unset means auto."""
+    """Worker cap from DDKIT_THREADS; 0 or unset means auto: the CPUs
+    this process may run on (its affinity mask, where the platform
+    has one), at most 8."""
     raw = os.environ.get("DDKIT_THREADS", "0").strip() or "0"
     try:
         n = int(raw)
@@ -93,6 +106,8 @@ def thread_cap() -> int:
         raise ValidationError("DDKIT_THREADS must be >= 0",
                               operation="thread_cap", value=n, module=_MOD)
     if n == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return min(8, len(os.sched_getaffinity(0)) or 1)
         return min(8, os.cpu_count() or 1)
     return n
 
@@ -235,68 +250,79 @@ def _generators(seed: int, first: int, count: int) -> list:
 
 
 def _draw_normals(gens, rows, length):
-    return np.stack([gens[i].standard_normal(length) for i in rows])
+    """Each row's next ``length`` normals, one row per path in rows."""
+    z = np.empty((len(rows), length))
+    for j, i in enumerate(rows):
+        gens[i].standard_normal(out=z[j])
+    return z
 
 
-def _draw_uniforms(gens, rows, length):
-    # 1 - random() lies in ]0, 1]; at exactly 1 the bridge minimum
-    # degenerates to the endpoint minimum, which is the right limit
-    return np.stack([1.0 - gens[i].random(length) for i in rows])
+def _exact_blocks(model, x0, z, dt, carry=None):
+    """(X block, carry) under the exact Gaussian step from x0.
 
-
-def _exact_blocks(model, x_cur, z, dt):
-    """(X block, previous X per step) under the exact Gaussian step."""
+    carry=None starts a stream block at x0.  Passing the returned carry
+    with the next normals continues the same block: arith and loggauss
+    carry the increment sum since x0, OU carries the filter state.  The
+    continued steps are bit-identical to one call over the whole block.
+    """
     step = model.exact_step
-    if step.kind == "arith":
+    if step.kind in ("arith", "loggauss"):
         inc = step.mu_sim * dt + math.sqrt(step.sig_sq_sim * dt) * z
-        xb = x_cur[:, None] + np.cumsum(inc, axis=1)
-    elif step.kind == "loggauss":
-        inc = step.mu_sim * dt + math.sqrt(step.sig_sq_sim * dt) * z
-        xb = x_cur[:, None] * np.exp(np.cumsum(inc, axis=1))
-    elif step.kind == "ou":
+        if carry is not None:
+            inc[:, 0] += carry
+        walk = np.cumsum(inc, axis=1)
+        if step.kind == "arith":
+            xb = x0[:, None] + walk
+        else:
+            xb = x0[:, None] * np.exp(walk)
+        return xb, walk[:, -1]
+    if step.kind == "ou":
         a = math.exp(-step.theta * dt)
         sd = math.sqrt(step.sig_sq_sim * (-math.expm1(-2.0 * step.theta * dt))
                        / (2.0 * step.theta))
         from scipy import signal    # costs ~0.6 s at import; only OU uses it
-        d0 = x_cur - step.mean
-        dev, _ = signal.lfilter([1.0], [1.0, -a], sd * z, axis=1,
-                                zi=(a * d0)[:, None])
-        xb = step.mean + dev
-    else:  # pragma: no cover - catalog kinds are closed above
-        raise UnsupportedModelError("unknown exact step kind",
-                                    operation="simulate", value=step.kind,
-                                    module=_MOD)
-    xprev = np.concatenate([x_cur[:, None], xb[:, :-1]], axis=1)
-    return xb, xprev
+        zi = (a * (x0 - step.mean))[:, None] if carry is None else carry
+        dev, zf = signal.lfilter([1.0], [1.0, -a], sd * z, axis=1, zi=zi)
+        return step.mean + dev, zf
+    raise UnsupportedModelError(    # pragma: no cover - catalog kinds are closed
+        "unknown exact step kind", operation="simulate", value=step.kind,
+        module=_MOD)
 
 
-def _bridge_extremes(model, xprev, xb, u_min, u_max, dt):
+def _bridge_extremes(model, ends, log_u_min, log_u_max, dt):
     """Within-step (minimum, maximum) samples of the Brownian bridge
-    between consecutive step ends, in the state coordinate."""
+    between consecutive points of ends (the start, then the step ends),
+    in the state coordinate, from the logs of the step's uniforms."""
     step = model.exact_step
-    s2 = step.bridge_sig_sq
     if step.kind == "loggauss":
         # the bridge is exact in log space; state extremes are its exp
-        a, b = np.log(xprev), np.log(xb)
-    else:
-        a, b = xprev, xb
-    gap = a - b
-    root_lo = np.sqrt(gap * gap - 2.0 * s2 * dt * np.log(u_min))
-    root_hi = np.sqrt(gap * gap - 2.0 * s2 * dt * np.log(u_max))
-    lo = 0.5 * (a + b - root_lo)
-    hi = 0.5 * (a + b + root_hi)
+        ends = np.log(ends)
+    a, b = ends[:, :-1], ends[:, 1:]
+    gap_sq = a - b
+    gap_sq *= gap_sq
+    mid = a + b
+    c = 2.0 * step.bridge_sig_sq * dt
+    # mid -/+ sqrt(gap^2 - c log u), halved, in place
+    lo = np.sqrt(gap_sq - c * log_u_min)
+    lo = np.subtract(mid, lo, out=lo)
+    lo *= 0.5
+    hi = np.sqrt(gap_sq - c * log_u_max)
+    hi += mid
+    hi *= 0.5
     if step.kind == "loggauss":
-        return np.exp(lo), np.exp(hi)
+        return np.exp(lo, out=lo), np.exp(hi, out=hi)
     return lo, hi
 
 
-def _euler_blocks(model, x_cur, z, dt):
+def _euler_blocks(model, x0, z, dt, carry=None):
+    """(X block, last X) under the Euler step from x0, or from carry,
+    the last X of the previous call."""
     a, b = model.interval
     lo = a + 1e-12 * (1.0 + abs(a)) if math.isfinite(a) else -math.inf
     hi = b - 1e-12 * (1.0 + abs(b)) if math.isfinite(b) else math.inf
     p, L = z.shape
     xb = np.empty((p, L))
-    xc = x_cur
+    xc = x0 if carry is None else carry
     rdt = math.sqrt(dt)
     for k in range(L):
         mu = np.asarray(model.drift(xc), dtype=float)
@@ -306,15 +332,14 @@ def _euler_blocks(model, x_cur, z, dt):
         # itself cannot reach; pin it just inside
         xc = np.clip(xc, lo, hi)
         xb[:, k] = xc
-    xprev = np.concatenate([x_cur[:, None], xb[:, :-1]], axis=1)
-    return xb, xprev
+    return xb, xc
 
 
-def _grid_block(model, cfg, x_cur, z, dt):
-    """(X block, previous X per step) under cfg's scheme."""
+def _grid_block(model, cfg, x0, z, dt, carry=None):
+    """(X block, carry) under cfg's scheme; see ``_exact_blocks``."""
     if cfg.scheme == "exact_bm":
-        return _exact_blocks(model, x_cur, z, dt)
-    return _euler_blocks(model, x_cur, z, dt)
+        return _exact_blocks(model, x0, z, dt, carry)
+    return _euler_blocks(model, x0, z, dt, carry)
 
 
 def _require_scheme(model, cfg):
@@ -391,14 +416,25 @@ def _drawdown_chunk(model, x, delta, dts, cfg, first, count):
         zs = ((z,) if len(dts) == 1
               else (z, _paired_normals(model, cfg, z, dts[0])))
         if bridge:
-            us = [(_draw_uniforms(gens, alive, zi.shape[1]),
-                   _draw_uniforms(gens, alive, zi.shape[1])) for zi in zs]
+            widths = [zi.shape[1] for zi in zs]
+            u = np.empty((alive.size, 2 * sum(widths)))
+            for j, g in enumerate(alive):
+                # one call reads every arm's u_min, u_max in stream order
+                gens[g].random(out=u[j])
+            # 1 - random() lies in ]0, 1]; at exactly 1 the bridge minimum
+            # degenerates to the endpoint minimum, which is the right limit
+            log_u = np.log(np.subtract(1.0, u, out=u), out=u)
+            parts = np.split(log_u, np.cumsum(np.repeat(widths, 2))[:-1],
+                             axis=1)
+            us = list(zip(parts[0::2], parts[1::2]))
         running = np.zeros(alive.size, dtype=bool)
         for i, dt in enumerate(dts):
             live = ~stopped[i, alive]
-            xb, xprev = _grid_block(model, cfg, x_cur[i, alive], zs[i], dt)
+            x0 = x_cur[i, alive]
+            xb, _ = _grid_block(model, cfg, x0, zs[i], dt)
             if bridge:
-                probe, tops = _bridge_extremes(model, xprev, xb, *us[i], dt)
+                ends = np.concatenate([x0[:, None], xb], axis=1)
+                probe, tops = _bridge_extremes(model, ends, *us[i], dt)
             else:
                 probe, tops = xb, xb
             # running maximum before each step's end; the probe (bridge
@@ -606,44 +642,49 @@ _EXC_BLOCK_STEPS = 4096
 _NO_TAIL = np.empty(0)
 
 
-def _scan_excursion_row(row, lev0, mn0, lo, hi, delta):
-    """Count closed band excursions along one block of one path.
+def _scan_excursions(xs, level, low, lo, hi, delta):
+    """Scan a block of grid points, one row per path, for excursions.
 
-    Returns (count, new_level, new_min, k_done) where k_done is the
-    index of the first point above hi (the count is final there: no
-    excursion can start in the band once the maximum passed hi), or -1.
+    Row r carries in its running maximum level[r] and the minimum
+    low[r] of the excursion open below it.  An excursion ends where a
+    point touches or raises the maximum; the ones that end inside the
+    block count when they start in ]lo, hi] and are delta-deep.
+    Returns (counts, level, low, over): the counts, each row's maximum
+    and open minimum at the block's end, and whether the row went
+    above hi (its count is final there: no excursion can start in the
+    band once the maximum passed hi; the points after it add nothing).
     """
-    k_done = -1
-    over = row > hi
-    if over.any():
-        k_done = int(np.argmax(over))
-        row = row[:k_done + 1]
-    m_run = np.maximum(lev0, np.maximum.accumulate(row))
-    prev = np.concatenate(([lev0], m_run[:-1]))
-    starts = np.flatnonzero(row >= prev)
-    c = 0
-    if starts.size:
-        s0 = int(starts[0])
-        first_min = mn0 if s0 == 0 else min(mn0, float(row[:s0].min()))
-        if lev0 - first_min >= delta and lo < lev0 <= hi:
-            c += 1
-        if starts.size > 1:
-            mins = np.minimum.reduceat(row, starts)
-            levs = m_run[starts]
-            deep = levs[:-1] - mins[:-1] >= delta
-            band = (levs[:-1] > lo) & (levs[:-1] <= hi)
-            c += int(np.count_nonzero(deep & band))
-        last = int(starts[-1])
-        new_lev = float(m_run[-1])
-        new_min = float(row[last:].min())
-    else:
-        new_lev = lev0
-        new_min = min(mn0, float(row.min()))
-    return c, new_lev, new_min, k_done
+    n, w = xs.shape
+    run = np.maximum(np.maximum.accumulate(xs, axis=1), level[:, None])
+    # each row reads [low, x_0, ..., x_w-1]: the carried excursion is a
+    # segment that is never empty, even when x_0 closes it
+    aug = np.empty((n, w + 1))
+    aug[:, 0] = low
+    aug[:, 1:] = xs
+    top = np.empty((n, w + 1), dtype=bool)
+    top[:, 0] = True
+    top[:, 1] = xs[:, 0] >= level
+    np.greater_equal(xs[:, 1:], run[:, :-1], out=top[:, 2:])
+    starts = np.flatnonzero(top)
+    row = starts // (w + 1)
+    mins = np.minimum.reduceat(aug.ravel(), starts)
+    # a segment hangs from its first point, which is the running maximum
+    levs = aug.ravel()[starts]
+    levs[starts % (w + 1) == 0] = level
+    closed = np.append(row[1:] == row[:-1], False)
+    deep = closed & (levs - mins >= delta) & (levs > lo) & (levs <= hi)
+    counts = np.bincount(row[deep], minlength=n)
+    return counts, levs[~closed], mins[~closed], (xs > hi).any(axis=1)
 
 
-def _deep_block(gen, step, x0, level, length, dt):
-    """One block of a row whose open excursion is already delta-deep.
+def _scalar_map(f, v):
+    """f over the array v element by element, in Python floats, so that
+    each value matches f applied to that row alone."""
+    return np.fromiter(map(f, v.tolist()), dtype=float, count=v.size)
+
+
+def _deep_blocks(gens, step, x0, level, length, dt):
+    """One block of each row whose open excursion is already delta-deep.
 
     Only a return to the running maximum can change such a row's count,
     so the block draws its end increment w and one uniform that decides
@@ -657,33 +698,51 @@ def _deep_block(gen, step, x0, level, length, dt):
     drift drops out.  ``step`` is an "arith" or "loggauss" exact step;
     loggauss rows work in log space.
 
-    Returns (tail, x_end): the grid points after tau in the state
-    coordinate (empty when the bridge stays below the level) and the
-    block's endpoint.
+    Row i starts at x0[i] below level[i] and draws from gens[i]: its
+    normal and uniform, then, when its bridge reaches the level, the
+    Wald variate and the tail's normals.  Returns (hits, tails, x_end):
+    the indices of the rows whose bridge reaches the level, their grid
+    points after tau in the state coordinate, and every row's endpoint.
     """
     log = step.kind == "loggauss"
-    a = math.log(x0) if log else x0
-    gap = (math.log(level) if log else level) - a
     span = length * dt
     sd = math.sqrt(step.sig_sq_sim * span)
-    w = step.mu_sim * span + sd * gen.standard_normal()
+    z, u = np.empty(len(gens)), np.empty(len(gens))
+    for i, gen in enumerate(gens):
+        z[i] = gen.standard_normal()
+        u[i] = gen.random()
+    a = _scalar_map(math.log, x0) if log else x0
+    gap = (_scalar_map(math.log, level) if log else level) - a
+    w = step.mu_sim * span + sd * z
     end = a + w
-    x_end = math.exp(end) if log else end
     rest = gap - w
-    if gen.random() >= math.exp(min(0.0, -2.0 * gap * rest / (sd * sd))):
-        return _NO_TAIL, x_end
-    v = gen.wald(gap / max(abs(rest), 1e-300), (gap / sd) ** 2)
-    tau = span * v / (1.0 + v)
-    k1 = min(int(tau / dt), length - 1)
-    # offsets of the grid points after tau; the last one is the endpoint
-    t = np.arange(k1 + 1, length + 1) * dt - tau
-    t[-1] = span / (1.0 + v)
-    walk = np.cumsum(np.sqrt(step.sig_sq_sim
-                             * np.diff(t, prepend=0.0).clip(min=0.0))
-                     * gen.standard_normal(t.size))
-    tail = (a + gap) + walk - t / t[-1] * (walk[-1] + rest)
-    tail[-1] = end
-    return (np.exp(tail) if log else tail), x_end
+    hits = np.flatnonzero(u < _scalar_map(
+        math.exp, np.minimum(0.0, -2.0 * gap * rest / (sd * sd))))
+    tails = []
+    for i in hits.tolist():
+        gen = gens[i]
+        g, r = float(gap[i]), float(rest[i])
+        v = gen.wald(g / max(abs(r), 1e-300), (g / sd) ** 2)
+        tau = span * v / (1.0 + v)
+        k1 = min(int(tau / dt), length - 1)
+        # offsets of the grid points after tau; the last one is the endpoint
+        t = np.arange(k1 + 1, length + 1) * dt - tau
+        t[-1] = span / (1.0 + v)
+        walk = np.cumsum(np.sqrt(step.sig_sq_sim
+                                 * np.diff(t, prepend=0.0).clip(min=0.0))
+                         * gen.standard_normal(t.size))
+        tail = (float(a[i]) + g) + walk - t / t[-1] * (walk[-1] + r)
+        tail[-1] = end[i]
+        tails.append(np.exp(tail) if log else tail)
+    return hits, tails, (_scalar_map(math.exp, end) if log else end)
+
+
+def _deep_block(gen, step, x0, level, length, dt):
+    """``_deep_blocks`` for one row: (tail, x_end), with an empty tail
+    when the bridge stays below the level."""
+    hits, tails, x_end = _deep_blocks([gen], step, np.array([x0]),
+                                      np.array([level]), length, dt)
+    return (tails[0] if hits.size else _NO_TAIL), float(x_end[0])
 
 
 def _excursion_chunk(model, x, y, delta, cfg, first, count):
@@ -704,27 +763,60 @@ def _excursion_chunk(model, x, y, delta, cfg, first, count):
     while alive.size and step_base < n_steps:
         length = min(_EXC_BLOCK_STEPS, n_steps - step_base)
         deep = skips & (level[alive] - cur_min[alive] >= delta)
+        tail_rows, tails = alive[:0], []
+        if deep.any():
+            skip = alive[deep]
+            hits, tails, x_cur[skip] = _deep_blocks(
+                [gens[g] for g in skip], step, x_cur[skip], level[skip],
+                length, dt)
+            tail_rows = skip[hits]
+        # tails end at the block's end; flat holds them back to back
+        sizes = np.array([t.size for t in tails], dtype=np.intp)
+        flat = np.concatenate(tails) if tails else _NO_TAIL
+        offs = np.cumsum(sizes) - sizes
+        col0 = length - sizes
+        # the block runs in sub-blocks of at most a chunk's worth of
+        # _BLOCK_STEPS-step rows (wider when fewer rows remain), with
+        # full rows carrying their stepping state across; rows that
+        # finish stop drawing
         full = alive[~deep]
-        blocks = []
-        if full.size:
-            z = _draw_normals(gens, full, length)
-            xb, _ = _grid_block(model, cfg, x_cur[full], z, dt)
-            blocks.extend(zip(full, xb))
-        for g in alive[deep]:
-            tail, x_cur[g] = _deep_block(gens[g], step, float(x_cur[g]),
-                                         float(level[g]), length, dt)
-            if tail.size:
-                blocks.append((g, tail))
-        for g, row in blocks:
-            c, lev, mn, k_done = _scan_excursion_row(
-                row, level[g], cur_min[g], x, y, delta)
-            counts[g] += c
-            level[g] = lev
-            cur_min[g] = mn
-            if k_done >= 0:
-                done[g] = True
-            else:
-                x_cur[g] = row[-1]
+        x0 = x_cur[full]
+        carry = None
+        s = 0
+        while s < length:
+            pend = np.flatnonzero(~done[tail_rows])
+            if not full.size:
+                if not pend.size:
+                    break
+                s = max(s, int(col0[pend].min()))
+            w = min(length - s, _BLOCK_STEPS * max(
+                1, _CHUNK_PATHS // (full.size + pend.size)))
+            blocks, rows = [], [full]
+            if full.size:
+                z = _draw_normals(gens, full, w)
+                xb, carry = _grid_block(model, cfg, x0, z, dt, carry)
+                blocks.append(xb)
+            # deep rows whose tail reaches this sub-block; the points
+            # before a tail lie below the level, so the open minimum
+            # stands in for them
+            sel = pend[col0[pend] < s + w]
+            if sel.size:
+                k = (s - col0[sel])[:, None] + np.arange(w)
+                blocks.append(np.where(
+                    k >= 0, flat[offs[sel, None] + np.maximum(k, 0)],
+                    cur_min[tail_rows[sel], None]))
+                rows.append(tail_rows[sel])
+            s += w
+            rows = np.concatenate(rows)
+            c, level[rows], cur_min[rows], over = _scan_excursions(
+                np.concatenate(blocks), level[rows], cur_min[rows],
+                x, y, delta)
+            counts[rows] += c
+            done[rows[over]] = True
+            if full.size:
+                keep = ~over[:full.size]
+                full, x0, carry = full[keep], x0[keep], carry[keep]
+                x_cur[full] = xb[keep, -1]
         alive = alive[~done[alive]]
         step_base += length
 
@@ -753,12 +845,18 @@ def excursion_counts(model: DiffusionModel, x: float, y: float, delta: float,
     Rows of an "arith" or "loggauss" exact step whose open excursion is
     already delta-deep skip to each block's end unless the bridge to it
     reaches the maximum, and then draw only the grid points after the
-    passage (see ``_deep_block``).  The skip is exact on the grid: no
+    passage (see ``_deep_blocks``).  The skip is exact on the grid: no
     point before the passage can reach the maximum, and those points
     can neither end the excursion nor make it deeper than it counts.
     Ornstein-Uhlenbeck and Euler rows step every grid point.  Results
     stay bit-identical at any thread count, and extending n_paths keeps
     the counts already drawn.
+
+    The 4096-step blocks, and the skip-or-step choice made at each
+    block's start, define the streams.  Each block runs in sub-blocks
+    of at most 2048 x 256 points (256 steps for a full chunk of rows,
+    more as rows finish), so memory stays bounded; that split is how
+    the work is run and changes no draw or count.
     Returns (counts, finished).
     """
     validate_query(model, x, delta)

@@ -1,10 +1,12 @@
 """Monte Carlo engine tests: reproducibility, closed-form agreement,
 estimator contracts, and the Poisson structure of excursion counts."""
 
+import hashlib
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +163,101 @@ def test_thread_cap_env_validation(monkeypatch):
     assert mc.thread_cap() >= 1
     monkeypatch.setenv("DDKIT_THREADS", "3")
     assert mc.thread_cap() == 3
+
+
+def test_thread_cap_follows_cpu_affinity(monkeypatch):
+    # a container or taskset may allow fewer CPUs than the machine has
+    monkeypatch.delenv("DDKIT_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    assert mc.thread_cap() == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)))
+    assert mc.thread_cap() == 8
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert mc.thread_cap() == 8
+    monkeypatch.setenv("DDKIT_THREADS", "5")
+    assert mc.thread_cap() == 5
+
+
+def _digest(*arrays):
+    """Short sha256 of the arrays' bytes.  Floats go through float32:
+    a platform whose SIMD log or exp rounds the last bit differently
+    then still matches, while any change of stream, draw order or
+    stepping moves the values far more than that."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(np.ascontiguousarray(
+            a.astype(np.float32) if a.dtype.kind == "f" else a).tobytes())
+    return h.hexdigest()[:16]
+
+
+# model, x, delta, excursion band top, config overrides, excursion horizon
+PIN_CASES = {
+    "bm": (BM, 0.0, 1.0, 1.0, {}, 400.0),
+    "dbm": (DBM, 0.0, 1.0, 1.0, {}, 100.0),
+    "gbm": (geometric_brownian(0.05, 0.09), 1.0, 0.3, 1.3,
+            dict(dt=0.0009, t_max=20.0), 30.0),
+    "ou": (ornstein_uhlenbeck(1.0), 0.0, 1.0, 0.8, {}, 100.0),
+    "ou_euler": (ornstein_uhlenbeck(1.0), 0.0, 1.0, 0.8,
+                 dict(scheme="euler", t_max=20.0), 60.0),
+}
+# (simulate, paired_simulate, excursion_counts, sample_trajectory)
+PINNED = {
+    "bm": ("894c176abf8a65d2", "3c4ef12cfeccc6a4",
+           "f45b3a7d076fdd3e", "7b28b7c839bb9dfc"),
+    "dbm": ("a81cda5e71c79682", "65907228762f1eef",
+            "da7db3112b044177", "a7e8ea44ea3ec0e2"),
+    "gbm": ("b5215ddf2fa1bbe0", "3fa77451b82593ec",
+            "fe217affd26bfe23", "8bbf39fd1998240c"),
+    "ou": ("43fc66c2207cf533", "0a998c860015f05d",
+           "4e76dea75e86b274", "237022ee4058c810"),
+    "ou_euler": ("a746cd2bb1186a73", "27f60421a594bce2",
+                 "26cff35aff28caad", "a810014d99decc9d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_CASES))
+def test_streams_match_pinned_digests(name):
+    # the fixed-seed verdicts of the oracle depend on these streams, so
+    # how the engine runs its blocks must not move a single draw; the
+    # excursion horizons span several 4096-step blocks with deep skips
+    model, x, delta, y, kw, t_exc = PIN_CASES[name]
+    cfg = small_cfg(seed=2024, **kw)
+    col = mc.simulate(model, x, delta, cfg)
+    pair = mc.paired_simulate(model, x, delta, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")    # some paths end at the horizon
+        counts, done = mc.excursion_counts(
+            model, x, y, delta, small_cfg(seed=2024, dt=cfg.dt, t_max=t_exc,
+                                          scheme=cfg.scheme))
+    path = mc.sample_trajectory(model, x, cfg, n_steps=1000, path_index=3)
+    got = (_digest(col.tau_hat, col.m_tau_hat, col.stopped),
+           _digest(*(getattr(arm, f) for arm in pair
+                     for f in ("tau_hat", "m_tau_hat", "stopped"))),
+           _digest(counts, done), _digest(path))
+    assert got == PINNED[name]
+
+
+@pytest.mark.parametrize("model,x0,scheme", [
+    (BM, 0.0, "exact_bm"), (DBM, 0.0, "exact_bm"),
+    (geometric_brownian(0.05, 0.09), 1.0, "exact_bm"),
+    (ornstein_uhlenbeck(1.0), 0.5, "exact_bm"),
+    (ornstein_uhlenbeck(1.0), 0.5, "euler"),
+], ids=["arith", "drifted", "loggauss", "ou", "euler"])
+def test_sub_block_carry_is_bit_identical(model, x0, scheme):
+    # the excursion counter steps a block in pieces of any width; with
+    # the returned carry the pieces must equal one call bit for bit
+    cfg = small_cfg(scheme=scheme)
+    z = np.random.default_rng(4).standard_normal((40, 700))
+    x = np.full(40, x0)
+    whole, _ = mc._grid_block(model, cfg, x, z, 0.001)
+    parts, carry = [], None
+    for a, b in ((0, 256), (256, 257), (257, 700)):
+        xb, carry = mc._grid_block(model, cfg, x, z[:, a:b], 0.001, carry)
+        parts.append(xb)
+    assert np.array_equal(np.concatenate(parts, axis=1), whole)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +452,107 @@ def test_deep_block_skip_matches_stepping(model, x0, level, length, dt):
     skip_stats = _first_passage_stats(skip_hit, skip_first, skip_over)
     for (a, sa), (b, sb) in zip(skip_stats, step_stats):
         assert abs(a - b) <= 3.0 * math.hypot(sa, sb)
+
+
+def _scan_row_reference(row, level, low, lo, hi, delta):
+    """Point-by-point excursion scan of one row: (count, level, low,
+    over), the row read up to its first point above hi."""
+    count, over = 0, False
+    for v in row:
+        if v >= level:
+            # touches or raises the maximum: the open excursion ends
+            if level - low >= delta and lo < level <= hi:
+                count += 1
+            level = low = v
+            if v > hi:
+                over = True
+                break
+        else:
+            low = min(low, v)
+    return count, level, low, over
+
+
+def _reference_scan(rows, level, low, lo, hi, delta):
+    """_scan_row_reference over rows, as (counts, level, low, over)."""
+    return [np.array(col) for col in zip(*(
+        _scan_row_reference(r, lv, lw, lo, hi, delta)
+        for r, lv, lw in zip(rows, level, low)))]
+
+
+def _check_scan(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[3], want[3])
+    # a row's state after it went above hi is never read again
+    keep = ~want[3]
+    assert np.array_equal(got[1][keep], want[1][keep])
+    assert np.array_equal(got[2][keep], want[2][keep])
+
+
+def _scan_in_pieces(xs, level, low, lo, hi, delta, cuts):
+    """Scan column pieces in turn, carrying level and low, as the
+    excursion counter's sub-blocks do."""
+    counts = np.zeros(len(xs), dtype=np.int64)
+    over = np.zeros(len(xs), dtype=bool)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        c, level, low, o = mc._scan_excursions(xs[:, a:b], level, low,
+                                               lo, hi, delta)
+        counts += c
+        over |= o
+    return counts, level, low, over
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_excursion_scan_matches_per_row_reference(seed):
+    rng = np.random.default_rng(seed)
+    n, w, lo, hi, delta = 400, 96, 0.0, 1.5, 0.5
+    level = rng.uniform(0.0, 1.4, n)
+    low = level - rng.uniform(0.0, 1.0, n)      # about half arrive deep
+    start = low + rng.uniform(0.0, 1.0, n) * (level - low)
+    xs = start[:, None] + np.cumsum(rng.normal(0.0, 0.12, (n, w)), axis=1)
+    # a carried deep excursion that closes at the first point, so no
+    # point lies between the carried minimum and the next maximum
+    level[0], low[0] = 1.0, 0.2
+    xs[0, 0] = 1.0
+    # the same at the first point of the piece that starts at column 40
+    level[1], low[1] = 0.9, 0.85
+    xs[1, :40] = 0.2
+    xs[1, 40:] = 0.95 + np.linspace(0.0, 0.1, w - 40)
+    # a row that goes above hi in the middle
+    xs[2] = np.linspace(level[2] - 0.6, hi + 0.4, w)
+    # a row that never reaches its maximum again
+    xs[3] = level[3] - 0.05 - rng.uniform(0.0, 0.8, w)
+    args = (level, low, lo, hi, delta)
+    want = _reference_scan(xs, *args)
+    assert want[0][0] == 1 and want[0][1] == 1
+    assert want[3][2] and not want[3][3]
+    assert want[0][3] == 0 and want[2][3] == min(low[3], xs[3].min())
+    assert want[3].any() and (want[0] > 0).sum() > 20
+    _check_scan(mc._scan_excursions(xs, *args), want)
+    _check_scan(_scan_in_pieces(xs, *args, cuts=(0, 1, 40, 41, 77, w)),
+                want)
+
+
+def test_excursion_scan_of_left_filled_tails():
+    # a deep row draws only the grid points after its bridge reaches the
+    # level; the counter right-aligns such tails in the block and fills
+    # the points before them with the open minimum, which must count
+    # as the bare tail does
+    rng = np.random.default_rng(7)
+    n, length, lo, hi, delta = 80, 300, 0.0, 2.0, 0.5
+    level = rng.uniform(0.2, 1.6, n)
+    low = level - rng.uniform(0.5, 1.5, n)
+    sizes = rng.integers(1, length + 1, n)
+    sizes[:2] = 1, length
+    tails = [lv + np.cumsum(rng.normal(0.0, 0.1, k))
+             for lv, k in zip(level, sizes)]
+    filled = np.repeat(low[:, None], length, axis=1)
+    for row, tail in zip(filled, tails):
+        row[length - tail.size:] = tail
+    args = (level, low, lo, hi, delta)
+    want = _reference_scan(tails, *args)
+    assert want[0].sum() > 10 and want[3].any()
+    for cuts in ((0, length), (0, 256, length), (0, 7, 150, 151, length)):
+        _check_scan(_scan_in_pieces(filled, *args, cuts=cuts), want)
 
 
 def test_drifted_excursions_poisson_mean():
