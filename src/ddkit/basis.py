@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chebyshev import lobatto
 from .errors import NumericError, ValidationError
 from .models import DiffusionModel, scale_density
 
@@ -114,17 +115,9 @@ def _cheb(n):
     """Points t_j = -cos(j pi / n) on [-1, 1] and the stacked matrix
     [J1; J2] taking the values of a degree-n polynomial there to the
     values of its first and second antiderivatives from -1."""
-    theta = np.pi - np.pi * np.arange(n + 1) / n
-    ev = np.cos(np.outer(theta, np.arange(n + 3)))    # T_0 .. T_{n+2} there
-    k = np.arange(n + 2)
-    a = np.zeros((n + 3, n + 2))    # Chebyshev coefficients -> antiderivative's
-    a[k + 1, k] = np.where(k == 0, 1.0, 0.5 / (k + 1))
-    a[k[2:] - 1, k[2:]] = -0.5 / (k[2:] - 1)
-    a[0] -= (-1.0) ** np.arange(n + 3) @ a          # vanishing at -1
-    # discrete orthogonality at these points inverts ev[:, :-2] exactly
-    w = np.where(np.arange(n + 1) % n == 0, 0.5, 1.0)
-    c = a[:-1, :-1] @ ((2.0 / n) * w[:, None] * ev[:, :-2].T * w)
-    return np.cos(theta), np.vstack([ev[:, :-1] @ c, ev @ a @ c])
+    t, ev, coef, a = lobatto(n)
+    c = a[:-1, :-1] @ coef
+    return t, np.vstack([ev[:, :-1] @ c, ev @ a @ c])
 
 
 def _coefficients(model, xs):

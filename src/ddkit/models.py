@@ -15,7 +15,8 @@ which ``scale_density``, ``scale_diff`` and ``scale`` call.  The catalog
 kinds (bm, drifted_bm, gbm, ou) give them in closed form, along with
 eigenfunction ratios where elementary ones exist and exact Gaussian
 transition steps used by the Monte Carlo engine.  Custom models are
-assembled from named coefficient forms and get both by quadrature.
+assembled from named coefficient forms and get both from one table of
+log S', piecewise Chebyshev and grown lazily outward from scale_ref.
 
 ``scale_ref`` is the normalization point where S' = 1; it is distinct
 from the anchor of a ScaleMap, which only fixes where S vanishes.
@@ -26,19 +27,18 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import integrate
+from numpy.polynomial.legendre import leggauss
 from scipy.special import erfi
 
+from .chebyshev import lobatto
 from .errors import DomainError, NumericError, UnsupportedModelError, ValidationError
 
 _MOD = "models"
-
-# quadrature settings of the custom-model scale callables
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 
 CATALOG_KINDS = ("bm", "drifted_bm", "gbm", "ou")
 
@@ -396,11 +396,302 @@ def _build_form(doc, role):
                           operation="custom_model", value=form, module=_MOD)
 
 
+# the log-scale table of custom models; custom_model states its error
+_DEGREE = 24                  # Chebyshev degree of g on every panel
+_TAIL = 2.0 ** -46            # accepted last coefficients of g, relative to max |g|
+_LOG_SCALE_MAX = 1024.0       # |L| past which S' is far outside the float range
+_CHEB = lobatto(_DEGREE)
+_TP1 = _CHEB.t + 1.0
+_G_TO_L = _CHEB.anti[:-1, :-1]                 # coefficients of g -> of its integral
+_J = np.arange(_DEGREE + 2)
+_GL_T, _GL_W = leggauss(16)
+_LOOKAHEAD = 2                                 # panels tried in one batch
+
+
+def _trial_tree():
+    """Widths and offsets of the panels one batch tries, per unit trial
+    width: level l holds 4^(l+1) rows, and the children of row i of level
+    l - 1 are rows 4i .. 4i + 3 of level l, starting where row i ends
+    with twice its width and three halvings of that."""
+    splits = 0.5 ** np.arange(4)
+    f, a = [splits], [np.zeros(4)]
+    for _ in range(_LOOKAHEAD - 1):
+        a.append((a[-1] + f[-1]).repeat(4))
+        f.append(np.outer(2.0 * f[-1], splits).ravel())
+    f, a = np.concatenate(f), np.concatenate(a)
+    return f, a, a + f                         # all exact dyadic numbers
+
+
+_TREE_W, _TREE_START, _TREE_END = _trial_tree()
+
+
+class _Table(NamedTuple):
+    """Panels [edges[k], edges[k + 1]]; rows[k] = [edges[k], hs, off,
+    C_0 .. C_D] with L = off + sum_j C_j T_j(t) on the panel, D the
+    largest degree of any panel, and int e^{-L} over it is full[k]."""
+
+    edges: np.ndarray
+    rows: np.ndarray
+    full: np.ndarray
+
+
+class _Side:
+    """One side of the table, outward from scale_ref: outer edges, rows
+    [left edge, hs, off, full, C...], accepted panels (left edge, hs,
+    off, max|g|, C) not yet in rows, L at the outer edge as a
+    compensated pair, the next trial width and why the last trial
+    failed."""
+
+    def __init__(self, ref):
+        self.edges = [ref]
+        self.rows = np.empty((0, _DEGREE + 6))
+        self.new = []
+        self.acc = (0.0, 0.0)
+        self.trial = 1.0
+        self.why = ""
+
+    def flush(self):
+        """Move the new panels into rows.  Their C loses its trailing
+        coefficients at or below 2^-52 hs max|g|, rounding level of the
+        panel's range of L.  Only elementwise operations touch a row, so
+        its bits do not depend on which panels share the flush."""
+        if not self.new:
+            return
+        p, hs, off, gmax = (np.array(v) for v in list(zip(*self.new))[:4])
+        C = np.array([q[4] for q in self.new])
+        last = np.where(np.abs(C) > (2.0 ** -52 * hs * gmax)[:, None], _J, -1).max(axis=1)
+        C[_J > last[:, None]] = 0.0
+        with np.errstate(over="ignore"):
+            f = np.exp(-(off[:, None] + _cheb_sum(C[:, None, :], _GL_T)))
+        full = hs * sum(w * f[:, i] for i, w in enumerate(_GL_W))
+        self.rows = np.vstack([self.rows, np.column_stack([p, hs, off, full, C])])
+        self.new = []
+
+
+def _add(acc, x):
+    """Neumaier's compensated sum: acc = (sum, correction)."""
+    s, c = acc
+    t = s + x
+    c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+    return t, c
+
+
+def _cheb_sum(C, t):
+    """sum_j C[..., j] T_j(t), added in order of j, so zero coefficients
+    past a panel's degree change no bit."""
+    L = C[..., 0] + C[..., 1] * t
+    t2, tj, tm = 2.0 * t, t, 1.0
+    for j in range(2, C.shape[-1]):
+        tj, tm = t2 * tj - tm, tj
+        L += C[..., j] * tj
+    return L
+
+
+def _log_scale(tab, k, x):
+    """L at the points x, inside the panels k (broadcast against x)."""
+    r = tab.rows[k]
+    t = (x - r[..., 0]) / r[..., 1] - 1.0         # in [-1, 1] up to rounding
+    return r[..., 2] + _cheb_sum(r[..., 3:], t)
+
+
+def _gl_pieces(tab, k, lo, hi):
+    """int_lo^hi e^{-L} inside the panels k, by Gauss-Legendre."""
+    hw = 0.5 * (hi - lo)
+    x = (lo + hw)[:, None] + hw[:, None] * _GL_T
+    with np.errstate(over="ignore"):
+        return hw * (np.exp(-_log_scale(tab, k[:, None], x)) @ _GL_W)
+
+
+class _LogScale:
+    """L(x) = int_ref^x 2 mu / sigma_sq as a piecewise Chebyshev table,
+    grown lazily outward from ref; S' = e^{-L}.  See custom_model."""
+
+    def __init__(self, drift, dsq, interval, ref):
+        self._drift, self._dsq, self._interval = drift, dsq, interval
+        self._lock = threading.Lock()
+        self._sides = (_Side(ref), _Side(ref))      # right, left
+        self._publish()
+
+    def _publish(self):
+        """Both sides as one _Table, which readers take without the lock."""
+        right, left = self._sides
+        right.flush()
+        left.flush()
+        rows = np.vstack([left.rows[::-1], right.rows])
+        deg = np.where(rows[:, 4:] != 0.0, _J, 1).max(initial=1)
+        self._tab = _Table(np.array(left.edges[:0:-1] + right.edges),
+                           rows[:, [0, 1, 2, *range(4, 5 + deg)]], rows[:, 3])
+
+    def _covering(self, lo, hi, op):
+        """The table with edges[0] <= lo and hi < edges[-1]."""
+        tab = self._tab
+        if tab.edges[0] <= lo and hi < tab.edges[-1]:
+            return tab
+        with self._lock:
+            try:
+                self._extend(self._sides[0], 1.0, hi, op)
+                self._extend(self._sides[1], -1.0, lo, op)
+            finally:
+                self._publish()
+            return self._tab
+
+    def _extend(self, side, s, target, op):
+        """Append panels on one side until its outer edge passes target."""
+        end = self._interval[1] if s > 0 else self._interval[0]
+        while side.edges[-1] <= target if s > 0 else side.edges[-1] > target:
+            e, lval = side.edges[-1], side.acc[0] + side.acc[1]
+            if abs(lval) > _LOG_SCALE_MAX:
+                raise NumericError(f"|log S'| passes {_LOG_SCALE_MAX:g} at {e:g}, short "
+                                   "of the point: S' leaves the float range",
+                                   operation=op, value=target, module=_MOD)
+            if not side.trial > 1e-12 * max(1.0, abs(e)):   # bisected to nothing
+                raise NumericError(f"{side.why} near {e:g}", operation=op,
+                                   value=target, module=_MOD)
+            for ne, hs, gc, gmax in self._panels(side, s, end):
+                C = hs * (_G_TO_L @ gc)          # L - L(p), vanishing at t = -1
+                off = side.acc[0] + side.acc[1]
+                side.acc = _add(side.acc, s * C.sum())
+                if s > 0:
+                    side.new.append((side.edges[-1], hs, off, gmax, C))
+                else:
+                    side.new.append((ne, hs, side.acc[0] + side.acc[1], gmax, C))
+                side.edges.append(ne)
+
+    def _panels(self, side, s, end):
+        """Accept the next panels of a side and set its next trial width.
+
+        A panel starts at the outer edge with the trial width and is
+        bisected until g is finite with sigma_sq > 0 at its nodes, its
+        last three Chebyshev coefficients are at most _TAIL max|g|,
+        width * max|g| <= 1 and the width is at most half the distance to
+        a finite endpoint; the next trial is twice the accepted width.
+        One batch tries four widths for each of _LOOKAHEAD panels in a
+        row, for every choice of the panels before, and accepts what
+        trying one width at a time would.  The batch is fixed by the edge
+        and the trial width, so its numbers are too.
+        """
+        e, trial = side.edges[-1], side.trial
+        if math.isfinite(end):
+            trial = min(trial, 0.5 * abs(end - e))
+        st = e + trial * _TREE_START if s > 0 else e - trial * _TREE_START
+        ne = e + trial * _TREE_END if s > 0 else e - trial * _TREE_END
+        hs = 0.5 * (ne - st) if s > 0 else 0.5 * (st - ne)
+        x = (st if s > 0 else ne) + _TP1[:, None] * hs      # nodes by columns
+        with np.errstate(all="ignore"):
+            s2 = self._dsq(x)
+            g = 2.0 * self._drift(x) / s2
+            gc = _CHEB.coef @ g
+            gmax = np.abs(g).max(axis=0)
+            good = ((s2.min(axis=0) > 0.0) & (hs * gmax <= 0.5)
+                    & (np.abs(gc[-3:]).max(axis=0) <= _TAIL * gmax))
+            if math.isfinite(end):
+                good &= hs <= 0.25 * np.abs(end - st)
+        good = good.tolist()
+        level, i = 0, 0
+        for lev in range(_LOOKAHEAD):
+            r = level + 4 * i
+            if True not in good[r:r + 4]:
+                side.trial = 0.5 * trial * _TREE_W[r + 3]
+                side.why = ("diffusion_sq non-positive on integration path"
+                            if not np.all(s2[:, r + 3] > 0.0) else
+                            "2 mu / sigma_sq is not finite"
+                            if not np.all(np.isfinite(g[:, r + 3]))
+                            else "2 mu / sigma_sq is not resolved")
+                return
+            r += good[r:r + 4].index(True)
+            side.trial = 2.0 * trial * _TREE_W[r]
+            yield ne[r], hs[r], gc[:, r], gmax[r]
+            i = r - level
+            level += 4 ** (lev + 1)
+
+    def density(self, x):
+        """S'(x) = e^{-L(x)}."""
+        x = np.asarray(x, dtype=float)
+        if x.size == 0:
+            return np.empty(x.shape)
+        tab = self._covering(x.min(), x.max(), "scale_density")
+        k = np.searchsorted(tab.edges, x, side="right") - 1
+        with np.errstate(over="ignore"):
+            return np.exp(-_log_scale(tab, k, x))
+
+    def diff(self, a, b):
+        """S(b) - S(a) as a sum of positive pieces: [a, b] (or [b, a]) is
+        cut at panel edges, whole panels add their stored integral and
+        the two end pieces get Gauss-Legendre on e^{-L}."""
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if a.ndim == b.ndim == 0:    # the laws' scalar calls: no array bookkeeping
+            lo, hi = (float(a), float(b)) if a <= b else (float(b), float(a))
+            tab = self._covering(lo, hi, "scale")
+            ka, kb = np.searchsorted(tab.edges, (lo, hi), side="right") - 1
+            if ka == kb:
+                out = _gl_pieces(tab, np.array([ka]), np.array([lo]), np.array([hi]))[0]
+            else:
+                ends = _gl_pieces(tab, np.array([ka, kb]), np.array([lo, tab.edges[kb]]),
+                                  np.array([tab.edges[ka + 1], hi]))
+                out = ends[0] + tab.full[ka + 1:kb].sum() + ends[1]
+            return out if a <= b else -out
+        a, b = np.broadcast_arrays(a, b)
+        if a.size == 0:
+            return np.zeros(a.shape)
+        lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+        n = lo.size
+        tab = self._covering(lo.min(), hi.max(), "scale")
+        k = np.searchsorted(tab.edges, np.concatenate([lo, hi]), side="right") - 1
+        ka, kb = k[:n], k[n:]
+        # the end pieces in panels ka and kb; the second is void when ka == kb
+        ends = _gl_pieces(tab, k, np.concatenate([lo, np.maximum(tab.edges[kb], lo)]),
+                          np.concatenate([np.minimum(hi, tab.edges[ka + 1]), hi]))
+        out = ends[:n] + np.where(kb > ka, ends[n:], 0.0)
+        nf = np.maximum(kb - ka - 1, 0)          # whole panels between the ends
+        if nf.any():
+            i = np.flatnonzero(nf)
+            starts = np.cumsum(nf[i]) - nf[i]
+            inner = np.repeat(ka[i] + 1 - starts, nf[i]) + np.arange(nf.sum())
+            out[i] += np.add.reduceat(tab.full[inner], starts)
+        return np.where(b < a, -out.reshape(a.shape), out.reshape(a.shape))
+
+
 def custom_model(drift_form: dict, diffusion_sq_form: dict,
                  interval=(-math.inf, math.inf), scale_ref: float | None = None,
                  model_id: str = "custom",
                  a_in_state_space: bool = False) -> DiffusionModel:
-    """Model from named coefficient forms; S and S' come from quadrature."""
+    """Model from named coefficient forms, with S' and S from one table.
+
+    The table holds L(x) = int_ref^x g, g = 2 mu / sigma_sq, piecewise
+    Chebyshev on panels grown outward from scale_ref on first use, only
+    as far as the points asked for.  On each panel g is interpolated at
+    the 25 Chebyshev points of degree 24, and L is the interpolant's
+    exact antiderivative plus L at the panel's inner edge.  A panel is
+    accepted once g is finite with sigma_sq > 0 at its points, the last
+    three Chebyshev coefficients of g are at most 2^-46 max|g| and
+    width * max|g| <= 1; otherwise it is bisected.  The first trial
+    width is 1, each next one twice the last accepted width, and no
+    width passes half the distance to a finite endpoint, so widths grow
+    geometrically where g allows and shrink geometrically toward a
+    finite end.  A panel's layout depends only on the model and the
+    panels between it and scale_ref, so a value never depends on the
+    order of queries or on which thread grew the table.
+
+    S' = e^{-L}.  S(b) - S(a) is a sum of positive pieces of [a, b] cut
+    at panel edges: a whole panel adds its stored integral and an end
+    piece its own, both by 16-point Gauss-Legendre on e^{-L}.  L moves by
+    at most 1 across a panel, so the rule is exact to rounding, and no
+    two values of S are ever subtracted.
+
+    Error: a panel's interpolant of g is off by about its Chebyshev
+    tail, at most 2^-46 max|g|, which adds at most about 2^-46 to L
+    across the panel (width * max|g| <= 1); dropping the coefficients
+    of L below 2^-52 hs max|g| past its last larger one adds less.  The
+    error of L at x is the sum of the accepted tails of the panels
+    between scale_ref and x, in absolute terms in L, which means in
+    relative terms in S' and in S(b) - S(a).  L is summed outward with
+    compensated summation.
+
+    A g that is not finite, sigma_sq <= 0, or a g not resolved by panels
+    down to a width of 1e-12 max(1, |x|), on the way from scale_ref to a
+    point, raises NumericError; so does a point past where |L| first
+    exceeds 1024, beyond which S' is far outside the float range.
+    """
     interval = _check_interval(interval)
     ref = _check_ref(scale_ref if scale_ref is not None else _default_ref(interval),
                      interval, "custom_model")
@@ -415,42 +706,13 @@ def custom_model(drift_form: dict, diffusion_sq_form: dict,
         bad = float(probes[np.argmin(np.asarray(vals))])
         raise ValidationError("diffusion_sq must be strictly positive in the interior",
                               operation="custom_model", value=bad, module=_MOD)
-
-    def sprime(x):
-        # exp(-int_ref^x 2 mu / sigma_sq), one adaptive quad per point
-        def f(u):
-            s2 = float(dsq(u))
-            if not s2 > 0:
-                raise NumericError("diffusion_sq non-positive on integration path",
-                                   operation="scale_density", value=u, module=_MOD)
-            return 2.0 * float(drift(u)) / s2
-
-        val, err = integrate.quad(f, ref, x, **_QUAD_OPTS)
-        if not math.isfinite(val):
-            raise NumericError("log scale-density integral diverged",
-                               operation="scale_density", value=x, module=_MOD)
-        try:
-            return math.exp(-val)
-        except OverflowError:
-            raise NumericError("scale density overflows", operation="scale_density",
-                               value=x, module=_MOD) from None
-
-    def diff(lo, hi):
-        if lo == hi:
-            return 0.0
-        val, err = integrate.quad(sprime, lo, hi, **_QUAD_OPTS)
-        if abs(err) > 1e-9 * max(1.0, abs(val)):
-            raise NumericError("scale quadrature did not converge",
-                               operation="scale", value=(lo, hi), module=_MOD,
-                               partial=val)
-        return val
-
+    table = _LogScale(drift, dsq, interval, ref)
     return DiffusionModel(
         model_id=model_id, kind="custom", drift=drift, diffusion_sq=dsq,
         interval=interval, a_in_state_space=a_in_state_space, scale_ref=ref,
         params={"drift": dict(drift_form), "diffusion_sq": dict(diffusion_sq_form)},
-        scale_density_fn=np.vectorize(sprime, otypes=[float]),
-        scale_diff_fn=np.vectorize(diff, otypes=[float]),
+        scale_density_fn=table.density,
+        scale_diff_fn=table.diff,
     )
 
 

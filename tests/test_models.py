@@ -1,15 +1,20 @@
-"""Scale structure of the catalog models against closed forms, quadrature
-cross-checks for the custom path, and query validation."""
+"""Scale structure of the catalog models against closed forms and
+quadrature, the custom models' log-scale table against the same closed
+forms, and query validation."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
+from ddkit import models
 from ddkit import (
     DomainError,
+    DrawdownQuery,
     NumericError,
     ScaleMap,
     SpeedDensity,
@@ -25,6 +30,7 @@ from ddkit import (
     scale,
     scale_density,
     scale_diff,
+    tail_curve,
     validate_query,
 )
 
@@ -208,6 +214,192 @@ def test_custom_scale_overflow_is_numeric_error():
         scale_density(m, 20.0)
     with pytest.raises(NumericError):
         scale_diff(m, 19.0, 20.0)
+
+
+# ---------------------------------------------------------------------------
+# the log-scale table of custom models
+# ---------------------------------------------------------------------------
+
+TABLE_REL = 1e-12
+OU_TWIN = ({"form": "affine", "intercept": 0.0, "slope": -1.0},
+           {"form": "constant", "value": 1.0})
+
+
+def _ou_twin():
+    return custom_model(*OU_TWIN)
+
+
+def _power_model(c_mu, p_mu, c_s2, p_s2):
+    return custom_model({"form": "power", "coef": c_mu, "exponent": p_mu},
+                        {"form": "power", "coef": c_s2, "exponent": p_s2},
+                        interval=(0.0, math.inf), scale_ref=1.0)
+
+
+def _power_scale_diff(p):
+    """S(b) - S(a) for S'(x) = x^-p, without cancelling for b near a."""
+    q = 1.0 - p
+    return lambda a, b: a ** q * np.expm1(q * np.log1p((b - a) / a)) / q
+
+
+def _gl_scale_diff(sprime):
+    """S(b) - S(a) by 8-point Gauss-Legendre on a closed-form S': exact to
+    rounding on windows as short as the ones it is used for."""
+    t, w = np.polynomial.legendre.leggauss(8)
+
+    def diff(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        h = 0.5 * (b - a)
+        return h * (sprime((a + h)[..., None] + h[..., None] * t) @ w)
+    return diff
+
+
+def test_custom_ou_twin_scale_to_closed_forms():
+    m, ou = _ou_twin(), ornstein_uhlenbeck(theta=1.0)
+    xs = np.linspace(-6.0, 6.0, 97)
+    assert_allclose(scale_density(m, xs), np.exp(xs ** 2), rtol=TABLE_REL)
+    assert_allclose(scale_diff(m, xs[:-1], xs[1:]), scale_diff(ou, xs[:-1], xs[1:]),
+                    rtol=TABLE_REL)
+    assert_allclose(scale(m, xs), scale(ou, xs), rtol=TABLE_REL, atol=1e-300)
+    far = np.array([20.0, 23.0, 24.49])            # S' up to about e^600
+    assert_allclose(scale_density(m, far), np.exp(far ** 2), rtol=TABLE_REL)
+    assert_allclose(scale_diff(m, far - 0.5, far), scale_diff(ou, far - 0.5, far),
+                    rtol=TABLE_REL)
+
+
+def test_custom_drifted_bm_twin_scale_to_closed_forms():
+    m = custom_model({"form": "constant", "value": 1.0}, {"form": "constant", "value": 1.0})
+    tw = drifted_brownian(mu=1.0, sigma_sq=1.0)
+    xs = np.linspace(-8.0, 8.0, 81)
+    assert_allclose(scale_density(m, xs), scale_density(tw, xs), rtol=TABLE_REL)
+    assert_allclose(scale_diff(m, xs[:-1], xs[1:]), scale_diff(tw, xs[:-1], xs[1:]),
+                    rtol=TABLE_REL)
+
+
+def test_custom_gbm_from_power_forms_to_closed_forms():
+    m = _power_model(0.05, 1.0, 0.09, 2.0)
+    g = geometric_brownian(mu_bar=0.05, sigma_bar_sq=0.09)
+    xs = np.geomspace(0.02, 50.0, 120)
+    assert_allclose(scale_density(m, xs), scale_density(g, xs), rtol=TABLE_REL)
+    assert_allclose(scale_diff(m, xs[:-1], xs[1:]), scale_diff(g, xs[:-1], xs[1:]),
+                    rtol=TABLE_REL)
+
+
+@pytest.mark.parametrize("c", [0.3, 1.5, 3.0])
+def test_custom_bessel_like_drift_to_closed_forms(c):
+    # drift c/x, sigma^2 = 1: S'(x) = x^(-2c) with scale_ref 1
+    m = _power_model(c, -1.0, 1.0, 0.0)
+    xs = np.geomspace(1e-3, 30.0, 120)
+    assert_allclose(scale_density(m, xs), xs ** (-2.0 * c), rtol=TABLE_REL)
+    assert_allclose(scale_diff(m, xs[:-1], xs[1:]),
+                    _power_scale_diff(2.0 * c)(xs[:-1], xs[1:]), rtol=TABLE_REL)
+
+
+@pytest.mark.parametrize("make, zs, ref", [
+    (_ou_twin, np.linspace(-6.0, 6.0, 49), _gl_scale_diff(lambda u: np.exp(u * u))),
+    (lambda: custom_model({"form": "constant", "value": 1.0},
+                          {"form": "constant", "value": 1.0}),
+     np.linspace(-8.0, 8.0, 49), drifted_brownian(mu=1.0, sigma_sq=1.0).scale_diff_fn),
+    (lambda: _power_model(0.05, 1.0, 0.09, 2.0), np.geomspace(0.02, 50.0, 49),
+     geometric_brownian(mu_bar=0.05, sigma_bar_sq=0.09).scale_diff_fn),
+    (lambda: _power_model(1.5, -1.0, 1.0, 0.0), np.geomspace(2e-3, 30.0, 49),
+     _power_scale_diff(3.0)),
+], ids=["ou", "drifted_bm", "gbm", "bessel"])
+def test_custom_scale_short_windows_do_not_cancel(make, zs, ref):
+    m = make()
+    assert_allclose(scale_diff(m, zs - 1e-6, zs), ref(zs - 1e-6, zs), rtol=TABLE_REL)
+
+
+def test_custom_scale_at_a_drift_pole_is_numeric_error():
+    # drift 1/x has its pole at the default scale_ref 0
+    m = custom_model({"form": "power", "coef": 1.0, "exponent": -1.0},
+                     {"form": "constant", "value": 1.0})
+    with pytest.raises(NumericError):
+        scale_density(m, 1.0)
+    with pytest.raises(NumericError):
+        scale_diff(m, -1.0, 1.0)
+
+
+def test_custom_scale_past_a_zero_of_diffusion_sq_is_numeric_error():
+    # sigma^2 = 1 - 0.2 x reaches zero at x = 5; up to there S' = (1 - 0.2 x)^5
+    m = custom_model({"form": "constant", "value": 0.5},
+                     {"form": "affine", "intercept": 1.0, "slope": -0.2})
+    assert_allclose(scale_density(m, 4.0), 0.2 ** 5, rtol=TABLE_REL)
+    with pytest.raises(NumericError):
+        scale_density(m, 6.0)
+    with pytest.raises(NumericError):
+        scale_diff(m, 4.0, 6.0)
+
+
+def _twin_values(m, order):
+    out = {}
+    for lo, hi in order:
+        xs = np.linspace(lo, hi, 11)
+        out[lo] = (scale_density(m, xs), scale_diff(m, xs[:-1], xs[1:]),
+                   scale_diff(m, xs - 1e-3, xs), scale_density(m, float(xs[3])),
+                   scale_diff(m, float(xs[1]), float(xs[-2])))
+    return out
+
+
+def _assert_bit_identical(u, v):
+    assert u.keys() == v.keys()
+    for key in u:
+        for a, b in zip(u[key], v[key]):
+            assert np.array_equal(a, b)
+
+
+def test_custom_scale_does_not_depend_on_query_order():
+    first = _twin_values(_ou_twin(), [(5.0, 6.0), (0.0, 1.0)])
+    second = _twin_values(_ou_twin(), [(0.0, 1.0), (5.0, 6.0)])
+    _assert_bit_identical(first, second)
+
+
+def test_custom_scale_from_threads_matches_one_thread():
+    order = [(-3.0, -2.0), (0.0, 1.0), (2.5, 4.0), (-5.0, -4.0), (5.0, 6.0)]
+    want = _twin_values(_ou_twin(), order)
+    m = _ou_twin()
+    start = threading.Barrier(4)
+    got = [None] * 4
+
+    def worker(i):
+        start.wait(timeout=30)
+        got[i] = _twin_values(m, order[i % 2:] + order[:i % 2])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for g in got:
+        _assert_bit_identical(g, want)
+
+
+def test_custom_scale_table_work_stays_bounded(monkeypatch):
+    """Points at which one tail curve of a fresh OU twin evaluates the
+    drift: a count, so it cannot flake.  3,000 (six batches of panel
+    trials) when the table was written, against 121,947 for per-point
+    nested quadrature; panels that stop growing would blow this bound."""
+    points = []
+    build = models._build_form
+
+    def counted(doc, role):
+        f = build(doc, role)
+        if role != "drift":
+            return f
+
+        def drift(x):
+            points.append(np.size(x))
+            return f(x)
+        return drift
+
+    monkeypatch.setattr(models, "_build_form", counted)
+    tail_curve(_ou_twin(), DrawdownQuery(0.0, 1.0), np.linspace(0.2, 2.4, 12))
+    assert 0 < sum(points) <= 2 * 3_000
 
 
 def test_anchor_shift_is_additive():
