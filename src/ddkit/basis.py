@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import lobatto
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, integer, real
 from .models import DiffusionModel, scale_density
 
 _MOD = "basis"
@@ -57,6 +57,7 @@ _BLOCK_NODES = 1 << 15        # panels x (degree + 1) of one block of panels
 _DEGREES = (8, 12, 16, 24, 32, 48, 64, 96, 128)
 _PICARD_MAX = 60
 _CHECKPOINT_FRACS = (0.0, 0.25, 0.5, 0.75, 1.0)
+_CHECK_ROWS = 64              # windows of a batch that get the Wronskian monitor
 _LN2 = math.log(2.0)
 
 
@@ -69,25 +70,21 @@ class OdeSettings:
     10 * rel_tol before a degree is accepted.  max_steps caps panels x
     degree for one window: a window past it is refused before any panel
     is solved, and the ladder stops where the next degree would pass it.
-
-    normalization is accepted and ignored: every number the solver
-    returns enters the laws through quotients in which a scale cancels.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_steps: int = 2_000_000
-    normalization: float | None = None
 
     def __post_init__(self):
-        for name, v in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
-            if not (0.0 < v <= 1e-4):
+        for name in ("rel_tol", "abs_tol"):
+            v = real(getattr(self, name), name, "OdeSettings", _MOD, 0.0, strict=True)
+            if v > 1e-4:
                 raise ValidationError(f"{name} must lie in ]0, 1e-4]",
                                       operation="OdeSettings", value=v, module=_MOD)
-        if self.max_steps < 1000:
-            raise ValidationError("max_steps must be at least 1000",
-                                  operation="OdeSettings", value=self.max_steps,
-                                  module=_MOD)
+            object.__setattr__(self, name, v)
+        object.__setattr__(self, "max_steps", integer(self.max_steps, "max_steps",
+                                                      "OdeSettings", _MOD, 1000))
 
 
 DEFAULT_SETTINGS = OdeSettings()
@@ -325,9 +322,9 @@ class BatchEndpoints:
 
 def batch_endpoints(model: DiffusionModel, alpha: float,
                     l: np.ndarray, r: np.ndarray,
-                    settings: OdeSettings | None = None,
-                    max_check_rows: int = 64) -> BatchEndpoints:
+                    settings: OdeSettings | None = None) -> BatchEndpoints:
     """Solve all windows [l_i, r_i] at once and return endpoint data."""
+    alpha = real(alpha, "alpha", "batch_endpoints", _MOD, 0.0, strict=True)
     settings = settings or DEFAULT_SETTINGS
     l = np.asarray(l, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -342,10 +339,7 @@ def batch_endpoints(model: DiffusionModel, alpha: float,
     if not (np.all(l > a) and np.all(r < b)):
         raise ValidationError("windows must lie inside the open state space",
                               operation="batch_endpoints", module=_MOD)
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValidationError("alpha must be positive and finite",
-                              operation="batch_endpoints", value=alpha, module=_MOD)
-    check_rows = np.arange(0, l.size, max(1, l.size // max_check_rows))
+    check_rows = np.arange(0, l.size, max(1, l.size // _CHECK_ROWS))
     return _solve_adaptive(model, alpha, l, r, settings, check_rows)
 
 

@@ -22,14 +22,13 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import laws, mc, verify
-from .errors import DdkitError, NumericError, ValidationError
+from .errors import DdkitError, NumericError, ValidationError, real
 from .laws import DrawdownQuery
 from .models import DiffusionModel, model_from_dict
 
@@ -83,25 +82,19 @@ def _require_keys(doc, allowed, where):
               value=extra)
 
 
-def _finite(v, what):
-    if not isinstance(v, (int, float)) or isinstance(v, bool) \
-            or not math.isfinite(v):
-        _fail(f"{what} must be a finite number", value=v)
-    return float(v)
-
-
 def _number(doc, key, where, default=None, required=False):
     if key not in doc:
         if required:
             _fail(f"{where} is missing required key {key!r}")
         return default
-    return _finite(doc[key], f"{where}.{key}")
+    return real(doc[key], f"{where}.{key}", "run_config", _MOD)
 
 
 def _grid_values(raw, name):
     if not isinstance(raw, list) or not raw:
         _fail(f"grids.{name} must be a nonempty array", value=raw)
-    return tuple(_finite(v, f"each entry of grids.{name}") for v in raw)
+    return tuple(real(v, f"each entry of grids.{name}", "run_config", _MOD)
+                 for v in raw)
 
 
 def load_config(path: str) -> dict:
@@ -148,7 +141,8 @@ def parse_run_config(doc: dict, command: str, seed_override=None,
         raw = qdoc["box"]
         if not (isinstance(raw, list) and len(raw) == 2):
             _fail("query.box must be [lo, hi]", value=raw)
-        box = tuple(_finite(v, "each entry of query.box") for v in raw)
+        box = tuple(real(v, "each entry of query.box", "run_config", _MOD)
+                    for v in raw)
     exit_lower = _number(qdoc, "exit_lower", "query")
 
     want = _GRID_FOR[command]

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer, real
 
 _MOD = "invlap"
 
@@ -31,10 +31,10 @@ INSTABILITY_THRESHOLD = 1e-4
 @lru_cache(maxsize=None)
 def stehfest_weights(order: int) -> tuple[Fraction, ...]:
     """Exact rational Gaver-Stehfest weights for an even order."""
-    if not isinstance(order, int) or order < 2 or order % 2:
-        raise ValidationError("order must be an even integer >= 2",
-                              operation="stehfest_weights", value=order,
-                              module=_MOD)
+    order = integer(order, "order", "stehfest_weights", _MOD, 2)
+    if order % 2:
+        raise ValidationError("order must be even", operation="stehfest_weights",
+                              value=order, module=_MOD)
     if order > 30:
         raise ValidationError("order above 30 is pure noise in double precision",
                               operation="stehfest_weights", value=order,
@@ -62,9 +62,7 @@ def invert(transform: Callable[[float], float], t: float,
     which is 1.3e6 at order 10 and 3.4e11 at order 18, so the usable
     order depends on how accurately F can be evaluated.
     """
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ValidationError("t must be positive and finite",
-                              operation="invert", value=t, module=_MOD)
+    t = real(t, "t", "invert", _MOD, 0.0, strict=True)
     ln2t = math.log(2.0) / t
     ws = stehfest_weights(order)
     terms = [float(w) * float(transform(k * ln2t))
@@ -89,7 +87,8 @@ def invert_sweep(transform: Callable[[float], float], t: float,
     comes from the higher order of the closest pair; disagreement is
     that pair's gap, flagged unstable above INSTABILITY_THRESHOLD.
     """
-    orders = sorted(set(int(n) for n in orders))
+    t = real(t, "t", "invert_sweep", _MOD, 0.0, strict=True)
+    orders = sorted({integer(n, "order", "invert_sweep", _MOD, 2) for n in orders})
     if len(orders) < 2:
         raise ValidationError("need at least two orders to sweep",
                               operation="invert_sweep", value=orders,

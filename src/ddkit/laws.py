@@ -36,9 +36,10 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from . import invlap
 from .basis import OdeSettings, batch_endpoints
-from .errors import (DegenerateBasisError, DomainError, NumericError,
-                     UnsupportedModelError, ValidationError)
-from .models import DiffusionModel, scale_density, scale_diff, validate_query
+from .errors import (DegenerateBasisError, NumericError, UnsupportedModelError,
+                     ValidationError, real)
+from .models import (DiffusionModel, _require_interior, _require_window,
+                     scale_density, scale_diff)
 
 _MOD = "laws"
 
@@ -59,7 +60,9 @@ class DrawdownQuery:
 
     alpha discounts time, beta discounts the terminal level of the
     running maximum; either may be zero.  tol is the relative target
-    for the quadrature layers (the ODE layer runs tighter).
+    for the quadrature layers (the ODE layer runs tighter).  Every
+    field is stored as a float; x and delta meet the model in
+    validate_query.
     """
 
     x: float
@@ -69,12 +72,12 @@ class DrawdownQuery:
     tol: float = 1e-9
 
     def __post_init__(self):
-        for name, v, lo in (("alpha", self.alpha, 0.0), ("beta", self.beta, 0.0)):
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= lo):
-                raise ValidationError(f"{name} must be finite and >= 0",
-                                      operation="DrawdownQuery", value=v,
-                                      module=_MOD)
-        if not (0.0 < self.tol <= 1e-2):
+        for name, lower, strict in (("x", None, False), ("delta", None, False),
+                                    ("alpha", 0.0, False), ("beta", 0.0, False),
+                                    ("tol", 0.0, True)):
+            object.__setattr__(self, name, real(getattr(self, name), name,
+                                                "DrawdownQuery", _MOD, lower, strict))
+        if not self.tol <= 1e-2:
             raise ValidationError("tol must lie in ]0, 1e-2]",
                                   operation="DrawdownQuery", value=self.tol,
                                   module=_MOD)
@@ -131,25 +134,9 @@ class TailCurve:
 # the three level functions
 # ---------------------------------------------------------------------------
 
-def _check_window(model, z, delta, op):
-    a, b = model.interval
-    if not (isinstance(z, (int, float)) and math.isfinite(z)):
-        raise ValidationError("level must be finite", operation=op, value=z,
-                              module=_MOD)
-    if not (isinstance(delta, (int, float)) and math.isfinite(delta) and delta > 0):
-        raise ValidationError("delta must be positive and finite",
-                              operation=op, value=delta, module=_MOD)
-    if not (z < b):
-        raise DomainError("level must be interior", operation=op, value=z,
-                          module=_MOD)
-    if not (z - delta > a):
-        raise DomainError("z - delta must lie strictly above the left endpoint",
-                          operation=op, value=z - delta, module=_MOD)
-
-
 def nu(model: DiffusionModel, z: float, delta: float) -> float:
     """Excursion mass 1 / (S(z) - S(z - delta)); diverges as delta -> 0."""
-    _check_window(model, z, delta, "nu")
+    z, delta = _require_window(model, z, delta, "nu")
     return 1.0 / scale_diff(model, z - delta, z)
 
 
@@ -195,10 +182,8 @@ def _endpoint_quotients(ep, windows, op):
 
 def _window_factors(model, z, delta, alpha, settings, op):
     """(b, chat) at level z from one window solve; nu(z) at alpha = 0."""
-    _check_window(model, z, delta, op)
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha >= 0):
-        raise ValidationError("alpha must be finite and >= 0",
-                              operation=op, value=alpha, module=_MOD)
+    z, delta = _require_window(model, z, delta, op)
+    alpha = real(alpha, "alpha", op, _MOD, 0.0)
     if alpha == 0.0:
         return (nu(model, z, delta),) * 2
     ep = batch_endpoints(model, alpha, np.array([z - delta]), np.array([z]),
@@ -249,11 +234,9 @@ def _survival_exponent(model, x, y, delta, tol):
 
 def max_tail(model: DiffusionModel, query: DrawdownQuery, y: float) -> float:
     """P^x[M_tau > y] = exp(-int_x^y nu dS)."""
-    validate_query(model, query.x, query.delta)
-    if not (isinstance(y, (int, float)) and math.isfinite(y) and y >= query.x):
-        raise ValidationError("y must be finite and >= x", operation="max_tail",
-                              value=y, module=_MOD)
-    _check_window(model, y, query.delta, "max_tail")
+    _require_window(model, query.x, query.delta, "max_tail")
+    y = real(y, "y", "max_tail", _MOD, query.x)
+    _require_interior(model, y, "max_tail")
     if y == query.x:
         return 1.0
     with np.errstate(under="ignore"):
@@ -267,17 +250,15 @@ def max_density(model: DiffusionModel, query: DrawdownQuery, y: float) -> float:
     Integrates to 1 minus the defect exp(-int_x^B nu dS), the
     probability that the drawdown never completes.
     """
-    validate_query(model, query.x, query.delta)
-    if not (isinstance(y, (int, float)) and math.isfinite(y) and y > query.x):
-        raise ValidationError("y must be finite and > x", operation="max_density",
-                              value=y, module=_MOD)
-    _check_window(model, y, query.delta, "max_density")
+    _require_window(model, query.x, query.delta, "max_density")
+    y = real(y, "y", "max_density", _MOD, query.x, strict=True)
+    _require_interior(model, y, "max_density")
     return _nu_sp(model, y, query.delta) * max_tail(model, query, y)
 
 
 def tail_curve(model: DiffusionModel, query: DrawdownQuery, grid) -> TailCurve:
     """Tail and density of M_tau along an increasing grid of levels."""
-    validate_query(model, query.x, query.delta)
+    _require_window(model, query.x, query.delta, "tail_curve")
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0 or not np.all(np.isfinite(g)):
         raise ValidationError("grid must be a finite 1d array",
@@ -285,7 +266,7 @@ def tail_curve(model: DiffusionModel, query: DrawdownQuery, grid) -> TailCurve:
     if np.any(np.diff(g) <= 0) or g[0] < query.x:
         raise ValidationError("grid must be strictly increasing with grid[0] >= x",
                               operation="tail_curve", module=_MOD)
-    _check_window(model, float(g[-1]), query.delta, "tail_curve")
+    _require_interior(model, float(g[-1]), "tail_curve")
     exps = np.empty(g.size)
     prev_y, acc = query.x, 0.0
     for i, y in enumerate(g):
@@ -412,7 +393,7 @@ def _int_exp_cubic(t, g):
 
 
 def _transform_core(model, query, role_swap, tables=None):
-    validate_query(model, query.x, query.delta)
+    _require_window(model, query.x, query.delta, "joint_transform")
     x, delta = query.x, query.delta
     alpha, beta, tol = query.alpha, query.beta, query.tol
     settings = _settings_for(tol)
@@ -537,19 +518,17 @@ def run_up_transform(model: DiffusionModel, x: float, y: float, delta: float,
     """Cost of climbing from x to y without completing the drawdown:
     exp(-int_x^y (chat - nu) dS), in ]0, 1], equal to 1 at alpha = 0."""
     query = DrawdownQuery(x=x, delta=delta, alpha=alpha, tol=tol)
-    validate_query(model, x, delta)
-    if not (isinstance(y, (int, float)) and math.isfinite(y) and y > x):
-        raise ValidationError("y must be finite and > x",
-                              operation="run_up_transform", value=y, module=_MOD)
-    _check_window(model, y, delta, "run_up_transform")
-    r = _runup_exponent(model, x, np.array([y]), delta, query.alpha, tol)
+    x, delta = _require_window(model, query.x, query.delta, "run_up_transform")
+    y = real(y, "y", "run_up_transform", _MOD, x, strict=True)
+    _require_interior(model, y, "run_up_transform")
+    r = _runup_exponent(model, x, np.array([y]), delta, query.alpha, query.tol)
     return float(np.exp(-r[0]))
 
 
 def conditional_curve(model: DiffusionModel, query: DrawdownQuery,
                       ys) -> np.ndarray:
     """E^x[e^{-alpha tau} | M_tau = y] along an array of levels y > x."""
-    validate_query(model, query.x, query.delta)
+    _require_window(model, query.x, query.delta, "conditional_curve")
     ys = np.asarray(ys, dtype=float)
     if ys.ndim != 1 or ys.size == 0 or not np.all(np.isfinite(ys)):
         raise ValidationError("levels must be a finite 1d array",
@@ -557,7 +536,7 @@ def conditional_curve(model: DiffusionModel, query: DrawdownQuery,
     if not np.all(ys > query.x):
         raise ValidationError("levels must exceed x",
                               operation="conditional_curve", module=_MOD)
-    _check_window(model, float(ys.max()), query.delta, "conditional_curve")
+    _require_interior(model, float(ys.max()), "conditional_curve")
     R = _runup_exponent(model, query.x, ys, query.delta, query.alpha, query.tol)
     if query.alpha == 0.0:
         return np.ones(ys.shape)
@@ -575,22 +554,13 @@ def conditional_laplace(model: DiffusionModel, query: DrawdownQuery,
                         y: float) -> float:
     """E^x[e^{-alpha tau} | M_tau = y]: the run-up cost to y times the
     conditional depth-completion discount b(y) / nu(y)."""
-    if not (isinstance(y, (int, float)) and math.isfinite(y)):
-        raise ValidationError("y must be finite", operation="conditional_laplace",
-                              value=y, module=_MOD)
+    y = real(y, "y", "conditional_laplace", _MOD)
     return float(conditional_curve(model, query, np.array([y]))[0])
 
 
 # ---------------------------------------------------------------------------
 # hitting and exit transforms
 # ---------------------------------------------------------------------------
-
-def _interior(model, v, op):
-    a, b = model.interval
-    if not (isinstance(v, (int, float)) and math.isfinite(v) and a < v < b):
-        raise DomainError("point must be interior", operation=op, value=v,
-                          module=_MOD)
-
 
 def _psi_ratio(model, alpha, l, r, settings, op):
     """u_[l0, r0](r0) / u_[l1, r1](r1), from one solve of both windows;
@@ -633,13 +603,10 @@ def hitting_laplace(model: DiffusionModel, x: float, y: float, alpha: float,
     hi, that is u_[x, hi](hi) / u_[y, hi](hi); upward it is
     u_[lo, x](x) / u_[lo, y](y).  Each is one two-window solve.
     """
-    _interior(model, x, "hitting_laplace")
-    _interior(model, y, "hitting_laplace")
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)
-            and alpha >= 0):
-        raise ValidationError("alpha must be finite and >= 0",
-                              operation="hitting_laplace", value=alpha,
-                              module=_MOD)
+    op = "hitting_laplace"
+    x, y = real(x, "x", op, _MOD), real(y, "y", op, _MOD)
+    alpha = real(alpha, "alpha", op, _MOD, 0.0)
+    _require_interior(model, np.array([x, y]), op)
     if x == y:
         return (1.0, 0.0) if full_output else 1.0
     if model.eig is not None:
@@ -651,14 +618,12 @@ def hitting_laplace(model: DiffusionModel, x: float, y: float, alpha: float,
         raise UnsupportedModelError(
             "no closed-form extreme solutions for this model; supply a "
             "truncation box (lo, hi) bracketing x and y",
-            operation="hitting_laplace", value=model.model_id, module=_MOD)
-    lo, hi = float(box[0]), float(box[1])
-    _interior(model, lo, "hitting_laplace")
-    _interior(model, hi, "hitting_laplace")
+            operation=op, value=model.model_id, module=_MOD)
+    lo, hi = (real(v, "box entry", op, _MOD) for v in box)
+    _require_interior(model, np.array([lo, hi]), op)
     if not (lo < min(x, y) and hi > max(x, y)):
         raise ValidationError("box must strictly bracket x and y",
-                              operation="hitting_laplace", value=(lo, hi),
-                              module=_MOD)
+                              operation=op, value=(lo, hi), module=_MOD)
     settings = _settings_for(1e-9)
     v1 = _truncated_hit(model, x, y, alpha, lo, hi, settings)
     a, b = model.interval
@@ -673,11 +638,11 @@ def hitting_laplace(model: DiffusionModel, x: float, y: float, alpha: float,
 def exit_probability(model: DiffusionModel, x: float, a: float,
                      bnd: float) -> float:
     """P^x(T_a < T_bnd) = (S(bnd) - S(x)) / (S(bnd) - S(a))."""
-    _interior(model, a, "exit_probability")
-    _interior(model, bnd, "exit_probability")
-    _interior(model, x, "exit_probability")
+    op = "exit_probability"
+    x, a, bnd = (real(v, n, op, _MOD) for v, n in ((x, "x"), (a, "a"), (bnd, "bnd")))
+    _require_interior(model, np.array([a, bnd, x]), op)
     if not (a < x < bnd):
-        raise ValidationError("need a < x < bnd", operation="exit_probability",
+        raise ValidationError("need a < x < bnd", operation=op,
                               value=(a, x, bnd), module=_MOD)
     return scale_diff(model, x, bnd) / scale_diff(model, a, bnd)
 
@@ -693,19 +658,15 @@ def exit_transform(model: DiffusionModel, x: float, a: float, bnd: float,
     right-end values from one solve of the windows [x, bnd] and [a, bnd];
     at alpha = 0 it is exit_probability.
     """
-    _interior(model, a, "exit_transform")
-    _interior(model, bnd, "exit_transform")
-    _interior(model, x, "exit_transform")
+    op = "exit_transform"
+    x, a, bnd = (real(v, n, op, _MOD) for v, n in ((x, "x"), (a, "a"), (bnd, "bnd")))
+    alpha = real(alpha, "alpha", op, _MOD, 0.0)
+    _require_interior(model, np.array([a, bnd, x]), op)
     if not (a < x < bnd):
-        raise ValidationError("need a < x < bnd", operation="exit_transform",
+        raise ValidationError("need a < x < bnd", operation=op,
                               value=(a, x, bnd), module=_MOD)
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)
-            and alpha >= 0):
-        raise ValidationError("alpha must be finite and >= 0",
-                              operation="exit_transform", value=alpha,
-                              module=_MOD)
     val = _psi_ratio(model, alpha, [x, a], [bnd, bnd],
-                     settings or _settings_for(1e-9), "exit_transform")
+                     settings or _settings_for(1e-9), op)
     return min(max(val, 0.0), 1.0)
 
 
@@ -724,7 +685,7 @@ def tau_cdf(model: DiffusionModel, query: DrawdownQuery, t_grid,
     full output reports the order-sweep disagreement, flagged unstable
     above 1e-4.
     """
-    validate_query(model, query.x, query.delta)
+    _require_window(model, query.x, query.delta, "tau_cdf")
     if query.beta != 0.0:
         raise ValidationError("tau_cdf requires beta = 0",
                               operation="tau_cdf", value=query.beta, module=_MOD)

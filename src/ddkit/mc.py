@@ -82,8 +82,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedModelError, ValidationError
-from .models import DiffusionModel, validate_query
+from .errors import UnsupportedModelError, ValidationError, integer, real
+from .models import DiffusionModel, _require_window
 
 _MOD = "mc"
 
@@ -116,10 +116,6 @@ def thread_cap() -> int:
 # configuration and sample types
 # ---------------------------------------------------------------------------
 
-def _is_integer(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class McConfig:
     """Simulation settings.
@@ -137,32 +133,16 @@ class McConfig:
     scheme: str = "exact_bm"
 
     def __post_init__(self):
-        if not (_is_integer(self.n_paths) and self.n_paths >= 1000):
-            raise ValidationError("n_paths must be an integer >= 1000",
-                                  operation="McConfig", value=self.n_paths,
-                                  module=_MOD)
-        if not (isinstance(self.dt, (int, float)) and 0 < self.dt
-                and math.isfinite(self.dt)):
-            raise ValidationError("dt must be positive and finite",
-                                  operation="McConfig", value=self.dt,
-                                  module=_MOD)
-        if not (isinstance(self.t_max, (int, float)) and self.t_max >= self.dt
-                and math.isfinite(self.t_max)):
-            raise ValidationError("t_max must be finite and >= dt",
-                                  operation="McConfig", value=self.t_max,
-                                  module=_MOD)
-        if not (_is_integer(self.seed) and 0 <= int(self.seed) < 2 ** 64):
-            raise ValidationError("seed must be a 64-bit unsigned integer",
-                                  operation="McConfig", value=self.seed,
-                                  module=_MOD)
+        # numbers are stored as Python ints and floats, so streams and
+        # reports match the same config given with numpy scalars
+        op, put = "McConfig", object.__setattr__
+        put(self, "n_paths", integer(self.n_paths, "n_paths", op, _MOD, 1000))
+        put(self, "dt", real(self.dt, "dt", op, _MOD, 0.0, strict=True))
+        put(self, "t_max", real(self.t_max, "t_max", op, _MOD, self.dt))
+        put(self, "seed", integer(self.seed, "seed", op, _MOD, 0, 2 ** 64))
         if self.scheme not in ("euler", "exact_bm"):
             raise ValidationError("scheme must be 'euler' or 'exact_bm'",
-                                  operation="McConfig", value=self.scheme,
-                                  module=_MOD)
-        # numpy integers are stored as ints, so streams and reports
-        # match the same config given with Python ints
-        object.__setattr__(self, "n_paths", int(self.n_paths))
-        object.__setattr__(self, "seed", int(self.seed))
+                                  operation=op, value=self.scheme, module=_MOD)
 
     @property
     def n_steps(self) -> int:
@@ -301,7 +281,7 @@ def _bridge_extremes(model, ends, log_u_min, log_u_max, dt):
     gap_sq = a - b
     gap_sq *= gap_sq
     mid = a + b
-    c = 2.0 * step.bridge_sig_sq * dt
+    c = 2.0 * step.sig_sq_sim * dt
     # mid -/+ sqrt(gap^2 - c log u), halved, in place
     lo = np.sqrt(gap_sq - c * log_u_min)
     lo = np.subtract(mid, lo, out=lo)
@@ -470,9 +450,10 @@ def _drawdown_paths(model, x, delta, cfg, paired):
     """PathCollections of simulate (one) or paired_simulate (fine,
     coarse); warns, on behalf of the public caller, when the first arm
     leaves more than 1% of paths unstopped."""
-    validate_query(model, x, delta)
+    op = "paired_simulate" if paired else "simulate"
+    x, delta = _require_window(model, x, delta, op)
     _require_scheme(model, cfg)
-    _check_dt(cfg, delta, "paired_simulate" if paired else "simulate")
+    _check_dt(cfg, delta, op)
     dts = (0.5 * cfg.dt, cfg.dt) if paired else (cfg.dt,)
     parts = _run_chunks(_drawdown_chunk, cfg, model, x, delta, dts)
     cols = []
@@ -484,7 +465,7 @@ def _drawdown_paths(model, x, delta, cfg, paired):
                             scheme=cfg.scheme) if paired else cfg)
         tau, m_tau, stopped = (np.concatenate([p[i][j] for p in parts])
                                for j in range(3))
-        cols.append(PathCollection(x=float(x), delta=float(delta),
+        cols.append(PathCollection(x=x, delta=delta,
                                    cfg=arm_cfg, tau_hat=tau,
                                    m_tau_hat=m_tau, stopped=stopped))
     if cols[0].unstopped_fraction > 0.01:
@@ -551,6 +532,7 @@ def estimate_tail(samples, y: float) -> tuple[float, float]:
     far, which can only undercount; the unstopped fraction bounds the
     effect and triggers a warning above 1%.
     """
+    y = real(y, "y", "estimate_tail", _MOD)
     tau, m, st, _ = _as_arrays(samples)
     _warn_unstopped(st, "estimate_tail")
     n = m.size
@@ -564,10 +546,8 @@ def estimate_transform(samples, alpha: float, beta: float) -> tuple[float, float
     error.  Unstopped paths contribute 0 here and at most
     exp(-alpha t_max - beta max_so_far) each; the gap is the bias
     bound quoted in the warning."""
-    if alpha < 0 or beta < 0:
-        raise ValidationError("alpha and beta must be >= 0",
-                              operation="estimate_transform",
-                              value=(alpha, beta), module=_MOD)
+    alpha = real(alpha, "alpha", "estimate_transform", _MOD, 0.0)
+    beta = real(beta, "beta", "estimate_transform", _MOD, 0.0)
     tau, m, st, _ = _as_arrays(samples)
     with np.errstate(under="ignore"):
         vals = np.where(st, np.exp(-alpha * tau - beta * m), 0.0)
@@ -588,6 +568,7 @@ def estimate_transform(samples, alpha: float, beta: float) -> tuple[float, float
 def tau_cdf_estimate(samples, t: float) -> tuple[float, float]:
     """Empirical P(tau <= t) with standard error; valid for t below the
     horizon, where stopping is fully observed."""
+    t = real(t, "t", "tau_cdf_estimate", _MOD)
     tau, m, st, col = _as_arrays(samples)
     if col is not None and t > col.cfg.t_max:
         raise ValidationError("t beyond the simulated horizon",
@@ -613,15 +594,17 @@ def extract_excursions(path: np.ndarray, dt: float, delta: float,
     fact of the observed path.  The list's length is the Poisson count
     the excursion law predicts for the band.
     """
+    op = "extract_excursions"
     x = np.asarray(path, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValidationError("path must be a 1d array of at least 2 points",
-                              operation="extract_excursions", module=_MOD)
-    lo, hi = float(band[0]), float(band[1])
+    if x.ndim != 1 or x.size < 2 or not np.all(np.isfinite(x)):
+        raise ValidationError("path must be a finite 1d array of at least 2 points",
+                              operation=op, module=_MOD)
+    dt = real(dt, "dt", op, _MOD, 0.0, strict=True)
+    delta = real(delta, "delta", op, _MOD, 0.0, strict=True)
+    lo, hi = (real(v, "band entry", op, _MOD) for v in band)
     if not (lo < hi):
-        raise ValidationError("band must have lo < hi",
-                              operation="extract_excursions", value=(lo, hi),
-                              module=_MOD)
+        raise ValidationError("band must have lo < hi", operation=op,
+                              value=(lo, hi), module=_MOD)
     m = np.maximum.accumulate(x)
     # segment boundaries where the path touches or raises its maximum
     is_top = np.concatenate([[True], x[1:] >= m[:-1]])
@@ -735,14 +718,6 @@ def _deep_blocks(gens, step, x0, level, length, dt):
         tail[-1] = end[i]
         tails.append(np.exp(tail) if log else tail)
     return hits, tails, (_scalar_map(math.exp, end) if log else end)
-
-
-def _deep_block(gen, step, x0, level, length, dt):
-    """``_deep_blocks`` for one row: (tail, x_end), with an empty tail
-    when the bridge stays below the level."""
-    hits, tails, x_end = _deep_blocks([gen], step, np.array([x0]),
-                                      np.array([level]), length, dt)
-    return (tails[0] if hits.size else _NO_TAIL), float(x_end[0])
 
 
 def _excursion_chunk(model, x, y, delta, cfg, first, count):
@@ -859,14 +834,15 @@ def excursion_counts(model: DiffusionModel, x: float, y: float, delta: float,
     the work is run and changes no draw or count.
     Returns (counts, finished).
     """
-    validate_query(model, x, delta)
+    op = "excursion_counts"
+    x, delta = _require_window(model, x, delta, op)
+    y = real(y, "y", op, _MOD)
     _require_scheme(model, cfg)
-    a, b = model.interval
-    if not (x < y < b):
+    if not (x < y < model.interval[1]):
         raise ValidationError("need x < y inside the state space",
                               operation="excursion_counts", value=y,
                               module=_MOD)
-    _check_dt(cfg, delta, "excursion_counts")
+    _check_dt(cfg, delta, op)
     parts = _run_chunks(_excursion_chunk, cfg, model, x, y, delta)
     counts = np.concatenate([p[0] for p in parts])
     done = np.concatenate([p[1] for p in parts])
@@ -886,22 +862,15 @@ def sample_trajectory(model: DiffusionModel, x: float, cfg: McConfig,
                       path_index: int = 0) -> np.ndarray:
     """One gridded trajectory of n_steps steps (default: the horizon),
     drawn from the stream of the given path index."""
+    op = "sample_trajectory"
+    x = real(x, "x", op, _MOD)
     if not model.contains(x):
-        raise ValidationError("start must be interior",
-                              operation="sample_trajectory", value=x,
+        raise ValidationError("start must be interior", operation=op, value=x,
                               module=_MOD)
     _require_scheme(model, cfg)
-    steps = cfg.n_steps if n_steps is None else n_steps
-    if not (_is_integer(steps) and steps >= 1):
-        raise ValidationError("n_steps must be an integer >= 1",
-                              operation="sample_trajectory", value=n_steps,
-                              module=_MOD)
-    if not (_is_integer(path_index) and 0 <= int(path_index) < 2 ** 64):
-        raise ValidationError("path_index must be an integer in [0, 2^64)",
-                              operation="sample_trajectory",
-                              value=path_index, module=_MOD)
-    steps = int(steps)
-    gens = _generators(cfg.seed, int(path_index), 1)
+    steps = integer(cfg.n_steps if n_steps is None else n_steps, "n_steps", op, _MOD, 1)
+    first = integer(path_index, "path_index", op, _MOD, 0, 2 ** 64)
+    gens = _generators(cfg.seed, first, 1)
     out = np.empty(steps + 1)
     out[0] = x
     x_cur = np.full(1, float(x))

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -36,7 +35,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import erfi
 
 from .chebyshev import lobatto
-from .errors import DomainError, NumericError, UnsupportedModelError, ValidationError
+from .errors import (DomainError, NumericError, UnsupportedModelError,
+                     ValidationError, real)
 
 _MOD = "models"
 
@@ -72,8 +72,9 @@ class ExactStepSpec:
       * "ou"       sim coordinate is the state; exact AR(1) step
                    mean + (Y - mean) e^{-theta dt} + s(dt) Z.
 
-    bridge_sig_sq is the (constant) local variance rate in the sim
-    coordinate, used for Brownian-bridge crossing/extreme corrections.
+    sig_sq_sim is the (constant) local variance rate in the sim
+    coordinate, which the Brownian-bridge crossing/extreme corrections
+    use too.
     """
 
     kind: str
@@ -81,10 +82,6 @@ class ExactStepSpec:
     sig_sq_sim: float = 1.0
     theta: float = 0.0
     mean: float = 0.0
-
-    @property
-    def bridge_sig_sq(self) -> float:
-        return self.sig_sq_sim
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,32 +122,30 @@ class DiffusionModel:
 # interval / reference helpers
 # ---------------------------------------------------------------------------
 
-def _as_endpoint(v, which):
-    if isinstance(v, str):
-        s = v.strip().lower()
-        if s in ("-inf", "-infinity"):
-            return -math.inf
-        if s in ("inf", "+inf", "infinity", "+infinity"):
-            return math.inf
-        raise ValidationError(f"interval endpoint not understood: {v!r}",
-                              operation="model_from_dict", value=v, module=_MOD)
-    try:
-        out = float(v)
-    except (TypeError, ValueError):
-        raise ValidationError(f"interval {which} endpoint must be a number or '-inf'/'inf'",
-                              operation="model_from_dict", value=v, module=_MOD)
-    if math.isnan(out):
-        raise ValidationError("interval endpoint is NaN",
-                              operation="model_from_dict", value=v, module=_MOD)
-    return out
+def _as_endpoint(v):
+    """The JSON sentinels '-inf' and 'inf' as floats; any other value
+    is left to _check_interval."""
+    if not isinstance(v, str):
+        return v
+    s = v.strip().lower()
+    if s in ("-inf", "-infinity"):
+        return -math.inf
+    if s in ("inf", "+inf", "infinity", "+infinity"):
+        return math.inf
+    raise ValidationError(f"interval endpoint not understood: {v!r}",
+                          operation="model_from_dict", value=v, module=_MOD)
 
 
-def _check_interval(interval):
-    a, b = interval
+def _check_interval(interval, op):
+    """(A, B) as floats with A < B; an endpoint is +-inf or a finite
+    real number."""
+    a, b = (float(v) if v in (-math.inf, math.inf)
+            else real(v, "interval endpoint other than +-inf", op, _MOD)
+            for v in interval)
     if not a < b:
         raise ValidationError("interval must satisfy A < B",
-                              operation="interval", value=interval, module=_MOD)
-    return float(a), float(b)
+                              operation=op, value=interval, module=_MOD)
+    return a, b
 
 
 def _default_ref(interval):
@@ -164,17 +159,8 @@ def _default_ref(interval):
     return 0.0
 
 
-def _real(v, what, op):
-    """v as a float; refuses bools, strings, None and non-finite values."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) \
-            or not math.isfinite(v):
-        raise ValidationError(f"{what} must be a finite number", operation=op,
-                              value=v, module=_MOD)
-    return float(v)
-
-
 def _check_ref(ref, interval, kind):
-    ref = _real(ref, "scale_ref", kind)
+    ref = real(ref, "scale_ref", kind, _MOD)
     a, b = interval
     if not (a < ref < b):
         raise ValidationError("scale_ref must lie inside the interval",
@@ -190,10 +176,8 @@ def brownian(sigma_sq: float = 1.0, interval=(-math.inf, math.inf),
              scale_ref: float | None = None, model_id: str = "bm",
              a_in_state_space: bool = False) -> DiffusionModel:
     """Brownian motion with variance rate sigma_sq (natural scale)."""
-    if not (sigma_sq > 0 and math.isfinite(sigma_sq)):
-        raise ValidationError("sigma_sq must be positive and finite",
-                              operation="brownian", value=sigma_sq, module=_MOD)
-    interval = _check_interval(interval)
+    sigma_sq = real(sigma_sq, "sigma_sq", "brownian", _MOD, 0.0, strict=True)
+    interval = _check_interval(interval, "brownian")
     ref = _check_ref(scale_ref if scale_ref is not None else _default_ref(interval),
                      interval, "brownian")
 
@@ -222,16 +206,11 @@ def drifted_brownian(mu: float, sigma_sq: float = 1.0,
                      model_id: str = "drifted_bm",
                      a_in_state_space: bool = False) -> DiffusionModel:
     """Brownian motion with constant drift mu and variance rate sigma_sq."""
-    if not (sigma_sq > 0 and math.isfinite(sigma_sq)):
-        raise ValidationError("sigma_sq must be positive and finite",
-                              operation="drifted_brownian", value=sigma_sq, module=_MOD)
-    if not math.isfinite(mu):
-        raise ValidationError("mu must be finite",
-                              operation="drifted_brownian", value=mu, module=_MOD)
+    sigma_sq = real(sigma_sq, "sigma_sq", "drifted_brownian", _MOD, 0.0, strict=True)
+    mu = real(mu, "mu", "drifted_brownian", _MOD)
     if mu == 0.0:
-        m = brownian(sigma_sq, interval, scale_ref, model_id, a_in_state_space)
-        return m
-    interval = _check_interval(interval)
+        return brownian(sigma_sq, interval, scale_ref, model_id, a_in_state_space)
+    interval = _check_interval(interval, "drifted_brownian")
     ref = _check_ref(scale_ref if scale_ref is not None else _default_ref(interval),
                      interval, "drifted_brownian")
     g = 2.0 * mu / sigma_sq  # S'(x) = exp(-g (x - ref))
@@ -269,13 +248,10 @@ def geometric_brownian(mu_bar: float, sigma_bar_sq: float,
                        model_id: str = "gbm",
                        a_in_state_space: bool = False) -> DiffusionModel:
     """Geometric Brownian motion: drift mu_bar*x, diffusion sigma_bar_sq*x^2."""
-    if not (sigma_bar_sq > 0 and math.isfinite(sigma_bar_sq)):
-        raise ValidationError("sigma_bar_sq must be positive and finite",
-                              operation="geometric_brownian", value=sigma_bar_sq, module=_MOD)
-    if not math.isfinite(mu_bar):
-        raise ValidationError("mu_bar must be finite",
-                              operation="geometric_brownian", value=mu_bar, module=_MOD)
-    interval = _check_interval(interval)
+    sigma_bar_sq = real(sigma_bar_sq, "sigma_bar_sq", "geometric_brownian", _MOD,
+                        0.0, strict=True)
+    mu_bar = real(mu_bar, "mu_bar", "geometric_brownian", _MOD)
+    interval = _check_interval(interval, "geometric_brownian")
     if interval[0] < 0.0:
         raise ValidationError("gbm state space must sit inside ]0, inf[",
                               operation="geometric_brownian", value=interval, module=_MOD)
@@ -322,13 +298,10 @@ def ornstein_uhlenbeck(theta: float, mean: float = 0.0, sigma_sq: float = 1.0,
                        model_id: str = "ou",
                        a_in_state_space: bool = False) -> DiffusionModel:
     """Ornstein-Uhlenbeck: drift -theta*(x - mean), constant diffusion."""
-    if not (theta > 0 and math.isfinite(theta)):
-        raise ValidationError("theta must be positive and finite",
-                              operation="ornstein_uhlenbeck", value=theta, module=_MOD)
-    if not (sigma_sq > 0 and math.isfinite(sigma_sq)):
-        raise ValidationError("sigma_sq must be positive and finite",
-                              operation="ornstein_uhlenbeck", value=sigma_sq, module=_MOD)
-    interval = _check_interval(interval)
+    theta = real(theta, "theta", "ornstein_uhlenbeck", _MOD, 0.0, strict=True)
+    mean = real(mean, "mean", "ornstein_uhlenbeck", _MOD)
+    sigma_sq = real(sigma_sq, "sigma_sq", "ornstein_uhlenbeck", _MOD, 0.0, strict=True)
+    interval = _check_interval(interval, "ornstein_uhlenbeck")
     ref = scale_ref if scale_ref is not None else (mean if interval[0] < mean < interval[1]
                                                    else _default_ref(interval))
     ref = _check_ref(ref, interval, "ornstein_uhlenbeck")
@@ -377,7 +350,7 @@ def _build_form(doc, role):
         if key not in doc:
             raise ValidationError(f"{role} form {form!r} is missing key {key!r}",
                                   operation="custom_model", value=doc, module=_MOD)
-        return _real(doc[key], f"{role} {key!r}", "custom_model")
+        return real(doc[key], f"{role} {key!r}", "custom_model", _MOD)
 
     if form == "constant":
         c = num("value")
@@ -692,7 +665,7 @@ def custom_model(drift_form: dict, diffusion_sq_form: dict,
     point, raises NumericError; so does a point past where |L| first
     exceeds 1024, beyond which S' is far outside the float range.
     """
-    interval = _check_interval(interval)
+    interval = _check_interval(interval, "custom_model")
     ref = _check_ref(scale_ref if scale_ref is not None else _default_ref(interval),
                      interval, "custom_model")
     drift = _build_form(drift_form, "drift")
@@ -773,7 +746,7 @@ def model_from_dict(doc: dict) -> DiffusionModel:
     if not (isinstance(raw_iv, (list, tuple)) and len(raw_iv) == 2):
         raise ValidationError("interval must be a two-element array",
                               operation="model_from_dict", value=raw_iv, module=_MOD)
-    interval = (_as_endpoint(raw_iv[0], "left"), _as_endpoint(raw_iv[1], "right"))
+    interval = (_as_endpoint(raw_iv[0]), _as_endpoint(raw_iv[1]))
     model_id = doc.get("model_id", kind)
     if not isinstance(model_id, str) or not model_id:
         raise ValidationError("model_id must be a nonempty string",
@@ -805,7 +778,7 @@ def model_from_dict(doc: dict) -> DiffusionModel:
         raise ValidationError(f"kind {kind!r} needs params {missing}",
                               operation="model_from_dict", value=missing,
                               module=_MOD)
-    kwargs = {k: _real(v, f"params.{k}", "model_from_dict")
+    kwargs = {k: real(v, f"params.{k}", "model_from_dict", _MOD)
               for k, v in params.items()}
     return _CONSTRUCTORS[kind](interval=interval, model_id=model_id,
                                a_in_state_space=a_flag, **kwargs)
@@ -828,7 +801,11 @@ def _require_interior(model, x, op):
     a, b = model.interval
     if isinstance(x, (float, int, np.floating, np.integer)) and a < x < b:
         return      # scalar fast path; nan and +-inf fail a strict comparison
-    arr = np.asarray(x, dtype=float)
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError("point must be a real number or an array of them",
+                              operation=op, value=x, module=_MOD) from None
     if arr.size == 0:
         return
     if not np.all(np.isfinite(arr)):
@@ -920,24 +897,28 @@ class SpeedDensity:
 # query validation
 # ---------------------------------------------------------------------------
 
-def validate_query(model: DiffusionModel, x: float, delta: float) -> None:
-    """Reject (x, delta) pairs whose drawdown law is not well posed.
-
-    Needs x interior and x - delta strictly above the left endpoint, so
-    that every drawdown window [z - delta, z] for z >= x stays inside
-    the state space.
-    """
+def _require_window(model, x, delta, op):
+    """(x, delta) as floats, once x is interior and x - delta lies
+    strictly above the left endpoint; see validate_query."""
+    x = real(x, "x", op, _MOD)
+    delta = real(delta, "delta", op, _MOD, 0.0, strict=True)
     a, b = model.interval
-    if not (isinstance(delta, (int, float)) and math.isfinite(delta) and delta > 0):
-        raise ValidationError("delta must be a positive finite number",
-                              operation="validate_query", value=delta, module=_MOD)
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise ValidationError("x must be finite", operation="validate_query",
-                              value=x, module=_MOD)
     if not (a < x < b):
-        raise DomainError(f"start x outside open interval ]{a}, {b}[",
-                          operation="validate_query", value=x, module=_MOD)
+        raise DomainError(f"x outside open interval ]{a}, {b}[",
+                          operation=op, value=x, module=_MOD)
     if not (x - delta > a):
         raise DomainError("x - delta must lie strictly above the left endpoint; "
                           "the first drawdown window would leave the state space",
-                          operation="validate_query", value=x - delta, module=_MOD)
+                          operation=op, value=x - delta, module=_MOD)
+    return x, delta
+
+
+def validate_query(model: DiffusionModel, x: float, delta: float) -> None:
+    """Reject (x, delta) pairs whose drawdown law is not well posed.
+
+    Needs x and delta finite reals, delta > 0, x interior and x - delta
+    strictly above the left endpoint, so that every drawdown window
+    [z - delta, z] for z >= x stays inside the state space.  Malformed
+    values raise ValidationError, windows outside it DomainError.
+    """
+    _require_window(model, x, delta, "validate_query")

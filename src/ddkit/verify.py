@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import laws, mc
-from .errors import ValidationError
+from .errors import ValidationError, integer, real
 from .models import DiffusionModel
 
 _MOD = "verify"
@@ -140,6 +140,10 @@ def dt_pair_simulate(model: DiffusionModel, x: float, delta: float,
     is the halving bias itself, not two runs' worth of Monte Carlo
     scatter.  Returns (fine collection, moves in std errors, fine dt).
     """
+    op = "dt_pair_simulate"
+    ys = [real(y, "tail level", op, _MOD) for y in ys]
+    alpha = real(alpha, "alpha", op, _MOD, 0.0)
+    max_halvings = integer(max_halvings, "max_halvings", op, _MOD, 0)
     run = cfg
     for _ in range(max_halvings + 1):
         fine, coarse = mc.paired_simulate(model, x, delta, run)
@@ -160,16 +164,17 @@ def verification_report(model: DiffusionModel, x: float, delta: float,
                         tol: float = 1e-9) -> VerificationReport:
     """Check P(M_tau > y) on three levels and E[e^{-alpha tau}] against
     the oracle, at a dt passing the dt-pair rule."""
+    query = laws.DrawdownQuery(x=x, delta=delta, alpha=alpha, tol=tol)
+    x, delta, alpha = query.x, query.delta, query.alpha
     if ys is None:
         ys = (x + 0.5 * delta, x + delta, x + 2.0 * delta)
-    ys = tuple(float(v) for v in ys)
+    ys = tuple(real(v, "tail level", "verification_report", _MOD) for v in ys)
     if len(ys) != 3:
         raise ValidationError("need exactly three tail levels",
                               operation="verification_report", value=ys,
                               module=_MOD)
     samples, moves, dt_used = dt_pair_simulate(model, x, delta, cfg, ys,
                                                alpha)
-    query = laws.DrawdownQuery(x=x, delta=delta, alpha=alpha, tol=tol)
     rows = []
     probes = _probe_values(samples, ys, alpha)
     names = [f"P(max > {y:g})" for y in ys] + [f"E[exp(-{alpha:g} tau)]"]
@@ -185,8 +190,8 @@ def verification_report(model: DiffusionModel, x: float, delta: float,
         rows.append(CheckRow(name=name, analytic=ana, estimate=est,
                              std_error=se, z_score=z, dt_move=move,
                              passed=ok))
-    return VerificationReport(model_id=model.model_id, x=float(x),
-                              delta=float(delta), dt=dt_used,
+    return VerificationReport(model_id=model.model_id, x=x,
+                              delta=delta, dt=dt_used,
                               n_paths=cfg.n_paths, rows=tuple(rows),
                               unstopped_fraction=samples.unstopped_fraction)
 
@@ -203,20 +208,22 @@ def excursion_report(model: DiffusionModel, x: float, y: float,
     The analytic mean comes from the tail law, whose exponent is the
     same integral of nu dS.
     """
+    query = laws.DrawdownQuery(x=x, delta=delta, tol=tol)
+    x, delta = query.x, query.delta
+    y = real(y, "y", "excursion_report", _MOD)
     counts_c, _ = mc.excursion_counts(model, x, y, delta, cfg)
     fine_cfg = mc.McConfig(n_paths=cfg.n_paths, dt=cfg.dt / 4,
                            t_max=cfg.t_max, seed=cfg.seed,
                            scheme=cfg.scheme)
     counts_f, done_f = mc.excursion_counts(model, x, y, delta, fine_cfg)
-    query = laws.DrawdownQuery(x=x, delta=delta, tol=tol)
     analytic = -math.log(laws.max_tail(model, query, y))
     mean_c = float(counts_c.mean())
     mean_f = float(counts_f.mean())
     var_f = float(counts_f.var(ddof=1))
     extrapolated = 2.0 * counts_f - counts_c
-    return ExcursionReport(model_id=model.model_id, x=float(x), y=float(y),
-                           delta=float(delta), n_paths=cfg.n_paths,
-                           dt_fine=fine_cfg.dt, analytic_mean=analytic,
+    return ExcursionReport(model_id=model.model_id, x=x, y=y, delta=delta,
+                           n_paths=cfg.n_paths, dt_fine=fine_cfg.dt,
+                           analytic_mean=analytic,
                            mean_fine=mean_f, mean_coarse=mean_c,
                            mean_extrapolated=2.0 * mean_f - mean_c,
                            var_over_mean=var_f / mean_f,

@@ -128,13 +128,14 @@ FREE_CUSTOM = {"drift": {"form": "constant", "value": 0.0},
     (OU_MODEL, {"box": [None, 3]}, "query.box"),
     ({"kind": "drifted_bm", "params": {"mu": "abc"}}, {}, "params.mu"),
     ({"kind": "drifted_bm", "params": {"mu": None}}, {}, "params.mu"),
+    ({"kind": "drifted_bm", "params": {"mu": 10 ** 400}}, {}, "params.mu"),
     ({"kind": "custom", "params": dict(
         FREE_CUSTOM, drift={"form": "constant", "value": "abc"})}, {}, "drift"),
     ({"kind": "custom", "params": dict(FREE_CUSTOM, scale_ref="zz")}, {},
      "scale_ref"),
     ({"kind": "bm", "a_in_state_space": "false"}, {}, "a_in_state_space"),
-], ids=["box-str", "box-null", "mu-str", "mu-null", "form-value-str",
-        "scale-ref-str", "flag-str"])
+], ids=["box-str", "box-null", "mu-str", "mu-null", "mu-past-float",
+        "form-value-str", "scale-ref-str", "flag-str"])
 def test_malformed_model_or_query_value_exits_2(tmp_path, capsys, model,
                                                 query_extra, needle):
     doc = {"model": model, "query": dict({"x": 0.0, "delta": 1.0}, **query_extra),
@@ -253,6 +254,16 @@ def test_simulate_needs_mc_section(tmp_path, capsys):
     code, _, err = run(["simulate", "--config", cfg], capsys)
     assert code == 2
     assert "mc" in err
+
+
+def test_boolean_mc_number_exits_2(tmp_path, capsys):
+    # JSON true is not a horizon of 1: refused before any path is drawn
+    doc = bm_doc(mc={"n_paths": 1000, "dt": 0.01, "t_max": True, "seed": 1})
+    doc["query"]["delta"] = 20.0
+    cfg = write_cfg(tmp_path, doc)
+    code, _, err = run(["simulate", "--config", cfg], capsys)
+    assert code == 2
+    assert "invalid request" in err and "t_max" in err
 
 
 def test_seed_flag_overrides_config(tmp_path, capsys):

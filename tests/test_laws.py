@@ -11,15 +11,27 @@ from numpy.testing import assert_allclose
 
 from ddkit import (
     DomainError,
+    McConfig,
     NumericError,
+    PathSample,
     UnsupportedModelError,
     ValidationError,
     brownian,
     drifted_brownian,
+    estimate_tail,
+    estimate_transform,
+    excursion_counts,
+    extract_excursions,
     geometric_brownian,
     ornstein_uhlenbeck,
+    sample_trajectory,
+    scale_diff,
+    simulate,
+    tau_cdf_estimate,
+    validate_query,
 )
-from ddkit import laws
+from ddkit import invlap, laws
+from ddkit.basis import batch_endpoints
 from ddkit.laws import (
     DrawdownQuery,
     TailCurve,
@@ -415,8 +427,98 @@ def test_query_and_result_validation():
     with pytest.raises(ValidationError):
         DrawdownQuery(0.0, 1.0, tol=0.0)
     with pytest.raises(ValidationError):
+        DrawdownQuery(0.0, 1.0, alpha=True)
+    with pytest.raises(ValidationError):
+        DrawdownQuery(0.0, 1.0, tol="a")
+    with pytest.raises(ValidationError):
         TransformResult(value=-0.2, abs_error_estimate=0.0,
                         truncation_point=1.0)
     with pytest.raises(NumericError):
         TailCurve(x=0.0, delta=1.0, grid=np.array([1.0, 2.0]),
                   tail=np.array([0.5, 0.9]), density=np.array([0.1, 0.1]))
+
+
+# -- one check for every public scalar --------------------------------------
+
+_Q = DrawdownQuery(0.0, 1.0, alpha=0.5)
+_SAMPLES = [PathSample(tau_hat=t, m_tau_hat=m, stopped=True)
+            for t, m in ((0.5, 0.2), (1.5, 1.7), (2.5, 0.9))]
+_PATH = np.array([0.0, -0.5, -1.5, 0.5, 0.2, 1.0])
+_CFG = McConfig(n_paths=1000, dt=0.01, t_max=40.0, seed=2)
+
+# (parameter, call with the value in that slot, a valid integer value)
+_SCALARS = [
+    ("brownian.sigma_sq", lambda v: hitting_laplace(brownian(v), 0.0, 1.0, 1.0), 2),
+    ("brownian.interval", lambda v: brownian(interval=(-1.0, v)).interval, 2),
+    ("drifted_brownian.mu", lambda v: nu(drifted_brownian(v), 1.0, 1.0), 1),
+    ("drifted_brownian.sigma_sq", lambda v: nu(drifted_brownian(1.0, v), 1.0, 1.0), 2),
+    ("geometric_brownian.mu_bar",
+     lambda v: nu(geometric_brownian(v, 1.0), 2.0, 1.0), 1),
+    ("geometric_brownian.sigma_bar_sq",
+     lambda v: nu(geometric_brownian(0.5, v), 2.0, 1.0), 1),
+    ("ornstein_uhlenbeck.theta",
+     lambda v: scale_diff(ornstein_uhlenbeck(v), -1.0, 1.0), 1),
+    ("ornstein_uhlenbeck.mean",
+     lambda v: scale_diff(ornstein_uhlenbeck(1.0, v), -1.0, 1.0), 1),
+    ("ornstein_uhlenbeck.sigma_sq",
+     lambda v: scale_diff(ornstein_uhlenbeck(1.0, 0.0, v), -1.0, 1.0), 2),
+    ("validate_query.x", lambda v: validate_query(DBM, v, 1.0), 0),
+    ("validate_query.delta", lambda v: validate_query(DBM, 0.0, v), 1),
+    ("DrawdownQuery.x", lambda v: max_tail(DBM, DrawdownQuery(v, 1.0), 2.0), 0),
+    ("DrawdownQuery.delta", lambda v: max_tail(DBM, DrawdownQuery(0.0, v), 2.0), 1),
+    ("DrawdownQuery.alpha",
+     lambda v: joint_transform(DBM, DrawdownQuery(0.0, 1.0, alpha=v)).value, 1),
+    ("DrawdownQuery.beta",
+     lambda v: joint_transform(DBM, DrawdownQuery(0.0, 1.0, beta=v)).value, 1),
+    ("nu.z", lambda v: nu(DBM, v, 1.0), 1),
+    ("nu.delta", lambda v: nu(DBM, 1.0, v), 1),
+    ("b_factor.alpha", lambda v: b_factor(DBM, 1.0, 1.0, v), 1),
+    ("c_hat.z", lambda v: c_hat(DBM, v, 1.0, 0.5), 1),
+    ("max_tail.y", lambda v: max_tail(DBM, _Q, v), 2),
+    ("max_density.y", lambda v: max_density(DBM, _Q, v), 2),
+    ("run_up_transform.y", lambda v: run_up_transform(DBM, 0.0, v, 1.0, 0.5), 2),
+    ("run_up_transform.alpha", lambda v: run_up_transform(DBM, 0.0, 2.0, 1.0, v), 1),
+    ("conditional_laplace.y", lambda v: conditional_laplace(DBM, _Q, v), 2),
+    ("hitting_laplace.x", lambda v: hitting_laplace(DBM, v, 1.0, 0.5), 0),
+    ("hitting_laplace.y", lambda v: hitting_laplace(DBM, 0.0, v, 0.5), 1),
+    ("hitting_laplace.alpha", lambda v: hitting_laplace(DBM, 0.0, 1.0, v), 1),
+    ("hitting_laplace.box",
+     lambda v: hitting_laplace(OU, 0.0, 1.0, 0.5, box=(-2.0, v)), 3),
+    ("exit_probability.x", lambda v: exit_probability(DBM, v, -1.0, 1.0), 0),
+    ("exit_probability.a", lambda v: exit_probability(DBM, 0.0, v, 1.0), -1),
+    ("exit_probability.bnd", lambda v: exit_probability(DBM, 0.0, -1.0, v), 1),
+    ("exit_transform.alpha", lambda v: exit_transform(DBM, 0.0, -1.0, 1.0, v), 1),
+    ("batch_endpoints.alpha",
+     lambda v: batch_endpoints(DBM, v, np.array([0.0]), np.array([1.0])).u_r, 1),
+    ("invert.t", lambda v: invlap.invert(lambda s: 1.0 / (s + 1.0), v), 1),
+    ("invert_sweep.t", lambda v: invlap.invert_sweep(lambda s: 1.0 / (s + 1.0), v), 1),
+    ("McConfig.dt", lambda v: McConfig(n_paths=1000, dt=v, t_max=40.0, seed=0).dt, 1),
+    ("McConfig.t_max", lambda v: McConfig(n_paths=1000, dt=0.01, t_max=v, seed=0).t_max,
+     40),
+    ("simulate.x", lambda v: simulate(BM, v, 1.0, _CFG).tau_hat, 0),
+    ("excursion_counts.y", lambda v: excursion_counts(DBM, 0.0, v, 1.0, _CFG)[0], 1),
+    ("sample_trajectory.x", lambda v: sample_trajectory(BM, v, _CFG, n_steps=10), 0),
+    ("estimate_tail.y", lambda v: estimate_tail(_SAMPLES, v), 1),
+    ("estimate_transform.alpha", lambda v: estimate_transform(_SAMPLES, v, 0.0), 1),
+    ("estimate_transform.beta", lambda v: estimate_transform(_SAMPLES, 0.0, v), 1),
+    ("tau_cdf_estimate.t", lambda v: tau_cdf_estimate(_SAMPLES, v), 1),
+    ("extract_excursions.dt",
+     lambda v: extract_excursions(_PATH, v, 1.0, (-1.0, 1.0)), 1),
+    ("extract_excursions.delta",
+     lambda v: extract_excursions(_PATH, 1.0, v, (-1.0, 1.0)), 1),
+    ("extract_excursions.band",
+     lambda v: extract_excursions(_PATH, 1.0, 1.0, (-1.0, v)), 1),
+]
+
+
+@pytest.mark.parametrize("call,good", [s[1:] for s in _SCALARS],
+                         ids=[s[0] for s in _SCALARS])
+def test_public_scalars_are_finite_reals(call, good):
+    # bools, strings, None and NaN are refused where the number enters;
+    # numpy scalars are read as the Python float of the same value
+    for bad in (True, "1", None, math.nan):
+        with pytest.raises(ValidationError):
+            call(bad)
+    want = call(float(good))
+    for wrap in (np.float32, np.int64):
+        np.testing.assert_equal(call(wrap(good)), want)

@@ -50,6 +50,7 @@ def test_config_rejects_small_path_count():
     ("t_max", 0.001), ("t_max", math.nan),
     ("seed", -1), ("seed", 2 ** 64), ("seed", 1.5), ("seed", True),
     ("seed", np.int64(-1)), ("n_paths", 1000.0), ("scheme", "milstein"),
+    ("dt", True), ("dt", "a"), ("t_max", True), ("t_max", "a"),
 ])
 def test_config_rejects_bad_fields(field, value):
     base = dict(n_paths=1000, dt=0.01, t_max=1.0, seed=0)
@@ -393,6 +394,9 @@ def test_extract_excursions_validation():
         mc.extract_excursions(np.array([1.0]), 0.1, 1.0, (0.0, 1.0))
     with pytest.raises(ValidationError):
         mc.extract_excursions(np.zeros(5), 0.1, 1.0, (1.0, 1.0))
+    with pytest.raises(ValidationError):
+        mc.extract_excursions(np.array([0.0, math.nan, -2.0, 1.0]), 0.1, 1.0,
+                              (-1.0, 1.0))
 
 
 def test_excursion_counts_validation():
@@ -433,10 +437,11 @@ def test_deep_block_skip_matches_stepping(model, x0, level, length, dt):
     skip_first = np.zeros(n)
     skip_over = np.zeros(n)
     for i, gen in enumerate(mc._generators(17, 0, n)):
-        tail, x_end = mc._deep_block(gen, model.exact_step, x0, level,
-                                     length, dt)
+        hits, tails, x_end = mc._deep_blocks([gen], model.exact_step, np.array([x0]),
+                                             np.array([level]), length, dt)
+        tail = tails[0] if hits.size else np.empty(0)
         if tail.size:
-            assert tail[-1] == pytest.approx(x_end, rel=1e-12)
+            assert tail[-1] == pytest.approx(x_end[0], rel=1e-12)
             up = np.flatnonzero(tail >= level)
             if up.size:
                 skip_hit[i] = True

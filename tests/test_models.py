@@ -451,6 +451,14 @@ def test_constructor_rejects_bad_parameters():
     with pytest.raises(ValidationError):
         custom_model({"form": "constant", "value": 0.0},
                      {"form": "constant", "value": -1.0})
+    with pytest.raises(ValidationError):
+        brownian(sigma_sq="1")
+    with pytest.raises(ValidationError):
+        ornstein_uhlenbeck(theta=None)
+    with pytest.raises(ValidationError):
+        ornstein_uhlenbeck(1.0, mean=math.nan)
+    with pytest.raises(ValidationError):
+        brownian(interval=("a", "b"))
 
 
 def test_domain_errors_on_scale_evaluation():
@@ -459,6 +467,8 @@ def test_domain_errors_on_scale_evaluation():
         scale_density(g, -0.5)
     with pytest.raises(DomainError):
         scale(g, 0.0)   # boundary point itself is outside the open interval
+    with pytest.raises(ValidationError):
+        scale_density(g, "a")   # not a number at all
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1.0, 0.0, 2.0, 3.5])
