@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import lobatto
-from .errors import NumericError, ValidationError, integer, real
+from .errors import NumericError, ValidationError, integer, real, real_array
 from .models import DiffusionModel, scale_density
 
 _MOD = "basis"
@@ -326,9 +326,9 @@ def batch_endpoints(model: DiffusionModel, alpha: float,
     """Solve all windows [l_i, r_i] at once and return endpoint data."""
     alpha = real(alpha, "alpha", "batch_endpoints", _MOD, 0.0, strict=True)
     settings = settings or DEFAULT_SETTINGS
-    l = np.asarray(l, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if l.shape != r.shape or l.ndim != 1 or l.size == 0:
+    l = real_array(l, "l", "batch_endpoints", _MOD)
+    r = real_array(r, "r", "batch_endpoints", _MOD)
+    if l.shape != r.shape:
         raise ValidationError("l and r must be equal-length 1d arrays",
                               operation="batch_endpoints", value=(l.shape, r.shape),
                               module=_MOD)

@@ -5,16 +5,21 @@ raised it, the offending value (when there is one), and the module of
 origin.  The CLI maps these classes onto process exit codes, so library
 code must raise them rather than bare ValueError/RuntimeError.
 
-Two checks decide what a valid scalar argument is, for every public
-entry point: ``real`` (a finite real number, returned as a float) and
-``integer`` (an int or numpy integer, returned as an int).  Both raise
-ValidationError naming the caller's operation and module.
+Four checks decide what a valid argument is, for every public entry
+point: ``real`` (a finite real number, returned as a float),
+``integer`` (an int or numpy integer, returned as an int),
+``real_array`` (a 1d array of finite real numbers, returned as a float
+ndarray) and ``pair`` (exactly two entries, returned as a tuple for the
+caller to check one by one).  All raise ValidationError naming the
+caller's operation and module.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+
+import numpy as np
 
 
 class DdkitError(Exception):
@@ -89,3 +94,34 @@ def integer(v, name, operation, module, lower, upper=None) -> int:
     span = f">= {lower}" if upper is None else f"in [{lower}, {upper})"
     raise ValidationError(f"{name} must be an integer {span}",
                           operation=operation, value=v, module=module)
+
+
+def real_array(v, name, operation, module, min_size=1) -> np.ndarray:
+    """v as a 1d float ndarray of at least min_size finite entries.
+
+    Takes sequences and arrays of ints and floats, numpy's too; refuses
+    bools, strings, complex numbers, ragged or nested input, NaN and
+    +-inf.
+    """
+    try:
+        a = np.asarray(v)
+    except (TypeError, ValueError):
+        a = np.array(None)
+    if a.dtype.kind in "iuf" and a.ndim == 1 and a.size >= min_size:
+        a = a.astype(float, copy=False)
+        if np.isfinite(a).all():
+            return a
+    raise ValidationError(f"{name} must be a 1d array of at least {min_size} "
+                          "finite real numbers", operation=operation,
+                          value=v, module=module)
+
+
+def pair(v, name, operation, module) -> tuple:
+    """The two entries of v, unchecked; anything that is not a sequence
+    of exactly two entries is refused."""
+    try:
+        a, b = v
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a pair of numbers",
+                              operation=operation, value=v, module=module) from None
+    return a, b

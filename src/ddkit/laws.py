@@ -16,28 +16,35 @@ The transform of (tau, M_tau) is an integral over the terminal level y
 of  exp(-beta y - int_x^y chat dS) b(y) dS(y);  the M_tau law alone is
 the alpha = 0 case, where b = chat = nu and the integral telescopes.
 
-Quadrature runs in a mass coordinate: levels are placed so each step
-carries equal increments of int nu dS + beta dy, which concentrates
-nodes exactly where the integrand still has weight, and the outer
-integral is evaluated segmentwise as exp(-t) times a cubic, which is
-exact for the dominant exponential decay.  Numbers degrade gracefully:
+Every law reads one table of the survival mass N(y) = int_x^y nu dS:
+Chebyshev-Lobatto panels in y, each sized to carry about two units of
+N, on which N is the antiderivative of the interpolant of nu S'.  The
+tails read N off it at any level; the transforms solve their windows
+at the Lobatto points of the same panels and climb a nested degree
+ladder (4, 8, 16, ...; each rung reuses the solves of the one before)
+until two rungs agree.  On each panel the outer integral splits its
+exponent into a linear part and a remainder, interpolates the rest,
+and integrates polynomial times exponential exactly, so the dominant
+decay costs no accuracy at any degree.  Numbers degrade gracefully:
 transforms too small for double precision underflow to 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
+from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from . import invlap
 from .basis import OdeSettings, batch_endpoints
+from .chebyshev import lobatto
 from .errors import (DegenerateBasisError, NumericError, UnsupportedModelError,
-                     ValidationError, real)
+                     ValidationError, pair, real, real_array)
 from .models import (DiffusionModel, _require_interior, _require_window,
                      scale_density, scale_diff)
 
@@ -47,7 +54,53 @@ _MOD = "laws"
 # contribution is below 1e-14 of the value scale and is reported
 _MASS_CUT = -math.log(1e-14)
 
-_GL_X, _GL_W = leggauss(7)
+# survival mass a table panel is sized to carry: at a constant rate
+# sixteen panels reach the cut
+_PANEL_MASS = 2.0
+_TABLE_DEGREE = 16              # nu S' on a table panel; its even points certify it
+_DEGREES = (4, 8, 16, 32, 64)   # the transforms' nested ladder of panel points
+_STRIP_MASS = 1e-14             # mass left below a finite upper endpoint
+_REACH = 0.875                  # share of the way to that endpoint a panel may cover
+_LEGENDRE = leggauss(96)
+_LAGUERRE = laggauss(48)
+
+
+@functools.lru_cache(maxsize=None)
+def _rule(n):
+    """Degree-n Lobatto points t; T_0 .. T_{n+1} at them less their
+    chords from -1 to 1 (columns 0 and 1 vanish exactly); the map from
+    values at the points to Chebyshev coefficients; and the map from
+    those to the n + 2 coefficients of the antiderivative from -1."""
+    lob = lobatto(n)
+    sign = np.cos(np.pi * np.arange(n + 2))
+    bent = lob.ev[:, :-1] - sign - np.outer(0.5 * (lob.t + 1.0), 1.0 - sign)
+    return lob.t, bent, lob.coef, lob.anti[:-1, :-1]
+
+
+def _coefficients(f, coef):
+    """Chebyshev coefficients of f (values along the last axis) less
+    those at the rounding level of the transform, n ulps of max |f|, so
+    that a constant has exactly one."""
+    c = f @ coef.T
+    floor = coef.shape[0] * 2.0 ** -52 * np.abs(f).max(axis=-1, keepdims=True)
+    c[np.abs(c) <= floor] = 0.0
+    return c
+
+
+def _integral_at(edges, A, ys):
+    """The integral from edges[0] to each level of ys (all within the
+    panels) of a panelwise function whose antiderivative on panel k,
+    from its left edge, is the Chebyshev series A[k] in
+    t = 2 (y - edges[k]) / (edges[k + 1] - edges[k]) - 1.  Each series is
+    summed as sum_j A[k, j] (T_j(t) - T_j(-1)), exactly 0 at t = -1."""
+    if A.shape[0] == 0:
+        return np.zeros(np.shape(ys))
+    k = np.clip(np.searchsorted(edges, ys, side="right") - 1, 0, A.shape[0] - 1)
+    t = np.clip(2.0 * (ys - edges[k]) / (edges[k + 1] - edges[k]) - 1.0, -1.0, 1.0)
+    j = np.arange(A.shape[1])
+    series = np.sum(A[k] * (np.cos(np.arccos(t)[..., None] * j) - np.cos(np.pi * j)),
+                    axis=-1)
+    return np.concatenate([[0.0], np.cumsum(A.sum(axis=1))])[k] + series
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +143,11 @@ class TransformResult:
     value is E^x[exp(-alpha tau - beta M_tau); tau finite].  It lies in
     [0, 1] whenever beta * x >= 0; a start below zero with beta > 0
     legitimately raises the cap to e^(-beta x).  abs_error_estimate
-    combines the truncation remainder bound, the last grid-doubling
-    change, and the window solver's measured certificate (the largest
-    accepted degree-ladder gap of the node solves, times |value|);
+    sums three terms: the truncation remainder bound past the mass cut
+    (and, below a finite upper endpoint, times the mass left in the
+    strip), the gap between the last two rungs of the outer degree
+    ladder, and the window solver's measured certificate (the largest
+    accepted degree-ladder gap of the node solves, times |value|).
     truncation_point is the level where the outer integral was cut.
     """
 
@@ -215,21 +270,110 @@ def c_hat(model: DiffusionModel, z: float, delta: float, alpha: float,
 
 
 # ---------------------------------------------------------------------------
-# M_tau law (alpha-free: pure scale quadrature)
+# the mass table: Chebyshev panels in the level
 # ---------------------------------------------------------------------------
 
-def _survival_exponent(model, x, y, delta, tol):
-    """int_x^y nu dS by adaptive quadrature in the level variable."""
-    if y == x:
-        return 0.0
-    res = integrate.quad(lambda z: _nu_sp(model, z, delta), x, y,
-                         epsabs=1e-13, epsrel=tol, limit=200, full_output=1)
-    val, err = res[0], res[1]
-    if err > max(10.0 * tol * abs(val), 1e-10):
-        raise NumericError("survival quadrature did not converge",
-                           operation="max_tail", value=(x, y), module=_MOD,
-                           partial=math.exp(-val))
-    return float(val)
+class _MassTable:
+    """N = int_x^y nu dS on Chebyshev-Lobatto panels in the level y.
+
+    Panels run right from x.  On panel k, [edges[k], edges[k + 1]], anti[k]
+    is the Chebyshev series of the antiderivative of the degree-16
+    interpolant of nu S' (see _integral_at), and mass is N at the last
+    edge.  A panel is accepted when the mass from the
+    degree-8 half of its points agrees with the degree-16 mass to the
+    window solver's rel_tol (the degree ladder), and when it carries at
+    most 2 _PANEL_MASS; otherwise it is bisected.  Each trial width
+    scales the last panel to carry _PANEL_MASS, and a panel near the
+    requested mass is stretched to reach it.  beta plays no part: it
+    enters the transforms' exponent linearly, which their outer rule
+    integrates exactly.
+
+    Toward a finite upper endpoint B a panel covers at most _REACH of
+    the way to B, so the distance to B shrinks by a fixed factor per
+    panel.  Two such panels in a row with masses m_prev and m_last fit
+    the mass within distance d of B to C d^q, which leaves the strip
+    m_last r / (1 - r), r = m_last / m_prev, below the last edge.  The
+    table stops there (hit_b) once the strip is under _STRIP_MASS or the
+    distance to B is at rounding level; a strip that does not shrink
+    (r >= 1) is refused.
+    """
+
+    def __init__(self, model, x, delta, tol):
+        self.model, self.delta = model, delta
+        self.rel = _settings_for(tol).rel_tol
+        self.edges, self.anti, self.mass = [x], [], 0.0
+        self.hit_b, self.strip = False, 0.0
+        self._trial = None
+        self._near_b = []       # masses of the panels in a row that reach _REACH toward B
+
+    def grow(self, mass=math.inf, level=math.inf):
+        """Append panels until N reaches mass, the last edge reaches
+        level (the last panel then ends on it), or the table hits B."""
+        while not self.hit_b and self.mass < mass and self.edges[-1] < level:
+            self._append(mass, level)
+        return self
+
+    def _append(self, mass, level):
+        t, _, coef, anti = _rule(_TABLE_DEGREE)
+        _, _, coef8, anti8 = _rule(_TABLE_DEGREE // 2)
+        w8 = anti8.sum(axis=0) @ coef8
+        e, bnd = self.edges[-1], self.model.interval[1]
+        if self._trial is None:
+            rate = float(_nu_sp(self.model, np.array([e]), self.delta)[0])
+            self._trial = _PANEL_MASS / rate if 0.0 < rate < math.inf else 1.0
+        h = self._trial
+        left = mass - self.mass
+        if left < 1.5 * _PANEL_MASS:
+            h *= left / _PANEL_MASS * (1.0 + 1e-3)
+        h = min(h, level - e)
+        near_b = math.isfinite(bnd) and not h < _REACH * (bnd - e)
+        if near_b:
+            h = _REACH * (bnd - e)
+        while True:
+            f = _nu_sp(self.model, e + (t + 1.0) * (0.5 * h), self.delta)
+            A = 0.5 * h * (anti @ _coefficients(f, coef))
+            m = float(A.sum())
+            gap = abs(m - 0.5 * h * float(w8 @ f[::2]))
+            if gap <= self.rel * m and m <= 2.0 * _PANEL_MASS:
+                break
+            h *= 0.5
+            near_b = False
+            if not h > 1e-13 * max(1.0, abs(e)):
+                raise NumericError("nu S' is not resolved by any panel width here",
+                                   operation="mass table", value=e, module=_MOD)
+        self.edges.append(e + h)
+        self.anti.append(A)
+        self.mass += m
+        self._trial = min(2.0 * h, h * _PANEL_MASS / max(m, 1e-300))
+        if not near_b:
+            self._near_b = []
+            return
+        self._near_b.append(m)
+        if len(self._near_b) < 2:
+            return
+        r = m / self._near_b[-2]
+        self.strip = m * r / (1.0 - r) if r < 1.0 else math.inf
+        if self.strip <= _STRIP_MASS or bnd - e - h <= 1e-12 * max(1.0, abs(bnd)):
+            if not math.isfinite(self.strip):
+                raise NumericError("the survival mass does not shrink toward the "
+                                   "upper endpoint", operation="mass table",
+                                   value=bnd, module=_MOD)
+            self.hit_b = True
+
+    def mass_at(self, ys):
+        """N at the levels ys, all in [x, last edge]."""
+        anti = np.reshape(self.anti, (-1, _TABLE_DEGREE + 2))
+        return _integral_at(np.asarray(self.edges), anti, ys)
+
+
+# ---------------------------------------------------------------------------
+# M_tau law (alpha-free: the mass table alone)
+# ---------------------------------------------------------------------------
+
+def _survival_mass(model, query, ys):
+    """int_x^y nu dS at the levels ys, an array in [x, B[."""
+    table = _MassTable(model, query.x, query.delta, query.tol)
+    return table.grow(level=float(np.max(ys))).mass_at(ys)
 
 
 def max_tail(model: DiffusionModel, query: DrawdownQuery, y: float) -> float:
@@ -237,11 +381,8 @@ def max_tail(model: DiffusionModel, query: DrawdownQuery, y: float) -> float:
     _require_window(model, query.x, query.delta, "max_tail")
     y = real(y, "y", "max_tail", _MOD, query.x)
     _require_interior(model, y, "max_tail")
-    if y == query.x:
-        return 1.0
     with np.errstate(under="ignore"):
-        return float(math.exp(-_survival_exponent(model, query.x, y,
-                                                  query.delta, query.tol)))
+        return float(np.exp(-_survival_mass(model, query, np.array([y]))[0]))
 
 
 def max_density(model: DiffusionModel, query: DrawdownQuery, y: float) -> float:
@@ -253,198 +394,166 @@ def max_density(model: DiffusionModel, query: DrawdownQuery, y: float) -> float:
     _require_window(model, query.x, query.delta, "max_density")
     y = real(y, "y", "max_density", _MOD, query.x, strict=True)
     _require_interior(model, y, "max_density")
-    return _nu_sp(model, y, query.delta) * max_tail(model, query, y)
+    return float(_nu_sp(model, np.array([y]), query.delta)[0]) * max_tail(model, query, y)
 
 
 def tail_curve(model: DiffusionModel, query: DrawdownQuery, grid) -> TailCurve:
     """Tail and density of M_tau along an increasing grid of levels."""
     _require_window(model, query.x, query.delta, "tail_curve")
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size == 0 or not np.all(np.isfinite(g)):
-        raise ValidationError("grid must be a finite 1d array",
-                              operation="tail_curve", value=g.shape, module=_MOD)
+    g = real_array(grid, "grid", "tail_curve", _MOD)
     if np.any(np.diff(g) <= 0) or g[0] < query.x:
         raise ValidationError("grid must be strictly increasing with grid[0] >= x",
                               operation="tail_curve", module=_MOD)
     _require_interior(model, float(g[-1]), "tail_curve")
-    exps = np.empty(g.size)
-    prev_y, acc = query.x, 0.0
-    for i, y in enumerate(g):
-        acc += _survival_exponent(model, prev_y, float(y), query.delta, query.tol)
-        exps[i] = acc
-        prev_y = float(y)
     with np.errstate(under="ignore"):
-        tail = np.exp(-exps)
+        tail = np.exp(-_survival_mass(model, query, g))
         dens = _nu_sp(model, g, query.delta) * tail
     return TailCurve(x=query.x, delta=query.delta, grid=g, tail=tail,
                      density=dens)
 
 
 # ---------------------------------------------------------------------------
-# mass-coordinate machinery for the transforms
+# the transforms on the table's panels
 # ---------------------------------------------------------------------------
 
-def _march_mass(model, x, delta, beta, mass_cap, y_stop=None):
-    """Cumulative tables of N = int nu dS and Q = N + beta (y - x).
+def _level_values(model, ys, delta, alpha, settings):
+    """(nu, b, chat, S') at the levels ys, stacked, and the solve gap."""
+    sp = scale_density(model, ys)
+    nu_v = 1.0 / scale_diff(model, ys - delta, ys)
+    if alpha == 0.0:
+        return np.array([nu_v, nu_v, nu_v, sp]), 0.0
+    try:
+        ep = batch_endpoints(model, alpha, ys - delta, ys, settings)
+    except NumericError as exc:
+        raise NumericError(
+            f"window solve failed inside the transform for levels in "
+            f"[{ys.min():g}, {ys.max():g}]: {exc}",
+            operation="transform", value=float(ys.min()), module=_MOD) from exc
+    b_v, c_v = _endpoint_quotients(ep, np.full(ys.shape, delta), "transform")
+    return np.array([nu_v, b_v, c_v, sp]), ep.endpoint_gap
 
-    Marches right from x in steps sized to carry about half a unit of
-    combined mass each, until N reaches mass_cap, y reaches y_stop, or
-    the state space ends.  Node placement and truncation both read off
-    these tables; the transform's own accuracy does not, so the
-    fixed-order step rule needs no refinement loop.  Returns
-    (levels, N, Q, hit_boundary); hit_boundary records that the march
-    ran into a finite upper endpoint rather than the mass cap.
+
+def _panel_values(model, edges, n, delta, alpha, settings, prev):
+    """(nu, b, chat, S') at the degree-n Lobatto points of every panel,
+    shaped (4, panels, n + 1), and the solve gap.  prev holds the values
+    at degree n / 2, whose points are the even ones of degree n, so only
+    the odd points are solved."""
+    t = _rule(n)[0]
+    lo, hs = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    panels = hs.shape[0]
+    if prev is None:
+        ys = np.append((lo + hs * (t[:-1] + 1.0)).ravel(), edges[-1])
+        vals, gap = _level_values(model, ys, delta, alpha, settings)
+        return vals[:, np.arange(panels)[:, None] * n + np.arange(n + 1)], gap
+    vals, gap = _level_values(model, (lo + hs * (t[1::2] + 1.0)).ravel(), delta,
+                              alpha, settings)
+    out = np.empty((4, panels, n + 1))
+    out[:, :, ::2] = prev
+    out[:, :, 1::2] = vals.reshape(4, panels, n // 2)
+    return out, gap
+
+
+def _exp_moments(a, n):
+    """M[p, k] = int_{-1}^{1} e^{-a_p (u + 1)} T_k(u) du for k <= n <= 64.
+
+    Gauss-Legendre on 96 points for a <= 60, Gauss-Laguerre on 48 in
+    v = a (u + 1) above, where the part past u = 1 is below e^{-80}.
+    Both rules are exact for T_k and resolve the exponential; rounding
+    in their points leaves a relative error of about a * 1e-15.
     """
-    bnd = model.interval[1]
-    ys, Ns, Qs = [x], [0.0], [0.0]
-    y, N, Q = x, 0.0, 0.0
-    h_prev = None
-    for _ in range(200000):
-        if N >= mass_cap or (y_stop is not None and y >= y_stop):
-            break
-        rate = _nu_sp(model, y, delta) + beta
-        h = 0.5 / max(rate, 1e-300)
-        if h_prev is not None:
-            h = min(h, 3.0 * h_prev)
-        h = max(h, 1e-12 * max(1.0, abs(y)))
-        if y_stop is not None:
-            h = min(h, y_stop - y)
-        last = False
-        if math.isfinite(bnd) and y + h >= bnd - 1e-12 * (bnd - x):
-            h = (bnd - y) * (1.0 - 1e-12)
-            last = True
-        for _ in range(60):
-            mid = y + 0.5 * h
-            pts = mid + 0.5 * h * _GL_X
-            dN = 0.5 * h * float(np.dot(_GL_W, _nu_sp(model, pts, delta)))
-            if dN <= 1.0 or h <= 1e-13 * max(1.0, abs(y)):
-                break
-            h *= 0.5
-            last = False
-        y += h
-        N += dN
-        Q += dN + beta * h
-        ys.append(y)
-        Ns.append(N)
-        Qs.append(Q)
-        h_prev = h
-        if last:
-            return np.asarray(ys), np.asarray(Ns), np.asarray(Qs), True
-    else:
-        raise NumericError("mass march exceeded its step budget",
-                           operation="transform", value=y, module=_MOD)
-    return np.asarray(ys), np.asarray(Ns), np.asarray(Qs), False
+    M = np.empty((a.size, n + 1))
+    u, w = _LEGENDRE
+    small = a <= 60.0
+    M[small] = (w * np.exp(-np.outer(a[small], u + 1.0))) @ chebvander(u, n)
+    if not small.all():
+        v, wl = _LAGUERRE
+        ab = a[~small, None]
+        M[~small] = np.einsum("i,pik->pk", wl, chebvander(v / ab - 1.0, n)) / ab
+    return M
 
 
-def _nodes_from_table(ys, Qs, nseg):
-    """nseg+1 levels carrying equal increments of the combined mass."""
-    targets = np.linspace(0.0, Qs[-1], nseg + 1)
-    nodes = PchipInterpolator(Qs, ys)(targets)
-    nodes[0], nodes[-1] = ys[0], ys[-1]
-    if np.any(np.diff(nodes) <= 0):
-        raise NumericError("mass inversion produced a non-increasing mesh",
-                           operation="transform", module=_MOD)
-    return nodes
+def _exponent(hs, rate, n):
+    """On each panel, J = int rate from its left edge through the
+    degree-n interpolant of rate: its rise D over the panel and, at the
+    panel's points, r = J - D (t + 1) / 2, J less its chord."""
+    _, bent, coef, anti = _rule(n)
+    A = hs[:, None] * (_coefficients(rate, coef) @ anti.T)
+    return A.sum(axis=1), A @ bent.T
 
 
-def _node_values(model, nodes, delta, alpha, settings, cache):
-    """(nu, b, chat, S', solve gap) at each node, memoized over mesh doublings."""
-    missing = [float(y) for y in nodes if float(y) not in cache]
-    if missing:
-        arr = np.asarray(missing)
-        sps = scale_density(model, arr)
-        nu_vals = 1.0 / scale_diff(model, arr - delta, arr)
-        if alpha == 0.0:
-            b_vals, c_vals, gap = nu_vals, nu_vals, 0.0
-        else:
-            try:
-                ep = batch_endpoints(model, alpha, arr - delta, arr, settings)
-            except NumericError as exc:
-                raise NumericError(
-                    f"window solve failed inside the transform for levels in "
-                    f"[{arr.min():g}, {arr.max():g}]: {exc}",
-                    operation="transform", value=float(arr.min()),
-                    module=_MOD) from exc
-            b_vals, c_vals = _endpoint_quotients(
-                ep, np.full(arr.shape, delta), "transform")
-            gap = ep.endpoint_gap
-        for y, nv, bv, cv, sp in zip(missing, nu_vals, b_vals, c_vals, sps):
-            cache[y] = (float(nv), float(bv), float(cv), float(sp), gap)
-    return np.array([cache[float(y)] for y in nodes]).T
+def _outer_integral(hs, rate, outside, n):
+    """int exp(-J) outside dy over the panels, J' = rate, J(x) = 0.
+
+    On each panel (_exponent) the rise D is taken out as
+    e^{-D (t + 1) / 2}; what is left, outside e^{-r}, is interpolated at
+    degree n, and that polynomial times the exponential is integrated
+    exactly (_exp_moments).  Where the rate and outside are constant, as
+    on BM and drifted BM, r is exactly 0 and every degree is exact.
+    """
+    coef = _rule(n)[2]
+    rise, r = _exponent(hs, rate, n)
+    with np.errstate(under="ignore", over="ignore"):
+        c = (outside * np.exp(-r)) @ coef.T
+        start = np.exp(-np.concatenate([[0.0], np.cumsum(rise)[:-1]]))
+        pieces = start * hs * np.sum(c * _exp_moments(0.5 * rise, n), axis=1)
+    if not np.all(np.isfinite(pieces)):
+        raise NumericError("outer integral is not finite", operation="transform",
+                           module=_MOD)
+    return math.fsum(pieces.tolist())
 
 
-def _int_exp_cubic(t, g):
-    """int exp(-t) g(t) dt over [t[0], t[-1]], g the cubic spline of the
-    samples; exact per segment by integrating the cubic against the
-    exponential in closed form."""
-    cs = CubicSpline(t, g)
-    c0, c1, c2, c3 = cs.c
-    # q = p + p' + p'' + p''' turns the integrand into an exact derivative
-    q3 = c0
-    q2 = c1 + 3.0 * c0
-    q1 = c2 + 2.0 * c1 + 6.0 * c0
-    q0 = c3 + c2 + 2.0 * c1 + 6.0 * c0
-    dt = np.diff(t)
-    qa = q0
-    qb = ((q3 * dt + q2) * dt + q1) * dt + q0
-    with np.errstate(under="ignore"):
-        seg = np.exp(-t[:-1]) * qa - np.exp(-t[1:]) * qb
-    return math.fsum(seg.tolist())
-
-
-def _transform_core(model, query, role_swap, tables=None):
+def _transform_core(model, query, role_swap, table=None):
     _require_window(model, query.x, query.delta, "joint_transform")
     x, delta = query.x, query.delta
     alpha, beta, tol = query.alpha, query.beta, query.tol
     settings = _settings_for(tol)
 
-    if tables is None:
-        tables = _march_mass(model, x, delta, beta, _MASS_CUT)
-    ys, Ns, Qs, hit_b = tables
-    y_star, n_star = float(ys[-1]), float(Ns[-1])
+    if table is None:
+        table = _MassTable(model, x, delta, tol)
+    table.grow(mass=_MASS_CUT)
+    edges = np.asarray(table.edges)
+    y_star, n_star = float(edges[-1]), table.mass
     with np.errstate(under="ignore", over="ignore"):
         remainder = math.exp(min(-beta * y_star - n_star, 50.0))
-    if hit_b:
-        # the march covered the whole state space up to a relative
-        # 1e-12 margin; only that strip's mass is missing (assumes the
-        # survival rate stays of one magnitude across the margin)
-        margin = model.interval[1] - y_star
-        remainder *= min(1.0, 4.0 * _nu_sp(model, y_star, delta) * margin)
+    if table.hit_b:
+        remainder *= min(1.0, table.strip)
 
-    cache = {}
-    prev = None
-    nseg = 64
-    value = None
-    while nseg <= 65536:
-        nodes = _nodes_from_table(ys, Qs, nseg)
-        nu_v, b_v, c_v, sp_v, gap_v = _node_values(model, nodes, delta, alpha,
-                                                   settings, cache)
+    def integrands(vals):
+        nu_v, b_v, c_v, sp_v = vals
         if role_swap:
-            expo = b_v * sp_v
-            outside = np.maximum(c_v - nu_v, 0.0) * sp_v
-        else:
-            expo = c_v * sp_v
-            outside = b_v * sp_v
-        inner = CubicSpline(nodes, expo).antiderivative()(nodes)
-        J = beta * (nodes - x) + inner
-        if np.any(np.diff(J) <= 0):
-            nseg *= 2
-            prev = None
-            continue
-        psi = outside / (beta + expo)
+            return beta + b_v * sp_v, np.maximum(c_v - nu_v, 0.0) * sp_v
+        return beta + c_v * sp_v, b_v * sp_v
+
+    # panels where J bends more than 1 away from its chord are bisected
+    # first: there e^{-r} would need degrees the ladder does not reach
+    n = _DEGREES[0]
+    while True:
+        hs = 0.5 * np.diff(edges)
+        vals, solve_gap = _panel_values(model, edges, n, delta, alpha, settings, None)
+        bent = np.abs(_exponent(hs, integrands(vals)[0], n)[1]).max(axis=1) > 1.0
+        if not bent.any() or hs.min() < 1e-9 * max(1.0, abs(y_star)):
+            break
+        edges = np.sort(np.concatenate([edges, edges[:-1][bent] + hs[bent]]))
+
+    # the ladder stops a decade above the solver's own certificate
+    accept = max(tol, 10.0 * settings.rel_tol)
+    prev, value = None, None
+    for n in _DEGREES:
+        if n > _DEGREES[0]:
+            vals, gap = _panel_values(model, edges, n, delta, alpha, settings, vals)
+            solve_gap = max(solve_gap, gap)
+        rate, outside = integrands(vals)
         with np.errstate(under="ignore"):
-            value = math.exp(-beta * x) * _int_exp_cubic(J, psi)
-        if prev is not None and abs(value - prev) <= (tol / 10.0) * max(
-                abs(value), 1e-300):
+            value = math.exp(-beta * x) * _outer_integral(hs, rate, outside, n)
+        if prev is not None and abs(value - prev) <= accept * max(abs(value), 1e-300):
             break
         prev = value
-        nseg *= 2
     else:
-        raise NumericError("transform mesh refinement exceeded its budget",
-                           operation="transform", value=nseg, module=_MOD,
+        raise NumericError("transform degree ladder did not converge",
+                           operation="transform", value=n, module=_MOD,
                            partial=value)
 
-    abs_err = remainder + abs(value - prev) + float(gap_v.max()) * abs(value)
+    abs_err = remainder + abs(value - prev) + solve_gap * abs(value)
     cap = min(1.0, math.exp(-beta * x)) if beta * x >= 0 else math.exp(-beta * x)
     if value < 0.0:
         abs_err += -value
@@ -486,31 +595,30 @@ def _role_swapped_transform(model: DiffusionModel,
 # ---------------------------------------------------------------------------
 
 def _runup_exponent(model, x, ys_eval, delta, alpha, tol):
-    """R(y) = int_x^y (chat - nu) dS at each requested level."""
-    ys_eval = np.asarray(ys_eval, dtype=float)
+    """R(y) = int_x^y (chat - nu) dS at each requested level, on the mass
+    table's panels up to the highest level, certified by the transforms'
+    degree ladder."""
     if alpha == 0.0:
         return np.zeros(ys_eval.shape)
     settings = _settings_for(tol)
-    ymax = float(ys_eval.max())
-    if ymax == x:
-        return np.zeros(ys_eval.shape)
-    ys, Ns, _, _ = _march_mass(model, x, delta, 0.0, math.inf, y_stop=ymax)
-    cache = {}
-    prev = None
-    nseg = 32
-    while nseg <= 65536:
-        nodes = _nodes_from_table(ys, Ns, nseg)
-        nu_v, b_v, c_v, sp_v, _ = _node_values(model, nodes, delta, alpha,
-                                               settings, cache)
+    table = _MassTable(model, x, delta, tol).grow(level=float(ys_eval.max()))
+    edges = np.asarray(table.edges)
+    hs = 0.5 * np.diff(edges)
+    accept = max(tol, 10.0 * settings.rel_tol)
+    vals, prev = None, None
+    for n in _DEGREES:
+        vals, _ = _panel_values(model, edges, n, delta, alpha, settings, vals)
+        nu_v, _, c_v, sp_v = vals
+        _, _, coef, anti = _rule(n)
         rho = np.maximum(c_v - nu_v, 0.0) * sp_v
-        R = CubicSpline(nodes, rho).antiderivative()(ys_eval)
-        if prev is not None and np.max(np.abs(R - prev)) <= (tol / 10.0) * (
+        A = hs[:, None] * (_coefficients(rho, coef) @ anti.T)
+        R = _integral_at(edges, A, ys_eval)
+        if prev is not None and np.max(np.abs(R - prev)) <= accept * (
                 1.0 + float(np.max(np.abs(R)))):
             return R
         prev = R
-        nseg *= 2
-    raise NumericError("run-up mesh refinement exceeded its budget",
-                       operation="run_up_transform", value=nseg, module=_MOD)
+    raise NumericError("run-up degree ladder did not converge",
+                       operation="run_up_transform", value=n, module=_MOD)
 
 
 def run_up_transform(model: DiffusionModel, x: float, y: float, delta: float,
@@ -529,10 +637,7 @@ def conditional_curve(model: DiffusionModel, query: DrawdownQuery,
                       ys) -> np.ndarray:
     """E^x[e^{-alpha tau} | M_tau = y] along an array of levels y > x."""
     _require_window(model, query.x, query.delta, "conditional_curve")
-    ys = np.asarray(ys, dtype=float)
-    if ys.ndim != 1 or ys.size == 0 or not np.all(np.isfinite(ys)):
-        raise ValidationError("levels must be a finite 1d array",
-                              operation="conditional_curve", module=_MOD)
+    ys = real_array(ys, "levels", "conditional_curve", _MOD)
     if not np.all(ys > query.x):
         raise ValidationError("levels must exceed x",
                               operation="conditional_curve", module=_MOD)
@@ -619,7 +724,7 @@ def hitting_laplace(model: DiffusionModel, x: float, y: float, alpha: float,
             "no closed-form extreme solutions for this model; supply a "
             "truncation box (lo, hi) bracketing x and y",
             operation=op, value=model.model_id, module=_MOD)
-    lo, hi = (real(v, "box entry", op, _MOD) for v in box)
+    lo, hi = (real(v, "box entry", op, _MOD) for v in pair(box, "box", op, _MOD))
     _require_interior(model, np.array([lo, hi]), op)
     if not (lo < min(x, y) and hi > max(x, y)):
         raise ValidationError("box must strictly bracket x and y",
@@ -689,20 +794,17 @@ def tau_cdf(model: DiffusionModel, query: DrawdownQuery, t_grid,
     if query.beta != 0.0:
         raise ValidationError("tau_cdf requires beta = 0",
                               operation="tau_cdf", value=query.beta, module=_MOD)
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or ts.size == 0 or not np.all(np.isfinite(ts)):
-        raise ValidationError("t_grid must be a finite 1d array",
-                              operation="tau_cdf", module=_MOD)
+    ts = real_array(t_grid, "t_grid", "tau_cdf", _MOD)
     if np.any(ts <= 0) or np.any(np.diff(ts) <= 0):
         raise ValidationError("t_grid must be positive and strictly increasing",
                               operation="tau_cdf", module=_MOD)
 
-    # the mass tables depend on (x, delta) only, not on alpha: march once
-    tables = _march_mass(model, query.x, query.delta, 0.0, _MASS_CUT)
+    # the mass table depends on (x, delta) only, not on alpha: build it once
+    table = _MassTable(model, query.x, query.delta, query.tol)
 
     def transform(a):
         q = replace(query, alpha=float(a), beta=0.0)
-        return _transform_core(model, q, role_swap=False, tables=tables).value / float(a)
+        return _transform_core(model, q, role_swap=False, table=table).value / float(a)
 
     raw = []
     details = []

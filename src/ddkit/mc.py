@@ -82,7 +82,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedModelError, ValidationError, integer, real
+from .errors import (UnsupportedModelError, ValidationError, integer, pair, real,
+                     real_array)
 from .models import DiffusionModel, _require_window
 
 _MOD = "mc"
@@ -507,9 +508,14 @@ def paired_simulate(model: DiffusionModel, x: float, delta: float,
 def _as_arrays(samples):
     if isinstance(samples, PathCollection):
         return samples.tau_hat, samples.m_tau_hat, samples.stopped, samples
-    rows = list(samples)
-    if not rows:
-        raise ValidationError("no samples", operation="estimate", module=_MOD)
+    try:
+        rows = list(samples)
+    except TypeError:
+        rows = None
+    if not rows or not all(isinstance(r, PathSample) for r in rows):
+        raise ValidationError("samples must be a PathCollection or a non-empty "
+                              "sequence of PathSample", operation="estimate",
+                              value=type(samples).__name__, module=_MOD)
     tau = np.array([s.tau_hat for s in rows])
     m = np.array([s.m_tau_hat for s in rows])
     st = np.array([s.stopped for s in rows])
@@ -595,13 +601,10 @@ def extract_excursions(path: np.ndarray, dt: float, delta: float,
     the excursion law predicts for the band.
     """
     op = "extract_excursions"
-    x = np.asarray(path, dtype=float)
-    if x.ndim != 1 or x.size < 2 or not np.all(np.isfinite(x)):
-        raise ValidationError("path must be a finite 1d array of at least 2 points",
-                              operation=op, module=_MOD)
+    x = real_array(path, "path", op, _MOD, min_size=2)
     dt = real(dt, "dt", op, _MOD, 0.0, strict=True)
     delta = real(delta, "delta", op, _MOD, 0.0, strict=True)
-    lo, hi = (real(v, "band entry", op, _MOD) for v in band)
+    lo, hi = (real(v, "band entry", op, _MOD) for v in pair(band, "band", op, _MOD))
     if not (lo < hi):
         raise ValidationError("band must have lo < hi", operation=op,
                               value=(lo, hi), module=_MOD)

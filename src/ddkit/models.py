@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -36,7 +37,7 @@ from scipy.special import erfi
 
 from .chebyshev import lobatto
 from .errors import (DomainError, NumericError, UnsupportedModelError,
-                     ValidationError, real)
+                     ValidationError, pair, real)
 
 _MOD = "models"
 
@@ -139,9 +140,9 @@ def _as_endpoint(v):
 def _check_interval(interval, op):
     """(A, B) as floats with A < B; an endpoint is +-inf or a finite
     real number."""
-    a, b = (float(v) if v in (-math.inf, math.inf)
+    a, b = (float(v) if isinstance(v, numbers.Real) and v in (-math.inf, math.inf)
             else real(v, "interval endpoint other than +-inf", op, _MOD)
-            for v in interval)
+            for v in pair(interval, "interval", op, _MOD))
     if not a < b:
         raise ValidationError("interval must satisfy A < B",
                               operation=op, value=interval, module=_MOD)

@@ -205,18 +205,18 @@ def excursion_report(model: DiffusionModel, x: float, y: float,
     undercount away: the sqrt halves, so 2*fine - coarse cancels it.
     That difference spreads about sqrt(5) times wider than one Poisson
     mean, so its standard error is measured on the per-path values.
-    The analytic mean comes from the tail law, whose exponent is the
-    same integral of nu dS.
+    The analytic mean is the tail law's exponent, the integral of nu dS
+    read from the mass table.
     """
     query = laws.DrawdownQuery(x=x, delta=delta, tol=tol)
     x, delta = query.x, query.delta
     y = real(y, "y", "excursion_report", _MOD)
     counts_c, _ = mc.excursion_counts(model, x, y, delta, cfg)
+    analytic = float(laws._survival_mass(model, query, np.array([y]))[0])
     fine_cfg = mc.McConfig(n_paths=cfg.n_paths, dt=cfg.dt / 4,
                            t_max=cfg.t_max, seed=cfg.seed,
                            scheme=cfg.scheme)
     counts_f, done_f = mc.excursion_counts(model, x, y, delta, fine_cfg)
-    analytic = -math.log(laws.max_tail(model, query, y))
     mean_c = float(counts_c.mean())
     mean_f = float(counts_f.mean())
     var_f = float(counts_f.var(ddof=1))

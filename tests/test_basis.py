@@ -129,6 +129,8 @@ def test_settings_validation_and_window_checks():
         batch_endpoints(m, -1.0, zero, one)
     with pytest.raises(ValidationError):
         batch_endpoints(m, 0.5, np.array([0.0, 0.5]), one)
+    with pytest.raises(ValidationError):
+        batch_endpoints(m, 1.0, ["a"], [1.0])
     g = geometric_brownian(mu_bar=0.1, sigma_bar_sq=0.2)
     with pytest.raises(ValidationError):
         batch_endpoints(g, 0.5, np.array([-0.5]), one)

@@ -17,6 +17,7 @@ from ddkit import (
     UnsupportedModelError,
     ValidationError,
     brownian,
+    custom_model,
     drifted_brownian,
     estimate_tail,
     estimate_transform,
@@ -185,6 +186,8 @@ def test_tail_curve_rejects_bad_grids():
         tail_curve(BM, q, [-0.5, 0.5])
     with pytest.raises(ValidationError):
         tail_curve(BM, q, [[0.0, 1.0]])
+    with pytest.raises(ValidationError):
+        tail_curve(BM, q, ["a"])
 
 
 # -- joint transform --------------------------------------------------------
@@ -213,6 +216,18 @@ def test_joint_transform_beta_only_brownian_exact_half():
     # with delta = 1 the maximum is exponential(1): E[e^{-M}] = 1/2
     r = joint_transform(BM, DrawdownQuery(0.0, 1.0, beta=1.0))
     assert_allclose(r.value, 0.5, rtol=1e-11)
+
+
+def test_joint_transform_with_steep_exponents():
+    # on BM, E[e^{-beta M}] = 1 / (1 + beta delta); at beta = 100 the
+    # exponent rises by about 200 across each panel of the mass table
+    r = joint_transform(BM, DrawdownQuery(0.0, 1.0, beta=100.0))
+    assert_allclose(r.value, 1.0 / 101.0, rtol=1e-12)
+    # at alpha = 2000 the GBM exponent bends far from linear on a panel;
+    # frozen from an independent cubic-spline rule on a 4096-segment mesh
+    r = joint_transform(geometric_brownian(mu_bar=0.05, sigma_bar_sq=0.2),
+                        DrawdownQuery(1.0, 0.3, alpha=2000.0))
+    assert_allclose(r.value, 4.66649833433908e-22, rtol=1e-9)
 
 
 def test_joint_transform_monotone_in_alpha_and_beta():
@@ -264,6 +279,43 @@ def test_ou_transform_window_work_stays_bounded(monkeypatch):
     assert 0 < sum(work) <= 2 * 221_292
 
 
+def test_ou_transform_nodes_come_from_the_mass_table(monkeypatch):
+    """Rows over every window solve of one OU transform at alpha = ln 2:
+    a count, so it cannot flake.  The cubic mesh doubling this replaced
+    stopped at 4096 segments, 4097 window solves."""
+    rows = []
+    solve = laws.batch_endpoints
+
+    def counted(model, alpha, l, r, *args, **kwargs):
+        rows.append(len(l))
+        return solve(model, alpha, l, r, *args, **kwargs)
+
+    monkeypatch.setattr(laws, "batch_endpoints", counted)
+    joint_transform(OU, DrawdownQuery(0.0, 1.0, alpha=math.log(2.0)))
+    assert 0 < sum(rows) <= 819
+
+
+def test_tail_curve_of_a_custom_model_calls_scale_with_arrays(monkeypatch):
+    """A tail of the custom OU twin evaluates nu S' only on arrays of
+    levels; one scalar scale call per quadrature point was the old cost."""
+    twin = custom_model({"form": "affine", "intercept": 0.0, "slope": -1.0},
+                        {"form": "constant", "value": 1.0})
+    scalar = []
+    for name in ("scale_density", "scale_diff"):
+        fn = getattr(laws, name)
+
+        def counted(model, *args, _fn=fn, _name=name):
+            if all(np.ndim(a) == 0 for a in args):
+                scalar.append(_name)
+            return _fn(model, *args)
+
+        monkeypatch.setattr(laws, name, counted)
+    curve = tail_curve(twin, DrawdownQuery(0.0, 1.0), [0.4, 1.1, 1.7])
+    assert scalar == []
+    assert_allclose(curve.tail, tail_curve(OU, DrawdownQuery(0.0, 1.0),
+                                           [0.4, 1.1, 1.7]).tail, rtol=1e-9)
+
+
 def test_joint_transform_respects_discount_cap():
     q = DrawdownQuery(1.0, 0.5, alpha=0.2, beta=0.8)
     r = joint_transform(GBM, q)
@@ -309,6 +361,8 @@ def test_conditional_curve_shape():
     assert np.all(np.diff(vals) < 0)      # longer climbs cost more time
     q0 = DrawdownQuery(0.0, 1.0)
     assert np.all(conditional_curve(BM, q0, ys) == 1.0)
+    with pytest.raises(ValidationError):
+        conditional_curve(BM, q, ["a"])
 
 
 def test_joint_transform_factorizes_over_the_maximum():
@@ -349,6 +403,9 @@ def test_hitting_ou_needs_box_and_matches_special_function():
         hitting_laplace(OU, 0.0, 1.0, 0.5)
     with pytest.raises(ValidationError):
         hitting_laplace(OU, 0.0, 1.0, 0.5, box=(0.5, 6.0))
+    for box in ((-3.0, 3.0, 4.0), 5.0):
+        with pytest.raises(ValidationError):
+            hitting_laplace(OU, 0.0, 0.5, 0.5, box=box)
     val, sens = hitting_laplace(OU, 0.0, 1.0, 0.5, box=(-6.0, 6.0),
                                 full_output=True)
     assert_allclose(val, HIT_OU, rtol=1e-10)
@@ -415,6 +472,8 @@ def test_tau_cdf_validation():
         tau_cdf(BM, DrawdownQuery(0.0, 1.0), [2.0, 1.0])
     with pytest.raises(ValidationError):
         tau_cdf(BM, DrawdownQuery(0.0, 1.0), [-1.0, 1.0])
+    with pytest.raises(ValidationError):
+        tau_cdf(BM, DrawdownQuery(0.0, 1.0), ["a"])
 
 
 # -- result and query types -------------------------------------------------

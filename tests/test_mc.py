@@ -85,6 +85,8 @@ def test_estimate_transform_rejects_negative_rates():
     col = mc.simulate(BM, 0.0, 1.0, small_cfg())
     with pytest.raises(ValidationError):
         mc.estimate_transform(col, -0.1, 0.0)
+    with pytest.raises(ValidationError):
+        mc.estimate_tail([1, 2], 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +399,10 @@ def test_extract_excursions_validation():
     with pytest.raises(ValidationError):
         mc.extract_excursions(np.array([0.0, math.nan, -2.0, 1.0]), 0.1, 1.0,
                               (-1.0, 1.0))
+    with pytest.raises(ValidationError):
+        mc.extract_excursions(["a", 1.0], 0.1, 1.0, (-1.0, 1.0))
+    with pytest.raises(ValidationError):
+        mc.extract_excursions(np.zeros(5), 0.1, 1.0, 5.0)
 
 
 def test_excursion_counts_validation():
@@ -644,3 +650,26 @@ def test_import_leaves_scipy_signal_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_scipy_quadrature_unloaded():
+    """The laws run on numpy alone: importing the package and its CLI
+    must not load scipy.integrate, scipy.interpolate or scipy.optimize,
+    and laws.py imports no scipy module anywhere, so no first request
+    pays for one either."""
+    import ast
+    src = Path(ddkit.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, ddkit, ddkit.cli; print(sorted(m for m in "
+            "('scipy.integrate', 'scipy.interpolate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+    tree = ast.parse((src / "ddkit" / "laws.py").read_text(encoding="utf-8"))
+    imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for a in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]

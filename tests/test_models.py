@@ -459,6 +459,10 @@ def test_constructor_rejects_bad_parameters():
         ornstein_uhlenbeck(1.0, mean=math.nan)
     with pytest.raises(ValidationError):
         brownian(interval=("a", "b"))
+    with pytest.raises(ValidationError):
+        brownian(interval=5)
+    with pytest.raises(ValidationError):
+        brownian(interval=(0, 1, 2))
 
 
 def test_domain_errors_on_scale_evaluation():
