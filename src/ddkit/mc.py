@@ -243,8 +243,9 @@ def _exact_blocks(model, x0, z, dt, carry=None):
 
     carry=None starts a stream block at x0.  Passing the returned carry
     with the next normals continues the same block: arith and loggauss
-    carry the increment sum since x0, OU carries the filter state.  The
-    continued steps are bit-identical to one call over the whole block.
+    carry the increment sum since x0, OU carries a times its last
+    deviation from the mean.  The continued steps are bit-identical to
+    one call over the whole block.
     """
     step = model.exact_step
     if step.kind in ("arith", "loggauss"):
@@ -261,10 +262,15 @@ def _exact_blocks(model, x0, z, dt, carry=None):
         a = math.exp(-step.theta * dt)
         sd = math.sqrt(step.sig_sq_sim * (-math.expm1(-2.0 * step.theta * dt))
                        / (2.0 * step.theta))
-        from scipy import signal    # costs ~0.6 s at import; only OU uses it
-        zi = (a * (x0 - step.mean))[:, None] if carry is None else carry
-        dev, zf = signal.lfilter([1.0], [1.0, -a], sd * z, axis=1, zi=zi)
-        return step.mean + dev, zf
+        # deviations y_j = e_j + (a y_{j-1}), a time step per row of a
+        # time-major copy: two roundings per step, as in a first-order
+        # direct-form-II-transposed filter
+        dev = np.ascontiguousarray((sd * z).T)
+        ay = a * (x0 - step.mean) if carry is None else carry
+        for row in dev:
+            row += ay
+            ay = a * row
+        return np.add(step.mean, dev.T, order="C"), ay
     raise UnsupportedModelError(    # pragma: no cover - catalog kinds are closed
         "unknown exact step kind", operation="simulate", value=step.kind,
         module=_MOD)

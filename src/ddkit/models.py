@@ -33,7 +33,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erfi
 
 from .chebyshev import lobatto
 from .errors import (DomainError, NumericError, UnsupportedModelError,
@@ -103,7 +102,6 @@ class DiffusionModel:
     interval: tuple[float, float]
     scale_density_fn: Callable
     scale_diff_fn: Callable
-    a_in_state_space: bool = False
     scale_ref: float = 0.0
     params: dict = field(default_factory=dict)
     eig: Callable[[float], EigenRatios] | None = None
@@ -170,12 +168,79 @@ def _check_ref(ref, interval, kind):
 
 
 # ---------------------------------------------------------------------------
+# the imaginary error function, for the OU scale
+# ---------------------------------------------------------------------------
+
+_ERFI_SWITCH = 1.5
+# odd j <= 31, smallest terms first: 2 j h with h = 1/4, and (4/pi) e^{-(jh)^2} / j
+_ERFI_J = np.arange(31.0, 0.0, -2.0)
+_SINH_RATE = 0.5 * _ERFI_J[:, None]
+_SINH_COEF = (np.exp(-(0.25 * _ERFI_J) ** 2) / (0.25 * math.pi * _ERFI_J))[:, None]
+# Rybicki's odd offsets n', smallest terms first, and n' h
+_ERFI_ODD = (np.arange(27.0, 0.0, -2.0)[:, None] * [-1.0, 1.0]).reshape(-1, 1)
+_ERFI_ODD_H = 0.25 * _ERFI_ODD
+_TWO_E8_PI = 1897.7367951478286           # 2 e^8 / pi
+_ERFI_GRID = 2.0 ** 20
+
+
+def _erfi_sinh(t):
+    """erfi(t) = (4/pi) sum_{j odd > 0} e^{-(jh)^2} sinh(2 j h t) / j for
+    0 <= t < 1.5: Rybicki's sum (see _erfi_dawson) at n0 = 0 with the
+    terms of n' = j and -j paired, so every term is positive and nothing
+    cancels.  The first term left out, j = 33, is below 1e-21 of the
+    sum, and the sinh arguments of the terms that matter stay below 5,
+    so their rounding costs little."""
+    return np.add.reduce(_SINH_COEF * np.sinh(_SINH_RATE * t), axis=0)
+
+
+def _erfi_dawson(t):
+    """erfi(t) = (2/sqrt(pi)) e^{t^2} D(t) for t >= 1.5, D by Rybicki's sum
+
+        sqrt(pi) D(t) = sum_{n' odd} e^{-(t' - n' h)^2} / (n' + n0),
+
+    t = n0 h + t' with n0 even and |t'| <= h = 1/4 (Rybicki, Computers
+    in Physics 3, 1989).  Its error is about e^{-(pi / 2h)^2} = 7e-18
+    relative and |n'| <= 27 keeps every term above 5e-19 of the sum.
+    e^{t^2} is e^{v^2 - 8} e^{t^2 - v^2} times e^8 in the constant, with
+    v = t on a 2^-20 grid, so v^2 is exact and t^2 is never rounded;
+    the shift by 8 lets erfi stay finite until it passes the float
+    range (t ~ 26.7)."""
+    u = np.minimum(t, 27.0)               # erfi(27) overflows; no inf - inf
+    m = np.rint(2.0 * u)                  # n0 = 2m
+    v = np.rint(u * _ERFI_GRID) / _ERFI_GRID
+    d = (u - 0.5 * m) - _ERFI_ODD_H
+    d *= d
+    e = np.exp(np.subtract((u - v) * (u + v), d, out=d), out=d)
+    e /= 2.0 * m + _ERFI_ODD
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(v * v - 8.0) * (_TWO_E8_PI * np.add.reduce(e, axis=0))
+
+
+def _erfi(x):
+    """erfi(x) = (2/sqrt(pi)) int_0^x e^{s^2} ds, elementwise, within 3
+    ulp of the exact value on every float below the overflow at |x| ~
+    26.7, where it returns +-inf; nan stays nan."""
+    x = np.asarray(x, dtype=float)
+    t = np.abs(x).ravel()
+    small = t < _ERFI_SWITCH
+    n_small = np.count_nonzero(small)
+    if n_small == t.size:
+        out = _erfi_sinh(t)
+    elif not n_small:
+        out = _erfi_dawson(t)
+    else:
+        out = np.empty(t.shape)
+        out[small] = _erfi_sinh(t[small])
+        out[~small] = _erfi_dawson(t[~small])
+    return np.copysign(out.reshape(x.shape), x)
+
+
+# ---------------------------------------------------------------------------
 # catalog constructors
 # ---------------------------------------------------------------------------
 
 def brownian(sigma_sq: float = 1.0, interval=(-math.inf, math.inf),
-             scale_ref: float | None = None, model_id: str = "bm",
-             a_in_state_space: bool = False) -> DiffusionModel:
+             scale_ref: float | None = None, model_id: str = "bm") -> DiffusionModel:
     """Brownian motion with variance rate sigma_sq (natural scale)."""
     sigma_sq = real(sigma_sq, "sigma_sq", "brownian", _MOD, 0.0, strict=True)
     interval = _check_interval(interval, "brownian")
@@ -193,7 +258,7 @@ def brownian(sigma_sq: float = 1.0, interval=(-math.inf, math.inf),
         model_id=model_id, kind="bm",
         drift=lambda x: 0.0 * np.asarray(x, dtype=float),
         diffusion_sq=lambda x: sigma_sq + 0.0 * np.asarray(x, dtype=float),
-        interval=interval, a_in_state_space=a_in_state_space, scale_ref=ref,
+        interval=interval, scale_ref=ref,
         params={"sigma_sq": sigma_sq},
         scale_density_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         scale_diff_fn=lambda a, b: np.subtract(b, a, dtype=float),
@@ -204,13 +269,12 @@ def brownian(sigma_sq: float = 1.0, interval=(-math.inf, math.inf),
 
 def drifted_brownian(mu: float, sigma_sq: float = 1.0,
                      interval=(-math.inf, math.inf), scale_ref: float | None = None,
-                     model_id: str = "drifted_bm",
-                     a_in_state_space: bool = False) -> DiffusionModel:
+                     model_id: str = "drifted_bm") -> DiffusionModel:
     """Brownian motion with constant drift mu and variance rate sigma_sq."""
     sigma_sq = real(sigma_sq, "sigma_sq", "drifted_brownian", _MOD, 0.0, strict=True)
     mu = real(mu, "mu", "drifted_brownian", _MOD)
     if mu == 0.0:
-        return brownian(sigma_sq, interval, scale_ref, model_id, a_in_state_space)
+        return brownian(sigma_sq, interval, scale_ref, model_id)
     interval = _check_interval(interval, "drifted_brownian")
     ref = _check_ref(scale_ref if scale_ref is not None else _default_ref(interval),
                      interval, "drifted_brownian")
@@ -235,7 +299,7 @@ def drifted_brownian(mu: float, sigma_sq: float = 1.0,
         model_id=model_id, kind="drifted_bm",
         drift=lambda x: mu + 0.0 * np.asarray(x, dtype=float),
         diffusion_sq=lambda x: sigma_sq + 0.0 * np.asarray(x, dtype=float),
-        interval=interval, a_in_state_space=a_in_state_space, scale_ref=ref,
+        interval=interval, scale_ref=ref,
         params={"mu": mu, "sigma_sq": sigma_sq},
         scale_density_fn=lambda x: np.exp(-g * (np.asarray(x, dtype=float) - ref)),
         scale_diff_fn=scale_diff_fn,
@@ -246,8 +310,7 @@ def drifted_brownian(mu: float, sigma_sq: float = 1.0,
 
 def geometric_brownian(mu_bar: float, sigma_bar_sq: float,
                        interval=(0.0, math.inf), scale_ref: float | None = None,
-                       model_id: str = "gbm",
-                       a_in_state_space: bool = False) -> DiffusionModel:
+                       model_id: str = "gbm") -> DiffusionModel:
     """Geometric Brownian motion: drift mu_bar*x, diffusion sigma_bar_sq*x^2."""
     sigma_bar_sq = real(sigma_bar_sq, "sigma_bar_sq", "geometric_brownian", _MOD,
                         0.0, strict=True)
@@ -283,7 +346,7 @@ def geometric_brownian(mu_bar: float, sigma_bar_sq: float,
         model_id=model_id, kind="gbm",
         drift=lambda x: mu_bar * np.asarray(x, dtype=float),
         diffusion_sq=lambda x: sigma_bar_sq * np.asarray(x, dtype=float) ** 2,
-        interval=interval, a_in_state_space=a_in_state_space, scale_ref=ref,
+        interval=interval, scale_ref=ref,
         params={"mu_bar": mu_bar, "sigma_bar_sq": sigma_bar_sq},
         scale_density_fn=lambda x: (np.asarray(x, dtype=float) / ref) ** (-p),
         scale_diff_fn=scale_diff_fn,
@@ -296,8 +359,7 @@ def geometric_brownian(mu_bar: float, sigma_bar_sq: float,
 
 def ornstein_uhlenbeck(theta: float, mean: float = 0.0, sigma_sq: float = 1.0,
                        interval=(-math.inf, math.inf), scale_ref: float | None = None,
-                       model_id: str = "ou",
-                       a_in_state_space: bool = False) -> DiffusionModel:
+                       model_id: str = "ou") -> DiffusionModel:
     """Ornstein-Uhlenbeck: drift -theta*(x - mean), constant diffusion."""
     theta = real(theta, "theta", "ornstein_uhlenbeck", _MOD, 0.0, strict=True)
     mean = real(mean, "mean", "ornstein_uhlenbeck", _MOD)
@@ -313,14 +375,16 @@ def ornstein_uhlenbeck(theta: float, mean: float = 0.0, sigma_sq: float = 1.0,
     pref = 0.5 * math.sqrt(math.pi / k) * math.exp(-c0)
 
     def scale_diff_fn(a, b):
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        return pref * (erfi(sq * (b - mean)) - erfi(sq * (a - mean)))
+        ends = np.stack(np.broadcast_arrays(np.asarray(b, dtype=float),
+                                            np.asarray(a, dtype=float)))
+        e = _erfi(sq * (ends - mean))        # one call serves both ends
+        return pref * (e[0] - e[1])
 
     return DiffusionModel(
         model_id=model_id, kind="ou",
         drift=lambda x: -theta * (np.asarray(x, dtype=float) - mean),
         diffusion_sq=lambda x: sigma_sq + 0.0 * np.asarray(x, dtype=float),
-        interval=interval, a_in_state_space=a_in_state_space, scale_ref=ref,
+        interval=interval, scale_ref=ref,
         params={"theta": theta, "mean": mean, "sigma_sq": sigma_sq},
         scale_density_fn=lambda x: np.exp(k * ((np.asarray(x, dtype=float) - mean) ** 2
                                                - (ref - mean) ** 2)),
@@ -373,11 +437,13 @@ def _build_form(doc, role):
 # the log-scale table of custom models; custom_model states its error
 _DEGREE = 24                  # Chebyshev degree of g on every panel
 _TAIL = 2.0 ** -46            # accepted last coefficients of g, relative to max |g|
+_EPS = 2.0 ** -52             # ... or to its rounding noise, about eps max|x| max|g'|
 _LOG_SCALE_MAX = 1024.0       # |L| past which S' is far outside the float range
 _CHEB = lobatto(_DEGREE)
 _TP1 = _CHEB.t + 1.0
 _G_TO_L = _CHEB.anti[:-1, :-1]                 # coefficients of g -> of its integral
 _J = np.arange(_DEGREE + 2)
+_J2 = np.arange(_DEGREE + 1) ** 2.0          # Markov: |g'| <= sum j^2 |c_j| / hs
 _GL_T, _GL_W = leggauss(16)
 _LOOKAHEAD = 2                                 # panels tried in one batch
 
@@ -536,9 +602,10 @@ class _LogScale:
 
         A panel starts at the outer edge with the trial width and is
         bisected until g is finite with sigma_sq > 0 at its nodes, its
-        last three Chebyshev coefficients are at most _TAIL max|g|,
-        width * max|g| <= 1 and the width is at most half the distance to
-        a finite endpoint; the next trial is twice the accepted width.
+        last three Chebyshev coefficients are at most _TAIL max|g| or
+        the rounding noise of g at its nodes, width * max|g| <= 1 and
+        the width is at most half the distance to a finite endpoint; the
+        next trial is twice the accepted width.
         One batch tries four widths for each of _LOOKAHEAD panels in a
         row, for every choice of the panels before, and accepts what
         trying one width at a time would.  The batch is fixed by the edge
@@ -556,8 +623,11 @@ class _LogScale:
             g = 2.0 * self._drift(x) / s2
             gc = _CHEB.coef @ g
             gmax = np.abs(g).max(axis=0)
+            # a node is off by up to eps |x|, so g by about eps |x g'|;
+            # near a singular finite endpoint that noise tops _TAIL max|g|
+            noise = _EPS * np.abs(x).max(axis=0) * (_J2 @ np.abs(gc)) / hs
             good = ((s2.min(axis=0) > 0.0) & (hs * gmax <= 0.5)
-                    & (np.abs(gc[-3:]).max(axis=0) <= _TAIL * gmax))
+                    & (np.abs(gc[-3:]).max(axis=0) <= np.maximum(_TAIL * gmax, noise)))
             if math.isfinite(end):
                 good &= hs <= 0.25 * np.abs(end - st)
         good = good.tolist()
@@ -627,8 +697,7 @@ class _LogScale:
 
 def custom_model(drift_form: dict, diffusion_sq_form: dict,
                  interval=(-math.inf, math.inf), scale_ref: float | None = None,
-                 model_id: str = "custom",
-                 a_in_state_space: bool = False) -> DiffusionModel:
+                 model_id: str = "custom") -> DiffusionModel:
     """Model from named coefficient forms, with S' and S from one table.
 
     The table holds L(x) = int_ref^x g, g = 2 mu / sigma_sq, piecewise
@@ -637,7 +706,8 @@ def custom_model(drift_form: dict, diffusion_sq_form: dict,
     the 25 Chebyshev points of degree 24, and L is the interpolant's
     exact antiderivative plus L at the panel's inner edge.  A panel is
     accepted once g is finite with sigma_sq > 0 at its points, the last
-    three Chebyshev coefficients of g are at most 2^-46 max|g| and
+    three Chebyshev coefficients of g are at most 2^-46 max|g|, or at
+    most g's own rounding noise at the points, 2^-52 max|x| max|g'|, and
     width * max|g| <= 1; otherwise it is bisected.  The first trial
     width is 1, each next one twice the last accepted width, and no
     width passes half the distance to a finite endpoint, so widths grow
@@ -654,7 +724,10 @@ def custom_model(drift_form: dict, diffusion_sq_form: dict,
 
     Error: a panel's interpolant of g is off by about its Chebyshev
     tail, at most 2^-46 max|g|, which adds at most about 2^-46 to L
-    across the panel (width * max|g| <= 1); dropping the coefficients
+    across the panel (width * max|g| <= 1).  The noise bound takes over
+    only where |x g'| > 64 |g|, as near a singular finite endpoint; there
+    g itself is known only to about eps |x g'| at a float x, and the
+    tail adds about that times the width to L.  Dropping the coefficients
     of L below 2^-52 hs max|g| past its last larger one adds less.  The
     error of L at x is the sum of the accepted tails of the panels
     between scale_ref and x, in absolute terms in L, which means in
@@ -683,7 +756,7 @@ def custom_model(drift_form: dict, diffusion_sq_form: dict,
     table = _LogScale(drift, dsq, interval, ref)
     return DiffusionModel(
         model_id=model_id, kind="custom", drift=drift, diffusion_sq=dsq,
-        interval=interval, a_in_state_space=a_in_state_space, scale_ref=ref,
+        interval=interval, scale_ref=ref,
         params={"drift": dict(drift_form), "diffusion_sq": dict(diffusion_sq_form)},
         scale_density_fn=table.density,
         scale_diff_fn=table.diff,
@@ -715,15 +788,14 @@ _KIND_REQUIRED = {
     "ou": {"theta"},
 }
 
-_DOC_KEYS = {"kind", "params", "interval", "model_id", "a_in_state_space"}
+_DOC_KEYS = {"kind", "params", "interval", "model_id"}
 
 
 def model_from_dict(doc: dict) -> DiffusionModel:
     """Build a model from the JSON interchange layout.
 
     {"model_id": str, "kind": "bm"|"drifted_bm"|"gbm"|"ou"|"custom",
-     "params": {...}, "interval": [A, B] with "-inf"/"inf" sentinels,
-     "a_in_state_space": bool}
+     "params": {...}, "interval": [A, B] with "-inf"/"inf" sentinels}
     """
     if not isinstance(doc, dict):
         raise ValidationError("model document must be a JSON object",
@@ -752,10 +824,6 @@ def model_from_dict(doc: dict) -> DiffusionModel:
     if not isinstance(model_id, str) or not model_id:
         raise ValidationError("model_id must be a nonempty string",
                               operation="model_from_dict", value=model_id, module=_MOD)
-    a_flag = doc.get("a_in_state_space", False)
-    if not isinstance(a_flag, bool):
-        raise ValidationError("a_in_state_space must be true or false",
-                              operation="model_from_dict", value=a_flag, module=_MOD)
 
     if kind == "custom":
         for key in ("drift", "diffusion_sq"):
@@ -766,7 +834,7 @@ def model_from_dict(doc: dict) -> DiffusionModel:
         return custom_model(params["drift"], params["diffusion_sq"],
                             interval=interval,
                             scale_ref=params.get("scale_ref"),
-                            model_id=model_id, a_in_state_space=a_flag)
+                            model_id=model_id)
 
     allowed = _KIND_PARAMS[kind] | {"scale_ref"}
     extra = set(params) - allowed
@@ -781,8 +849,7 @@ def model_from_dict(doc: dict) -> DiffusionModel:
                               module=_MOD)
     kwargs = {k: real(v, f"params.{k}", "model_from_dict", _MOD)
               for k, v in params.items()}
-    return _CONSTRUCTORS[kind](interval=interval, model_id=model_id,
-                               a_in_state_space=a_flag, **kwargs)
+    return _CONSTRUCTORS[kind](interval=interval, model_id=model_id, **kwargs)
 
 
 def model_from_json(text: str) -> DiffusionModel:

@@ -133,6 +133,7 @@ FREE_CUSTOM = {"drift": {"form": "constant", "value": 0.0},
         FREE_CUSTOM, drift={"form": "constant", "value": "abc"})}, {}, "drift"),
     ({"kind": "custom", "params": dict(FREE_CUSTOM, scale_ref="zz")}, {},
      "scale_ref"),
+    # a_in_state_space is no model key, whatever its value
     ({"kind": "bm", "a_in_state_space": "false"}, {}, "a_in_state_space"),
 ], ids=["box-str", "box-null", "mu-str", "mu-null", "mu-past-float",
         "form-value-str", "scale-ref-str", "flag-str"])

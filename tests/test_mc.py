@@ -263,6 +263,29 @@ def test_sub_block_carry_is_bit_identical(model, x0, scheme):
     assert np.array_equal(np.concatenate(parts, axis=1), whole)
 
 
+def test_ou_step_is_the_sequential_recursion():
+    # X_j - mean = sd z_j + a (X_{j-1} - mean), rounded step by step as
+    # plain Python floats do it; the carry continues a block bit for bit
+    theta, mean, s2, dt = 1.3, 0.4, 0.7, 0.01
+    model = ornstein_uhlenbeck(theta, mean=mean, sigma_sq=s2)
+    z = np.random.default_rng(9).standard_normal((3, 300))
+    x0 = np.array([0.4, -1.2, 2.5])
+    a = math.exp(-theta * dt)
+    sd = math.sqrt(s2 * (-math.expm1(-2.0 * theta * dt)) / (2.0 * theta))
+    want = np.empty_like(z)
+    for i in range(3):
+        y = float(x0[i]) - mean
+        for j in range(300):
+            y = sd * float(z[i, j]) + a * y
+            want[i, j] = mean + y
+    whole, carry = mc._exact_blocks(model, x0, z, dt)
+    assert np.array_equal(whole, want)
+    head, mid = mc._exact_blocks(model, x0, z[:, :100], dt)
+    tail, end = mc._exact_blocks(model, x0, z[:, 100:], dt, mid)
+    assert np.array_equal(np.concatenate([head, tail], axis=1), whole)
+    assert np.array_equal(end, carry)
+
+
 # ---------------------------------------------------------------------------
 # sample collection semantics
 # ---------------------------------------------------------------------------
@@ -640,36 +663,41 @@ def test_verification_report_passes_on_bm():
     assert any("PASS" in line for line in rep.lines())
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    """scipy.signal serves only the OU exact step and costs about 0.6 s
-    to import, so importing the package and its CLI must not load it."""
-    src = str(Path(ddkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, ddkit, ddkit.cli; print('scipy.signal' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_import_leaves_scipy_quadrature_unloaded():
-    """The laws run on numpy alone: importing the package and its CLI
-    must not load scipy.integrate, scipy.interpolate or scipy.optimize,
-    and laws.py imports no scipy module anywhere, so no first request
-    pays for one either."""
-    import ast
+def _scipy_modules_after(run):
+    """Names of the scipy modules loaded by a fresh interpreter that imports
+    ddkit and its CLI, then runs ``run`` with ``m`` an OU model."""
     src = Path(ddkit.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, ddkit, ddkit.cli; print(sorted(m for m in "
-            "('scipy.integrate', 'scipy.interpolate', 'scipy.optimize') "
-            "if m in sys.modules))")
+    code = ("import sys, ddkit, ddkit.cli\n"
+            "m = ddkit.ornstein_uhlenbeck(1.0)\n"
+            f"{run}\n"
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
-    tree = ast.parse((src / "ddkit" / "laws.py").read_text(encoding="utf-8"))
-    imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                for a in node.names]
-    imported += [node.module or "" for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom)]
-    assert not [m for m in imported if m.split(".")[0] == "scipy"]
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    """The OU exact step is a numpy recursion: importing the package and its
+    CLI, then running an OU simulate, leaves no scipy module loaded."""
+    run = ("ddkit.simulate(m, 0.0, 1.0, ddkit.McConfig(n_paths=1000, dt=0.01,"
+           " t_max=40.0, seed=1))")
+    assert _scipy_modules_after(run) == "[]"
+
+
+def test_import_leaves_scipy_quadrature_unloaded():
+    """ddkit runs on numpy alone: no module of the package imports scipy,
+    and importing the package and its CLI, then running an OU transform,
+    leaves no scipy module loaded."""
+    import ast
+    src = Path(ddkit.__file__).resolve().parents[1]
+    for path in sorted((src / "ddkit").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for a in node.names]
+        imported += [node.module or "" for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and not node.level]
+        assert not [m for m in imported if m.split(".")[0] == "scipy"], path.name
+    run = "ddkit.joint_transform(m, ddkit.DrawdownQuery(0.0, 1.0, alpha=0.5))"
+    assert _scipy_modules_after(run) == "[]"

@@ -23,6 +23,7 @@ from ddkit import (
     custom_model,
     drifted_brownian,
     geometric_brownian,
+    joint_transform,
     model_from_dict,
     model_from_json,
     nu,
@@ -217,6 +218,46 @@ def test_custom_scale_overflow_is_numeric_error():
 
 
 # ---------------------------------------------------------------------------
+# erfi, the OU scale
+# ---------------------------------------------------------------------------
+
+# erfi to 50 digits (mpmath), across the sinh/Dawson switch at 1.5
+ERFI_50 = [
+    (1e-8, "1.1283791670955126351173795693108632618825957618319e-8"),
+    (0.125, "1.4178547413026538926956112918221668702841737982571e-1"),
+    (0.75, "1.0357572844119629678601531216578001863864454988882"),
+    (1.4999999999999998, "4.5847332572844245650643629909676925444924275754409"),
+    (1.5, "4.584733257284426942221381032382701256662242548352"),
+    (1.5000000000000002, "4.5847332572844293193783990737992934735048048363419"),
+    (2.0, "1.8564802414575552598704291913241017198858001726083e+1"),
+    (3.7, "1.4008722838853635814454597583012721277257181561591e+5"),
+    (-0.3, "-3.4894933875893616670067503691976019545652433518741e-1"),
+    (-1.5, "-4.584733257284426942221381032382701256662242548352"),
+    (-6.125, "-1.8329178470795522276546296168514396752117447545008e+15"),
+    (9.99, "1.2493843794925595855881765806913780986911708375037e+42"),
+    (17.3, "3.119629698621679238357308346679252926358683151633e+128"),
+    (24.0, "3.3512992674583197199971413502750264141236381317124e+248"),
+    (26.5, "2.0501652832248793153138725650027498044801979093351e+303"),
+]
+
+
+def test_erfi_against_50_digit_values():
+    xs = np.array([x for x, _ in ERFI_50])
+    want = np.array([float(v) for _, v in ERFI_50])
+    for got in (models._erfi(xs), np.array([models._erfi(x) for x in xs])):
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+
+def test_erfi_edges():
+    got = models._erfi(np.array([0.0, -0.0, 26.7, 26.8, -1e300, np.inf, np.nan]))
+    assert got[0] == 0.0 and math.copysign(1.0, got[1]) == -1.0
+    assert math.isfinite(got[2])          # erfi(26.7) = 8.5e307
+    assert got[3] == got[5] == np.inf and got[4] == -np.inf
+    assert math.isnan(got[6])
+    assert models._erfi(np.zeros((2, 3))).shape == (2, 3)
+
+
+# ---------------------------------------------------------------------------
 # the log-scale table of custom models
 # ---------------------------------------------------------------------------
 
@@ -402,6 +443,33 @@ def test_custom_scale_table_work_stays_bounded(monkeypatch):
     assert 0 < sum(points) <= 2 * 3_000
 
 
+def test_custom_scale_grows_to_a_singular_finite_endpoint(monkeypatch):
+    """sigma^2 = 1 - x on ]-inf, 1[ with drift 1/2: g = 1/(1 - x) is
+    singular at B = 1 and S' = 1 - x.  Close to B the rounding noise of
+    g at the nodes is above 2^-46 max|g|, and a table that demanded
+    that tail crept toward B by panels of 1e-10 and never returned.
+    P[tau < inf] = 1 - exp(-int_0^1 (1 - z) / (5/8 - z/2) dz)."""
+    points = []
+    build = models._build_form
+
+    def counted(doc, role):
+        f = build(doc, role)
+
+        def coef(x):
+            points.append(np.size(x))
+            if role == "drift" and sum(points) > 100_000:
+                raise AssertionError("the log-scale table does not stop growing")
+            return f(x)
+        return coef
+
+    monkeypatch.setattr(models, "_build_form", counted)
+    m = custom_model({"form": "constant", "value": 0.5},
+                     {"form": "affine", "intercept": 1.0, "slope": -1.0},
+                     interval=(-math.inf, 1.0))
+    got = joint_transform(m, DrawdownQuery(0.0, 0.5))
+    assert_allclose(got.value, -math.expm1(0.5 * math.log(5.0) - 2.0), rtol=1e-9)
+
+
 def test_anchor_shift_is_additive():
     m = drifted_brownian(mu=0.5)
     xs = np.linspace(-2, 2, 17)
@@ -497,7 +565,6 @@ def test_model_from_dict_roundtrip():
         "kind": "drifted_bm",
         "params": {"mu": 1.0, "sigma_sq": 1.0},
         "interval": ["-inf", "inf"],
-        "a_in_state_space": False,
     }
     m = model_from_dict(doc)
     assert m.model_id == "dbm-test"
