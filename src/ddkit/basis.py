@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import lobatto
+from .chebyshev import antiderivative, lobatto
 from .errors import NumericError, ValidationError, integer, real, real_array
 from .models import DiffusionModel, scale_density
 
@@ -112,8 +112,8 @@ def _cheb(n):
     """Points t_j = -cos(j pi / n) on [-1, 1] and the stacked matrix
     [J1; J2] taking the values of a degree-n polynomial there to the
     values of its first and second antiderivatives from -1."""
-    t, ev, coef, a = lobatto(n)
-    c = a[:-1, :-1] @ coef
+    t, ev, _, a, _ = lobatto(n)
+    c = antiderivative(np.eye(n + 1), 1.0).T.copy()
     return t, np.vstack([ev[:, :-1] @ c, ev @ a @ c])
 
 

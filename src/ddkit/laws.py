@@ -31,7 +31,6 @@ transforms too small for double precision underflow to 0.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -42,7 +41,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import invlap
 from .basis import OdeSettings, batch_endpoints
-from .chebyshev import lobatto
+from .chebyshev import Panels, antiderivative, coefficients, lobatto, series
 from .errors import (DegenerateBasisError, NumericError, UnsupportedModelError,
                      ValidationError, pair, real, real_array)
 from .models import (DiffusionModel, _require_interior, _require_window,
@@ -63,44 +62,6 @@ _STRIP_MASS = 1e-14             # mass left below a finite upper endpoint
 _REACH = 0.875                  # share of the way to that endpoint a panel may cover
 _LEGENDRE = leggauss(96)
 _LAGUERRE = laggauss(48)
-
-
-@functools.lru_cache(maxsize=None)
-def _rule(n):
-    """Degree-n Lobatto points t; T_0 .. T_{n+1} at them less their
-    chords from -1 to 1 (columns 0 and 1 vanish exactly); the map from
-    values at the points to Chebyshev coefficients; and the map from
-    those to the n + 2 coefficients of the antiderivative from -1."""
-    lob = lobatto(n)
-    sign = np.cos(np.pi * np.arange(n + 2))
-    bent = lob.ev[:, :-1] - sign - np.outer(0.5 * (lob.t + 1.0), 1.0 - sign)
-    return lob.t, bent, lob.coef, lob.anti[:-1, :-1]
-
-
-def _coefficients(f, coef):
-    """Chebyshev coefficients of f (values along the last axis) less
-    those at the rounding level of the transform, n ulps of max |f|, so
-    that a constant has exactly one."""
-    c = f @ coef.T
-    floor = coef.shape[0] * 2.0 ** -52 * np.abs(f).max(axis=-1, keepdims=True)
-    c[np.abs(c) <= floor] = 0.0
-    return c
-
-
-def _integral_at(edges, A, ys):
-    """The integral from edges[0] to each level of ys (all within the
-    panels) of a panelwise function whose antiderivative on panel k,
-    from its left edge, is the Chebyshev series A[k] in
-    t = 2 (y - edges[k]) / (edges[k + 1] - edges[k]) - 1.  Each series is
-    summed as sum_j A[k, j] (T_j(t) - T_j(-1)), exactly 0 at t = -1."""
-    if A.shape[0] == 0:
-        return np.zeros(np.shape(ys))
-    k = np.clip(np.searchsorted(edges, ys, side="right") - 1, 0, A.shape[0] - 1)
-    t = np.clip(2.0 * (ys - edges[k]) / (edges[k + 1] - edges[k]) - 1.0, -1.0, 1.0)
-    j = np.arange(A.shape[1])
-    series = np.sum(A[k] * (np.cos(np.arccos(t)[..., None] * j) - np.cos(np.pi * j)),
-                    axis=-1)
-    return np.concatenate([[0.0], np.cumsum(A.sum(axis=1))])[k] + series
 
 
 # ---------------------------------------------------------------------------
@@ -220,30 +181,14 @@ def _settings_for(tol: float) -> OdeSettings:
     return OdeSettings(rel_tol=rel, abs_tol=rel / 100.0)
 
 
-def _endpoint_quotients(ep, windows, op):
-    """(b, chat) true-scale from batched window endpoints."""
-    scale = np.maximum(np.abs(ep.u_r), np.abs(ep.up_r) * windows)
-    bad = ~np.isfinite(ep.u_r) | (np.abs(ep.u_r) < 1e-13 * scale)
-    if np.any(bad):
-        raise DegenerateBasisError(
-            "vanishing solution lost all accuracy at the window top; "
-            "delta is too large for this window or alpha is extreme",
-            operation=op, value=float(np.asarray(windows)[bad][0]), module=_MOD)
-    with np.errstate(under="ignore"):
-        b = np.exp(-ep.lam) / ep.u_r
-    chat = ep.up_r / (ep.u_r * ep.sprime_r)
-    return b, chat
-
-
 def _window_factors(model, z, delta, alpha, settings, op):
     """(b, chat) at level z from one window solve; nu(z) at alpha = 0."""
     z, delta = _require_window(model, z, delta, op)
     alpha = real(alpha, "alpha", op, _MOD, 0.0)
     if alpha == 0.0:
         return (nu(model, z, delta),) * 2
-    ep = batch_endpoints(model, alpha, np.array([z - delta]), np.array([z]),
-                         settings or _settings_for(1e-9))
-    b, chat = _endpoint_quotients(ep, np.array([delta]), op)
+    b, chat, _ = _factors(model, np.array([z]), delta, alpha,
+                          settings or _settings_for(1e-9), op)
     return float(b[0]), float(chat[0])
 
 
@@ -277,16 +222,15 @@ class _MassTable:
     """N = int_x^y nu dS on Chebyshev-Lobatto panels in the level y.
 
     Panels run right from x.  On panel k, [edges[k], edges[k + 1]], anti[k]
-    is the Chebyshev series of the antiderivative of the degree-16
-    interpolant of nu S' (see _integral_at), and mass is N at the last
-    edge.  A panel is accepted when the mass from the
-    degree-8 half of its points agrees with the degree-16 mass to the
-    window solver's rel_tol (the degree ladder), and when it carries at
-    most 2 _PANEL_MASS; otherwise it is bisected.  Each trial width
-    scales the last panel to carry _PANEL_MASS, and a panel near the
-    requested mass is stretched to reach it.  beta plays no part: it
-    enters the transforms' exponent linearly, which their outer rule
-    integrates exactly.
+    holds the antiderivative of the degree-16 interpolant of nu S' and
+    offsets[k] is N at edges[k]; mass is N at the last edge.  A panel is
+    accepted when the mass from the degree-8 half of its points agrees
+    with the degree-16 mass to the window solver's rel_tol (the degree
+    ladder), and when it carries at most 2 _PANEL_MASS; otherwise it is
+    bisected.  Each trial width scales the last panel to carry
+    _PANEL_MASS, and a panel near the requested mass is stretched to
+    reach it.  beta plays no part: it enters the transforms' exponent
+    linearly, which their outer rule integrates exactly.
 
     Toward a finite upper endpoint B a panel covers at most _REACH of
     the way to B, so the distance to B shrinks by a fixed factor per
@@ -301,7 +245,7 @@ class _MassTable:
     def __init__(self, model, x, delta, tol):
         self.model, self.delta = model, delta
         self.rel = _settings_for(tol).rel_tol
-        self.edges, self.anti, self.mass = [x], [], 0.0
+        self.edges, self.anti, self.offsets, self.mass = [x], [], [], 0.0
         self.hit_b, self.strip = False, 0.0
         self._trial = None
         self._near_b = []       # masses of the panels in a row that reach _REACH toward B
@@ -314,9 +258,7 @@ class _MassTable:
         return self
 
     def _append(self, mass, level):
-        t, _, coef, anti = _rule(_TABLE_DEGREE)
-        _, _, coef8, anti8 = _rule(_TABLE_DEGREE // 2)
-        w8 = anti8.sum(axis=0) @ coef8
+        t = lobatto(_TABLE_DEGREE).t
         e, bnd = self.edges[-1], self.model.interval[1]
         if self._trial is None:
             rate = float(_nu_sp(self.model, np.array([e]), self.delta)[0])
@@ -331,9 +273,9 @@ class _MassTable:
             h = _REACH * (bnd - e)
         while True:
             f = _nu_sp(self.model, e + (t + 1.0) * (0.5 * h), self.delta)
-            A = 0.5 * h * (anti @ _coefficients(f, coef))
+            A = antiderivative(f, 0.5 * h)
             m = float(A.sum())
-            gap = abs(m - 0.5 * h * float(w8 @ f[::2]))
+            gap = abs(m - 0.5 * h * float(lobatto(_TABLE_DEGREE // 2).w @ f[::2]))
             if gap <= self.rel * m and m <= 2.0 * _PANEL_MASS:
                 break
             h *= 0.5
@@ -343,6 +285,7 @@ class _MassTable:
                                    operation="mass table", value=e, module=_MOD)
         self.edges.append(e + h)
         self.anti.append(A)
+        self.offsets.append(self.mass)
         self.mass += m
         self._trial = min(2.0 * h, h * _PANEL_MASS / max(m, 1e-300))
         if not near_b:
@@ -360,11 +303,6 @@ class _MassTable:
                                    value=bnd, module=_MOD)
             self.hit_b = True
 
-    def mass_at(self, ys):
-        """N at the levels ys, all in [x, last edge]."""
-        anti = np.reshape(self.anti, (-1, _TABLE_DEGREE + 2))
-        return _integral_at(np.asarray(self.edges), anti, ys)
-
 
 # ---------------------------------------------------------------------------
 # M_tau law (alpha-free: the mass table alone)
@@ -372,8 +310,9 @@ class _MassTable:
 
 def _survival_mass(model, query, ys):
     """int_x^y nu dS at the levels ys, an array in [x, B[."""
-    table = _MassTable(model, query.x, query.delta, query.tol)
-    return table.grow(level=float(np.max(ys))).mass_at(ys)
+    t = _MassTable(model, query.x, query.delta, query.tol).grow(level=float(np.max(ys)))
+    return Panels(np.asarray(t.edges), np.asarray(t.offsets),
+                  np.reshape(t.anti, (-1, _TABLE_DEGREE + 2)))(ys)
 
 
 def max_tail(model: DiffusionModel, query: DrawdownQuery, y: float) -> float:
@@ -416,21 +355,34 @@ def tail_curve(model: DiffusionModel, query: DrawdownQuery, grid) -> TailCurve:
 # the transforms on the table's panels
 # ---------------------------------------------------------------------------
 
-def _level_values(model, ys, delta, alpha, settings):
-    """(nu, b, chat, S') at the levels ys, stacked, and the solve gap."""
+def _level_values(model, ys, delta, alpha, settings, op):
+    """(nu, b, chat, S') at the levels ys, stacked, and the solve gap;
+    errors name op."""
     sp = scale_density(model, ys)
     nu_v = 1.0 / scale_diff(model, ys - delta, ys)
-    if alpha == 0.0:
-        return np.array([nu_v, nu_v, nu_v, sp]), 0.0
+    b_v, c_v, gap = ((nu_v, nu_v, 0.0) if alpha == 0.0
+                     else _factors(model, ys, delta, alpha, settings, op))
+    return np.array([nu_v, b_v, c_v, sp]), gap
+
+
+def _factors(model, ys, delta, alpha, settings, op):
+    """(b, chat) at the levels ys by one batched solve, and its gap; errors name op."""
     try:
         ep = batch_endpoints(model, alpha, ys - delta, ys, settings)
     except NumericError as exc:
         raise NumericError(
-            f"window solve failed inside the transform for levels in "
+            f"window solve failed inside {op} for levels in "
             f"[{ys.min():g}, {ys.max():g}]: {exc}",
-            operation="transform", value=float(ys.min()), module=_MOD) from exc
-    b_v, c_v = _endpoint_quotients(ep, np.full(ys.shape, delta), "transform")
-    return np.array([nu_v, b_v, c_v, sp]), ep.endpoint_gap
+            operation=op, value=float(ys.min()), module=_MOD) from exc
+    scale = np.maximum(np.abs(ep.u_r), np.abs(ep.up_r) * delta)
+    if np.any(~np.isfinite(ep.u_r) | (np.abs(ep.u_r) < 1e-13 * scale)):
+        raise DegenerateBasisError(
+            "vanishing solution lost all accuracy at the window top; "
+            "delta is too large for this window or alpha is extreme",
+            operation=op, value=delta, module=_MOD)
+    with np.errstate(under="ignore"):
+        b = np.exp(-ep.lam) / ep.u_r
+    return b, ep.up_r / (ep.u_r * ep.sprime_r), ep.endpoint_gap
 
 
 def _panel_values(model, edges, n, delta, alpha, settings, prev):
@@ -438,15 +390,15 @@ def _panel_values(model, edges, n, delta, alpha, settings, prev):
     shaped (4, panels, n + 1), and the solve gap.  prev holds the values
     at degree n / 2, whose points are the even ones of degree n, so only
     the odd points are solved."""
-    t = _rule(n)[0]
+    t = lobatto(n).t
     lo, hs = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
     panels = hs.shape[0]
     if prev is None:
         ys = np.append((lo + hs * (t[:-1] + 1.0)).ravel(), edges[-1])
-        vals, gap = _level_values(model, ys, delta, alpha, settings)
+        vals, gap = _level_values(model, ys, delta, alpha, settings, "transform")
         return vals[:, np.arange(panels)[:, None] * n + np.arange(n + 1)], gap
     vals, gap = _level_values(model, (lo + hs * (t[1::2] + 1.0)).ravel(), delta,
-                              alpha, settings)
+                              alpha, settings, "transform")
     out = np.empty((4, panels, n + 1))
     out[:, :, ::2] = prev
     out[:, :, 1::2] = vals.reshape(4, panels, n // 2)
@@ -476,9 +428,9 @@ def _exponent(hs, rate, n):
     """On each panel, J = int rate from its left edge through the
     degree-n interpolant of rate: its rise D over the panel and, at the
     panel's points, r = J - D (t + 1) / 2, J less its chord."""
-    _, bent, coef, anti = _rule(n)
-    A = hs[:, None] * (_coefficients(rate, coef) @ anti.T)
-    return A.sum(axis=1), A @ bent.T
+    t = lobatto(n).t
+    J = series(antiderivative(rate, hs[:, None])[:, None, :], t)
+    return J[:, -1], J - J[:, -1:] * (0.5 * (t + 1.0))
 
 
 def _outer_integral(hs, rate, outside, n):
@@ -490,16 +442,36 @@ def _outer_integral(hs, rate, outside, n):
     exactly (_exp_moments).  Where the rate and outside are constant, as
     on BM and drifted BM, r is exactly 0 and every degree is exact.
     """
-    coef = _rule(n)[2]
     rise, r = _exponent(hs, rate, n)
     with np.errstate(under="ignore", over="ignore"):
-        c = (outside * np.exp(-r)) @ coef.T
+        c = coefficients(outside * np.exp(-r))
         start = np.exp(-np.concatenate([[0.0], np.cumsum(rise)[:-1]]))
         pieces = start * hs * np.sum(c * _exp_moments(0.5 * rise, n), axis=1)
     if not np.all(np.isfinite(pieces)):
         raise NumericError("outer integral is not finite", operation="transform",
                            module=_MOD)
     return math.fsum(pieces.tolist())
+
+
+def _climb(model, edges, delta, alpha, tol, estimate, close, op, name, vals=None):
+    """The outer degree ladder on the panels edges: estimate(n, values) at
+    the (nu, b, chat, S') values of the degree-n points of every panel (a
+    rung solves only its new points; vals may hold the first rung's) until
+    close(new, old, accept), accept a decade above the window solver's own
+    certificate.  Returns the last two estimates and the largest gap."""
+    settings = _settings_for(tol)
+    accept = max(tol, 10.0 * settings.rel_tol)
+    prev, gap = None, 0.0
+    for n in _DEGREES:
+        if vals is None or n > _DEGREES[0]:
+            vals, g = _panel_values(model, edges, n, delta, alpha, settings, vals)
+            gap = max(gap, g)
+        cur = estimate(n, vals)
+        if prev is not None and close(cur, prev, accept):
+            return cur, prev, gap
+        prev = cur
+    raise NumericError(f"{name} degree ladder did not converge", operation=op,
+                       value=n, module=_MOD, partial=cur)
 
 
 def _transform_core(model, query, role_swap, table=None):
@@ -530,30 +502,20 @@ def _transform_core(model, query, role_swap, table=None):
     while True:
         hs = 0.5 * np.diff(edges)
         vals, solve_gap = _panel_values(model, edges, n, delta, alpha, settings, None)
-        bent = np.abs(_exponent(hs, integrands(vals)[0], n)[1]).max(axis=1) > 1.0
-        if not bent.any() or hs.min() < 1e-9 * max(1.0, abs(y_star)):
+        far = np.abs(_exponent(hs, integrands(vals)[0], n)[1]).max(axis=1) > 1.0
+        if not far.any() or hs.min() < 1e-9 * max(1.0, abs(y_star)):
             break
-        edges = np.sort(np.concatenate([edges, edges[:-1][bent] + hs[bent]]))
+        edges = np.sort(np.concatenate([edges, edges[:-1][far] + hs[far]]))
 
-    # the ladder stops a decade above the solver's own certificate
-    accept = max(tol, 10.0 * settings.rel_tol)
-    prev, value = None, None
-    for n in _DEGREES:
-        if n > _DEGREES[0]:
-            vals, gap = _panel_values(model, edges, n, delta, alpha, settings, vals)
-            solve_gap = max(solve_gap, gap)
-        rate, outside = integrands(vals)
+    def estimate(n, vals):
         with np.errstate(under="ignore"):
-            value = math.exp(-beta * x) * _outer_integral(hs, rate, outside, n)
-        if prev is not None and abs(value - prev) <= accept * max(abs(value), 1e-300):
-            break
-        prev = value
-    else:
-        raise NumericError("transform degree ladder did not converge",
-                           operation="transform", value=n, module=_MOD,
-                           partial=value)
+            return math.exp(-beta * x) * _outer_integral(hs, *integrands(vals), n)
 
-    abs_err = remainder + abs(value - prev) + solve_gap * abs(value)
+    value, prev, gap = _climb(
+        model, edges, delta, alpha, tol, estimate,
+        lambda v, p, accept: abs(v - p) <= accept * max(abs(v), 1e-300),
+        "transform", "transform", vals)
+    abs_err = remainder + abs(value - prev) + max(solve_gap, gap) * abs(value)
     cap = min(1.0, math.exp(-beta * x)) if beta * x >= 0 else math.exp(-beta * x)
     if value < 0.0:
         abs_err += -value
@@ -600,25 +562,20 @@ def _runup_exponent(model, x, ys_eval, delta, alpha, tol):
     degree ladder."""
     if alpha == 0.0:
         return np.zeros(ys_eval.shape)
-    settings = _settings_for(tol)
     table = _MassTable(model, x, delta, tol).grow(level=float(ys_eval.max()))
     edges = np.asarray(table.edges)
-    hs = 0.5 * np.diff(edges)
-    accept = max(tol, 10.0 * settings.rel_tol)
-    vals, prev = None, None
-    for n in _DEGREES:
-        vals, _ = _panel_values(model, edges, n, delta, alpha, settings, vals)
+    hs = 0.5 * np.diff(edges)[:, None]
+
+    def estimate(n, vals):
         nu_v, _, c_v, sp_v = vals
-        _, _, coef, anti = _rule(n)
-        rho = np.maximum(c_v - nu_v, 0.0) * sp_v
-        A = hs[:, None] * (_coefficients(rho, coef) @ anti.T)
-        R = _integral_at(edges, A, ys_eval)
-        if prev is not None and np.max(np.abs(R - prev)) <= accept * (
-                1.0 + float(np.max(np.abs(R)))):
-            return R
-        prev = R
-    raise NumericError("run-up degree ladder did not converge",
-                       operation="run_up_transform", value=n, module=_MOD)
+        A = antiderivative(np.maximum(c_v - nu_v, 0.0) * sp_v, hs)
+        offsets = np.concatenate([[0.0], np.cumsum(A.sum(axis=1))[:-1]])
+        return Panels(edges, offsets, A)(ys_eval)
+
+    return _climb(
+        model, edges, delta, alpha, tol, estimate,
+        lambda R, p, accept: np.max(np.abs(R - p)) <= accept * (1.0 + np.max(np.abs(R))),
+        "run_up_transform", "run-up")[0]
 
 
 def run_up_transform(model: DiffusionModel, x: float, y: float, delta: float,
@@ -643,13 +600,8 @@ def conditional_curve(model: DiffusionModel, query: DrawdownQuery,
                               operation="conditional_curve", module=_MOD)
     _require_interior(model, float(ys.max()), "conditional_curve")
     R = _runup_exponent(model, query.x, ys, query.delta, query.alpha, query.tol)
-    if query.alpha == 0.0:
-        return np.ones(ys.shape)
-    ep = batch_endpoints(model, query.alpha, ys - query.delta, ys,
-                         _settings_for(query.tol))
-    b_v, _ = _endpoint_quotients(ep, np.full(ys.shape, query.delta),
-                                 "conditional_curve")
-    nu_v = 1.0 / scale_diff(model, ys - query.delta, ys)
+    (nu_v, b_v, _, _), _ = _level_values(model, ys, query.delta, query.alpha,
+                                         _settings_for(query.tol), "conditional_curve")
     with np.errstate(under="ignore"):
         out = np.exp(-R) * b_v / nu_v
     return np.clip(out, 0.0, 1.0)

@@ -174,7 +174,6 @@ class PathSample:
     tau_hat: float
     m_tau_hat: float
     stopped: bool
-    excursions: tuple = ()
 
 
 @dataclass(frozen=True, eq=False)

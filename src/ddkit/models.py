@@ -29,12 +29,12 @@ import math
 import numbers
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .chebyshev import lobatto
+from .chebyshev import Panels, antiderivative, coefficients, lobatto, series
 from .errors import (DomainError, NumericError, UnsupportedModelError,
                      ValidationError, pair, real)
 
@@ -439,10 +439,7 @@ _DEGREE = 24                  # Chebyshev degree of g on every panel
 _TAIL = 2.0 ** -46            # accepted last coefficients of g, relative to max |g|
 _EPS = 2.0 ** -52             # ... or to its rounding noise, about eps max|x| max|g'|
 _LOG_SCALE_MAX = 1024.0       # |L| past which S' is far outside the float range
-_CHEB = lobatto(_DEGREE)
-_TP1 = _CHEB.t + 1.0
-_G_TO_L = _CHEB.anti[:-1, :-1]                 # coefficients of g -> of its integral
-_J = np.arange(_DEGREE + 2)
+_TP1 = lobatto(_DEGREE).t + 1.0
 _J2 = np.arange(_DEGREE + 1) ** 2.0          # Markov: |g'| <= sum j^2 |c_j| / hs
 _GL_T, _GL_W = leggauss(16)
 _LOOKAHEAD = 2                                 # panels tried in one batch
@@ -465,47 +462,14 @@ def _trial_tree():
 _TREE_W, _TREE_START, _TREE_END = _trial_tree()
 
 
-class _Table(NamedTuple):
-    """Panels [edges[k], edges[k + 1]]; rows[k] = [edges[k], hs, off,
-    C_0 .. C_D] with L = off + sum_j C_j T_j(t) on the panel, D the
-    largest degree of any panel, and int e^{-L} over it is full[k]."""
-
-    edges: np.ndarray
-    rows: np.ndarray
-    full: np.ndarray
-
-
 class _Side:
-    """One side of the table, outward from scale_ref: outer edges, rows
-    [left edge, hs, off, full, C...], accepted panels (left edge, hs,
-    off, max|g|, C) not yet in rows, L at the outer edge as a
-    compensated pair, the next trial width and why the last trial
-    failed."""
+    """One side of the table, outward from scale_ref: outer edges, L at each
+    panel's left edge and its coefficients, L at the outer edge as a
+    compensated pair, the next trial width and why the last trial failed."""
 
     def __init__(self, ref):
-        self.edges = [ref]
-        self.rows = np.empty((0, _DEGREE + 6))
-        self.new = []
-        self.acc = (0.0, 0.0)
-        self.trial = 1.0
-        self.why = ""
-
-    def flush(self):
-        """Move the new panels into rows.  Their C loses its trailing
-        coefficients at or below 2^-52 hs max|g|, rounding level of the
-        panel's range of L.  Only elementwise operations touch a row, so
-        its bits do not depend on which panels share the flush."""
-        if not self.new:
-            return
-        p, hs, off, gmax = (np.array(v) for v in list(zip(*self.new))[:4])
-        C = np.array([q[4] for q in self.new])
-        last = np.where(np.abs(C) > (2.0 ** -52 * hs * gmax)[:, None], _J, -1).max(axis=1)
-        C[_J > last[:, None]] = 0.0
-        with np.errstate(over="ignore"):
-            f = np.exp(-(off[:, None] + _cheb_sum(C[:, None, :], _GL_T)))
-        full = hs * sum(w * f[:, i] for i, w in enumerate(_GL_W))
-        self.rows = np.vstack([self.rows, np.column_stack([p, hs, off, full, C])])
-        self.new = []
+        self.edges, self.off, self.coefs = [ref], [], []
+        self.acc, self.trial, self.why = (0.0, 0.0), 1.0, ""
 
 
 def _add(acc, x):
@@ -516,30 +480,11 @@ def _add(acc, x):
     return t, c
 
 
-def _cheb_sum(C, t):
-    """sum_j C[..., j] T_j(t), added in order of j, so zero coefficients
-    past a panel's degree change no bit."""
-    L = C[..., 0] + C[..., 1] * t
-    t2, tj, tm = 2.0 * t, t, 1.0
-    for j in range(2, C.shape[-1]):
-        tj, tm = t2 * tj - tm, tj
-        L += C[..., j] * tj
-    return L
-
-
-def _log_scale(tab, k, x):
-    """L at the points x, inside the panels k (broadcast against x)."""
-    r = tab.rows[k]
-    t = (x - r[..., 0]) / r[..., 1] - 1.0         # in [-1, 1] up to rounding
-    return r[..., 2] + _cheb_sum(r[..., 3:], t)
-
-
-def _gl_pieces(tab, k, lo, hi):
-    """int_lo^hi e^{-L} inside the panels k, by Gauss-Legendre."""
+def _gl_pieces(L, lo, hi):
+    """int_lo^hi e^{-L} by Gauss-Legendre, each piece inside one panel."""
     hw = 0.5 * (hi - lo)
-    x = (lo + hw)[:, None] + hw[:, None] * _GL_T
     with np.errstate(over="ignore"):
-        return hw * (np.exp(-_log_scale(tab, k[:, None], x)) @ _GL_W)
+        return hw * (np.exp(-L((lo + hw)[:, None] + hw[:, None] * _GL_T)) @ _GL_W)
 
 
 class _LogScale:
@@ -553,19 +498,22 @@ class _LogScale:
         self._publish()
 
     def _publish(self):
-        """Both sides as one _Table, which readers take without the lock."""
+        """Both sides as one table, L and int e^{-L} over each panel, which
+        readers take without the lock.  A panel's numbers depend on it alone."""
         right, left = self._sides
-        right.flush()
-        left.flush()
-        rows = np.vstack([left.rows[::-1], right.rows])
-        deg = np.where(rows[:, 4:] != 0.0, _J, 1).max(initial=1)
-        self._tab = _Table(np.array(left.edges[:0:-1] + right.edges),
-                           rows[:, [0, 1, 2, *range(4, 5 + deg)]], rows[:, 3])
+        C = np.reshape(left.coefs[::-1] + right.coefs, (-1, _DEGREE + 2))
+        deg = np.flatnonzero(C.any(axis=0)).max(initial=1)
+        L = Panels(np.array(left.edges[:0:-1] + right.edges),
+                   np.array(left.off[::-1] + right.off), C[:, :deg + 1])
+        with np.errstate(over="ignore"):
+            f = np.exp(-(L.offsets[:, None] + series(L.coefs[:, None, :], _GL_T)))
+        self._tab = L, 0.5 * np.diff(L.edges) * sum(w * f[:, i]
+                                                      for i, w in enumerate(_GL_W))
 
     def _covering(self, lo, hi, op):
         """The table with edges[0] <= lo and hi < edges[-1]."""
         tab = self._tab
-        if tab.edges[0] <= lo and hi < tab.edges[-1]:
+        if tab[0].edges[0] <= lo and hi < tab[0].edges[-1]:
             return tab
         with self._lock:
             try:
@@ -587,14 +535,11 @@ class _LogScale:
             if not side.trial > 1e-12 * max(1.0, abs(e)):   # bisected to nothing
                 raise NumericError(f"{side.why} near {e:g}", operation=op,
                                    value=target, module=_MOD)
-            for ne, hs, gc, gmax in self._panels(side, s, end):
-                C = hs * (_G_TO_L @ gc)          # L - L(p), vanishing at t = -1
+            for ne, C in self._panels(side, s, end):
                 off = side.acc[0] + side.acc[1]
                 side.acc = _add(side.acc, s * C.sum())
-                if s > 0:
-                    side.new.append((side.edges[-1], hs, off, gmax, C))
-                else:
-                    side.new.append((ne, hs, side.acc[0] + side.acc[1], gmax, C))
+                side.off.append(off if s > 0 else side.acc[0] + side.acc[1])
+                side.coefs.append(C)
                 side.edges.append(ne)
 
     def _panels(self, side, s, end):
@@ -617,17 +562,17 @@ class _LogScale:
         st = e + trial * _TREE_START if s > 0 else e - trial * _TREE_START
         ne = e + trial * _TREE_END if s > 0 else e - trial * _TREE_END
         hs = 0.5 * (ne - st) if s > 0 else 0.5 * (st - ne)
-        x = (st if s > 0 else ne) + _TP1[:, None] * hs      # nodes by columns
+        x = (st if s > 0 else ne)[:, None] + hs[:, None] * _TP1     # a panel per row
         with np.errstate(all="ignore"):
             s2 = self._dsq(x)
             g = 2.0 * self._drift(x) / s2
-            gc = _CHEB.coef @ g
-            gmax = np.abs(g).max(axis=0)
+            gc = coefficients(g)
+            gmax = np.abs(g).max(axis=1)
             # a node is off by up to eps |x|, so g by about eps |x g'|;
             # near a singular finite endpoint that noise tops _TAIL max|g|
-            noise = _EPS * np.abs(x).max(axis=0) * (_J2 @ np.abs(gc)) / hs
-            good = ((s2.min(axis=0) > 0.0) & (hs * gmax <= 0.5)
-                    & (np.abs(gc[-3:]).max(axis=0) <= np.maximum(_TAIL * gmax, noise)))
+            noise = _EPS * np.abs(x).max(axis=1) * (np.abs(gc) @ _J2) / hs
+            good = ((s2.min(axis=1) > 0.0) & (hs * gmax <= 0.5)
+                    & (np.abs(gc[:, -3:]).max(axis=1) <= np.maximum(_TAIL * gmax, noise)))
             if math.isfinite(end):
                 good &= hs <= 0.25 * np.abs(end - st)
         good = good.tolist()
@@ -637,14 +582,14 @@ class _LogScale:
             if True not in good[r:r + 4]:
                 side.trial = 0.5 * trial * _TREE_W[r + 3]
                 side.why = ("diffusion_sq non-positive on integration path"
-                            if not np.all(s2[:, r + 3] > 0.0) else
+                            if not np.all(s2[r + 3] > 0.0) else
                             "2 mu / sigma_sq is not finite"
-                            if not np.all(np.isfinite(g[:, r + 3]))
+                            if not np.all(np.isfinite(g[r + 3]))
                             else "2 mu / sigma_sq is not resolved")
                 return
             r += good[r:r + 4].index(True)
             side.trial = 2.0 * trial * _TREE_W[r]
-            yield ne[r], hs[r], gc[:, r], gmax[r]
+            yield ne[r], antiderivative(g[r], hs[r])     # L - L(left edge)
             i = r - level
             level += 4 ** (lev + 1)
 
@@ -653,10 +598,9 @@ class _LogScale:
         x = np.asarray(x, dtype=float)
         if x.size == 0:
             return np.empty(x.shape)
-        tab = self._covering(x.min(), x.max(), "scale_density")
-        k = np.searchsorted(tab.edges, x, side="right") - 1
+        L, _ = self._covering(x.min(), x.max(), "scale_density")
         with np.errstate(over="ignore"):
-            return np.exp(-_log_scale(tab, k, x))
+            return np.exp(-L(x))
 
     def diff(self, a, b):
         """S(b) - S(a) as a sum of positive pieces: [a, b] (or [b, a]) is
@@ -665,33 +609,33 @@ class _LogScale:
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         if a.ndim == b.ndim == 0:    # the laws' scalar calls: no array bookkeeping
             lo, hi = (float(a), float(b)) if a <= b else (float(b), float(a))
-            tab = self._covering(lo, hi, "scale")
-            ka, kb = np.searchsorted(tab.edges, (lo, hi), side="right") - 1
+            L, full = self._covering(lo, hi, "scale")
+            ka, kb = np.searchsorted(L.edges, (lo, hi), side="right") - 1
             if ka == kb:
-                out = _gl_pieces(tab, np.array([ka]), np.array([lo]), np.array([hi]))[0]
+                out = _gl_pieces(L, np.array([lo]), np.array([hi]))[0]
             else:
-                ends = _gl_pieces(tab, np.array([ka, kb]), np.array([lo, tab.edges[kb]]),
-                                  np.array([tab.edges[ka + 1], hi]))
-                out = ends[0] + tab.full[ka + 1:kb].sum() + ends[1]
+                ends = _gl_pieces(L, np.array([lo, L.edges[kb]]),
+                                  np.array([L.edges[ka + 1], hi]))
+                out = ends[0] + full[ka + 1:kb].sum() + ends[1]
             return out if a <= b else -out
         a, b = np.broadcast_arrays(a, b)
         if a.size == 0:
             return np.zeros(a.shape)
         lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
         n = lo.size
-        tab = self._covering(lo.min(), hi.max(), "scale")
-        k = np.searchsorted(tab.edges, np.concatenate([lo, hi]), side="right") - 1
+        L, full = self._covering(lo.min(), hi.max(), "scale")
+        k = np.searchsorted(L.edges, np.concatenate([lo, hi]), side="right") - 1
         ka, kb = k[:n], k[n:]
         # the end pieces in panels ka and kb; the second is void when ka == kb
-        ends = _gl_pieces(tab, k, np.concatenate([lo, np.maximum(tab.edges[kb], lo)]),
-                          np.concatenate([np.minimum(hi, tab.edges[ka + 1]), hi]))
+        ends = _gl_pieces(L, np.concatenate([lo, np.maximum(L.edges[kb], lo)]),
+                          np.concatenate([np.minimum(hi, L.edges[ka + 1]), hi]))
         out = ends[:n] + np.where(kb > ka, ends[n:], 0.0)
         nf = np.maximum(kb - ka - 1, 0)          # whole panels between the ends
         if nf.any():
             i = np.flatnonzero(nf)
             starts = np.cumsum(nf[i]) - nf[i]
             inner = np.repeat(ka[i] + 1 - starts, nf[i]) + np.arange(nf.sum())
-            out[i] += np.add.reduceat(tab.full[inner], starts)
+            out[i] += np.add.reduceat(full[inner], starts)
         return np.where(b < a, -out.reshape(a.shape), out.reshape(a.shape))
 
 
@@ -727,12 +671,12 @@ def custom_model(drift_form: dict, diffusion_sq_form: dict,
     across the panel (width * max|g| <= 1).  The noise bound takes over
     only where |x g'| > 64 |g|, as near a singular finite endpoint; there
     g itself is known only to about eps |x g'| at a float x, and the
-    tail adds about that times the width to L.  Dropping the coefficients
-    of L below 2^-52 hs max|g| past its last larger one adds less.  The
-    error of L at x is the sum of the accepted tails of the panels
-    between scale_ref and x, in absolute terms in L, which means in
-    relative terms in S' and in S(b) - S(a).  L is summed outward with
-    compensated summation.
+    tail adds about that times the width to L.  Dropping g's trailing
+    coefficients at or below 25 ulps of max|g|, its rounding noise, adds
+    at most about as much again.  The error of L at x is the sum of the
+    accepted tails of the panels between scale_ref and x, in absolute
+    terms in L, which means in relative terms in S' and in S(b) - S(a).
+    L is summed outward with compensated summation.
 
     A g that is not finite, sigma_sq <= 0, or a g not resolved by panels
     down to a width of 1e-12 max(1, |x|), on the way from scale_ref to a
@@ -867,10 +811,13 @@ def model_from_json(text: str) -> DiffusionModel:
 
 def _require_interior(model, x, op):
     a, b = model.interval
-    if isinstance(x, (float, int, np.floating, np.integer)) and a < x < b:
+    if (isinstance(x, (float, int, np.floating, np.integer)) and not isinstance(x, bool)
+            and a < x < b):
         return      # scalar fast path; nan and +-inf fail a strict comparison
     try:
         arr = np.asarray(x, dtype=float)
+        if np.asarray(x).dtype.kind == "b":
+            raise TypeError("bools are not points")
     except (TypeError, ValueError):
         raise ValidationError("point must be a real number or an array of them",
                               operation=op, value=x, module=_MOD) from None

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import laws, mc
-from .errors import ValidationError, integer, real
+from .errors import ValidationError, real
 from .models import DiffusionModel
 
 _MOD = "verify"
 _Z_MAX = 3.0
+_MAX_HALVINGS = 3           # dt halvings the dt-pair rule may make
 
 
 @dataclass(frozen=True)
@@ -132,20 +133,19 @@ def _probe_values(samples, ys, alpha):
 
 
 def dt_pair_simulate(model: DiffusionModel, x: float, delta: float,
-                     cfg: mc.McConfig, ys, alpha: float,
-                     max_halvings: int = 3):
-    """Simulate a coupled (dt, dt/2) pair; halve until every probe
-    (tails at ys, the alpha-transform) moves by less than one standard
-    error between the arms.  The arms share their noise, so the move
-    is the halving bias itself, not two runs' worth of Monte Carlo
-    scatter.  Returns (fine collection, moves in std errors, fine dt).
+                     cfg: mc.McConfig, ys, alpha: float):
+    """Simulate a coupled (dt, dt/2) pair; halve, at most _MAX_HALVINGS
+    times, until every probe (tails at ys, the alpha-transform) moves by
+    less than one standard error between the arms.  The arms share their
+    noise, so the move is the halving bias itself, not two runs' worth of
+    Monte Carlo scatter.  Returns (fine collection, moves in std errors,
+    fine dt).
     """
     op = "dt_pair_simulate"
     ys = [real(y, "tail level", op, _MOD) for y in ys]
     alpha = real(alpha, "alpha", op, _MOD, 0.0)
-    max_halvings = integer(max_halvings, "max_halvings", op, _MOD, 0)
     run = cfg
-    for _ in range(max_halvings + 1):
+    for _ in range(_MAX_HALVINGS + 1):
         fine, coarse = mc.paired_simulate(model, x, delta, run)
         pf = _probe_values(fine, ys, alpha)
         pc = _probe_values(coarse, ys, alpha)

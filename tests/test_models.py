@@ -541,6 +541,13 @@ def test_domain_errors_on_scale_evaluation():
         scale(g, 0.0)   # boundary point itself is outside the open interval
     with pytest.raises(ValidationError):
         scale_density(g, "a")   # not a number at all
+    bm = brownian()
+    for call in (lambda: scale_density(bm, True), lambda: scale_density(bm, np.True_),
+                 lambda: scale(bm, np.array([True, False])),
+                 lambda: scale_diff(bm, [False], [True]),
+                 lambda: SpeedDensity(bm)(True), lambda: ScaleMap(bm, True)):
+        with pytest.raises(ValidationError):
+            call()
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1.0, 0.0, 2.0, 3.5])
