@@ -2,15 +2,15 @@
 
 Each drawdown window [z - delta, z] gets its own initial-value basis:
 
-    u(l) = 0,  u'(l) = S'(l)      (vanishing solution, unit scale slope)
-    v(l) = 1,  v'(l) = 0          (flat solution)
+    u(l) = 0,  u'(l) = 1      (vanishing solution, unit slope)
+    v(l) = 1,  v'(l) = 0      (flat solution)
 
-In scale-derivative terms (g+ = g'/S') this pins the scale Wronskian
-
-    w(x) = (u'(x) v(x) - u(x) v'(x)) / S'(x)
-
-to exactly +1 on the whole window, which is the invariant monitored by
-every solve.
+solved from the drift and diffusion_sq alone: the solver never
+evaluates the scale.  The Wronskian W = u'v - uv' starts at 1 and, by
+Liouville, W' = -(2 mu / sigma_sq) W, so W(r) = S'(r) / S'(l) for any
+normalisation of S'.  Its log, the sum of the panel maps' log det, is
+log_w; the laws' rates b S' = e^{log_w} / u(r) and chat S' = u'(r) / u(r)
+are quotients of right-end values (laws._factors).
 
 The API is endpoint-only: batch_endpoints returns (u, u', v, v') at the
 right end of every window and nothing in between, which is all any law
@@ -33,10 +33,12 @@ A degree ladder (8, 12, 16, 24, ...) on fixed panels certifies the
 result: a degree is accepted once its endpoint values agree with the
 previous degree's to rel_tol and the Wronskian monitor holds, and a
 ladder that stops improving first raises NumericError at its rounding
-floor.  The log-Wronskian grows by log det of each panel map (Liouville)
-and is read from node values inside a panel, so one-panel windows get
-interior checkpoints too.  n_steps counts panel nodes per window: the
-mean panel count, rounded up, times the accepted degree.
+floor.  The monitor reads every panel node: log det of the node states,
+summed over the panels before, against its reference, the integral of
+-2 mu / sigma_sq from l that the panel's own J1 matrix takes of the
+coefficients at its nodes; w_drift is the largest gap.  n_steps counts
+panel nodes per window: the mean panel count, rounded up, times the
+accepted degree.
 """
 
 from __future__ import annotations
@@ -49,15 +51,13 @@ import numpy as np
 
 from .chebyshev import antiderivative, lobatto
 from .errors import NumericError, ValidationError, integer, real, real_array
-from .models import DiffusionModel, scale_density
+from .models import DiffusionModel
 
 _MOD = "basis"
 
 _BLOCK_NODES = 1 << 15        # panels x (degree + 1) of one block of panels
 _DEGREES = (8, 12, 16, 24, 32, 48, 64, 96, 128)
 _PICARD_MAX = 60
-_CHECKPOINT_FRACS = (0.0, 0.25, 0.5, 0.75, 1.0)
-_CHECK_ROWS = 64              # windows of a batch that get the Wronskian monitor
 _LN2 = math.log(2.0)
 
 
@@ -125,10 +125,12 @@ def _coefficients(model, xs):
 
 def _panel_states(model, alpha, x0, h, n):
     """(y, z = (h/2) y') at the n + 1 points of the panels [x0, x0 + h],
-    shaped (n + 1, 2, panels), from the starts (1, 0) and (0, 1).  In
+    shaped (n + 1, 2, panels), from the starts (1, 0) and (0, 1), and
+    the log det reference J1 cb, shaped (n + 1, panels).  In
     t = 2 (x - x0)/h - 1 the unknown g = (h/2)^2 y'' solves the Volterra
     equation g = ca y + cb z; its fixed-point iteration converges for
-    any k h."""
+    any k h.  The determinant y_1 z_2 - y_2 z_1 of the two starts solves
+    d/dt det = cb det, so its log is the integral of cb from t = -1."""
     t, jj = _cheb(n)
     hs = 0.5 * h
     mu, s2 = _coefficients(model, x0 + (t[:, None] + 1.0) * hs)
@@ -147,7 +149,8 @@ def _panel_states(model, alpha, x0, h, n):
             q[n + 1:, :k] += 1.0
             q[n + 1:, k:] += tp1
             q[:n + 1, k:] += 1.0
-            return q[n + 1:].reshape(n + 1, 2, k), q[:n + 1].reshape(n + 1, 2, k)
+            return (q[n + 1:].reshape(n + 1, 2, k), q[:n + 1].reshape(n + 1, 2, k),
+                    jj[:n + 1] @ cb[:, :k])
         end = qn.copy()
         g = ca * q[n + 1:]
         g += cb * q[:n + 1]
@@ -173,40 +176,36 @@ def _sweep(model, alpha, l, r, y0, panels, n):
     """Product of the degree-n maps of windows [l_i, r_i] cut into
     panels[i] equal panels, in blocks of at most _BLOCK_NODES nodes,
     applied to the states y0 (2, 2, rows) as a mantissa with its largest
-    entry in [0.5, 1) and lam = base-2 exponent * log 2.  Checkpoints
-    (x, log det growth) sit at the node nearest each fraction in
-    _CHECKPOINT_FRACS of every window: log det summed over the panels
-    before it plus log det of its panel's node states.
+    entry in [0.5, 1) and lam = base-2 exponent * log 2.  log_w sums the
+    log det of every panel map of a window.  drift is the Wronskian
+    monitor: the largest gap, over every node of every window, between
+    log det of the node states plus that of the panel maps before them
+    and the reference integral of -2 mu / sigma_sq from l.
     """
     B = l.size
     h = (r - l) / panels
-    pos = np.multiply.outer(_CHECKPOINT_FRACS, panels)
-    cp_panel = np.minimum(pos.astype(np.int64), panels - 1)
-    cp_node = np.rint(np.arccos(1.0 - 2.0 * (pos - cp_panel)) * (n / np.pi)).astype(int)
-    cp_x = l + (cp_panel + 0.5 * (_cheb(n)[0][cp_node] + 1.0)) * h
-    cp_logdet = np.zeros(pos.shape)
     y, ex = _normalize(y0, np.zeros(B, dtype=np.int64))
-    logdet = np.zeros(B)
+    log_w, dev_w, drift = np.zeros(B), np.zeros(B), 0.0
     block = max(1, _BLOCK_NODES // (B * (n + 1)))
     for j0 in range(0, int(panels.max()), block):
         live = (j0 + np.arange(min(block, panels.max() - j0)))[:, None] < panels
         jj, ii = np.nonzero(live)
-        ys, zs = _panel_states(model, alpha, l[ii] + (j0 + jj) * h[ii], h[ii], n)
+        ys, zs, ref = _panel_states(model, alpha, l[ii] + (j0 + jj) * h[ii], h[ii], n)
         hs = 0.5 * h[ii]
         m = np.eye(2)[:, :, None, None] * np.ones(live.shape)
         m[:, :, jj, ii] = [[ys[n, 0], hs * ys[n, 1]], [zs[n, 0] / hs, zs[n, 1]]]
-        ld = np.zeros(live.shape + (n + 1,))
-        f, i = np.nonzero((cp_panel >= j0) & (cp_panel < j0 + live.shape[0]))
-        j = cp_panel[f, i] - j0
+        dev = np.zeros(live.shape + (n + 1,))
         with np.errstate(invalid="ignore", divide="ignore"):
-            ld[jj, ii] = np.log(ys[:, 0] * zs[:, 1] - ys[:, 1] * zs[:, 0]).T
-            before = logdet + np.cumsum(ld[..., n], axis=0) - ld[..., n]
-            cp_logdet[f, i] = before[j, i] + ld[j, i, cp_node[f, i]]
-            logdet = before[-1] + ld[-1, :, n]
+            ld = np.log(ys[:, 0] * zs[:, 1] - ys[:, 1] * zs[:, 0])
+            log_w += np.bincount(ii, ld[n], minlength=B)
+            dev[jj, ii] = (ld - ref).T
+            before = dev_w + np.cumsum(dev[..., n], axis=0) - dev[..., n]
+            drift = np.maximum(drift, np.abs(before[..., None] + dev).max())
+            dev_w = before[-1] + dev[-1, :, n]
         p, ep = _tree_product(m)
         y, ex = _normalize(_mul(p, y), ep + ex)
-    return dict(y=y.transpose(2, 1, 0).reshape(B, 4), lam=ex * _LN2,
-                checkpoints=(cp_x, cp_logdet))
+    return dict(y=y.transpose(2, 1, 0).reshape(B, 4), lam=ex * _LN2, log_w=log_w,
+                drift=float(drift) if np.isfinite(drift) else math.inf)
 
 
 def _panel_counts(model, alpha, l, r, max_steps):
@@ -243,27 +242,10 @@ def _endpoint_gap(a, b, abs_tol):
         return float(np.max(np.abs(va - vb) / np.maximum(pair, abs_tol)))
 
 
-def _drift_from_checkpoints(model, cps, sprime_l, rows):
-    """Max log-deviation of the scale Wronskian across checkpoints.
-
-    |u'v - uv'| starts at S'(l) and has grown by the checkpoint's
-    log-determinant sum; the scale Wronskian divides by S'(x) there.
-    """
-    xs, logdet = cps[0][:, rows], cps[1][:, rows]
-    sp = np.asarray(scale_density(model, xs), dtype=float)
-    with np.errstate(divide="ignore"):
-        logs = np.log(sprime_l[rows]) + logdet - np.log(sp)
-    if not np.all(np.isfinite(logs)):
-        return math.inf
-    return float(np.max(np.abs(logs - logs[0])))
-
-
-def _solve_adaptive(model, alpha, l, r, settings, check_rows):
+def _solve_adaptive(model, alpha, l, r, settings):
     panels = _panel_counts(model, alpha, l, r, settings.max_steps)
-    sprime_l = np.asarray(scale_density(model, l), dtype=float)
-    y0 = np.zeros((2, 2, l.shape[0]))
-    y0[1, 0] = sprime_l      # u(l) = 0, u'(l) = S'(l)
-    y0[0, 1] = 1.0           # v(l) = 1, v'(l) = 0
+    # the columns u = (0, 1) and v = (1, 0) of every window's start
+    y0 = np.array([[0.0, 1.0], [1.0, 0.0]])[:, :, None] * np.ones(l.size)
     where = f"alpha {alpha:g}, window length {float(np.max(r - l)):g}"
     drift_tol = 10.0 * settings.rel_tol
     prev, last = None, math.inf
@@ -276,12 +258,10 @@ def _solve_adaptive(model, alpha, l, r, settings, check_rows):
         cur = _sweep(model, alpha, l, r, y0, panels, n)
         if prev is not None:
             gap = _endpoint_gap(prev, cur, settings.abs_tol)
-            drift = _drift_from_checkpoints(model, cur["checkpoints"], sprime_l,
-                                            check_rows)
+            drift = cur["drift"]
             if gap <= settings.rel_tol and drift <= drift_tol:
                 return BatchEndpoints(
-                    *cur["y"].T.copy(), lam=cur["lam"], sprime_l=sprime_l,
-                    sprime_r=np.asarray(scale_density(model, r), dtype=float),
+                    *cur["y"].T.copy(), lam=cur["lam"], log_w=cur["log_w"],
                     w_drift=drift, n_steps=-(-int(panels.sum()) // l.size) * n,
                     endpoint_gap=gap)
             err = max(gap / settings.rel_tol, drift / drift_tol)
@@ -303,7 +283,9 @@ class BatchEndpoints:
     """Scaled endpoint data for a batch of windows.
 
     True values at r are (field) * exp(lam); the common factor exp(lam)
-    cancels in the quotients the laws form.  endpoint_gap is the
+    cancels in the quotients the laws form.  log_w is log S'(r) / S'(l),
+    the log growth of the Wronskian u'v - uv' from its start at 1.
+    w_drift is the Wronskian monitor's largest gap and endpoint_gap the
     accepted degree-ladder gap, the measured relative accuracy of the
     endpoint values.
     """
@@ -313,8 +295,7 @@ class BatchEndpoints:
     v_r: np.ndarray
     vp_r: np.ndarray
     lam: np.ndarray
-    sprime_l: np.ndarray
-    sprime_r: np.ndarray
+    log_w: np.ndarray
     w_drift: float
     n_steps: int
     endpoint_gap: float
@@ -339,8 +320,7 @@ def batch_endpoints(model: DiffusionModel, alpha: float,
     if not (np.all(l > a) and np.all(r < b)):
         raise ValidationError("windows must lie inside the open state space",
                               operation="batch_endpoints", module=_MOD)
-    check_rows = np.arange(0, l.size, max(1, l.size // _CHECK_ROWS))
-    return _solve_adaptive(model, alpha, l, r, settings, check_rows)
+    return _solve_adaptive(model, alpha, l, r, settings)
 
 
 def solve_local_basis(model, alpha, l, r, settings=None):

@@ -23,7 +23,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -256,18 +256,14 @@ def _cmd_density(cfg: RunConfig) -> int:
 def _cmd_transform(cfg: RunConfig) -> int:
     rows = []
     for a in cfg.grid:
-        q = DrawdownQuery(x=cfg.query.x, delta=cfg.query.delta, alpha=a,
-                          beta=cfg.query.beta, tol=cfg.query.tol)
-        r = laws.joint_transform(cfg.model, q)
+        r = laws.joint_transform(cfg.model, replace(cfg.query, alpha=a))
         rows.append((a, cfg.query.beta, r.value, r.abs_error_estimate))
     _emit(("alpha", "beta", "value", "abs_error_estimate"), rows, cfg)
     return EXIT_OK
 
 
 def _cmd_tau_cdf(cfg: RunConfig) -> int:
-    q = DrawdownQuery(x=cfg.query.x, delta=cfg.query.delta,
-                      alpha=cfg.query.alpha, beta=0.0, tol=cfg.query.tol)
-    vals = laws.tau_cdf(cfg.model, q, cfg.grid)
+    vals = laws.tau_cdf(cfg.model, cfg.query, cfg.grid)
     _emit(("t", "cdf"), list(zip(cfg.grid, vals)), cfg)
     return EXIT_OK
 

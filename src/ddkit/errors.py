@@ -107,13 +107,22 @@ def real_array(v, name, operation, module, min_size=1) -> np.ndarray:
         a = np.asarray(v)
     except (TypeError, ValueError):
         a = np.array(None)
-    if a.dtype.kind in "iuf" and a.ndim == 1 and a.size >= min_size:
+    if (a.dtype.kind in "iuf" and a.ndim == 1 and a.size >= min_size
+            and not holds_bool(v)):
         a = a.astype(float, copy=False)
         if np.isfinite(a).all():
             return a
     raise ValidationError(f"{name} must be a 1d array of at least {min_size} "
                           "finite real numbers", operation=operation,
                           value=v, module=module)
+
+
+def holds_bool(v) -> bool:
+    """Whether v, which numpy reads as a numeric array, holds a bool: the
+    entries of a list are read before numpy promotes [True, 0.5]."""
+    if isinstance(v, np.ndarray) and v.dtype != object:
+        return v.dtype.kind == "b"
+    return any(isinstance(e, (bool, np.bool_)) for e in np.asarray(v, dtype=object).flat)
 
 
 def pair(v, name, operation, module) -> tuple:

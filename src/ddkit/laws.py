@@ -153,7 +153,15 @@ class TailCurve:
 def nu(model: DiffusionModel, z: float, delta: float) -> float:
     """Excursion mass 1 / (S(z) - S(z - delta)); diverges as delta -> 0."""
     z, delta = _require_window(model, z, delta, "nu")
-    return 1.0 / scale_diff(model, z - delta, z)
+    return 1.0 / _nonzero(scale_diff(model, z - delta, z), "S(z) - S(z - delta)", z, "nu")
+
+
+def _nonzero(v, what, z, op):
+    """v, a scale quantity at level z to divide by, unless it underflowed to 0."""
+    if not v > 0.0:
+        raise NumericError(f"{what} underflows to 0 at level {z:g}", operation=op,
+                           value=z, module=_MOD)
+    return v
 
 
 def _nu_sp(model, z, delta):
@@ -182,14 +190,16 @@ def _settings_for(tol: float) -> OdeSettings:
 
 
 def _window_factors(model, z, delta, alpha, settings, op):
-    """(b, chat) at level z from one window solve; nu(z) at alpha = 0."""
+    """(b, chat) at level z: the rates of one window solve over S'(z);
+    nu(z) at alpha = 0."""
     z, delta = _require_window(model, z, delta, op)
     alpha = real(alpha, "alpha", op, _MOD, 0.0)
     if alpha == 0.0:
         return (nu(model, z, delta),) * 2
+    sp = _nonzero(scale_density(model, z), "S'(z)", z, op)
     b, chat, _ = _factors(model, np.array([z]), delta, alpha,
                           settings or _settings_for(1e-9), op)
-    return float(b[0]), float(chat[0])
+    return float(b[0]) / sp, float(chat[0]) / sp
 
 
 def b_factor(model: DiffusionModel, z: float, delta: float, alpha: float,
@@ -197,8 +207,8 @@ def b_factor(model: DiffusionModel, z: float, delta: float, alpha: float,
     """Discounted mass of delta-deep excursions at level z.
 
     Equals nu(z) at alpha = 0 (enforced exactly) and decreases in
-    alpha.  Computed as 1 / u(z) from the window basis, which is
-    invariant under basis recombination.
+    alpha.  Computed as 1 / (S'(z - delta) u(z)) from the unit-slope
+    window basis, that is its rate e^{log_w} / u(z) over S'(z).
     """
     return _window_factors(model, z, delta, alpha, settings, "b_factor")[0]
 
@@ -356,17 +366,18 @@ def tail_curve(model: DiffusionModel, query: DrawdownQuery, grid) -> TailCurve:
 # ---------------------------------------------------------------------------
 
 def _level_values(model, ys, delta, alpha, settings, op):
-    """(nu, b, chat, S') at the levels ys, stacked, and the solve gap;
-    errors name op."""
-    sp = scale_density(model, ys)
-    nu_v = 1.0 / scale_diff(model, ys - delta, ys)
+    """The rates (nu S', b S', chat S') at the levels ys, stacked, and the
+    solve gap; errors name op.  They are the densities in y of nu dS, b dS
+    and chat dS, so S', fixed only up to a constant, never enters."""
+    nu_v = _nu_sp(model, ys, delta)
     b_v, c_v, gap = ((nu_v, nu_v, 0.0) if alpha == 0.0
                      else _factors(model, ys, delta, alpha, settings, op))
-    return np.array([nu_v, b_v, c_v, sp]), gap
+    return np.array([nu_v, b_v, c_v]), gap
 
 
 def _factors(model, ys, delta, alpha, settings, op):
-    """(b, chat) at the levels ys by one batched solve, and its gap; errors name op."""
+    """(b S', chat S') = (e^{log_w} / u(y), u'(y) / u(y)) at the levels ys
+    from one batched solve of the unit-slope windows, and its gap; errors name op."""
     try:
         ep = batch_endpoints(model, alpha, ys - delta, ys, settings)
     except NumericError as exc:
@@ -381,13 +392,13 @@ def _factors(model, ys, delta, alpha, settings, op):
             "delta is too large for this window or alpha is extreme",
             operation=op, value=delta, module=_MOD)
     with np.errstate(under="ignore"):
-        b = np.exp(-ep.lam) / ep.u_r
-    return b, ep.up_r / (ep.u_r * ep.sprime_r), ep.endpoint_gap
+        b = np.exp(ep.log_w - ep.lam) / ep.u_r
+    return b, ep.up_r / ep.u_r, ep.endpoint_gap
 
 
 def _panel_values(model, edges, n, delta, alpha, settings, prev):
-    """(nu, b, chat, S') at the degree-n Lobatto points of every panel,
-    shaped (4, panels, n + 1), and the solve gap.  prev holds the values
+    """(nu S', b S', chat S') at the degree-n Lobatto points of every
+    panel, shaped (3, panels, n + 1), and the solve gap.  prev holds the values
     at degree n / 2, whose points are the even ones of degree n, so only
     the odd points are solved."""
     t = lobatto(n).t
@@ -399,9 +410,9 @@ def _panel_values(model, edges, n, delta, alpha, settings, prev):
         return vals[:, np.arange(panels)[:, None] * n + np.arange(n + 1)], gap
     vals, gap = _level_values(model, (lo + hs * (t[1::2] + 1.0)).ravel(), delta,
                               alpha, settings, "transform")
-    out = np.empty((4, panels, n + 1))
+    out = np.empty((3, panels, n + 1))
     out[:, :, ::2] = prev
-    out[:, :, 1::2] = vals.reshape(4, panels, n // 2)
+    out[:, :, 1::2] = vals.reshape(3, panels, n // 2)
     return out, gap
 
 
@@ -455,7 +466,7 @@ def _outer_integral(hs, rate, outside, n):
 
 def _climb(model, edges, delta, alpha, tol, estimate, close, op, name, vals=None):
     """The outer degree ladder on the panels edges: estimate(n, values) at
-    the (nu, b, chat, S') values of the degree-n points of every panel (a
+    the (nu S', b S', chat S') values of the degree-n points of every panel (a
     rung solves only its new points; vals may hold the first rung's) until
     close(new, old, accept), accept a decade above the window solver's own
     certificate.  Returns the last two estimates and the largest gap."""
@@ -491,10 +502,10 @@ def _transform_core(model, query, role_swap, table=None):
         remainder *= min(1.0, table.strip)
 
     def integrands(vals):
-        nu_v, b_v, c_v, sp_v = vals
+        nu_v, b_v, c_v = vals
         if role_swap:
-            return beta + b_v * sp_v, np.maximum(c_v - nu_v, 0.0) * sp_v
-        return beta + c_v * sp_v, b_v * sp_v
+            return beta + b_v, np.maximum(c_v - nu_v, 0.0)
+        return beta + c_v, b_v
 
     # panels where J bends more than 1 away from its chord are bisected
     # first: there e^{-r} would need degrees the ladder does not reach
@@ -567,8 +578,8 @@ def _runup_exponent(model, x, ys_eval, delta, alpha, tol):
     hs = 0.5 * np.diff(edges)[:, None]
 
     def estimate(n, vals):
-        nu_v, _, c_v, sp_v = vals
-        A = antiderivative(np.maximum(c_v - nu_v, 0.0) * sp_v, hs)
+        nu_v, _, c_v = vals
+        A = antiderivative(np.maximum(c_v - nu_v, 0.0), hs)
         offsets = np.concatenate([[0.0], np.cumsum(A.sum(axis=1))[:-1]])
         return Panels(edges, offsets, A)(ys_eval)
 
@@ -600,7 +611,7 @@ def conditional_curve(model: DiffusionModel, query: DrawdownQuery,
                               operation="conditional_curve", module=_MOD)
     _require_interior(model, float(ys.max()), "conditional_curve")
     R = _runup_exponent(model, query.x, ys, query.delta, query.alpha, query.tol)
-    (nu_v, b_v, _, _), _ = _level_values(model, ys, query.delta, query.alpha,
+    (nu_v, b_v, _), _ = _level_values(model, ys, query.delta, query.alpha,
                                          _settings_for(query.tol), "conditional_curve")
     with np.errstate(under="ignore"):
         out = np.exp(-R) * b_v / nu_v
@@ -620,9 +631,10 @@ def conditional_laplace(model: DiffusionModel, query: DrawdownQuery,
 # ---------------------------------------------------------------------------
 
 def _psi_ratio(model, alpha, l, r, settings, op):
-    """u_[l0, r0](r0) / u_[l1, r1](r1), from one solve of both windows;
-    exit_transform states the identity behind it.  At alpha = 0,
-    u_[l, r](r) = S(r) - S(l)."""
+    """S'(l0) u_[l0, r0](r0) / (S'(l1) u_[l1, r1](r1)) from one solve of two
+    windows with a shared left end (S' factor 1) or right end (factor
+    e^{log_w1 - log_w0}); exit_transform states the identity behind it.
+    At alpha = 0, S'(l) u_[l, r](r) = S(r) - S(l)."""
     if alpha == 0.0:
         return scale_diff(model, l[0], r[0]) / scale_diff(model, l[1], r[1])
     ep = batch_endpoints(model, alpha, np.asarray(l, dtype=float),
@@ -631,8 +643,9 @@ def _psi_ratio(model, alpha, l, r, settings, op):
         raise DegenerateBasisError("window endpoint value is not finite and "
                                    "positive", operation=op, value=(l, r),
                                    module=_MOD)
+    log_sp = 0.0 if l[0] == l[1] else ep.log_w[1] - ep.log_w[0]
     return math.exp(math.log(ep.u_r[0]) - math.log(ep.u_r[1])
-                    + ep.lam[0] - ep.lam[1])
+                    + ep.lam[0] - ep.lam[1] + log_sp)
 
 
 def _truncated_hit(model, x, y, alpha, lo, hi, settings):
@@ -657,7 +670,7 @@ def hitting_laplace(model: DiffusionModel, x: float, y: float, alpha: float,
     On a box the transform is a ratio of one solution at two points
     (Borodin & Salminen, Handbook of Brownian Motion, II.10).  As in
     exit_transform, downward it is psi(x) / psi(y) with psi vanishing at
-    hi, that is u_[x, hi](hi) / u_[y, hi](hi); upward it is
+    hi, that is S'(x) u_[x, hi](hi) / (S'(y) u_[y, hi](hi)); upward it is
     u_[lo, x](x) / u_[lo, y](y).  Each is one two-window solve.
     """
     op = "hitting_laplace"
@@ -708,12 +721,12 @@ def exit_transform(model: DiffusionModel, x: float, a: float, bnd: float,
                    alpha: float, settings: OdeSettings | None = None) -> float:
     """E^x[e^{-alpha T_a}; T_a < T_bnd] = psi(x) / psi(a).
 
-    psi is the solution vanishing at bnd.  Every window [l, r] pins the
-    scale Wronskian of its basis (u, v) to +1, so v(r) u - u(r) v is
-    psi with psi'(bnd) = S'(bnd) for any l, and psi(l) = -u_[l, bnd](bnd).
-    The value is u_[x, bnd](bnd) / u_[a, bnd](bnd), a quotient of two
-    right-end values from one solve of the windows [x, bnd] and [a, bnd];
-    at alpha = 0 it is exit_probability.
+    psi is the solution vanishing at bnd.  The Wronskian u'v - uv' of the
+    basis of a window [l, r] grows from 1 to S'(r) / S'(l), so
+    S'(l) (v(r) u - u(r) v) is psi with psi'(bnd) = S'(bnd) for any l, and
+    psi(l) = -S'(l) u_[l, bnd](bnd).  The value is the quotient of the
+    right-end values of one solve of [x, bnd] and [a, bnd] times
+    S'(x) / S'(a) = e^{log_w_a - log_w_x}; at alpha = 0, exit_probability.
     """
     op = "exit_transform"
     x, a, bnd = (real(v, n, op, _MOD) for v, n in ((x, "x"), (a, "a"), (bnd, "bnd")))

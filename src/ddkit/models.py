@@ -36,7 +36,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .chebyshev import Panels, antiderivative, coefficients, lobatto, series
 from .errors import (DomainError, NumericError, UnsupportedModelError,
-                     ValidationError, pair, real)
+                     ValidationError, holds_bool, pair, real)
 
 _MOD = "models"
 
@@ -816,7 +816,7 @@ def _require_interior(model, x, op):
         return      # scalar fast path; nan and +-inf fail a strict comparison
     try:
         arr = np.asarray(x, dtype=float)
-        if np.asarray(x).dtype.kind == "b":
+        if holds_bool(x):
             raise TypeError("bools are not points")
     except (TypeError, ValueError):
         raise ValidationError("point must be a real number or an array of them",

@@ -1,8 +1,10 @@
 """Window solver against elementary solutions at several window ends,
-multi-panel products, a sequential RK4 loop, Wronskian conservation and
-the exponent carry."""
+multi-panel products, a sequential RK4 loop, Wronskian growth and the
+exponent carry."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,11 @@ def test_bm_basis_matches_hyperbolic_solutions():
     assert_allclose(_true(ep, "vp_r"), np.sinh(RS), rtol=1e-9)
 
 
+def _log_sprime_ratio(model, l, r):
+    """log S'(r) / S'(l) from the model's closed-form scale density."""
+    return np.log(scale_density(model, r) / scale_density(model, l))
+
+
 def test_drifted_bm_basis_matches_exponential_solutions():
     # mu = 1, sig2 = 1, alpha = 1/2: roots -1 +- sqrt2, S'(x) = e^{-2x}
     #   u = e^{-x} sinh(sqrt2 x)/sqrt2,  v = e^{-x}(cosh(sqrt2 x) + sinh(sqrt2 x)/sqrt2)
@@ -49,24 +56,27 @@ def test_drifted_bm_basis_matches_exponential_solutions():
     # scale derivative u' / S' = u' e^{2r}
     assert_allclose(_true(ep, "up_r") * np.exp(2.0 * RS),
                     np.exp(RS) * (ch - sh / q), rtol=1e-9)
-    assert_allclose(ep.sprime_r, np.exp(-2.0 * RS), rtol=1e-14)
+    # log S'(r) / S'(0) = -2 r
+    assert_allclose(ep.log_w, -2.0 * RS, rtol=1e-14)
 
 
 def test_initial_conditions_and_wronskian_normalization():
     m = drifted_brownian(mu=-0.4, sigma_sq=1.7)
     l, h = -0.5, 1e-7
-    # u(l) = 0, u'(l) = S'(l), v(l) = 1, v'(l) = 0, seen on a window of length h
+    # u(l) = 0, u'(l) = 1, v(l) = 1, v'(l) = 0, seen on a window of length h
     short = batch_endpoints(m, 0.8, np.array([l]), np.array([l + h]))
-    assert_allclose(short.sprime_l[0], scale_density(m, l), rtol=1e-15)
-    assert_allclose(_true(short, "u_r")[0] / h, short.sprime_l[0], rtol=1e-6)
-    assert_allclose(_true(short, "up_r")[0], short.sprime_l[0], rtol=1e-6)
+    assert_allclose(_true(short, "u_r")[0] / h, 1.0, rtol=1e-6)
+    assert_allclose(_true(short, "up_r")[0], 1.0, rtol=1e-6)
     assert_allclose(_true(short, "v_r")[0], 1.0, rtol=1e-12)
     assert_allclose(_true(short, "vp_r")[0], 0.0, atol=1e-6)
-    # the scale Wronskian (u'v - uv') / S' stays +1 at every window end
+    assert_allclose(short.log_w[0], _log_sprime_ratio(m, l, l + h), rtol=1e-6)
+    # the Wronskian u'v - uv' starts at 1 and grows to S'(r) / S'(l) =
+    # e^{log_w} at every window end
     rs = np.array([-0.1, 0.4, 1.0, 1.5])
     ep = batch_endpoints(m, 0.8, np.full(rs.size, l), rs)
-    w = (ep.up_r * ep.v_r - ep.u_r * ep.vp_r) / ep.sprime_r * np.exp(2.0 * ep.lam)
-    assert_allclose(w, 1.0, rtol=1e-8)
+    w = (ep.up_r * ep.v_r - ep.u_r * ep.vp_r) * np.exp(2.0 * ep.lam)
+    assert_allclose(w, np.exp(ep.log_w), rtol=1e-8)
+    assert_allclose(ep.log_w, _log_sprime_ratio(m, l, rs), rtol=1e-8)
 
 
 @pytest.mark.parametrize("make,lo", [
@@ -108,9 +118,10 @@ def test_batch_endpoints_agree_with_single_solves():
     for i, z in enumerate(zs):
         one = batch_endpoints(m, 0.5, np.array([z - 1.0]), np.array([z]))
         assert_allclose(_true(out, "u_r")[i], _true(one, "u_r")[0], rtol=1e-9)
-        cb = out.up_r[i] / (out.u_r[i] * out.sprime_r[i])
-        cs = one.up_r[0] / (one.u_r[0] * one.sprime_r[0])
+        cb = out.up_r[i] / out.u_r[i]
+        cs = one.up_r[0] / one.u_r[0]
         assert_allclose(cb, cs, rtol=1e-9)
+        assert_allclose(out.log_w[i], one.log_w[0], rtol=1e-9)
     assert out.w_drift <= 1e-8
 
 
@@ -165,10 +176,11 @@ def test_multi_panel_product_matches_closed_forms():
         return (cp * np.exp(p * s) + cq * np.exp(q * s),
                 cp * p * np.exp(p * s) + cq * q * np.exp(q * s))
 
-    u, up = sol(0.0, scale_density(m, l))
+    u, up = sol(0.0, 1.0)
     v, vp = sol(1.0, 0.0)
     for name, want in (("u_r", u), ("up_r", up), ("v_r", v), ("vp_r", vp)):
         assert_allclose(_true(ep, name), want, rtol=1e-12)
+    assert_allclose(ep.log_w, -2.0 * mu / s2 * s, rtol=1e-12)
     assert ep.w_drift <= 1e-12
 
 
@@ -182,7 +194,7 @@ def _sequential_rk4(model, alpha, l, r, n):
         return np.array([y[1], 2.0 / s2 * (alpha * y[0] - mu * y[1]),
                          y[3], 2.0 / s2 * (alpha * y[2] - mu * y[3])])
 
-    y = np.array([0.0, float(scale_density(model, l)), 1.0, 0.0])
+    y = np.array([0.0, 1.0, 1.0, 0.0])
     for j in range(n):
         x = l + j * h
         k1 = f(x, y)
@@ -208,10 +220,10 @@ def test_step_matrix_product_matches_sequential_rk4(make, n_windows):
     r = l + 1.2
     panels = np.array([6, 3, 11])[:n_windows]
     y0 = np.zeros((2, 2, n_windows))
-    y0[1, 0] = scale_density(m, l)
+    y0[1, 0] = 1.0
     y0[0, 1] = 1.0
     out = basis._sweep(m, alpha, l, r, y0, panels, n)
-    cp_x, cp_logdet = out["checkpoints"]
+    assert out["drift"] <= 1e-12
     for i in range(n_windows):
         got = out["y"][i] * math.exp(out["lam"][i])
         h = (r[i] - l[i]) / panels[i]
@@ -223,9 +235,8 @@ def test_step_matrix_product_matches_sequential_rk4(make, n_windows):
             state = (one["y"][0].reshape(2, 2).T * math.exp(one["lam"][0])) @ state
         assert_allclose(got, state.T.ravel(), rtol=1e-12)
         assert_allclose(got, _sequential_rk4(m, alpha, l[i], r[i], 2048), rtol=1e-10)
-        assert_allclose(cp_x[[0, -1], i], [l[i], r[i]], rtol=1e-15)
-        assert_allclose(math.log(scale_density(m, l[i])) + cp_logdet[:, i],
-                        np.log(scale_density(m, cp_x[:, i])), rtol=0, atol=1e-12)
+        assert_allclose(out["log_w"][i], _log_sprime_ratio(m, l[i], r[i]),
+                        rtol=0, atol=1e-12)
 
 
 def test_batch_spanning_several_blocks_matches_single_windows():
@@ -257,3 +268,19 @@ def test_panel_iteration_cap_raises_numeric_error(monkeypatch):
     with pytest.raises(NumericError, match="did not converge"):
         batch_endpoints(ornstein_uhlenbeck(theta=1.0), 0.5, np.array([0.0]),
                         np.array([1.0]))
+
+
+def test_basis_reads_no_scale():
+    """The solver works from drift and diffusion_sq alone: basis.py takes
+    nothing from the models module but the DiffusionModel type."""
+    path = Path(basis.__file__)
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module if not node.level else ".".join(
+                p for p in ("ddkit", node.module) if p)
+            names += [f"{base}.{a.name}" for a in node.names]
+    assert [n for n in names if n.startswith("ddkit.models")] == [
+        "ddkit.models.DiffusionModel"]

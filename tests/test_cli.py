@@ -177,6 +177,18 @@ def test_tau_cdf_rows_monotone(tmp_path, capsys):
     assert 0.0 < vals[0] < vals[-1] < 1.0
 
 
+def test_tau_cdf_with_beta_exits_2(tmp_path, capsys):
+    # the CDF of tau is the beta = 0 law; a beta in the query is refused,
+    # not dropped
+    doc = bm_doc(grids={"t_grid": [1.0]})
+    doc["query"]["beta"] = 0.7
+    cfg = write_cfg(tmp_path, doc)
+    code, out, err = run(["tau-cdf", "--config", cfg], capsys)
+    assert code == 2
+    assert out == ""
+    assert "beta" in err
+
+
 def test_hit_closed_form(tmp_path, capsys):
     doc = bm_doc(grids={"y_grid": [1.0]})
     doc["query"]["alpha"] = 0.5

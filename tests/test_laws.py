@@ -128,6 +128,17 @@ def test_level_function_ordering_strict_for_positive_alpha():
         assert b < n < c
 
 
+def test_level_functions_refuse_a_level_where_the_scale_underflows():
+    # S'(400) = e^{-2400} and S(400) - S(399) are 0 in double precision;
+    # b and chat divide their rates by S', nu divides by the scale gap
+    m = drifted_brownian(mu=3.0)
+    for call in (lambda: b_factor(m, 400.0, 1.0, 0.5),
+                 lambda: c_hat(m, 400.0, 1.0, 0.5),
+                 lambda: b_factor(m, 400.0, 1.0, 0.0)):
+        with pytest.raises(NumericError, match="underflows to 0 at level 400"):
+            call()
+
+
 def test_level_functions_scale_covariant_ratios_invariant():
     # changing the scale normalization point rescales nu, b, chat by a
     # common factor; their ratios and nu * S' are what the laws consume
@@ -188,6 +199,8 @@ def test_tail_curve_rejects_bad_grids():
         tail_curve(BM, q, [[0.0, 1.0]])
     with pytest.raises(ValidationError):
         tail_curve(BM, q, ["a"])
+    with pytest.raises(ValidationError):
+        tail_curve(BM, q, [0.0, True])   # a bool among numbers
 
 
 # -- joint transform --------------------------------------------------------
@@ -259,6 +272,26 @@ def test_joint_transform_invariant_under_scale_normalization():
                     rtol=1e-10)
     assert_allclose(max_tail(m0, DrawdownQuery(0.0, 1.0), 1.5),
                     max_tail(m1, DrawdownQuery(0.0, 1.0), 1.5), rtol=1e-12)
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.5, 2.0, 3.0, 5.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 5.0])
+def test_joint_transform_drifted_closed_form_under_strong_drift(mu, alpha):
+    # Taylor (Ann. Probab. 1975), Lehoczky (Ann. Probab. 1977): for BM with
+    # drift mu and delta = 1, E[e^{-alpha tau}] = (r+ - r-) /
+    # (r+ e^{-r-} - r- e^{-r+}) with r+- = -mu +- sqrt(mu^2 + 2 alpha).
+    # The outer integral runs to levels where S'(y) = e^{-2 mu y}
+    # underflows; the laws read only the rates nu S', b S' and chat S'.
+    d = math.sqrt(mu * mu + 2.0 * alpha)
+    rp, rm = -mu + d, -mu - d
+    want = (rp - rm) / (rp * math.exp(-rm) - rm * math.exp(-rp))
+    r = joint_transform(drifted_brownian(mu), DrawdownQuery(0.0, 1.0, alpha=alpha))
+    assert_allclose(r.value, want, rtol=1e-9)
+
+
+def test_tau_cdf_under_strong_drift_is_monotone():
+    vals = tau_cdf(drifted_brownian(2.0), DrawdownQuery(0.0, 1.0), [0.5, 1.0, 2.0])
+    assert 0.0 < vals[0] < vals[1] < vals[2] < 1.0
 
 
 def test_ou_transform_window_work_stays_bounded(monkeypatch):

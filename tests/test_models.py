@@ -545,7 +545,10 @@ def test_domain_errors_on_scale_evaluation():
     for call in (lambda: scale_density(bm, True), lambda: scale_density(bm, np.True_),
                  lambda: scale(bm, np.array([True, False])),
                  lambda: scale_diff(bm, [False], [True]),
-                 lambda: SpeedDensity(bm)(True), lambda: ScaleMap(bm, True)):
+                 lambda: SpeedDensity(bm)(True), lambda: ScaleMap(bm, True),
+                 # a bool among numbers, which numpy would promote to 1.0
+                 lambda: scale_density(bm, [True, 0.5]),
+                 lambda: scale(bm, [0.5, np.True_])):
         with pytest.raises(ValidationError):
             call()
 
