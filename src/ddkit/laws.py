@@ -45,7 +45,7 @@ from .chebyshev import Panels, antiderivative, coefficients, lobatto, series
 from .errors import (DegenerateBasisError, NumericError, UnsupportedModelError,
                      ValidationError, pair, real, real_array)
 from .models import (DiffusionModel, _require_interior, _require_window,
-                     scale_density, scale_diff)
+                     _scale_ratio, scale_density, scale_diff)
 
 _MOD = "laws"
 
@@ -167,9 +167,9 @@ def _nonzero(v, what, z, op):
 def _nu_sp(model, z, delta):
     """nu(z) * S'(z): the survival-rate integrand in the level variable.
 
-    Takes arrays of levels; a float for scalar z.  Constant-coefficient
-    kinds get the z-free closed form; far in the tail the generic ratio
-    would divide one underflowed quantity by another.
+    Takes arrays of levels.  It is one over the scale quotient on
+    [z - delta, z] anchored at z, which reads S' only relative to S'(z).
+    BM and drifted BM get their exact z-free rate, several times faster.
     """
     if model.kind == "bm":
         rate = 1.0 / delta
@@ -177,7 +177,7 @@ def _nu_sp(model, z, delta):
         g = 2.0 * model.params["mu"] / model.params["sigma_sq"]
         rate = g / math.expm1(g * delta)
     else:
-        return scale_density(model, z) / scale_diff(model, z - delta, z)
+        return 1.0 / _scale_ratio(model, z - delta, z, z, "scale")
     return rate if np.ndim(z) == 0 else np.full(np.shape(z), rate)
 
 
@@ -444,16 +444,15 @@ def _exponent(hs, rate, n):
     return J[:, -1], J - J[:, -1:] * (0.5 * (t + 1.0))
 
 
-def _outer_integral(hs, rate, outside, n):
-    """int exp(-J) outside dy over the panels, J' = rate, J(x) = 0.
+def _outer_integral(hs, rise, r, outside, n):
+    """int exp(-J) outside dy over the panels, J(x) = 0.
 
-    On each panel (_exponent) the rise D is taken out as
+    On each panel _exponent's rise D of J is taken out as
     e^{-D (t + 1) / 2}; what is left, outside e^{-r}, is interpolated at
     degree n, and that polynomial times the exponential is integrated
     exactly (_exp_moments).  Where the rate and outside are constant, as
     on BM and drifted BM, r is exactly 0 and every degree is exact.
     """
-    rise, r = _exponent(hs, rate, n)
     with np.errstate(under="ignore", over="ignore"):
         c = coefficients(outside * np.exp(-r))
         start = np.exp(-np.concatenate([[0.0], np.cumsum(rise)[:-1]]))
@@ -513,14 +512,17 @@ def _transform_core(model, query, role_swap, table=None):
     while True:
         hs = 0.5 * np.diff(edges)
         vals, solve_gap = _panel_values(model, edges, n, delta, alpha, settings, None)
-        far = np.abs(_exponent(hs, integrands(vals)[0], n)[1]).max(axis=1) > 1.0
+        first = _exponent(hs, integrands(vals)[0], n)
+        far = np.abs(first[1]).max(axis=1) > 1.0
         if not far.any() or hs.min() < 1e-9 * max(1.0, abs(y_star)):
             break
         edges = np.sort(np.concatenate([edges, edges[:-1][far] + hs[far]]))
 
     def estimate(n, vals):
+        rate, outside = integrands(vals)
+        rise, r = first if n == _DEGREES[0] else _exponent(hs, rate, n)
         with np.errstate(under="ignore"):
-            return math.exp(-beta * x) * _outer_integral(hs, *integrands(vals), n)
+            return math.exp(-beta * x) * _outer_integral(hs, rise, r, outside, n)
 
     value, prev, gap = _climb(
         model, edges, delta, alpha, tol, estimate,
@@ -634,9 +636,10 @@ def _psi_ratio(model, alpha, l, r, settings, op):
     """S'(l0) u_[l0, r0](r0) / (S'(l1) u_[l1, r1](r1)) from one solve of two
     windows with a shared left end (S' factor 1) or right end (factor
     e^{log_w1 - log_w0}); exit_transform states the identity behind it.
-    At alpha = 0, S'(l) u_[l, r](r) = S(r) - S(l)."""
+    At alpha = 0, S'(l) u_[l, r](r) = S(r) - S(l), both over S'(l1)."""
     if alpha == 0.0:
-        return scale_diff(model, l[0], r[0]) / scale_diff(model, l[1], r[1])
+        return (_scale_ratio(model, l[0], r[0], l[1], op)
+                / _scale_ratio(model, l[1], r[1], l[1], op))
     ep = batch_endpoints(model, alpha, np.asarray(l, dtype=float),
                          np.asarray(r, dtype=float), settings)
     if not np.all(np.isfinite(ep.u_r) & (ep.u_r > 0.0)):
@@ -708,13 +711,7 @@ def hitting_laplace(model: DiffusionModel, x: float, y: float, alpha: float,
 def exit_probability(model: DiffusionModel, x: float, a: float,
                      bnd: float) -> float:
     """P^x(T_a < T_bnd) = (S(bnd) - S(x)) / (S(bnd) - S(a))."""
-    op = "exit_probability"
-    x, a, bnd = (real(v, n, op, _MOD) for v, n in ((x, "x"), (a, "a"), (bnd, "bnd")))
-    _require_interior(model, np.array([a, bnd, x]), op)
-    if not (a < x < bnd):
-        raise ValidationError("need a < x < bnd", operation=op,
-                              value=(a, x, bnd), module=_MOD)
-    return scale_diff(model, x, bnd) / scale_diff(model, a, bnd)
+    return _exit(model, x, a, bnd, 0.0, None, "exit_probability")
 
 
 def exit_transform(model: DiffusionModel, x: float, a: float, bnd: float,
@@ -728,7 +725,10 @@ def exit_transform(model: DiffusionModel, x: float, a: float, bnd: float,
     right-end values of one solve of [x, bnd] and [a, bnd] times
     S'(x) / S'(a) = e^{log_w_a - log_w_x}; at alpha = 0, exit_probability.
     """
-    op = "exit_transform"
+    return _exit(model, x, a, bnd, alpha, settings, "exit_transform")
+
+
+def _exit(model, x, a, bnd, alpha, settings, op):
     x, a, bnd = (real(v, n, op, _MOD) for v, n in ((x, "x"), (a, "a"), (bnd, "bnd")))
     alpha = real(alpha, "alpha", op, _MOD, 0.0)
     _require_interior(model, np.array([a, bnd, x]), op)

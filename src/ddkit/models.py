@@ -5,18 +5,19 @@ interval ]A, B[, with sigma_sq = sigma^2 strictly positive in the
 interior.  Everything downstream is built from two derived objects:
 
 * scale density   S'(x) = exp(-int_{ref}^x 2 mu(u)/sigma_sq(u) du),
-* scale function  S(x)  = int S'(u) du   (any anchor; only differences
-  ever enter a law, so the anchor is a presentation choice),
+* scale function  S(x)  = int S'(u) du   (fixed only up to an affine
+  map, so a law reads it only as (S(b) - S(a)) / S'(z), _scale_ratio),
 
 and the speed density m'(x) = 2 / (sigma_sq(x) S'(x)).
 
-Every model carries S' and S(b) - S(a) as two required array callables,
-which ``scale_density``, ``scale_diff`` and ``scale`` call.  The catalog
-kinds (bm, drifted_bm, gbm, ou) give them in closed form, along with
-eigenfunction ratios where elementary ones exist and exact Gaussian
-transition steps used by the Monte Carlo engine.  Custom models are
-assembled from named coefficient forms and get both from one table of
-log S', piecewise Chebyshev and grown lazily outward from scale_ref.
+Every model carries S' and that quotient as two required array
+callables; ``scale_density``, ``scale_diff`` and ``scale`` read them
+with S'(scale_ref) = 1.  The catalog kinds (bm, drifted_bm, gbm, ou)
+give both in closed form, along with eigenfunction ratios where
+elementary ones exist and exact Gaussian transition steps used by the
+Monte Carlo engine.  Custom models are assembled from named coefficient
+forms and get both from one table of log S', piecewise Chebyshev and
+grown lazily outward from scale_ref.
 
 ``scale_ref`` is the normalization point where S' = 1; it is distinct
 from the anchor of a ScaleMap, which only fixes where S vanishes.
@@ -90,9 +91,10 @@ class DiffusionModel:
 
     drift, diffusion_sq and the two required scale callables accept
     scalars or ndarrays.  ``scale_density_fn(x)`` is S' normalized to 1
-    at scale_ref; ``scale_diff_fn(a, b)`` is S(b) - S(a), a and b
-    broadcast, formed without subtracting two values of S, which cancel
-    once both sit within an ulp of a bounded scale's limit.
+    at scale_ref; ``scale_ratio_fn(a, b, z)`` is (S(b) - S(a)) / S'(z),
+    a, b and z broadcast, formed without subtracting two values of S or
+    dividing by a value of S', which cancel or leave the float range
+    far from scale_ref where the quotient does not.
     """
 
     model_id: str
@@ -101,7 +103,7 @@ class DiffusionModel:
     diffusion_sq: Callable
     interval: tuple[float, float]
     scale_density_fn: Callable
-    scale_diff_fn: Callable
+    scale_ratio_fn: Callable
     scale_ref: float = 0.0
     params: dict = field(default_factory=dict)
     eig: Callable[[float], EigenRatios] | None = None
@@ -261,7 +263,7 @@ def brownian(sigma_sq: float = 1.0, interval=(-math.inf, math.inf),
         interval=interval, scale_ref=ref,
         params={"sigma_sq": sigma_sq},
         scale_density_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        scale_diff_fn=lambda a, b: np.subtract(b, a, dtype=float),
+        scale_ratio_fn=lambda a, b, z: np.subtract(b, a, dtype=float),
         eig=eig,
         exact_step=ExactStepSpec(kind="arith", mu_sim=0.0, sig_sq_sim=sigma_sq),
     )
@@ -280,11 +282,11 @@ def drifted_brownian(mu: float, sigma_sq: float = 1.0,
                      interval, "drifted_brownian")
     g = 2.0 * mu / sigma_sq  # S'(x) = exp(-g (x - ref))
 
-    def scale_diff_fn(a, b):
+    def scale_ratio_fn(a, b, z):
         # S(b) - S(a) = S'(a) (1 - e^{-g (b-a)}) / g, exact deep in the
         # tail where S(a) and S(b) round to the same bound
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        return np.exp(-g * (a - ref)) * (-np.expm1(-g * (b - a))) / g
+        return np.exp(-g * (a - z)) * (-np.expm1(-g * (b - a))) / g
 
     def eig(alpha):
         disc = math.sqrt(mu * mu + 2.0 * alpha * sigma_sq)
@@ -302,7 +304,7 @@ def drifted_brownian(mu: float, sigma_sq: float = 1.0,
         interval=interval, scale_ref=ref,
         params={"mu": mu, "sigma_sq": sigma_sq},
         scale_density_fn=lambda x: np.exp(-g * (np.asarray(x, dtype=float) - ref)),
-        scale_diff_fn=scale_diff_fn,
+        scale_ratio_fn=scale_ratio_fn,
         eig=eig,
         exact_step=ExactStepSpec(kind="arith", mu_sim=mu, sig_sq_sim=sigma_sq),
     )
@@ -324,14 +326,14 @@ def geometric_brownian(mu_bar: float, sigma_bar_sq: float,
     ref = _check_ref(ref, interval, "geometric_brownian")
     p = 2.0 * mu_bar / sigma_bar_sq  # S'(x) = (x/ref)^(-p)
 
-    def scale_diff_fn(a, b):
+    def scale_ratio_fn(a, b, z):
         # stable for b/a near 1 and for tails where the power values
         # S(a) and S(b) agree to rounding
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         q = 1.0 - p
         if q == 0.0:
-            return ref * np.log1p((b - a) / a)
-        return (ref / q) * (a / ref) ** q * np.expm1(q * np.log1p((b - a) / a))
+            return z * np.log1p((b - a) / a)
+        return (z / q) * (a / z) ** q * np.expm1(q * np.log1p((b - a) / a))
 
     def eig(alpha):
         disc = math.sqrt((1.0 - p) ** 2 + 8.0 * alpha / sigma_bar_sq)
@@ -349,7 +351,7 @@ def geometric_brownian(mu_bar: float, sigma_bar_sq: float,
         interval=interval, scale_ref=ref,
         params={"mu_bar": mu_bar, "sigma_bar_sq": sigma_bar_sq},
         scale_density_fn=lambda x: (np.asarray(x, dtype=float) / ref) ** (-p),
-        scale_diff_fn=scale_diff_fn,
+        scale_ratio_fn=scale_ratio_fn,
         eig=eig,
         exact_step=ExactStepSpec(kind="loggauss",
                                  mu_sim=mu_bar - 0.5 * sigma_bar_sq,
@@ -369,16 +371,15 @@ def ornstein_uhlenbeck(theta: float, mean: float = 0.0, sigma_sq: float = 1.0,
                                                    else _default_ref(interval))
     ref = _check_ref(ref, interval, "ornstein_uhlenbeck")
     k = theta / sigma_sq  # S'(x) = exp(k ((x-mean)^2 - (ref-mean)^2))
-    c0 = k * (ref - mean) ** 2
     sq = math.sqrt(k)
-    # S(b) - S(a) = (sqrt(pi/k)/2) e^{-c0} (erfi(sq (b-mean)) - erfi(sq (a-mean)))
-    pref = 0.5 * math.sqrt(math.pi / k) * math.exp(-c0)
+    # (S(b) - S(a)) / S'(z) = (sqrt(pi/k)/2) e^{-k (z-mean)^2} (erfi(sq (b-mean)) - ...)
+    half = 0.5 * math.sqrt(math.pi / k)
 
-    def scale_diff_fn(a, b):
+    def scale_ratio_fn(a, b, z):
         ends = np.stack(np.broadcast_arrays(np.asarray(b, dtype=float),
                                             np.asarray(a, dtype=float)))
         e = _erfi(sq * (ends - mean))        # one call serves both ends
-        return pref * (e[0] - e[1])
+        return half * np.exp(-k * (np.asarray(z, dtype=float) - mean) ** 2) * (e[0] - e[1])
 
     return DiffusionModel(
         model_id=model_id, kind="ou",
@@ -388,7 +389,7 @@ def ornstein_uhlenbeck(theta: float, mean: float = 0.0, sigma_sq: float = 1.0,
         params={"theta": theta, "mean": mean, "sigma_sq": sigma_sq},
         scale_density_fn=lambda x: np.exp(k * ((np.asarray(x, dtype=float) - mean) ** 2
                                                - (ref - mean) ** 2)),
-        scale_diff_fn=scale_diff_fn,
+        scale_ratio_fn=scale_ratio_fn,
         eig=None,  # no elementary eigenfunctions; hitting uses a truncation box
         exact_step=ExactStepSpec(kind="ou", theta=theta, mean=mean, sig_sq_sim=sigma_sq),
     )
@@ -438,7 +439,6 @@ def _build_form(doc, role):
 _DEGREE = 24                  # Chebyshev degree of g on every panel
 _TAIL = 2.0 ** -46            # accepted last coefficients of g, relative to max |g|
 _EPS = 2.0 ** -52             # ... or to its rounding noise, about eps max|x| max|g'|
-_LOG_SCALE_MAX = 1024.0       # |L| past which S' is far outside the float range
 _TP1 = lobatto(_DEGREE).t + 1.0
 _J2 = np.arange(_DEGREE + 1) ** 2.0          # Markov: |g'| <= sum j^2 |c_j| / hs
 _GL_T, _GL_W = leggauss(16)
@@ -480,11 +480,10 @@ def _add(acc, x):
     return t, c
 
 
-def _gl_pieces(L, lo, hi):
-    """int_lo^hi e^{-L} by Gauss-Legendre, each piece inside one panel."""
+def _gl_pieces(L, Lz, lo, hi):
+    """int_lo^hi e^{Lz - L} by Gauss-Legendre, each piece inside one panel."""
     hw = 0.5 * (hi - lo)
-    with np.errstate(over="ignore"):
-        return hw * (np.exp(-L((lo + hw)[:, None] + hw[:, None] * _GL_T)) @ _GL_W)
+    return hw * (np.exp(Lz[:, None] - L((lo + hw)[:, None] + hw[:, None] * _GL_T)) @ _GL_W)
 
 
 class _LogScale:
@@ -498,15 +497,15 @@ class _LogScale:
         self._publish()
 
     def _publish(self):
-        """Both sides as one table, L and int e^{-L} over each panel, which
-        readers take without the lock.  A panel's numbers depend on it alone."""
+        """Both sides as one table, L and int e^{off - L} over each panel, off
+        L at its left edge, which readers take without the lock.  A panel's
+        numbers depend on it alone."""
         right, left = self._sides
         C = np.reshape(left.coefs[::-1] + right.coefs, (-1, _DEGREE + 2))
         deg = np.flatnonzero(C.any(axis=0)).max(initial=1)
         L = Panels(np.array(left.edges[:0:-1] + right.edges),
                    np.array(left.off[::-1] + right.off), C[:, :deg + 1])
-        with np.errstate(over="ignore"):
-            f = np.exp(-(L.offsets[:, None] + series(L.coefs[:, None, :], _GL_T)))
+        f = np.exp(-series(L.coefs[:, None, :], _GL_T))    # L moves by at most 1
         self._tab = L, 0.5 * np.diff(L.edges) * sum(w * f[:, i]
                                                       for i, w in enumerate(_GL_W))
 
@@ -527,11 +526,7 @@ class _LogScale:
         """Append panels on one side until its outer edge passes target."""
         end = self._interval[1] if s > 0 else self._interval[0]
         while side.edges[-1] <= target if s > 0 else side.edges[-1] > target:
-            e, lval = side.edges[-1], side.acc[0] + side.acc[1]
-            if abs(lval) > _LOG_SCALE_MAX:
-                raise NumericError(f"|log S'| passes {_LOG_SCALE_MAX:g} at {e:g}, short "
-                                   "of the point: S' leaves the float range",
-                                   operation=op, value=target, module=_MOD)
+            e = side.edges[-1]
             if not side.trial > 1e-12 * max(1.0, abs(e)):   # bisected to nothing
                 raise NumericError(f"{side.why} near {e:g}", operation=op,
                                    value=target, module=_MOD)
@@ -599,35 +594,36 @@ class _LogScale:
         if x.size == 0:
             return np.empty(x.shape)
         L, _ = self._covering(x.min(), x.max(), "scale_density")
-        with np.errstate(over="ignore"):
-            return np.exp(-L(x))
+        return np.exp(-L(x))
 
-    def diff(self, a, b):
-        """S(b) - S(a) as a sum of positive pieces: [a, b] (or [b, a]) is
-        cut at panel edges, whole panels add their stored integral and
-        the two end pieces get Gauss-Legendre on e^{-L}."""
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        if a.ndim == b.ndim == 0:    # the laws' scalar calls: no array bookkeeping
+    def ratio(self, a, b, z):
+        """(S(b) - S(a)) / S'(z) = int_a^b e^{L(z) - L} as a sum of positive
+        pieces: [a, b] (or [b, a]) is cut at panel edges, whole panels add
+        e^{L(z) - off} times their stored integral and the two end pieces
+        get Gauss-Legendre on e^{L(z) - L}."""
+        a, b, z = (np.asarray(v, dtype=float) for v in (a, b, z))
+        if a.ndim == b.ndim == z.ndim == 0:    # the laws' scalar calls: no array bookkeeping
             lo, hi = (float(a), float(b)) if a <= b else (float(b), float(a))
-            L, full = self._covering(lo, hi, "scale")
+            L, full = self._covering(min(lo, float(z)), max(hi, float(z)), "scale")
+            Lz = L(z[None])
             ka, kb = np.searchsorted(L.edges, (lo, hi), side="right") - 1
-            if ka == kb:
-                out = _gl_pieces(L, np.array([lo]), np.array([hi]))[0]
-            else:
-                ends = _gl_pieces(L, np.array([lo, L.edges[kb]]),
-                                  np.array([L.edges[ka + 1], hi]))
-                out = ends[0] + full[ka + 1:kb].sum() + ends[1]
+            ends = _gl_pieces(L, Lz, np.array([lo, max(L.edges[kb], lo)]),
+                              np.array([min(hi, L.edges[ka + 1]), hi]))
+            out = ends[0] if ka == kb else (
+                ends[0] + np.exp(Lz[0] - L.offsets[ka + 1:kb]) @ full[ka + 1:kb] + ends[1])
             return out if a <= b else -out
-        a, b = np.broadcast_arrays(a, b)
+        a, b, z = np.broadcast_arrays(a, b, z)
         if a.size == 0:
             return np.zeros(a.shape)
-        lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+        lo, hi, zs = np.minimum(a, b).ravel(), np.maximum(a, b).ravel(), z.ravel()
         n = lo.size
-        L, full = self._covering(lo.min(), hi.max(), "scale")
+        L, full = self._covering(min(lo.min(), zs.min()), max(hi.max(), zs.max()), "scale")
+        Lz = L(zs)
         k = np.searchsorted(L.edges, np.concatenate([lo, hi]), side="right") - 1
         ka, kb = k[:n], k[n:]
         # the end pieces in panels ka and kb; the second is void when ka == kb
-        ends = _gl_pieces(L, np.concatenate([lo, np.maximum(L.edges[kb], lo)]),
+        ends = _gl_pieces(L, np.concatenate([Lz, Lz]),
+                          np.concatenate([lo, np.maximum(L.edges[kb], lo)]),
                           np.concatenate([np.minimum(hi, L.edges[ka + 1]), hi]))
         out = ends[:n] + np.where(kb > ka, ends[n:], 0.0)
         nf = np.maximum(kb - ka - 1, 0)          # whole panels between the ends
@@ -635,7 +631,8 @@ class _LogScale:
             i = np.flatnonzero(nf)
             starts = np.cumsum(nf[i]) - nf[i]
             inner = np.repeat(ka[i] + 1 - starts, nf[i]) + np.arange(nf.sum())
-            out[i] += np.add.reduceat(full[inner], starts)
+            out[i] += np.add.reduceat(np.exp(np.repeat(Lz[i], nf[i]) - L.offsets[inner])
+                                      * full[inner], starts)
         return np.where(b < a, -out.reshape(a.shape), out.reshape(a.shape))
 
 
@@ -660,11 +657,12 @@ def custom_model(drift_form: dict, diffusion_sq_form: dict,
     panels between it and scale_ref, so a value never depends on the
     order of queries or on which thread grew the table.
 
-    S' = e^{-L}.  S(b) - S(a) is a sum of positive pieces of [a, b] cut
-    at panel edges: a whole panel adds its stored integral and an end
-    piece its own, both by 16-point Gauss-Legendre on e^{-L}.  L moves by
-    at most 1 across a panel, so the rule is exact to rounding, and no
-    two values of S are ever subtracted.
+    S' = e^{-L}.  (S(b) - S(a)) / S'(z) = int_a^b e^{L(z) - L} is a sum of
+    positive pieces of [a, b] cut at panel edges: a whole panel adds its
+    stored int e^{off - L}, off L at its left edge, times e^{L(z) - off},
+    and an end piece its own, both by 16-point Gauss-Legendre.  L moves
+    by at most 1 across a panel, so the rule is exact to rounding, and
+    no piece overflows unless the quotient does.
 
     Error: a panel's interpolant of g is off by about its Chebyshev
     tail, at most 2^-46 max|g|, which adds at most about 2^-46 to L
@@ -673,15 +671,15 @@ def custom_model(drift_form: dict, diffusion_sq_form: dict,
     g itself is known only to about eps |x g'| at a float x, and the
     tail adds about that times the width to L.  Dropping g's trailing
     coefficients at or below 25 ulps of max|g|, its rounding noise, adds
-    at most about as much again.  The error of L at x is the sum of the
-    accepted tails of the panels between scale_ref and x, in absolute
-    terms in L, which means in relative terms in S' and in S(b) - S(a).
-    L is summed outward with compensated summation.
+    at most about as much again.  The error of L(z) - L(w) is the sum of
+    the accepted tails of the panels between w and z, in absolute terms
+    in L, which means in relative terms in the quotient, local to [a, b]
+    and z, plus the rounding of L, about eps |L|; L is summed outward
+    with compensated summation.
 
     A g that is not finite, sigma_sq <= 0, or a g not resolved by panels
     down to a width of 1e-12 max(1, |x|), on the way from scale_ref to a
-    point, raises NumericError; so does a point past where |L| first
-    exceeds 1024, beyond which S' is far outside the float range.
+    point, raises NumericError.
     """
     interval = _check_interval(interval, "custom_model")
     ref = _check_ref(scale_ref if scale_ref is not None else _default_ref(interval),
@@ -703,7 +701,7 @@ def custom_model(drift_form: dict, diffusion_sq_form: dict,
         interval=interval, scale_ref=ref,
         params={"drift": dict(drift_form), "diffusion_sq": dict(diffusion_sq_form)},
         scale_density_fn=table.density,
-        scale_diff_fn=table.diff,
+        scale_ratio_fn=table.ratio,
     )
 
 
@@ -833,39 +831,40 @@ def _require_interior(model, x, op):
                           value=float(np.atleast_1d(bad)[0]), module=_MOD)
 
 
+def _evaluate(model, fn, what, op, *points):
+    """fn(*points) at interior points, which broadcast; a float when all
+    are scalars.  A value that overflows or is otherwise not finite
+    raises NumericError naming op and the points where it happened."""
+    for p in points:
+        _require_interior(model, p, op)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(fn(*points), dtype=float)
+    if not np.isfinite(out).all():
+        i = np.flatnonzero(~np.isfinite(out))[0]
+        at = [float(p.flat[i]) for p in np.broadcast_arrays(*points)]
+        raise NumericError(f"{what} is not finite", operation=op,
+                           value=at[0] if len(at) == 1 else tuple(at), module=_MOD)
+    return float(out) if out.ndim == 0 else out
+
+
 def scale_density(model: DiffusionModel, x):
     """S'(x), normalized so S'(scale_ref) = 1.  Takes arrays; a float
     for scalar x.  A density that overflows or is otherwise not finite
     raises NumericError."""
-    _require_interior(model, x, "scale_density")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.asarray(model.scale_density_fn(x), dtype=float)
-    if not np.isfinite(out).all():
-        i = np.flatnonzero(~np.isfinite(out))[0]
-        raise NumericError("scale density is not finite", operation="scale_density",
-                           value=float(np.asarray(x, dtype=float).flat[i]), module=_MOD)
-    return float(out) if out.ndim == 0 else out
+    return _evaluate(model, model.scale_density_fn, "scale density", "scale_density", x)
+
+
+def _scale_ratio(model, a, b, z, op):
+    """(S(b) - S(a)) / S'(z), the only way scale values enter any law, as
+    _evaluate gives it; errors name op."""
+    return _evaluate(model, model.scale_ratio_fn, "scale quotient", op, a, b, z)
 
 
 def scale_diff(model: DiffusionModel, a, b):
-    """S(b) - S(a): the only way scale values enter any law.
-
-    a and b broadcast against each other; a float when both are
-    scalars.  A difference that overflows or is otherwise not finite
-    raises NumericError.
-    """
-    _require_interior(model, a, "scale")
-    _require_interior(model, b, "scale")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.asarray(model.scale_diff_fn(a, b), dtype=float)
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        pa, pb = np.broadcast_arrays(a, b)
-        i = np.flatnonzero(bad)[0]
-        raise NumericError("scale difference is not finite", operation="scale",
-                           value=(float(pa.flat[i]), float(pb.flat[i])),
-                           module=_MOD)
-    return float(out) if out.ndim == 0 else out
+    """S(b) - S(a) with S'(scale_ref) = 1; a and b broadcast against each
+    other, and a float when both are scalars.  A difference that
+    overflows or is otherwise not finite raises NumericError."""
+    return _scale_ratio(model, a, b, model.scale_ref, "scale")
 
 
 def scale(model: DiffusionModel, x, anchor: float | None = None):

@@ -193,6 +193,6 @@ def test_wronskian_drift_and_tail_slope(capsys):
     slope_law = laws.nu(DBM, y, 1.0) * models.scale_density(DBM, y)
     slope_gap = abs(slope_fd / slope_law - 1.0)
     ok = worst_drift <= 1e-8 and slope_gap <= 1e-6
-    _report(capsys, ok, "scale wronskian pinned; tail slope equals "
-            "nu times scale density",
+    _report(capsys, ok, "log wronskian growth matches int -2 mu / sigma^2; "
+            "tail slope equals nu times scale density",
             f"drift {worst_drift:.2e}, slope rel err {slope_gap:.2e}")

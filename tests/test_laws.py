@@ -294,6 +294,36 @@ def test_tau_cdf_under_strong_drift_is_monotone():
     assert 0.0 < vals[0] < vals[1] < vals[2] < 1.0
 
 
+CUSTOM_DBM2 = ({"form": "constant", "value": 2.0}, {"form": "constant", "value": 1.0})
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_custom_drifted_bm_transform_where_the_scale_density_is_denormal(alpha):
+    # The custom table's S'(y) = e^{-4y} is denormal near y = 180 and 0
+    # further out, well short of where the outer integral is cut; its
+    # nu S' is one over the scale quotient on [y - 1, y] anchored at y,
+    # (e^4 - 1) / 4 at every level.  Closed form as in the test above.
+    d = math.sqrt(4.0 + 2.0 * alpha)
+    rp, rm = -2.0 + d, -2.0 - d
+    want = (rp - rm) / (rp * math.exp(-rm) - rm * math.exp(-rp))
+    q = DrawdownQuery(0.0, 1.0, alpha=alpha)
+    r = joint_transform(custom_model(*CUSTOM_DBM2), q)
+    assert_allclose(r.value, joint_transform(drifted_brownian(2.0), q).value, rtol=1e-12)
+    assert_allclose(r.value, want, rtol=1e-9)
+
+
+def test_custom_drifted_bm_tail_where_the_scale_density_is_denormal():
+    # P[M_tau > y] = e^{-rate y}, rate = g / (e^{g delta} - 1), g = 2 mu = 4
+    grid = np.linspace(0.0, 300.0, 61)
+    q = DrawdownQuery(0.0, 1.0)
+    curve = tail_curve(custom_model(*CUSTOM_DBM2), q, grid)
+    rate = 4.0 / math.expm1(4.0)
+    assert_allclose(curve.tail, np.exp(-rate * grid), rtol=1e-12)
+    assert_allclose(curve.density, rate * np.exp(-rate * grid), rtol=1e-12)
+    assert_allclose(curve.tail, tail_curve(drifted_brownian(2.0), q, grid).tail,
+                    rtol=1e-12)
+
+
 def test_ou_transform_window_work_stays_bounded(monkeypatch):
     """Rows x n_steps over every window solve of one OU transform: a
     count, so it cannot flake.  221,292 panel nodes when the panel
@@ -334,7 +364,7 @@ def test_tail_curve_of_a_custom_model_calls_scale_with_arrays(monkeypatch):
     twin = custom_model({"form": "affine", "intercept": 0.0, "slope": -1.0},
                         {"form": "constant", "value": 1.0})
     scalar = []
-    for name in ("scale_density", "scale_diff"):
+    for name in ("scale_density", "scale_diff", "_scale_ratio"):
         fn = getattr(laws, name)
 
         def counted(model, *args, _fn=fn, _name=name):
@@ -460,6 +490,15 @@ def test_exit_transforms():
         exit_probability(DBM, 0.5, 0.0, 1.0)
     with pytest.raises(ValidationError):
         exit_transform(BM, 1.5, 0.0, 1.0, 0.5)
+
+
+def test_exit_where_the_scale_differences_underflow():
+    # S' = e^{-6x}: S(401) - S(399) is 0 in double precision, while the
+    # quotients anchored at a give e^{-6} (1 - e^{-6}) / (1 - e^{-12})
+    m, want = drifted_brownian(3.0), 1.0 / (math.exp(6.0) + 1.0)
+    assert_allclose(exit_probability(m, 400.0, 399.0, 401.0), want, rtol=1e-13)
+    assert_allclose(exit_transform(m, 400.0, 399.0, 401.0, 0.0), want, rtol=1e-13)
+    assert exit_transform(m, 400.0, 399.0, 401.0, 0.5) < want
 
 
 # OU(theta=1), generator g''/2 - x g' = alpha g, has the solutions

@@ -339,9 +339,10 @@ def test_custom_bessel_like_drift_to_closed_forms(c):
     (_ou_twin, np.linspace(-6.0, 6.0, 49), _gl_scale_diff(lambda u: np.exp(u * u))),
     (lambda: custom_model({"form": "constant", "value": 1.0},
                           {"form": "constant", "value": 1.0}),
-     np.linspace(-8.0, 8.0, 49), drifted_brownian(mu=1.0, sigma_sq=1.0).scale_diff_fn),
+     np.linspace(-8.0, 8.0, 49),
+     lambda a, b: scale_diff(drifted_brownian(mu=1.0, sigma_sq=1.0), a, b)),
     (lambda: _power_model(0.05, 1.0, 0.09, 2.0), np.geomspace(0.02, 50.0, 49),
-     geometric_brownian(mu_bar=0.05, sigma_bar_sq=0.09).scale_diff_fn),
+     lambda a, b: scale_diff(geometric_brownian(mu_bar=0.05, sigma_bar_sq=0.09), a, b)),
     (lambda: _power_model(1.5, -1.0, 1.0, 0.0), np.geomspace(2e-3, 30.0, 49),
      _power_scale_diff(3.0)),
 ], ids=["ou", "drifted_bm", "gbm", "bessel"])
