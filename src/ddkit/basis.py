@@ -19,9 +19,10 @@ the same left end, and hitting and exit transforms are quotients of
 right-end values of two windows (see laws.exit_transform).
 
 Integration multiplies Chebyshev panel propagators, batched over
-windows.  A window is cut into equal panels with k h <= 1, k the faster
-exponential rate |mu|/sigma_sq + sqrt((mu/sigma_sq)^2 + 2 alpha/sigma_sq)
-of the two solutions.  On a panel the unknown is y'' at the N + 1
+windows, each window at its own alpha or all at one.  A window is cut
+into equal panels with k h <= 1, k the faster exponential rate
+|mu|/sigma_sq + sqrt((mu/sigma_sq)^2 + 2 alpha/sigma_sq) of the two
+solutions.  On a panel the unknown is y'' at the N + 1
 Chebyshev points, in the integral form y' = y'_0 + J1 y'',
 y = y_0 + y'_0 (x - x_0) + J2 y'', which unlike differentiation matrices
 has no rounding floor that grows with N (Greengard, SIAM J. Numer. Anal.
@@ -55,7 +56,7 @@ from .models import DiffusionModel
 
 _MOD = "basis"
 
-_BLOCK_NODES = 1 << 15        # panels x (degree + 1) of one block of panels
+_BLOCK_NODES = 1 << 15        # rows x panels x (degree + 1) of one block
 _DEGREES = (8, 12, 16, 24, 32, 48, 64, 96, 128)
 _PICARD_MAX = 60
 _LN2 = math.log(2.0)
@@ -134,26 +135,32 @@ def _panel_states(model, alpha, x0, h, n):
     t, jj = _cheb(n)
     hs = 0.5 * h
     mu, s2 = _coefficients(model, x0 + (t[:, None] + 1.0) * hs)
-    # the two starts of every panel side by side: all (1, 0), then all (0, 1)
-    ca = np.tile(2.0 * alpha * hs * hs / s2, 2)
-    cb = np.tile(-2.0 * hs * mu / s2, 2)
+    # the two starts of every panel side by side on the middle axis,
+    # (1, 0) then (0, 1); both read the same coefficients
+    ca = (2.0 * alpha * hs * hs / s2)[:, None]
+    cb = (-2.0 * hs * mu / s2)[:, None]
+    del mu, s2                      # one node array each, not needed past here
     k, tp1 = h.size, t[:, None] + 1.0
-    g0 = ca.copy()            # ca y + cb z at zero integrals: y = 1, z = 0
-    g0[:, k:] = ca[:, k:] * tp1 + cb[:, k:]   # from (0, 1): y = t + 1, z = 1
-    g, end, q = g0, 0.0, np.empty((2 * n + 2, 2 * k))
+    # ca y + cb z at zero integrals: y = 1, z = 0 from (1, 0) and
+    # y = t + 1, z = 1 from (0, 1)
+    g0 = np.empty((n + 1, 2, k))
+    g0[:, 0] = ca[:, 0]
+    g0[:, 1] = ca[:, 0] * tp1 + cb[:, 0]
+    q = np.empty((2 * n + 2, 2 * k))
+    y, z = q[n + 1:].reshape(n + 1, 2, k), q[:n + 1].reshape(n + 1, 2, k)
+    g, end, buf, tmp = g0, 0.0, np.empty_like(g0), np.empty_like(g0)
     for _ in range(_PICARD_MAX):
-        np.matmul(jj, g, out=q)
+        np.matmul(jj, g.reshape(n + 1, 2 * k), out=q)
         # the iteration error of every column is largest at its right end
         qn = q[n::n + 1]
         if np.all(np.abs(qn - end) <= 1e-14 * (1.0 + np.abs(qn))):
-            q[n + 1:, :k] += 1.0
-            q[n + 1:, k:] += tp1
-            q[:n + 1, k:] += 1.0
-            return (q[n + 1:].reshape(n + 1, 2, k), q[:n + 1].reshape(n + 1, 2, k),
-                    jj[:n + 1] @ cb[:, :k])
+            y[:, 0] += 1.0
+            y[:, 1] += tp1
+            z[:, 1] += 1.0
+            return y, z, jj[:n + 1] @ cb[:, 0]
         end = qn.copy()
-        g = ca * q[n + 1:]
-        g += cb * q[:n + 1]
+        g = np.multiply(ca, y, out=buf)
+        g += np.multiply(cb, z, out=tmp)
         g += g0
     raise NumericError(f"panel iteration did not converge at degree {n}",
                        operation="solve", value=float(np.min(x0)), module=_MOD)
@@ -174,15 +181,25 @@ def _tree_product(m):
 
 def _sweep(model, alpha, l, r, y0, panels, n):
     """Product of the degree-n maps of windows [l_i, r_i] cut into
-    panels[i] equal panels, in blocks of at most _BLOCK_NODES nodes,
-    applied to the states y0 (2, 2, rows) as a mantissa with its largest
-    entry in [0.5, 1) and lam = base-2 exponent * log 2.  log_w sums the
-    log det of every panel map of a window.  drift is the Wronskian
-    monitor: the largest gap, over every node of every window, between
-    log det of the node states plus that of the panel maps before them
-    and the reference integral of -2 mu / sigma_sq from l.
+    panels[i] equal panels, at alpha (one per window or shared), in
+    blocks of at most _BLOCK_NODES nodes, applied to the states y0
+    (2, 2, rows) as a mantissa with its largest entry in [0.5, 1) and
+    lam = base-2 exponent * log 2.  log_w sums the log det of every
+    panel map of a window.  drift is the Wronskian monitor: the largest
+    gap, over every node of every window, between log det of the node
+    states plus that of the panel maps before them and the reference
+    integral of -2 mu / sigma_sq from l.  Rows past one block are swept
+    a block of rows at a time, so memory does not grow with the batch.
     """
     B = l.size
+    alpha = np.broadcast_to(alpha, l.shape)
+    rows = max(1, _BLOCK_NODES // (n + 1))
+    if B > rows:
+        parts = [_sweep(model, alpha[i:i + rows], l[i:i + rows], r[i:i + rows],
+                        y0[:, :, i:i + rows], panels[i:i + rows], n)
+                 for i in range(0, B, rows)]
+        out = {k: np.concatenate([p[k] for p in parts]) for k in ("y", "lam", "log_w")}
+        return dict(out, drift=max(p["drift"] for p in parts))
     h = (r - l) / panels
     y, ex = _normalize(y0, np.zeros(B, dtype=np.int64))
     log_w, dev_w, drift = np.zeros(B), np.zeros(B), 0.0
@@ -190,7 +207,8 @@ def _sweep(model, alpha, l, r, y0, panels, n):
     for j0 in range(0, int(panels.max()), block):
         live = (j0 + np.arange(min(block, panels.max() - j0)))[:, None] < panels
         jj, ii = np.nonzero(live)
-        ys, zs, ref = _panel_states(model, alpha, l[ii] + (j0 + jj) * h[ii], h[ii], n)
+        ys, zs, ref = _panel_states(model, alpha[ii], l[ii] + (j0 + jj) * h[ii],
+                                    h[ii], n)
         hs = 0.5 * h[ii]
         m = np.eye(2)[:, :, None, None] * np.ones(live.shape)
         m[:, :, jj, ii] = [[ys[n, 0], hs * ys[n, 1]], [zs[n, 0] / hs, zs[n, 1]]]
@@ -202,6 +220,7 @@ def _sweep(model, alpha, l, r, y0, panels, n):
             before = dev_w + np.cumsum(dev[..., n], axis=0) - dev[..., n]
             drift = np.maximum(drift, np.abs(before[..., None] + dev).max())
             dev_w = before[-1] + dev[-1, :, n]
+        del ys, zs, ref, ld, dev    # the block's node arrays, before the next block's
         p, ep = _tree_product(m)
         y, ex = _normalize(_mul(p, y), ep + ex)
     return dict(y=y.transpose(2, 1, 0).reshape(B, 4), lam=ex * _LN2, log_w=log_w,
@@ -211,7 +230,14 @@ def _sweep(model, alpha, l, r, y0, panels, n):
 def _panel_counts(model, alpha, l, r, max_steps):
     """Panels per window with k h <= 1, k the larger exponential rate of
     the two solutions at nine points of the window; counts past
-    max_steps (or not finite) are clipped to max_steps + 1."""
+    max_steps (or not finite) are clipped to max_steps + 1.  Windows are
+    read a block of _BLOCK_NODES points at a time."""
+    alpha = np.broadcast_to(alpha, l.shape)
+    rows = _BLOCK_NODES // 9
+    if l.size > rows:
+        return np.concatenate([
+            _panel_counts(model, alpha[i:i + rows], l[i:i + rows], r[i:i + rows],
+                          max_steps) for i in range(0, l.size, rows)])
     xs = l[:, None] + np.linspace(0.0, 1.0, 9) * (r - l)[:, None]
     mu, s2 = _coefficients(model, xs)
     if np.any(~(s2 > 0.0)):
@@ -220,7 +246,8 @@ def _panel_counts(model, alpha, l, r, max_steps):
                            module=_MOD)
     with np.errstate(over="ignore"):
         g = np.abs(mu) / s2
-        need = np.ceil((g + np.sqrt(g * g + 2.0 * alpha / s2)).max(axis=1) * (r - l))
+        need = np.ceil((g + np.sqrt(g * g + 2.0 * alpha[:, None] / s2)).max(axis=1)
+                       * (r - l))
     return np.fmin(np.maximum(need, 1.0), max_steps + 1).astype(np.int64)
 
 
@@ -245,8 +272,10 @@ def _endpoint_gap(a, b, abs_tol):
 def _solve_adaptive(model, alpha, l, r, settings):
     panels = _panel_counts(model, alpha, l, r, settings.max_steps)
     # the columns u = (0, 1) and v = (1, 0) of every window's start
-    y0 = np.array([[0.0, 1.0], [1.0, 0.0]])[:, :, None] * np.ones(l.size)
-    where = f"alpha {alpha:g}, window length {float(np.max(r - l)):g}"
+    y0 = np.broadcast_to(np.array([[0.0, 1.0], [1.0, 0.0]])[:, :, None], (2, 2, l.size))
+    lo, hi = float(np.min(alpha)), float(np.max(alpha))
+    span = f"{lo:g}" if lo == hi else f"in [{lo:g}, {hi:g}]"
+    where = f"alpha {span}, window length {float(np.max(r - l)):g}"
     drift_tol = 10.0 * settings.rel_tol
     prev, last = None, math.inf
     for n in _DEGREES:
@@ -301,11 +330,16 @@ class BatchEndpoints:
     endpoint_gap: float
 
 
-def batch_endpoints(model: DiffusionModel, alpha: float,
+def batch_endpoints(model: DiffusionModel, alpha,
                     l: np.ndarray, r: np.ndarray,
                     settings: OdeSettings | None = None) -> BatchEndpoints:
-    """Solve all windows [l_i, r_i] at once and return endpoint data."""
-    alpha = real(alpha, "alpha", "batch_endpoints", _MOD, 0.0, strict=True)
+    """Solve all windows [l_i, r_i] at once and return endpoint data.
+
+    alpha is one rate > 0 for every window, or an array of them with the
+    shape of l, one per window: the windows of several rates then share
+    one degree ladder, accepted at the first degree that holds for all
+    of them, so endpoint_gap, w_drift and n_steps are batch-wide.
+    """
     settings = settings or DEFAULT_SETTINGS
     l = real_array(l, "l", "batch_endpoints", _MOD)
     r = real_array(r, "r", "batch_endpoints", _MOD)
@@ -313,6 +347,13 @@ def batch_endpoints(model: DiffusionModel, alpha: float,
         raise ValidationError("l and r must be equal-length 1d arrays",
                               operation="batch_endpoints", value=(l.shape, r.shape),
                               module=_MOD)
+    if isinstance(alpha, (list, tuple, np.ndarray)):
+        alpha = real_array(alpha, "alpha", "batch_endpoints", _MOD)
+        if alpha.shape != l.shape or not np.all(alpha > 0.0):
+            raise ValidationError("an alpha array must hold one alpha > 0 per window",
+                                  operation="batch_endpoints", value=alpha, module=_MOD)
+    else:
+        alpha = real(alpha, "alpha", "batch_endpoints", _MOD, 0.0, strict=True)
     if not np.all(r > l):
         raise ValidationError("windows must satisfy l < r",
                               operation="batch_endpoints", module=_MOD)

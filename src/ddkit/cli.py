@@ -23,7 +23,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -254,10 +254,10 @@ def _cmd_density(cfg: RunConfig) -> int:
 
 
 def _cmd_transform(cfg: RunConfig) -> int:
-    rows = []
-    for a in cfg.grid:
-        r = laws.joint_transform(cfg.model, replace(cfg.query, alpha=a))
-        rows.append((a, cfg.query.beta, r.value, r.abs_error_estimate))
+    # the whole grid is one request: one mass table, one solve per rung
+    results = laws._transform_core(cfg.model, cfg.query, cfg.grid)
+    rows = [(a, cfg.query.beta, r.value, r.abs_error_estimate)
+            for a, r in zip(cfg.grid, results)]
     _emit(("alpha", "beta", "value", "abs_error_estimate"), rows, cfg)
     return EXIT_OK
 

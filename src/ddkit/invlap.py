@@ -52,22 +52,27 @@ def stehfest_weights(order: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def nodes(t: float, order: int) -> list[float]:
+    """The points k ln2 / t, k = 1..order, where invert samples the
+    transform, as the same floats: a caller can evaluate them ahead."""
+    ln2t = math.log(2.0) / t
+    return [k * ln2t for k in range(1, order + 1)]
+
+
 def invert(transform: Callable[[float], float], t: float,
            order: int = 14) -> float:
     """Approximate f(t) from its Laplace transform F.
 
-    transform is evaluated at the real points k ln2 / t, k = 1..order.
+    transform is evaluated at the real points nodes(t, order).
     Truncation accuracy for smooth f is typically 1e-6 .. 1e-8 at
     orders 14-18; noise in F is amplified by roughly sum|weights|,
     which is 1.3e6 at order 10 and 3.4e11 at order 18, so the usable
     order depends on how accurately F can be evaluated.
     """
     t = real(t, "t", "invert", _MOD, 0.0, strict=True)
-    ln2t = math.log(2.0) / t
     ws = stehfest_weights(order)
-    terms = [float(w) * float(transform(k * ln2t))
-             for k, w in enumerate(ws, start=1)]
-    return ln2t * math.fsum(terms)
+    terms = [float(w) * float(transform(a)) for a, w in zip(nodes(t, order), ws)]
+    return math.log(2.0) / t * math.fsum(terms)
 
 
 @dataclass(frozen=True)

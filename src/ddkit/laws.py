@@ -22,7 +22,10 @@ N, on which N is the antiderivative of the interpolant of nu S'.  The
 tails read N off it at any level; the transforms solve their windows
 at the Lobatto points of the same panels and climb a nested degree
 ladder (4, 8, 16, ...; each rung reuses the solves of the one before)
-until two rungs agree.  On each panel the outer integral splits its
+until two rungs agree.  Those points do not depend on alpha, so a
+request for several alphas (the transform command's grid, the inversion
+nodes of tau_cdf) makes one batched window solve per rung for all the
+alphas still climbing.  On each panel the outer integral splits its
 exponent into a linear part and a remainder, interpolates the rest,
 and integrates polynomial times exponential exactly, so the dominant
 decay costs no accuracy at any degree.  Numbers degrade gracefully:
@@ -45,7 +48,7 @@ from .chebyshev import Panels, antiderivative, coefficients, lobatto, series
 from .errors import (DegenerateBasisError, NumericError, UnsupportedModelError,
                      ValidationError, pair, real, real_array)
 from .models import (DiffusionModel, _require_interior, _require_window,
-                     _scale_ratio, scale_density, scale_diff)
+                     _scale_ratio, _steep_end, scale_density, scale_diff)
 
 _MOD = "laws"
 
@@ -365,19 +368,30 @@ def tail_curve(model: DiffusionModel, query: DrawdownQuery, grid) -> TailCurve:
 # the transforms on the table's panels
 # ---------------------------------------------------------------------------
 
-def _level_values(model, ys, delta, alpha, settings, op):
-    """The rates (nu S', b S', chat S') at the levels ys, stacked, and the
-    solve gap; errors name op.  They are the densities in y of nu dS, b dS
-    and chat dS, so S', fixed only up to a constant, never enters."""
+def _level_values(model, ys, delta, alphas, settings, op):
+    """The rates (nu S', b S', chat S') at the levels ys for each alpha of
+    alphas, shaped (alphas, 3, levels), and the solve gap; errors name op.
+    They are the densities in y of nu dS, b dS and chat dS, so S', fixed
+    only up to a constant, never enters.  Every alpha > 0 is solved in one
+    batch, rows alpha-major; at alpha = 0, b S' = chat S' = nu S'."""
     nu_v = _nu_sp(model, ys, delta)
-    b_v, c_v, gap = ((nu_v, nu_v, 0.0) if alpha == 0.0
-                     else _factors(model, ys, delta, alpha, settings, op))
-    return np.array([nu_v, b_v, c_v]), gap
+    pos = alphas > 0.0
+    b = c = nu_v
+    gap = 0.0
+    if pos.any():
+        b, c, gap = _factors(model, np.tile(ys, int(pos.sum())), delta,
+                             np.repeat(alphas[pos], ys.size), settings, op)
+    out = np.empty((len(alphas), 3, ys.size))
+    out[:] = nu_v
+    out[pos, 1] = np.reshape(b, (-1, ys.size))
+    out[pos, 2] = np.reshape(c, (-1, ys.size))
+    return out, gap
 
 
 def _factors(model, ys, delta, alpha, settings, op):
     """(b S', chat S') = (e^{log_w} / u(y), u'(y) / u(y)) at the levels ys
-    from one batched solve of the unit-slope windows, and its gap; errors name op."""
+    from one batched solve of the unit-slope windows at alpha (one per
+    level or shared), and its gap; errors name op."""
     try:
         ep = batch_endpoints(model, alpha, ys - delta, ys, settings)
     except NumericError as exc:
@@ -396,23 +410,23 @@ def _factors(model, ys, delta, alpha, settings, op):
     return b, ep.up_r / ep.u_r, ep.endpoint_gap
 
 
-def _panel_values(model, edges, n, delta, alpha, settings, prev):
+def _panel_values(model, edges, n, delta, alphas, settings, prev):
     """(nu S', b S', chat S') at the degree-n Lobatto points of every
-    panel, shaped (3, panels, n + 1), and the solve gap.  prev holds the values
-    at degree n / 2, whose points are the even ones of degree n, so only
-    the odd points are solved."""
+    panel for each alpha of alphas, shaped (alphas, 3, panels, n + 1), and
+    the solve gap.  prev holds the values at degree n / 2, whose points
+    are the even ones of degree n, so only the odd points are solved."""
     t = lobatto(n).t
     lo, hs = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
     panels = hs.shape[0]
     if prev is None:
         ys = np.append((lo + hs * (t[:-1] + 1.0)).ravel(), edges[-1])
-        vals, gap = _level_values(model, ys, delta, alpha, settings, "transform")
-        return vals[:, np.arange(panels)[:, None] * n + np.arange(n + 1)], gap
+        vals, gap = _level_values(model, ys, delta, alphas, settings, "transform")
+        return vals[..., np.arange(panels)[:, None] * n + np.arange(n + 1)], gap
     vals, gap = _level_values(model, (lo + hs * (t[1::2] + 1.0)).ravel(), delta,
-                              alpha, settings, "transform")
-    out = np.empty((3, panels, n + 1))
-    out[:, :, ::2] = prev
-    out[:, :, 1::2] = vals.reshape(3, panels, n // 2)
+                              alphas, settings, "transform")
+    out = np.empty((len(alphas), 3, panels, n + 1))
+    out[..., ::2] = prev
+    out[..., 1::2] = vals.reshape(len(alphas), 3, panels, n // 2)
     return out, gap
 
 
@@ -463,36 +477,53 @@ def _outer_integral(hs, rise, r, outside, n):
     return math.fsum(pieces.tolist())
 
 
-def _climb(model, edges, delta, alpha, tol, estimate, close, op, name, vals=None):
-    """The outer degree ladder on the panels edges: estimate(n, values) at
-    the (nu S', b S', chat S') values of the degree-n points of every panel (a
-    rung solves only its new points; vals may hold the first rung's) until
+def _climb(model, edges, delta, alphas, tol, estimate, close, op, name, vals=None,
+           gap=0.0):
+    """The outer degree ladder on the panels edges, for each alpha of
+    alphas: estimate(i, n, values) at the (nu S', b S', chat S') values of
+    the degree-n points of every panel for alphas[i], until
     close(new, old, accept), accept a decade above the window solver's own
-    certificate.  Returns the last two estimates and the largest gap."""
+    certificate.  A rung solves the new points of every alpha still
+    climbing in one batch; vals may hold the first rung's values of every
+    alpha, and gap their solve gap.  Returns, for each alpha, its last two
+    estimates and the largest gap of the solves it took part in."""
     settings = _settings_for(tol)
     accept = max(tol, 10.0 * settings.rel_tol)
-    prev, gap = None, 0.0
+    gaps = np.full(len(alphas), gap)
+    prev, done = [None] * len(alphas), [None] * len(alphas)
+    live = np.arange(len(alphas))
     for n in _DEGREES:
         if vals is None or n > _DEGREES[0]:
-            vals, g = _panel_values(model, edges, n, delta, alpha, settings, vals)
-            gap = max(gap, g)
-        cur = estimate(n, vals)
-        if prev is not None and close(cur, prev, accept):
-            return cur, prev, gap
-        prev = cur
+            vals, g = _panel_values(model, edges, n, delta, alphas[live], settings, vals)
+            gaps[live] = np.maximum(gaps[live], g)
+        keep = []
+        for j, i in enumerate(live):
+            cur = estimate(i, n, vals[j])
+            if prev[i] is not None and close(cur, prev[i], accept):
+                done[i] = (cur, prev[i], float(gaps[i]))
+            else:
+                prev[i] = cur
+                keep.append(j)
+        if not keep:
+            return done
+        if len(keep) < len(live):
+            live, vals = live[keep], vals[keep]
     raise NumericError(f"{name} degree ladder did not converge", operation=op,
-                       value=n, module=_MOD, partial=cur)
+                       value=n, module=_MOD, partial=prev[live[0]])
 
 
-def _transform_core(model, query, role_swap, table=None):
+def _transform_core(model, query, alphas, role_swap=False):
+    """The transform of query at each alpha of alphas (query.alpha is not
+    read), as a list of TransformResult.  The mass table, the panels and
+    their points do not depend on alpha, so all alphas share them and
+    each ladder rung is one window solve for every alpha still climbing;
+    each alpha is accepted, bounded and clipped on its own."""
     _require_window(model, query.x, query.delta, "joint_transform")
-    x, delta = query.x, query.delta
-    alpha, beta, tol = query.alpha, query.beta, query.tol
+    x, delta, beta, tol = query.x, query.delta, query.beta, query.tol
+    alphas = np.array([real(a, "alpha", "joint_transform", _MOD, 0.0) for a in alphas])
     settings = _settings_for(tol)
 
-    if table is None:
-        table = _MassTable(model, x, delta, tol)
-    table.grow(mass=_MASS_CUT)
+    table = _MassTable(model, x, delta, tol).grow(mass=_MASS_CUT)
     edges = np.asarray(table.edges)
     y_star, n_star = float(edges[-1]), table.mass
     with np.errstate(under="ignore", over="ignore"):
@@ -506,38 +537,42 @@ def _transform_core(model, query, role_swap, table=None):
             return beta + b_v, np.maximum(c_v - nu_v, 0.0)
         return beta + c_v, b_v
 
-    # panels where J bends more than 1 away from its chord are bisected
-    # first: there e^{-r} would need degrees the ladder does not reach
+    # panels where J bends more than 1 away from its chord, for any alpha,
+    # are bisected first: there e^{-r} would need degrees the ladder does
+    # not reach
     n = _DEGREES[0]
     while True:
         hs = 0.5 * np.diff(edges)
-        vals, solve_gap = _panel_values(model, edges, n, delta, alpha, settings, None)
-        first = _exponent(hs, integrands(vals)[0], n)
-        far = np.abs(first[1]).max(axis=1) > 1.0
+        vals, solve_gap = _panel_values(model, edges, n, delta, alphas, settings, None)
+        # each alpha's degree-4 exponent, read once by its first estimate
+        first = {i: _exponent(hs, integrands(v)[0], n) for i, v in enumerate(vals)}
+        far = np.any([np.abs(r).max(axis=1) > 1.0 for _, r in first.values()], axis=0)
         if not far.any() or hs.min() < 1e-9 * max(1.0, abs(y_star)):
             break
         edges = np.sort(np.concatenate([edges, edges[:-1][far] + hs[far]]))
 
-    def estimate(n, vals):
+    def estimate(i, n, vals):
         rate, outside = integrands(vals)
-        rise, r = first if n == _DEGREES[0] else _exponent(hs, rate, n)
+        rise, r = first.pop(i) if n == _DEGREES[0] else _exponent(hs, rate, n)
         with np.errstate(under="ignore"):
             return math.exp(-beta * x) * _outer_integral(hs, rise, r, outside, n)
 
-    value, prev, gap = _climb(
-        model, edges, delta, alpha, tol, estimate,
-        lambda v, p, accept: abs(v - p) <= accept * max(abs(v), 1e-300),
-        "transform", "transform", vals)
-    abs_err = remainder + abs(value - prev) + max(solve_gap, gap) * abs(value)
     cap = min(1.0, math.exp(-beta * x)) if beta * x >= 0 else math.exp(-beta * x)
-    if value < 0.0:
-        abs_err += -value
-        value = 0.0
-    elif value > cap:
-        abs_err += value - cap
-        value = cap
-    return TransformResult(value=value, abs_error_estimate=abs_err,
-                           truncation_point=y_star)
+    out = []
+    for value, prev, gap in _climb(
+            model, edges, delta, alphas, tol, estimate,
+            lambda v, p, accept: abs(v - p) <= accept * max(abs(v), 1e-300),
+            "transform", "transform", vals, solve_gap):
+        abs_err = remainder + abs(value - prev) + gap * abs(value)
+        if value < 0.0:
+            abs_err += -value
+            value = 0.0
+        elif value > cap:
+            abs_err += value - cap
+            value = cap
+        out.append(TransformResult(value=value, abs_error_estimate=abs_err,
+                                   truncation_point=y_star))
+    return out
 
 
 def joint_transform(model: DiffusionModel,
@@ -549,7 +584,7 @@ def joint_transform(model: DiffusionModel,
     mass falls below 1e-14; the exact bound for the discarded piece is
     part of abs_error_estimate.
     """
-    return _transform_core(model, query, role_swap=False)
+    return _transform_core(model, query, [query.alpha])[0]
 
 
 def _role_swapped_transform(model: DiffusionModel,
@@ -562,7 +597,7 @@ def _role_swapped_transform(model: DiffusionModel,
     the total drawdown probability, this exchanged form tends to 0.
     Not part of the public law surface.
     """
-    return _transform_core(model, query, role_swap=True)
+    return _transform_core(model, query, [query.alpha], role_swap=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -579,16 +614,16 @@ def _runup_exponent(model, x, ys_eval, delta, alpha, tol):
     edges = np.asarray(table.edges)
     hs = 0.5 * np.diff(edges)[:, None]
 
-    def estimate(n, vals):
+    def estimate(i, n, vals):
         nu_v, _, c_v = vals
         A = antiderivative(np.maximum(c_v - nu_v, 0.0), hs)
         offsets = np.concatenate([[0.0], np.cumsum(A.sum(axis=1))[:-1]])
         return Panels(edges, offsets, A)(ys_eval)
 
     return _climb(
-        model, edges, delta, alpha, tol, estimate,
+        model, edges, delta, np.array([alpha]), tol, estimate,
         lambda R, p, accept: np.max(np.abs(R - p)) <= accept * (1.0 + np.max(np.abs(R))),
-        "run_up_transform", "run-up")[0]
+        "run_up_transform", "run-up")[0][0]
 
 
 def run_up_transform(model: DiffusionModel, x: float, y: float, delta: float,
@@ -613,8 +648,9 @@ def conditional_curve(model: DiffusionModel, query: DrawdownQuery,
                               operation="conditional_curve", module=_MOD)
     _require_interior(model, float(ys.max()), "conditional_curve")
     R = _runup_exponent(model, query.x, ys, query.delta, query.alpha, query.tol)
-    (nu_v, b_v, _), _ = _level_values(model, ys, query.delta, query.alpha,
-                                         _settings_for(query.tol), "conditional_curve")
+    vals, _ = _level_values(model, ys, query.delta, np.array([query.alpha]),
+                            _settings_for(query.tol), "conditional_curve")
+    nu_v, b_v, _ = vals[0]
     with np.errstate(under="ignore"):
         out = np.exp(-R) * b_v / nu_v
     return np.clip(out, 0.0, 1.0)
@@ -636,10 +672,12 @@ def _psi_ratio(model, alpha, l, r, settings, op):
     """S'(l0) u_[l0, r0](r0) / (S'(l1) u_[l1, r1](r1)) from one solve of two
     windows with a shared left end (S' factor 1) or right end (factor
     e^{log_w1 - log_w0}); exit_transform states the identity behind it.
-    At alpha = 0, S'(l) u_[l, r](r) = S(r) - S(l), both over S'(l1)."""
+    At alpha = 0, S'(l) u_[l, r](r) = S(r) - S(l), both over S' at the end
+    of [l1, r1] where S' is larger."""
     if alpha == 0.0:
-        return (_scale_ratio(model, l[0], r[0], l[1], op)
-                / _scale_ratio(model, l[1], r[1], l[1], op))
+        z = _steep_end(model, l[1], r[1])
+        return (_scale_ratio(model, l[0], r[0], z, op)
+                / _scale_ratio(model, l[1], r[1], z, op))
     ep = batch_endpoints(model, alpha, np.asarray(l, dtype=float),
                          np.asarray(r, dtype=float), settings)
     if not np.all(np.isfinite(ep.u_r) & (ep.u_r > 0.0)):
@@ -749,11 +787,15 @@ def tau_cdf(model: DiffusionModel, query: DrawdownQuery, t_grid,
     """P^x(tau <= t) on a time grid, by Gaver-Stehfest inversion of
     alpha -> joint_transform(alpha, beta=0) / alpha.
 
-    Values are clipped to [0, 1] and made non-decreasing by isotonic
-    projection.  Accuracy is limited by the inversion scheme (roughly
-    1e-5 relative at best; see the invlap module); each entry of the
-    full output reports the order-sweep disagreement, flagged unstable
-    above 1e-4.
+    The inversion nodes k ln2 / t of every t are evaluated together: one
+    mass table, and one window solve per outer-ladder rung for all of
+    them.  Values are clipped to [0, 1] and made non-decreasing by
+    isotonic projection.  Accuracy is limited by the inversion scheme
+    (roughly 1e-5 relative at best; see the invlap module).  Each entry of
+    the full output keeps the raw inversion value; its disagreement is
+    the order sweep's plus the distance from that value to the returned
+    one (the clip and the projection), and unstable is the sweep's own
+    flag, set above 1e-4.
     """
     _require_window(model, query.x, query.delta, "tau_cdf")
     if query.beta != 0.0:
@@ -764,20 +806,15 @@ def tau_cdf(model: DiffusionModel, query: DrawdownQuery, t_grid,
         raise ValidationError("t_grid must be positive and strictly increasing",
                               operation="tau_cdf", module=_MOD)
 
-    # the mass table depends on (x, delta) only, not on alpha: build it once
-    table = _MassTable(model, query.x, query.delta, query.tol)
+    order = max(invlap.DEFAULT_ORDERS)
+    alphas = sorted({a for t in ts.tolist() for a in invlap.nodes(t, order)})
+    results = _transform_core(model, query, alphas)
+    transform = {a: r.value / a for a, r in zip(alphas, results)}
 
-    def transform(a):
-        q = replace(query, alpha=float(a), beta=0.0)
-        return _transform_core(model, q, role_swap=False, table=table).value / float(a)
-
-    raw = []
-    details = []
-    for t in ts:
-        res = invlap.invert_sweep(transform, float(t))
-        raw.append(min(max(res.value, 0.0), 1.0))
-        details.append(res)
-    vals = np.clip(invlap.isotonic_non_decreasing(raw), 0.0, 1.0)
+    sweeps = [invlap.invert_sweep(transform.__getitem__, t) for t in ts.tolist()]
+    vals = np.clip(invlap.isotonic_non_decreasing(
+        [min(max(res.value, 0.0), 1.0) for res in sweeps]), 0.0, 1.0)
     if full_output:
-        return vals, details
+        return vals, [replace(res, disagreement=res.disagreement + abs(v - res.value))
+                      for v, res in zip(vals.tolist(), sweeps)]
     return vals

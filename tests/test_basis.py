@@ -125,6 +125,25 @@ def test_batch_endpoints_agree_with_single_solves():
     assert out.w_drift <= 1e-8
 
 
+@pytest.mark.parametrize("model", [brownian(), ornstein_uhlenbeck(theta=1.0)],
+                         ids=["bm", "ou"])
+def test_mixed_alpha_batch_matches_one_alpha_solves(model):
+    # one alpha per window: every row agrees with its own one-alpha solve
+    # to the batch's certificate, each component against its solution pair
+    l = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, -2.0])
+    r = l + np.array([1.0, 2.0, 0.5, 1.5, 1.0, 3.0])
+    alpha = np.array([0.3, 5.0, 40.0, 0.01, 2.0, 12.0])
+    out = batch_endpoints(model, alpha, l, r)
+    for i in range(l.size):
+        one = batch_endpoints(model, alpha[i], l[i:i + 1], r[i:i + 1])
+        got = np.array([getattr(out, f)[i] for f in ("u_r", "up_r", "v_r", "vp_r")])
+        want = np.array([getattr(one, f)[0] for f in ("u_r", "up_r", "v_r", "vp_r")])
+        got *= math.exp(out.lam[i] - one.lam[0])
+        pair = np.repeat(np.maximum(np.abs(want[::2]), np.abs(want[1::2])), 2)
+        assert np.all(np.abs(got - want) <= out.endpoint_gap * pair)
+        assert_allclose(out.log_w[i], one.log_w[0], rtol=0, atol=1e-12)
+
+
 def test_settings_validation_and_window_checks():
     with pytest.raises(ValidationError):
         OdeSettings(rel_tol=0.0)
@@ -142,6 +161,12 @@ def test_settings_validation_and_window_checks():
         batch_endpoints(m, 0.5, np.array([0.0, 0.5]), one)
     with pytest.raises(ValidationError):
         batch_endpoints(m, 1.0, ["a"], [1.0])
+    # an alpha array: one finite alpha > 0 per window
+    two, three = np.array([0.0, 0.5]), np.array([1.0, 1.5])
+    for alpha in ([0.5, True], np.array([True, True]), [0.5, math.nan], [0.5, 0.0],
+                  [0.5, -1.0], [0.5], [0.5, 1.0, 2.0], [[0.5, 1.0]], [0.5, [1.0]]):
+        with pytest.raises(ValidationError):
+            batch_endpoints(m, alpha, two, three)
     g = geometric_brownian(mu_bar=0.1, sigma_bar_sq=0.2)
     with pytest.raises(ValidationError):
         batch_endpoints(g, 0.5, np.array([-0.5]), one)

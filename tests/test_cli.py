@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from ddkit import cli, verify
+from ddkit import cli, laws, verify
 
 # closed forms for standard Brownian motion, delta = 1:
 # P(max > y) = exp(-y), E[exp(-alpha tau)] = sech(sqrt(2 alpha) delta)
@@ -166,6 +166,27 @@ def test_transform_matches_closed_form(tmp_path, capsys):
     assert alpha == 0.5 and beta == 0.0
     assert value == pytest.approx(SECH1, rel=1e-8)
     assert 0.0 <= err_est < 1e-8
+
+
+def test_transform_grid_shares_one_table_and_one_solve_per_rung(tmp_path, capsys,
+                                                               monkeypatch):
+    # counts, so they cannot flake: one transform per alpha built four
+    # mass tables and made eight solver calls
+    rows, tables = [], []
+    solve, table = laws.batch_endpoints, laws._MassTable
+    monkeypatch.setattr(laws, "batch_endpoints",
+                        lambda *a, **k: rows.append(len(a[2])) or solve(*a, **k))
+    monkeypatch.setattr(laws, "_MassTable",
+                        lambda *a, **k: tables.append(1) or table(*a, **k))
+    alphas = [0.1, 0.5, 1.5, 3.0]
+    cfg = write_cfg(tmp_path, bm_doc(grids={"alpha_grid": alphas}))
+    code, out, _ = run(["transform", "--config", cfg], capsys)
+    assert code == 0
+    values = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+    assert values == pytest.approx([1.0 / math.cosh(math.sqrt(2.0 * a)) for a in alphas],
+                                   rel=1e-8)
+    assert len(tables) == 1
+    assert 0 < len(rows) <= 3
 
 
 def test_tau_cdf_rows_monotone(tmp_path, capsys):

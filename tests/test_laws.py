@@ -3,6 +3,7 @@ transform, conditional and run-up factors, hitting and exit transforms,
 and the inverted CDF of tau."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -499,6 +500,14 @@ def test_exit_where_the_scale_differences_underflow():
     assert_allclose(exit_probability(m, 400.0, 399.0, 401.0), want, rtol=1e-13)
     assert_allclose(exit_transform(m, 400.0, 399.0, 401.0, 0.0), want, rtol=1e-13)
     assert exit_transform(m, 400.0, 399.0, 401.0, 0.5) < want
+    # the mirror case, S' = e^{6x}: anchored at a = 0 the quotients
+    # overflow; anchored at bnd, where S' is larger, they do not
+    m, want = drifted_brownian(-3.0), -math.expm1(-6.0) / (1.0 - math.exp(-1206.0))
+    assert_allclose(exit_probability(m, 200.0, 0.0, 201.0), want, rtol=1e-13)
+    assert_allclose(exit_transform(m, 200.0, 0.0, 201.0, 0.0), want, rtol=1e-13)
+    # GBM with S' = x^200: (100^201 - 99.9^201) / (100^201 - 1)
+    m, want = geometric_brownian(-1.0, 0.01), -math.expm1(201.0 * math.log(0.999))
+    assert_allclose(exit_probability(m, 99.9, 1.0, 100.0), want, rtol=1e-13)
 
 
 # OU(theta=1), generator g''/2 - x g' = alpha g, has the solutions
@@ -535,6 +544,54 @@ def test_tau_cdf_brownian_against_series():
     assert details[0].disagreement < 1e-4
     plain = tau_cdf(BM, DrawdownQuery(0.0, 1.0), [1.0])
     assert plain.shape == (1,)
+
+
+def test_tau_cdf_reports_its_clip_in_the_disagreement():
+    # at t = 4 the raw inversion passes 1 by 5.3e-5, ten times the order
+    # sweep's own disagreement; the clip is added to it
+    vals, details = tau_cdf(geometric_brownian(0.05, 0.2), DrawdownQuery(1.0, 0.3),
+                            [1.0, 4.0], full_output=True)
+    assert details[1].value > 1.0 and vals[1] == 1.0
+    for v, d in zip(vals, details):
+        assert abs(v - d.value) <= d.disagreement
+
+
+def test_tau_cdf_solves_all_its_nodes_in_one_call_per_rung(monkeypatch):
+    """Counts, so they cannot flake: the Gaver-Stehfest nodes of every t
+    share each outer-ladder rung's window solve.  With one transform per
+    node, one t made 36 solver calls and three t made 108."""
+    rows = []
+    solve = laws.batch_endpoints
+
+    def counted(model, alpha, l, r, *args, **kwargs):
+        rows.append(len(l))
+        return solve(model, alpha, l, r, *args, **kwargs)
+
+    monkeypatch.setattr(laws, "batch_endpoints", counted)
+    tau_cdf(BM, DrawdownQuery(0.0, 1.0, tol=1e-5), [0.97])
+    assert 0 < len(rows) <= 3
+    rows.clear()
+    tau_cdf(BM, DrawdownQuery(0.0, 1.0), [0.5, 1.0, 2.0])
+    assert 0 < len(rows) <= len(laws._DEGREES)
+
+
+def test_tau_cdf_memory_does_not_grow_with_the_time_grid():
+    """Twenty t (360 nodes, about 23,000 windows a rung) peak under twice
+    three t (54 nodes): the window solver sweeps its rows a block at a
+    time.  Sweeping every row at once peaked about six times higher."""
+    q = DrawdownQuery(0.0, 1.0, tol=1e-5)
+    few, many = [0.37, 1.13, 2.71], np.linspace(0.31, 3.9, 20)
+    tau_cdf(BM, q, few)         # fills the module caches first
+
+    def peak(ts):
+        tracemalloc.start()
+        try:
+            tau_cdf(BM, q, ts)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(many) <= 2.0 * peak(few)
 
 
 def test_tau_cdf_validation():
