@@ -48,7 +48,7 @@ from .chebyshev import Panels, antiderivative, coefficients, lobatto, series
 from .errors import (DegenerateBasisError, NumericError, UnsupportedModelError,
                      ValidationError, pair, real, real_array)
 from .models import (DiffusionModel, _require_interior, _require_window,
-                     _scale_ratio, _steep_end, scale_density, scale_diff)
+                     _scale_ratio, scale_density, scale_diff)
 
 _MOD = "laws"
 
@@ -65,6 +65,9 @@ _STRIP_MASS = 1e-14             # mass left below a finite upper endpoint
 _REACH = 0.875                  # share of the way to that endpoint a panel may cover
 _LEGENDRE = leggauss(96)
 _LAGUERRE = laggauss(48)
+# relative rounding of a transform value: the same nodes solved in
+# other batches move by up to 7.6e-15 relative
+_NODE_ROUNDING = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -673,11 +676,18 @@ def _psi_ratio(model, alpha, l, r, settings, op):
     windows with a shared left end (S' factor 1) or right end (factor
     e^{log_w1 - log_w0}); exit_transform states the identity behind it.
     At alpha = 0, S'(l) u_[l, r](r) = S(r) - S(l), both over S' at the end
-    of [l1, r1] where S' is larger."""
+    z of [l1, r1] where S' is larger: the smaller of the two anchored
+    denominators.  Quotients anchored there stay finite where those
+    anchored at the other end overflow."""
     if alpha == 0.0:
-        z = _steep_end(model, l[1], r[1])
-        return (_scale_ratio(model, l[0], r[0], z, op)
-                / _scale_ratio(model, l[1], r[1], z, op))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dens = [(float(model.scale_ratio_fn(l[1], r[1], z)), z) for z in (l[1], r[1])]
+        dens = [d for d in dens if math.isfinite(d[0])]
+        if not dens:
+            raise NumericError("scale quotient is not finite", operation=op,
+                               value=(l[1], r[1]), module=_MOD)
+        den, z = min(dens)
+        return _scale_ratio(model, l[0], r[0], z, op) / den
     ep = batch_endpoints(model, alpha, np.asarray(l, dtype=float),
                          np.asarray(r, dtype=float), settings)
     if not np.all(np.isfinite(ep.u_r) & (ep.u_r > 0.0)):
@@ -792,10 +802,13 @@ def tau_cdf(model: DiffusionModel, query: DrawdownQuery, t_grid,
     them.  Values are clipped to [0, 1] and made non-decreasing by
     isotonic projection.  Accuracy is limited by the inversion scheme
     (roughly 1e-5 relative at best; see the invlap module).  Each entry of
-    the full output keeps the raw inversion value; its disagreement is
-    the order sweep's plus the distance from that value to the returned
-    one (the clip and the projection), and unstable is the sweep's own
-    flag, set above 1e-4.
+    the full output keeps the raw inversion value and unstable, the
+    order sweep's own flag, set above 1e-4.  Its disagreement is an
+    error bar that adds three terms: the spread of the values at the
+    chosen order and its neighbours in the sweep (which holds the
+    sweep's own disagreement), the nodes' rounding as the weights
+    amplify it, and the distance from the raw value to the returned one
+    (the clip and the projection).
     """
     _require_window(model, query.x, query.delta, "tau_cdf")
     if query.beta != 0.0:
@@ -815,6 +828,20 @@ def tau_cdf(model: DiffusionModel, query: DrawdownQuery, t_grid,
     vals = np.clip(invlap.isotonic_non_decreasing(
         [min(max(res.value, 0.0), 1.0) for res in sweeps]), 0.0, 1.0)
     if full_output:
-        return vals, [replace(res, disagreement=res.disagreement + abs(v - res.value))
-                      for v, res in zip(vals.tolist(), sweeps)]
+        return vals, [replace(res, disagreement=_inversion_error(transform, t, res.order)
+                              + abs(v - res.value))
+                      for t, v, res in zip(ts.tolist(), vals.tolist(), sweeps)]
     return vals
+
+
+def _inversion_error(transform, t, order):
+    """Error bar of the Gaver-Stehfest value at order: the spread of the
+    values at order and its neighbours in the sweep, plus
+    (ln2 / t) sum_k |w_k F(alpha_k)| _NODE_ROUNDING, the worst the
+    weights make of the nodes' rounding."""
+    orders = invlap.DEFAULT_ORDERS
+    i = orders.index(order)
+    near = [invlap.invert(transform.__getitem__, t, n) for n in orders[max(i - 1, 0):i + 2]]
+    amp = math.fsum(abs(float(w) * transform[a])
+                    for w, a in zip(invlap.stehfest_weights(order), invlap.nodes(t, order)))
+    return max(near) - min(near) + _NODE_ROUNDING * math.log(2.0) / t * amp

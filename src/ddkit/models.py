@@ -283,12 +283,13 @@ def drifted_brownian(mu: float, sigma_sq: float = 1.0,
     g = 2.0 * mu / sigma_sq  # S'(x) = exp(-g (x - ref))
 
     def scale_ratio_fn(a, b, z):
-        # S(b) - S(a) = S'(m) (1 - e^{-|g| (b-a)}) / |g|, m the end where S'
-        # is larger (a for g > 0), exact deep in the tail where S(a) and
-        # S(b) round to the same bound
+        # S(b) - S(a) = sign(b - a) S'(m) (1 - e^{-|g| |b - a|}) / |g|, m the
+        # end where S' is larger (the lower one for g > 0) in either order,
+        # exact deep in the tail where S(a) and S(b) round to the same bound
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        m = a if g > 0.0 else b
-        return np.exp(-g * (m - z)) * (-np.expm1(-abs(g) * (b - a))) / abs(g)
+        m = np.minimum(a, b) if g > 0.0 else np.maximum(a, b)
+        return (np.sign(b - a) * np.exp(-g * (m - z))
+                * (-np.expm1(-abs(g) * np.abs(b - a))) / abs(g))
 
     def eig(alpha):
         disc = math.sqrt(mu * mu + 2.0 * alpha * sigma_sq)
@@ -329,15 +330,16 @@ def geometric_brownian(mu_bar: float, sigma_bar_sq: float,
     p = 2.0 * mu_bar / sigma_bar_sq  # S'(x) = (x/ref)^(-p)
 
     def scale_ratio_fn(a, b, z):
-        # (b^q - a^q) / q with the larger power m^q factored out: stable for
-        # b/a near 1 and for tails where the power values S(a) and S(b)
-        # agree to rounding
+        # (b^q - a^q) / q with the larger power m^q factored out in either
+        # order: stable for b/a near 1 and for tails where the power values
+        # S(a) and S(b) agree to rounding
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         q = 1.0 - p
         if q == 0.0:
             return z * np.log1p((b - a) / a)
-        m = b if q > 0.0 else a
-        return (z / abs(q)) * (m / z) ** q * -np.expm1(-abs(q) * np.log1p((b - a) / a))
+        m = np.maximum(a, b) if q > 0.0 else np.minimum(a, b)
+        return (np.sign(b - a) * (z / abs(q)) * (m / z) ** q
+                * -np.expm1(-abs(q) * np.abs(np.log1p((b - a) / a))))
 
     def eig(alpha):
         disc = math.sqrt((1.0 - p) ** 2 + 8.0 * alpha / sigma_bar_sq)
@@ -859,17 +861,9 @@ def scale_density(model: DiffusionModel, x):
 
 
 def _scale_ratio(model, a, b, z, op):
-    """(S(b) - S(a)) / S'(z), the only way scale values enter any law, as
-    _evaluate gives it (_steep_end only compares two); errors name op."""
+    """(S(b) - S(a)) / S'(z), the form in which scale values enter every
+    law, as _evaluate gives it; errors name op."""
     return _evaluate(model, model.scale_ratio_fn, "scale quotient", op, a, b, z)
-
-
-def _steep_end(model, a, b):
-    """Whichever of a and b has the larger S', read off the quotients
-    (S(b) - S(a)) / S'(z) at z = a and z = b: anchored there, quotients on
-    [a, b] stay finite where those anchored at the other end overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return b if model.scale_ratio_fn(a, b, b) < model.scale_ratio_fn(a, b, a) else a
 
 
 def scale_diff(model: DiffusionModel, a, b):

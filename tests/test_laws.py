@@ -556,6 +556,26 @@ def test_tau_cdf_reports_its_clip_in_the_disagreement():
         assert abs(v - d.value) <= d.disagreement
 
 
+def test_tau_cdf_disagreement_covers_the_nodes_rounding(monkeypatch):
+    """The weights reach 3.4e11, so node transforms that move by rounding
+    move the cdf past the order sweep's own gap: on drifted BM at t = 4,
+    nodes solved in other batches agreed to 7.6e-15 relative while the
+    cdf moved 2.1e-6 against a gap of 2.5e-7.  Here every node moves by
+    1e-15 relative, with the signs of the order-18 weights."""
+    q = DrawdownQuery(0.0, 1.0)
+    vals, details = tau_cdf(DBM, q, [4.0], full_output=True)
+    core = laws._transform_core
+
+    def nudged(*args):
+        return [replace(res, value=res.value * (1.0 + 1e-15 * (-1) ** i))
+                for i, res in enumerate(core(*args))]
+
+    monkeypatch.setattr(laws, "_transform_core", nudged)
+    moved = tau_cdf(DBM, q, [4.0])
+    assert abs(moved[0] - vals[0]) > 1e-6
+    assert abs(moved[0] - vals[0]) <= details[0].disagreement
+
+
 def test_tau_cdf_solves_all_its_nodes_in_one_call_per_rung(monkeypatch):
     """Counts, so they cannot flake: the Gaver-Stehfest nodes of every t
     share each outer-ladder rung's window solve.  With one transform per
@@ -577,8 +597,9 @@ def test_tau_cdf_solves_all_its_nodes_in_one_call_per_rung(monkeypatch):
 
 def test_tau_cdf_memory_does_not_grow_with_the_time_grid():
     """Twenty t (360 nodes, about 23,000 windows a rung) peak under twice
-    three t (54 nodes): the window solver sweeps its rows a block at a
-    time.  Sweeping every row at once peaked about six times higher."""
+    three t (54 nodes): the window solver counts panels and sweeps its
+    rows a block at a time.  Sweeping every row at once peaked 6.5 times
+    higher, and counting the panels of every row at once 2.7 times."""
     q = DrawdownQuery(0.0, 1.0, tol=1e-5)
     few, many = [0.37, 1.13, 2.71], np.linspace(0.31, 3.9, 20)
     tau_cdf(BM, q, few)         # fills the module caches first

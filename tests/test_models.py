@@ -93,6 +93,7 @@ def test_catalog_scale_matches_quadrature(make):
     val, _ = integrate.quad(lambda u: scale_density(m, u), lo, hi,
                             epsabs=1e-13, epsrel=1e-12)
     assert_allclose(scale_diff(m, lo, hi), val, rtol=1e-10)
+    assert_allclose(scale_diff(m, hi, lo), -scale_diff(m, lo, hi), rtol=1e-14)
     for x in (lo, 1.2, hi):
         lsp, _ = integrate.quad(lambda u: 2 * float(m.drift(u)) / float(m.diffusion_sq(u)),
                                 m.scale_ref, x, epsabs=1e-13, epsrel=1e-12)
@@ -196,6 +197,14 @@ def test_scale_overflow_is_numeric_error():
         scale_diff(drifted_brownian(1.0, 1.0), np.array([-1.0, -400.0]), 0.0)
     with pytest.raises(NumericError):
         scale(ornstein_uhlenbeck(theta=1.0), 30.0)
+
+
+def test_scale_below_the_anchor_where_the_far_term_underflows():
+    # x below the anchor puts a > b; the quotient still factors out the end
+    # with the larger term, so e^{-720} never multiplies e^{720}
+    assert_allclose(scale(drifted_brownian(-1.0), -360.0), -0.5, rtol=1e-14)
+    assert_allclose(scale_diff(geometric_brownian(-1.0, 0.01), 1.0, 0.02),
+                    -1.0 / 201.0, rtol=1e-14)
 
 
 def test_scale_density_overflow_is_numeric_error():
