@@ -273,16 +273,19 @@ def _solve_adaptive(model, alpha, l, r, settings):
     panels = _panel_counts(model, alpha, l, r, settings.max_steps)
     # the columns u = (0, 1) and v = (1, 0) of every window's start
     y0 = np.broadcast_to(np.array([[0.0, 1.0], [1.0, 0.0]])[:, :, None], (2, 2, l.size))
-    lo, hi = float(np.min(alpha)), float(np.max(alpha))
-    span = f"{lo:g}" if lo == hi else f"in [{lo:g}, {hi:g}]"
-    where = f"alpha {span}, window length {float(np.max(r - l)):g}"
+
+    def where():        # for the error text only, not on the way to success
+        lo, hi = float(np.min(alpha)), float(np.max(alpha))
+        span = f"{lo:g}" if lo == hi else f"in [{lo:g}, {hi:g}]"
+        return f"alpha {span}, window length {float(np.max(r - l)):g}"
+
     drift_tol = 10.0 * settings.rel_tol
     prev, last = None, math.inf
     for n in _DEGREES:
         if panels.max() * n > settings.max_steps:    # before any panel array
             raise NumericError(
                 f"window too stiff: {panels.max()} panels of degree {n} pass the "
-                f"cap of {settings.max_steps} panel nodes; {where}",
+                f"cap of {settings.max_steps} panel nodes; {where()}",
                 operation="solve", value=int(panels.max() * n), module=_MOD)
         cur = _sweep(model, alpha, l, r, y0, panels, n)
         if prev is not None:
@@ -300,7 +303,7 @@ def _solve_adaptive(model, alpha, l, r, settings):
         prev = cur
     raise NumericError(f"rounding floor: the degree ladder stopped improving at "
                        f"degree {n}, endpoint gap {gap:.2g}, Wronskian drift "
-                       f"{drift:.2g}; {where}", operation="solve", value=gap, module=_MOD)
+                       f"{drift:.2g}; {where()}", operation="solve", value=gap, module=_MOD)
 
 
 # ---------------------------------------------------------------------------
