@@ -1,12 +1,13 @@
 """Inversion of Laplace transforms sampled on the positive real axis.
 
-Gaver-Stehfest only needs real transform values, which is all the
-drawdown transform can provide.  The weights grow fast with the order
-(sum|w| is about 1.3e6 at order 10 and 3.4e11 at order 18), so
-transform noise of 1e-9 caps the useful order well below where the
-scheme's own truncation error would keep improving.  The order sweep
-picks the pair of consecutive even orders that agree best, which is
-the standard practical stabilization for this scheme.
+Gaver-Stehfest samples the transform at real points only (the drawdown
+transform extends to complex alpha, where a Bromwich-line inversion
+could sample it).  The weights grow fast with the order (sum|w| is
+about 1.3e6 at order 10 and 3.4e11 at order 18), so transform noise of
+1e-9 caps the useful order well below where the scheme's own
+truncation error would keep improving.  The order sweep picks the pair
+of consecutive even orders that agree best, which is the standard
+practical stabilization for this scheme.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ class InversionResult:
     disagreement: float
     order: int
     unstable: bool
+    sweep: tuple            # (order, value) at every order swept, ascending
 
 
 def invert_sweep(transform: Callable[[float], float], t: float,
@@ -113,7 +115,8 @@ def invert_sweep(transform: Callable[[float], float], t: float,
             best = (gap, hi)
     gap, order = best
     return InversionResult(value=vals[order], disagreement=gap, order=order,
-                           unstable=gap > INSTABILITY_THRESHOLD)
+                           unstable=gap > INSTABILITY_THRESHOLD,
+                           sweep=tuple(vals.items()))
 
 
 def isotonic_non_decreasing(values) -> np.ndarray:

@@ -828,20 +828,19 @@ def tau_cdf(model: DiffusionModel, query: DrawdownQuery, t_grid,
     vals = np.clip(invlap.isotonic_non_decreasing(
         [min(max(res.value, 0.0), 1.0) for res in sweeps]), 0.0, 1.0)
     if full_output:
-        return vals, [replace(res, disagreement=_inversion_error(transform, t, res.order)
+        return vals, [replace(res, disagreement=_inversion_error(transform, t, res)
                               + abs(v - res.value))
                       for t, v, res in zip(ts.tolist(), vals.tolist(), sweeps)]
     return vals
 
 
-def _inversion_error(transform, t, order):
-    """Error bar of the Gaver-Stehfest value at order: the spread of the
-    values at order and its neighbours in the sweep, plus
+def _inversion_error(transform, t, res):
+    """Error bar of the sweep res's value: the spread of the values at
+    its order and its neighbours in the sweep, plus
     (ln2 / t) sum_k |w_k F(alpha_k)| _NODE_ROUNDING, the worst the
     weights make of the nodes' rounding."""
-    orders = invlap.DEFAULT_ORDERS
-    i = orders.index(order)
-    near = [invlap.invert(transform.__getitem__, t, n) for n in orders[max(i - 1, 0):i + 2]]
-    amp = math.fsum(abs(float(w) * transform[a])
-                    for w, a in zip(invlap.stehfest_weights(order), invlap.nodes(t, order)))
+    i = [n for n, _ in res.sweep].index(res.order)
+    near = [v for _, v in res.sweep[max(i - 1, 0):i + 2]]
+    amp = math.fsum(abs(float(w) * transform[a]) for w, a in
+                    zip(invlap.stehfest_weights(res.order), invlap.nodes(t, res.order)))
     return max(near) - min(near) + _NODE_ROUNDING * math.log(2.0) / t * amp

@@ -195,19 +195,19 @@ def _erfi_sinh(t):
     return np.add.reduce(_SINH_COEF * np.sinh(_SINH_RATE * t), axis=0)
 
 
-def _erfi_dawson(t):
-    """erfi(t) = (2/sqrt(pi)) e^{t^2} D(t) for t >= 1.5, D by Rybicki's sum
+def _erfi_dawson(t, s2):
+    """erfi(t) e^{-s2} = (2/sqrt(pi)) e^{t^2 - s2} D(t) for t >= 1.5, D by Rybicki's sum
 
         sqrt(pi) D(t) = sum_{n' odd} e^{-(t' - n' h)^2} / (n' + n0),
 
     t = n0 h + t' with n0 even and |t'| <= h = 1/4 (Rybicki, Computers
     in Physics 3, 1989).  Its error is about e^{-(pi / 2h)^2} = 7e-18
     relative and |n'| <= 27 keeps every term above 5e-19 of the sum.
-    e^{t^2} is e^{v^2 - 8} e^{t^2 - v^2} times e^8 in the constant, with
-    v = t on a 2^-20 grid, so v^2 is exact and t^2 is never rounded;
-    the shift by 8 lets erfi stay finite until it passes the float
-    range (t ~ 26.7)."""
-    u = np.minimum(t, 27.0)               # erfi(27) overflows; no inf - inf
+    e^{t^2 - s2} is e^{v^2 - 8 - s2} e^{t^2 - v^2} times e^8 in the
+    constant, with v = t on a 2^-20 grid, so v^2 is exact and t^2 is
+    never rounded; the shift by 8 lets erfi stay finite until it passes
+    the float range (t ~ 26.7 at s2 = 0)."""
+    u = np.minimum(t, 27.0 + np.sqrt(s2))  # past it the value overflows; no inf - inf
     m = np.rint(2.0 * u)                  # n0 = 2m
     v = np.rint(u * _ERFI_GRID) / _ERFI_GRID
     d = (u - 0.5 * m) - _ERFI_ODD_H
@@ -215,25 +215,27 @@ def _erfi_dawson(t):
     e = np.exp(np.subtract((u - v) * (u + v), d, out=d), out=d)
     e /= 2.0 * m + _ERFI_ODD
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.exp(v * v - 8.0) * (_TWO_E8_PI * np.add.reduce(e, axis=0))
+        return np.exp(v * v - 8.0 - s2) * (_TWO_E8_PI * np.add.reduce(e, axis=0))
 
 
-def _erfi(x):
-    """erfi(x) = (2/sqrt(pi)) int_0^x e^{s^2} ds, elementwise, within 3
-    ulp of the exact value on every float below the overflow at |x| ~
-    26.7, where it returns +-inf; nan stays nan."""
+def _erfi(x, s2=0.0):
+    """erfi(x) e^{-s2}, erfi(x) = (2/sqrt(pi)) int_0^x e^{s^2} ds, elementwise
+    (s2 >= 0 broadcast to x).  At s2 = 0 within 3 ulp of the exact value below
+    the overflow at |x| ~ 26.7, where it returns +-inf; nan stays nan.  s2 goes
+    into the exponent, so a product in the float range stays finite."""
     x = np.asarray(x, dtype=float)
     t = np.abs(x).ravel()
+    s2 = np.full(x.shape, s2).ravel()
     small = t < _ERFI_SWITCH
     n_small = np.count_nonzero(small)
     if n_small == t.size:
-        out = _erfi_sinh(t)
+        out = _erfi_sinh(t) * np.exp(-s2)
     elif not n_small:
-        out = _erfi_dawson(t)
+        out = _erfi_dawson(t, s2)
     else:
         out = np.empty(t.shape)
-        out[small] = _erfi_sinh(t[small])
-        out[~small] = _erfi_dawson(t[~small])
+        out[small] = _erfi_sinh(t[small]) * np.exp(-s2[small])
+        out[~small] = _erfi_dawson(t[~small], s2[~small])
     return np.copysign(out.reshape(x.shape), x)
 
 
@@ -378,14 +380,14 @@ def ornstein_uhlenbeck(theta: float, mean: float = 0.0, sigma_sq: float = 1.0,
     ref = _check_ref(ref, interval, "ornstein_uhlenbeck")
     k = theta / sigma_sq  # S'(x) = exp(k ((x-mean)^2 - (ref-mean)^2))
     sq = math.sqrt(k)
-    # (S(b) - S(a)) / S'(z) = (sqrt(pi/k)/2) e^{-k (z-mean)^2} (erfi(sq (b-mean)) - ...)
+    # (S(b) - S(a)) / S'(z) = (sqrt(pi/k)/2) (erfi(sq (b-mean)) - ...) e^{-k (z-mean)^2}
     half = 0.5 * math.sqrt(math.pi / k)
 
     def scale_ratio_fn(a, b, z):
-        ends = np.stack(np.broadcast_arrays(np.asarray(b, dtype=float),
-                                            np.asarray(a, dtype=float)))
-        e = _erfi(sq * (ends - mean))        # one call serves both ends
-        return half * np.exp(-k * (np.asarray(z, dtype=float) - mean) ** 2) * (e[0] - e[1])
+        baz = np.array(np.broadcast_arrays(b, a, z), dtype=float) - mean
+        # one call serves both ends; e^{-k (z-mean)^2} goes inside erfi's exponent
+        e = _erfi(sq * baz[:2], k * baz[2] ** 2)
+        return half * (e[0] - e[1])
 
     return DiffusionModel(
         model_id=model_id, kind="ou",

@@ -1,19 +1,17 @@
 """Analytics-versus-oracle comparison reports.
 
-Pure composition: everything here calls the law layer for exact values
-and the Monte Carlo layer for estimates, then lines them up with
-z-scores.  No numerics of its own.
-
-The dt-pair rule governs step sizes: a run at dt is trusted once the
-run at dt/2 moves every watched estimate by less than one standard
-error.  The reports carry both arms so the reader can see the moves,
-not just the verdicts.
+Calls the law layer for exact values and the Monte Carlo layer for
+estimates, then lines them up with z-scores.  One bias rule serves both
+reports: one run at steps dt / r and dt, and the law is compared with
+fine + (fine - coarse) / (r^p - 1), the bias falling as dt^p (Talay &
+Tubaro, Stoch. Anal. Appl. 8, 1990), at the standard error of those
+per-path values.  The reports show both arms' move, not just verdicts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +21,9 @@ from .models import DiffusionModel
 
 _MOD = "verify"
 _Z_MAX = 3.0
-_MAX_HALVINGS = 3           # dt halvings the dt-pair rule may make
+# order of the drawdown probes' bias in dt: bridge extremes leave O(dt),
+# Euler's grid monitoring O(sqrt(dt)) (Broadie, Glasserman & Kou 1997)
+_BIAS_ORDER = {"exact_bm": 1.0, "euler": 0.5}
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,9 @@ class VerificationReport:
 class ExcursionReport:
     """Poisson structure check for excursion counts in one band.
 
-    extrapolated_se is the standard error of mean_extrapolated, taken
-    from the per-path values 2 fine_i - coarse_i (both arms share path
-    indices); the mean band is three of it.
+    mean_extrapolated is the bias rule at ratio 4 and order 1/2,
+    2 fine - coarse; extrapolated_se is taken from the per-path values
+    (both arms share path indices); the mean band is three of it.
     """
 
     model_id: str
@@ -126,44 +126,47 @@ class ExcursionReport:
         ]
 
 
-def _probe_values(samples, ys, alpha):
-    out = [mc.estimate_tail(samples, y) for y in ys]
-    out.append(mc.estimate_transform(samples, alpha, 0.0))
-    return out
+def _extrapolate(fine, coarse, ratio, order):
+    """Mean and standard error of the per-path values
+    fine + (fine - coarse) / (ratio^order - 1), the arms at steps
+    dt / ratio and dt."""
+    vals = fine + (fine - coarse) / (ratio ** order - 1.0)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
+
+
+def _probe_paths(samples, ys, alpha):
+    """Per-path terms of mc.estimate_tail at ys, then of mc.estimate_transform."""
+    with np.errstate(under="ignore"):
+        transform = np.where(samples.stopped, np.exp(-alpha * samples.tau_hat), 0.0)
+    return [(samples.m_tau_hat > y).astype(float) for y in ys] + [transform]
 
 
 def dt_pair_simulate(model: DiffusionModel, x: float, delta: float,
                      cfg: mc.McConfig, ys, alpha: float):
-    """Simulate a coupled (dt, dt/2) pair; halve, at most _MAX_HALVINGS
-    times, until every probe (tails at ys, the alpha-transform) moves by
-    less than one standard error between the arms.  The arms share their
-    noise, so the move is the halving bias itself, not two runs' worth of
-    Monte Carlo scatter.  Returns (fine collection, moves in std errors,
-    fine dt).
-    """
+    """One coupled (dt, dt/2) run of the probes (tails at ys, the alpha-
+    transform) under the bias rule at ratio 2.  Returns (fine collection,
+    probes): per probe the extrapolated estimate, its standard error, and
+    |fine - coarse| in those errors; the arms share their noise, so that
+    move is the bias itself, not Monte Carlo scatter."""
     op = "dt_pair_simulate"
     ys = [real(y, "tail level", op, _MOD) for y in ys]
     alpha = real(alpha, "alpha", op, _MOD, 0.0)
-    run = cfg
-    for _ in range(_MAX_HALVINGS + 1):
-        fine, coarse = mc.paired_simulate(model, x, delta, run)
-        pf = _probe_values(fine, ys, alpha)
-        pc = _probe_values(coarse, ys, alpha)
-        moves = [abs(f[0] - c[0]) / f[1] if f[1] > 0 else 0.0
-                 for f, c in zip(pf, pc)]
-        if max(moves) < 1.0:
-            break
-        run = mc.McConfig(n_paths=run.n_paths, dt=run.dt / 2,
-                          t_max=run.t_max, seed=run.seed,
-                          scheme=run.scheme)
-    return fine, moves, fine.cfg.dt
+    fine, coarse = mc.paired_simulate(model, x, delta, cfg)
+    order = _BIAS_ORDER[cfg.scheme]
+    probes = []
+    for f, c in zip(_probe_paths(fine, ys, alpha),
+                    _probe_paths(coarse, ys, alpha)):
+        est, se = _extrapolate(f, c, 2.0, order)
+        move = abs(float(f.mean()) - float(c.mean())) / se if se > 0 else 0.0
+        probes.append((est, se, move))
+    return fine, probes
 
 
 def verification_report(model: DiffusionModel, x: float, delta: float,
                         cfg: mc.McConfig, ys=None, alpha: float = 0.5,
                         tol: float = 1e-9) -> VerificationReport:
     """Check P(M_tau > y) on three levels and E[e^{-alpha tau}] against
-    the oracle, at a dt passing the dt-pair rule."""
+    the oracle's extrapolated estimates from one (dt, dt/2) pair."""
     query = laws.DrawdownQuery(x=x, delta=delta, alpha=alpha, tol=tol)
     x, delta, alpha = query.x, query.delta, query.alpha
     if ys is None:
@@ -173,14 +176,12 @@ def verification_report(model: DiffusionModel, x: float, delta: float,
         raise ValidationError("need exactly three tail levels",
                               operation="verification_report", value=ys,
                               module=_MOD)
-    samples, moves, dt_used = dt_pair_simulate(model, x, delta, cfg, ys,
-                                               alpha)
+    samples, probes = dt_pair_simulate(model, x, delta, cfg, ys, alpha)
     rows = []
-    probes = _probe_values(samples, ys, alpha)
     names = [f"P(max > {y:g})" for y in ys] + [f"E[exp(-{alpha:g} tau)]"]
     exact = [laws.max_tail(model, query, y) for y in ys]
     exact.append(laws.joint_transform(model, query).value)
-    for name, ana, (est, se), move in zip(names, exact, probes, moves):
+    for name, ana, (est, se, move) in zip(names, exact, probes):
         if se > 0:
             z = (est - ana) / se
             ok = abs(z) <= _Z_MAX
@@ -191,7 +192,7 @@ def verification_report(model: DiffusionModel, x: float, delta: float,
                              std_error=se, z_score=z, dt_move=move,
                              passed=ok))
     return VerificationReport(model_id=model.model_id, x=x,
-                              delta=delta, dt=dt_used,
+                              delta=delta, dt=samples.cfg.dt,
                               n_paths=cfg.n_paths, rows=tuple(rows),
                               unstopped_fraction=samples.unstopped_fraction)
 
@@ -213,20 +214,15 @@ def excursion_report(model: DiffusionModel, x: float, y: float,
     y = real(y, "y", "excursion_report", _MOD)
     counts_c, _ = mc.excursion_counts(model, x, y, delta, cfg)
     analytic = float(laws._survival_mass(model, query, np.array([y]))[0])
-    fine_cfg = mc.McConfig(n_paths=cfg.n_paths, dt=cfg.dt / 4,
-                           t_max=cfg.t_max, seed=cfg.seed,
-                           scheme=cfg.scheme)
+    fine_cfg = replace(cfg, dt=cfg.dt / 4)
     counts_f, done_f = mc.excursion_counts(model, x, y, delta, fine_cfg)
-    mean_c = float(counts_c.mean())
     mean_f = float(counts_f.mean())
-    var_f = float(counts_f.var(ddof=1))
-    extrapolated = 2.0 * counts_f - counts_c
+    mean_x, se_x = _extrapolate(counts_f, counts_c, 4.0, 0.5)
     return ExcursionReport(model_id=model.model_id, x=x, y=y, delta=delta,
                            n_paths=cfg.n_paths, dt_fine=fine_cfg.dt,
                            analytic_mean=analytic,
-                           mean_fine=mean_f, mean_coarse=mean_c,
-                           mean_extrapolated=2.0 * mean_f - mean_c,
-                           var_over_mean=var_f / mean_f,
+                           mean_fine=mean_f, mean_coarse=float(counts_c.mean()),
+                           mean_extrapolated=mean_x,
+                           var_over_mean=float(counts_f.var(ddof=1)) / mean_f,
                            finished_fraction=float(done_f.mean()),
-                           extrapolated_se=float(extrapolated.std(ddof=1)
-                                                 / math.sqrt(cfg.n_paths)))
+                           extrapolated_se=se_x)

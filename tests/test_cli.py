@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from ddkit import cli, laws, verify
+from ddkit import cli, laws, mc, verify
 
 # closed forms for standard Brownian motion, delta = 1:
 # P(max > y) = exp(-y), E[exp(-alpha tau)] = sech(sqrt(2 alpha) delta)
@@ -331,7 +331,12 @@ def test_outputs_byte_stable(tmp_path, capsys):
     assert "estimates" in doc
 
 
-def test_verify_bm_exits_0(tmp_path, capsys):
+def test_verify_bm_exits_0(tmp_path, capsys, monkeypatch):
+    # the report extrapolates one (dt, dt/2) pair; it never halves again
+    calls = []
+    paired = mc.paired_simulate
+    monkeypatch.setattr(mc, "paired_simulate",
+                        lambda *args: calls.append(args) or paired(*args))
     out_file = tmp_path / "report.csv"
     doc = bm_doc(mc={"n_paths": 2000, "dt": 0.01, "t_max": 40.0,
                      "seed": 2},
@@ -339,6 +344,8 @@ def test_verify_bm_exits_0(tmp_path, capsys):
     cfg = write_cfg(tmp_path, doc)
     code, out, _ = run(["verify", "--config", cfg], capsys)
     assert code == 0
+    assert len(calls) == 1
+    assert "dt=0.005" in out
     assert "result: PASS" in out
     assert out_file.read_text().startswith("check,analytic,estimate")
 

@@ -595,6 +595,28 @@ def test_tau_cdf_solves_all_its_nodes_in_one_call_per_rung(monkeypatch):
     assert 0 < len(rows) <= len(laws._DEGREES)
 
 
+def test_tau_cdf_full_output_reads_the_sweep_values(monkeypatch):
+    """The error bar reads the order sweep's own values: a full output
+    inverts no more than a plain one (five orders per t), and each
+    result carries the values invert gave at every order."""
+    calls = []
+    invert = invlap.invert
+
+    def counted(transform, t, order=14):
+        calls.append((t, order, invert(transform, t, order)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(invlap, "invert", counted)
+    q = DrawdownQuery(0.0, 1.0, tol=1e-5)
+    tau_cdf(BM, q, [0.5, 2.0])
+    plain = len(calls)
+    calls.clear()
+    _, details = tau_cdf(BM, q, [0.5, 2.0], full_output=True)
+    assert len(calls) == plain == 2 * len(invlap.DEFAULT_ORDERS)
+    assert [(t, *nv) for t, d in zip((0.5, 2.0), details)
+            for nv in d.sweep] == calls
+
+
 def test_tau_cdf_memory_does_not_grow_with_the_time_grid():
     """Twenty t (360 nodes, about 23,000 windows a rung) peak under twice
     three t (54 nodes): the window solver counts panels and sweeps its

@@ -663,6 +663,48 @@ def test_verification_report_passes_on_bm():
     assert any("PASS" in line for line in rep.lines())
 
 
+def test_verification_report_extrapolates_one_euler_pair(monkeypatch):
+    """Euler grid monitoring leaves O(sqrt(dt)) bias, which halving dt
+    until the arms agree left at transform z of about -12 after four
+    pairs on every seed 101-110; extrapolating the first pair at order
+    1/2 passes."""
+    calls = []
+    paired = mc.paired_simulate
+    monkeypatch.setattr(mc, "paired_simulate",
+                        lambda *args: calls.append(args) or paired(*args))
+    twin = custom_model({"form": "affine", "intercept": 0.0, "slope": -1.0},
+                        {"form": "constant", "value": 1.0})
+    cfg = mc.McConfig(n_paths=20000, dt=0.01, t_max=40.0, seed=101,
+                      scheme="euler")
+    rep = verify.verification_report(twin, 0.0, 1.0, cfg)
+    assert rep.passed, rep.lines()
+    assert len(calls) == 1
+    assert rep.dt == 0.005
+
+
+def test_extrapolate_is_richardson_on_paired_paths():
+    fine, coarse = np.array([1.0, 2.0, 0.0, 4.0]), np.array([0.0, 3.0, 0.0, 2.0])
+    for ratio, order in ((2.0, 1.0), (4.0, 0.5)):
+        mean, se = verify._extrapolate(fine, coarse, ratio, order)
+        assert mean == 2.25
+        assert se == pytest.approx(np.std(2.0 * fine - coarse, ddof=1) / 2.0,
+                                   rel=1e-15)
+    assert verify._extrapolate(fine, coarse, 2.0, 0.5)[0] == pytest.approx(
+        1.75 + 0.5 / (math.sqrt(2.0) - 1.0), rel=1e-15)
+    assert set(verify._BIAS_ORDER) == {"euler", "exact_bm"}
+
+
+def test_excursion_report_keeps_its_band_case():
+    # the CLI's band case, against the values of 2 fine - coarse computed
+    # inline before the reports shared one extrapolation
+    cfg = mc.McConfig(n_paths=1000, dt=0.01, t_max=200.0, seed=8)
+    rep = verify.excursion_report(drifted_brownian(1.0), 0.0, 2.0, 1.0, cfg)
+    assert rep.mean_extrapolated == pytest.approx(0.6110000000000001, rel=1e-14)
+    assert rep.extrapolated_se == pytest.approx(0.04415459917866574, rel=1e-14)
+    assert (rep.mean_fine, rep.mean_coarse) == (0.548, 0.485)
+    assert rep.passed
+
+
 def _scipy_modules_after(run):
     """Names of the scipy modules loaded by a fresh interpreter that imports
     ddkit and its CLI, then runs ``run`` with ``m`` an OU model."""

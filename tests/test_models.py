@@ -22,8 +22,10 @@ from ddkit import (
     brownian,
     custom_model,
     drifted_brownian,
+    exit_probability,
     geometric_brownian,
     joint_transform,
+    max_tail,
     model_from_dict,
     model_from_json,
     nu,
@@ -314,6 +316,16 @@ def test_custom_ou_twin_scale_to_closed_forms():
     assert_allclose(scale_density(m, far), np.exp(far ** 2), rtol=TABLE_REL)
     assert_allclose(scale_diff(m, far - 0.5, far), scale_diff(ou, far - 0.5, far),
                     rtol=TABLE_REL)
+
+
+def test_ou_quotient_matches_the_twin_where_erfi_overflows():
+    # erfi(30) is past the float range; the anchor's e^{-k (z-mean)^2}
+    # enters erfi's exponent, so quotients anchored at 28 or 30 stay finite
+    ou, twin = ornstein_uhlenbeck(theta=1.0), _ou_twin()
+    for f in (lambda m: exit_probability(m, 29.0, 28.0, 30.0),
+              lambda m: exit_probability(m, -29.0, -30.0, -28.0),
+              lambda m: max_tail(m, DrawdownQuery(26.0, 1.0), 28.0)):
+        assert_allclose(f(ou), f(twin), rtol=1e-12)
 
 
 def test_custom_drifted_bm_twin_scale_to_closed_forms():
