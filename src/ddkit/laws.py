@@ -21,8 +21,13 @@ Chebyshev-Lobatto panels in y, each sized to carry about two units of
 N, on which N is the antiderivative of the interpolant of nu S'.  The
 tails read N off it at any level; the transforms solve their windows
 at the Lobatto points of the same panels and climb a nested degree
-ladder (4, 8, 16, ...; each rung reuses the solves of the one before)
-until two rungs agree.  Those points do not depend on alpha, so a
+ladder (4, 8, 16, ...; each rung reuses the solves of the one before).
+Rung n also reads the degree n / 2 and n / 4 estimates off its even and
+every fourth point, with no solve.  The ladder stops once the degree-n
+estimate agrees with the degree-n / 2 one (on the first rung, the
+degree-2 one with degree 1 too), or, from degree 16, once the gaps fall
+fast enough that the next one is predicted under the target.  Those
+points do not depend on alpha, so a
 request for several alphas (the transform command's grid, the inversion
 nodes of tau_cdf) makes one batched window solve per rung for all the
 alphas still climbing.  On each panel the outer integral splits its
@@ -112,9 +117,10 @@ class TransformResult:
     legitimately raises the cap to e^(-beta x).  abs_error_estimate
     sums three terms: the truncation remainder bound past the mass cut
     (and, below a finite upper endpoint, times the mass left in the
-    strip), the gap between the last two rungs of the outer degree
-    ladder, and the window solver's measured certificate (the largest
-    accepted degree-ladder gap of the node solves, times |value|).
+    strip), the refinement term of the outer degree ladder (its last gap
+    g1, or the predicted next gap g1^2 / g0 where the gaps fell at least
+    100x per rung), and the window solver's measured certificate (the
+    largest accepted degree-ladder gap of the node solves, times |value|).
     truncation_point is the level where the outer integral was cut.
     """
 
@@ -480,39 +486,73 @@ def _outer_integral(hs, rise, r, outside, n):
     return math.fsum(pieces.tolist())
 
 
-def _climb(model, edges, delta, alphas, tol, estimate, close, op, name, vals=None,
+def _refinement(e, scale, accept, n):
+    """The ladder's acceptance rule on the nested estimates
+    e = (e_{n/4}, e_{n/2}, e_n) of rung n: the refinement term of e_n, or
+    None to climb on.  With g1 = |e_n - e_{n/2}| and g0 = |e_{n/2} - e_{n/4}|
+    (largest entries, for arrays), it accepts
+
+    (a) g1 <= accept * scale, on the first rung only once g0 is too (three
+        nested estimates agree), and reports g1;
+    (b) from the third rung, where g0 is a gap between rungs, gaps that
+        fall at least 100x per rung to a predicted next gap g1^2 / g0
+        under accept * scale, and reports that prediction.
+
+    The degree-1 and degree-2 estimates below the first rung show that a
+    polynomial is exact, not a rate: on OU with delta = 2 at tol 1e-5 a
+    rate read off them predicted 2.8e-8 where the error was 7.4e-6."""
+    g0, g1 = (float(np.max(np.abs(a - b))) for a, b in zip(e[1:], e[:2]))
+    bound = accept * scale
+    if g1 <= bound and (n > _DEGREES[0] or g0 <= bound):
+        return g1
+    if n >= 4 * _DEGREES[0] and 100.0 * g1 <= g0 and g1 * g1 <= bound * g0:
+        return g1 * g1 / g0
+    return None
+
+
+def _climb(model, edges, delta, alphas, tol, estimate, scale, op, name, vals=None,
            gap=0.0):
     """The outer degree ladder on the panels edges, for each alpha of
     alphas: estimate(i, n, values) at the (nu S', b S', chat S') values of
-    the degree-n points of every panel for alphas[i], until
-    close(new, old, accept), accept a decade above the window solver's own
-    certificate.  A rung solves the new points of every alpha still
-    climbing in one batch; vals may hold the first rung's values of every
-    alpha, and gap their solve gap.  Returns, for each alpha, its last two
-    estimates and the largest gap of the solves it took part in."""
+    the degree-n points of every panel for alphas[i], until _refinement
+    accepts the last three nested estimates at accept * scale(e_n), accept
+    a decade above the window solver's own certificate.  The degree-n / 2
+    and n / 4 estimates read the even and every fourth point, so the first
+    rung estimates degrees 4, 2 and 1 from one solve, and every later rung
+    reuses the two before.  A rung solves the new points of every alpha
+    still climbing in one batch; vals may hold the first rung's values of
+    every alpha, and gap their solve gap.  Returns, for each alpha, its
+    last estimate, its refinement term (the last gap g1, or the predicted
+    next gap g1^2 / g0) and the largest gap of the solves it took part in."""
     settings = _settings_for(tol)
     accept = max(tol, 10.0 * settings.rel_tol)
     gaps = np.full(len(alphas), gap)
-    prev, done = [None] * len(alphas), [None] * len(alphas)
+    est, done = [None] * len(alphas), [None] * len(alphas)
     live = np.arange(len(alphas))
     for n in _DEGREES:
-        if vals is None or n > _DEGREES[0]:
+        first = n == _DEGREES[0]
+        if vals is None or not first:
             vals, g = _panel_values(model, edges, n, delta, alphas[live], settings, vals)
             gaps[live] = np.maximum(gaps[live], g)
         keep = []
         for j, i in enumerate(live):
             cur = estimate(i, n, vals[j])
-            if prev[i] is not None and close(cur, prev[i], accept):
-                done[i] = (cur, prev[i], float(gaps[i]))
+            if first:
+                est[i] = [estimate(i, n // 4, vals[j][..., ::4]),
+                          estimate(i, n // 2, vals[j][..., ::2]), cur]
             else:
-                prev[i] = cur
+                est[i] = est[i][1:] + [cur]
+            term = _refinement(est[i], scale(cur), accept, n)
+            if term is None:
                 keep.append(j)
+            else:
+                done[i] = (cur, term, float(gaps[i]))
         if not keep:
             return done
         if len(keep) < len(live):
             live, vals = live[keep], vals[keep]
     raise NumericError(f"{name} degree ladder did not converge", operation=op,
-                       value=n, module=_MOD, partial=prev[live[0]])
+                       value=n, module=_MOD, partial=est[live[0]][-1])
 
 
 def _transform_core(model, query, alphas, role_swap=False):
@@ -562,11 +602,10 @@ def _transform_core(model, query, alphas, role_swap=False):
 
     cap = min(1.0, math.exp(-beta * x)) if beta * x >= 0 else math.exp(-beta * x)
     out = []
-    for value, prev, gap in _climb(
-            model, edges, delta, alphas, tol, estimate,
-            lambda v, p, accept: abs(v - p) <= accept * max(abs(v), 1e-300),
+    for value, refine, gap in _climb(
+            model, edges, delta, alphas, tol, estimate, lambda v: max(abs(v), 1e-300),
             "transform", "transform", vals, solve_gap):
-        abs_err = remainder + abs(value - prev) + gap * abs(value)
+        abs_err = remainder + refine + gap * abs(value)
         if value < 0.0:
             abs_err += -value
             value = 0.0
@@ -625,8 +664,7 @@ def _runup_exponent(model, x, ys_eval, delta, alpha, tol):
 
     return _climb(
         model, edges, delta, np.array([alpha]), tol, estimate,
-        lambda R, p, accept: np.max(np.abs(R - p)) <= accept * (1.0 + np.max(np.abs(R))),
-        "run_up_transform", "run-up")[0][0]
+        lambda R: 1.0 + np.max(np.abs(R)), "run_up_transform", "run-up")[0][0]
 
 
 def run_up_transform(model: DiffusionModel, x: float, y: float, delta: float,

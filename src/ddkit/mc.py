@@ -501,7 +501,7 @@ def paired_simulate(model: DiffusionModel, x: float, delta: float,
     Returns (fine, coarse).  Because the arms share every increment,
     the difference of their estimates measures the discretization bias
     of halving dt directly, with far less noise than two independent
-    runs would leave; that is the dt-pair rule's measurement.
+    runs would leave; verify extrapolates the pair toward dt = 0 from it.
     """
     return tuple(_drawdown_paths(model, x, delta, cfg, True))
 

@@ -325,38 +325,93 @@ def test_custom_drifted_bm_tail_where_the_scale_density_is_denormal():
                     rtol=1e-12)
 
 
-def test_ou_transform_window_work_stays_bounded(monkeypatch):
-    """Rows x n_steps over every window solve of one OU transform: a
-    count, so it cannot flake.  221,292 panel nodes when the panel
-    solver was written (the RK4 grids it replaced ran 12,589,056 accepted
-    row-steps); a fallback to step-sized grids would blow this bound."""
-    work = []
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """(rows, panel nodes per row) of every window solve the laws make,
+    in call order."""
+    calls = []
     solve = laws.batch_endpoints
 
     def counted(model, alpha, l, r, *args, **kwargs):
         ep = solve(model, alpha, l, r, *args, **kwargs)
-        work.append(len(l) * ep.n_steps)
+        calls.append((len(l), ep.n_steps))
         return ep
 
     monkeypatch.setattr(laws, "batch_endpoints", counted)
+    return calls
+
+
+def test_ou_transform_window_work_stays_bounded(solver_calls):
+    """Rows x n_steps over every window solve of one OU transform: a
+    count, so it cannot flake.  221,292 panel nodes when the panel
+    solver was written (the RK4 grids it replaced ran 12,589,056 accepted
+    row-steps); a fallback to step-sized grids would blow this bound."""
     joint_transform(OU, DrawdownQuery(0.0, 1.0, alpha=0.5))
+    work = [rows * n_steps for rows, n_steps in solver_calls]
     assert 0 < sum(work) <= 2 * 221_292
 
 
-def test_ou_transform_nodes_come_from_the_mass_table(monkeypatch):
+def test_ou_transform_nodes_come_from_the_mass_table(solver_calls):
     """Rows over every window solve of one OU transform at alpha = ln 2:
     a count, so it cannot flake.  The cubic mesh doubling this replaced
     stopped at 4096 segments, 4097 window solves."""
-    rows = []
-    solve = laws.batch_endpoints
-
-    def counted(model, alpha, l, r, *args, **kwargs):
-        rows.append(len(l))
-        return solve(model, alpha, l, r, *args, **kwargs)
-
-    monkeypatch.setattr(laws, "batch_endpoints", counted)
     joint_transform(OU, DrawdownQuery(0.0, 1.0, alpha=math.log(2.0)))
+    rows = [n for n, _ in solver_calls]
     assert 0 < sum(rows) <= 819
+
+
+@pytest.mark.parametrize("alpha", [0.5, math.log(2.0)])
+def test_ou_transform_accepts_on_the_predicted_gap(solver_calls, alpha):
+    """Counts, so they cannot flake.  OU with delta = 1 climbs past the
+    first rung (its degree 1, 2 and 4 estimates disagree) and accepts
+    degree 16 on the gaps' decay, without the degree-32 rung that only
+    confirmed it: 481 rows when two rungs had to agree, 241 now."""
+    joint_transform(OU, DrawdownQuery(0.0, 1.0, alpha=alpha))
+    assert len(solver_calls) >= 2
+    assert sum(rows for rows, _ in solver_calls) <= 260
+
+
+def test_constant_rate_transforms_accept_on_the_first_rung(solver_calls):
+    """Counts: on BM the outer integrand is exact at every degree, so the
+    degree 1, 2 and 4 estimates of the first rung agree and one solve
+    serves the transform and every node of a tau_cdf t."""
+    joint_transform(BM, DrawdownQuery(0.0, 1.0, alpha=0.5, tol=1e-5))
+    assert len(solver_calls) == 1
+    solver_calls.clear()
+    tau_cdf(BM, DrawdownQuery(0.0, 1.0, tol=1e-5), [0.97])
+    assert len(solver_calls) == 1
+
+
+def test_transform_error_estimates_bound_the_error():
+    """Every abs_error_estimate bounds the distance to a tol-1e-12 run:
+    five models, four alphas, two betas and two tolerances, 80 cases.
+    OU with delta = 2 adds eight: its degree-1, 2 and 4 estimates fall
+    400x and more per step but the next gaps do not, and a rate read off
+    them predicted errors of 2.8e-8 (alpha = 2, beta = 0, tol 1e-5) and
+    4.4e-10 (alpha = ln 2, beta = 0.3, tol 1e-6) where the values were
+    off by 7.4e-6 and 2.5e-8.  The tightest case when this was written:
+    OU, beta = 0.3, alpha = 20 at tol 1e-9, error 1.3e-17 against an
+    estimate of 3.2e-14."""
+    twin = custom_model({"form": "affine", "intercept": 0.0, "slope": -1.0},
+                        {"form": "constant", "value": 1.0})
+    sweep, sweep_tols = [0.1, 0.5, 2.0, 20.0], (1e-9, 1e-6)
+    misses = []
+    for name, m, x, delta, alphas, tols in (
+            ("bm", BM, 0.0, 1.0, sweep, sweep_tols),
+            ("dbm", DBM, 0.0, 1.0, sweep, sweep_tols),
+            ("gbm", geometric_brownian(0.05, 0.04), 1.0, 0.2, sweep, sweep_tols),
+            ("ou", OU, 0.0, 1.0, sweep, sweep_tols),
+            ("twin", twin, 0.0, 1.0, sweep, sweep_tols),
+            ("ou delta 2", OU, -0.5, 2.0, [2.0, math.log(2.0)], (1e-5, 1e-6))):
+        for beta in (0.0, 0.3):
+            q = DrawdownQuery(x, delta, beta=beta, tol=1e-12)
+            ref = laws._transform_core(m, q, alphas)
+            for tol in tols:
+                got = laws._transform_core(m, replace(q, tol=tol), alphas)
+                misses += [(name, beta, tol, a, abs(g.value - r.value), g.abs_error_estimate)
+                           for a, r, g in zip(alphas, ref, got)
+                           if not abs(g.value - r.value) <= g.abs_error_estimate]
+    assert not misses
 
 
 def test_tail_curve_of_a_custom_model_calls_scale_with_arrays(monkeypatch):
@@ -410,6 +465,12 @@ def test_run_up_brownian_closed_form():
     assert run_up_transform(BM, 0.0, 1.0, 1.0, 0.0) == 1.0
     with pytest.raises(ValidationError):
         run_up_transform(BM, 0.0, -0.5, 1.0, 0.5)
+
+
+def test_run_up_on_ou_agrees_with_a_tight_run():
+    for y in (1.0, 2.5):
+        assert_allclose(run_up_transform(OU, 0.0, y, 1.0, 0.5),
+                        run_up_transform(OU, 0.0, y, 1.0, 0.5, tol=1e-12), rtol=0, atol=1e-8)
 
 
 def test_conditional_brownian_closed_form():
@@ -576,18 +637,11 @@ def test_tau_cdf_disagreement_covers_the_nodes_rounding(monkeypatch):
     assert abs(moved[0] - vals[0]) <= details[0].disagreement
 
 
-def test_tau_cdf_solves_all_its_nodes_in_one_call_per_rung(monkeypatch):
+def test_tau_cdf_solves_all_its_nodes_in_one_call_per_rung(solver_calls):
     """Counts, so they cannot flake: the Gaver-Stehfest nodes of every t
     share each outer-ladder rung's window solve.  With one transform per
     node, one t made 36 solver calls and three t made 108."""
-    rows = []
-    solve = laws.batch_endpoints
-
-    def counted(model, alpha, l, r, *args, **kwargs):
-        rows.append(len(l))
-        return solve(model, alpha, l, r, *args, **kwargs)
-
-    monkeypatch.setattr(laws, "batch_endpoints", counted)
+    rows = solver_calls
     tau_cdf(BM, DrawdownQuery(0.0, 1.0, tol=1e-5), [0.97])
     assert 0 < len(rows) <= 3
     rows.clear()
