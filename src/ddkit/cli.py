@@ -39,24 +39,6 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
-COMMANDS = ("tail", "density", "transform", "tau-cdf", "hit", "simulate",
-            "excursions", "verify")
-
-# the one grid each command requires; None means no grid is allowed
-_GRID_FOR = {
-    "tail": "y_grid",
-    "density": "y_grid",
-    "transform": "alpha_grid",
-    "tau-cdf": "t_grid",
-    "hit": "y_grid",
-    "excursions": "y_grid",
-    "simulate": None,
-    "verify": None,
-}
-
-_NEEDS_MC = ("simulate", "excursions", "verify")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated contents of one config file for one command."""
@@ -145,7 +127,7 @@ def parse_run_config(doc: dict, command: str, seed_override=None,
                     for v in raw)
     exit_lower = _number(qdoc, "exit_lower", "query")
 
-    want = _GRID_FOR[command]
+    _, want, needs_mc = _COMMANDS[command]
     gdoc = doc.get("grids", {})
     if not isinstance(gdoc, dict):
         _fail("grids must be an object", value=gdoc)
@@ -161,9 +143,8 @@ def parse_run_config(doc: dict, command: str, seed_override=None,
         grid = _grid_values(gdoc[want], want)
 
     mc_cfg = None
-    if command in _NEEDS_MC:
-        if "mc" not in doc:
-            _fail(f"command {command!r} needs an mc section")
+    if needs_mc and "mc" not in doc:
+        _fail(f"command {command!r} needs an mc section")
     if "mc" in doc:
         mdoc = doc["mc"]
         _require_keys(mdoc, ("n_paths", "dt", "t_max", "seed", "scheme"),
@@ -337,16 +318,19 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if rep.passed else EXIT_VERIFY
 
 
-_DISPATCH = {
-    "tail": _cmd_tail,
-    "density": _cmd_density,
-    "transform": _cmd_transform,
-    "tau-cdf": _cmd_tau_cdf,
-    "hit": _cmd_hit,
-    "simulate": _cmd_simulate,
-    "excursions": _cmd_excursions,
-    "verify": _cmd_verify,
+# command -> (handler, the one grid it requires or None, needs an mc section)
+_COMMANDS = {
+    "tail": (_cmd_tail, "y_grid", False),
+    "density": (_cmd_density, "y_grid", False),
+    "transform": (_cmd_transform, "alpha_grid", False),
+    "tau-cdf": (_cmd_tau_cdf, "t_grid", False),
+    "hit": (_cmd_hit, "y_grid", False),
+    "simulate": (_cmd_simulate, None, True),
+    "excursions": (_cmd_excursions, "y_grid", True),
+    "verify": (_cmd_verify, None, True),
 }
+
+COMMANDS = tuple(_COMMANDS)
 
 
 def main(argv=None) -> int:
@@ -372,7 +356,7 @@ def main(argv=None) -> int:
         cfg = parse_run_config(doc, args.command, seed_override=args.seed,
                                out_override=args.out,
                                format_override=args.format)
-        return _DISPATCH[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC

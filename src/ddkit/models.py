@@ -41,8 +41,6 @@ from .errors import (DomainError, NumericError, UnsupportedModelError,
 
 _MOD = "models"
 
-CATALOG_KINDS = ("bm", "drifted_bm", "gbm", "ou")
-
 
 # ---------------------------------------------------------------------------
 # support types
@@ -450,34 +448,16 @@ _EPS = 2.0 ** -52             # ... or to its rounding noise, about eps max|x| m
 _TP1 = lobatto(_DEGREE).t + 1.0
 _J2 = np.arange(_DEGREE + 1) ** 2.0          # Markov: |g'| <= sum j^2 |c_j| / hs
 _GL_T, _GL_W = leggauss(16)
-_LOOKAHEAD = 2                                 # panels tried in one batch
-
-
-def _trial_tree():
-    """Widths and offsets of the panels one batch tries, per unit trial
-    width: level l holds 4^(l+1) rows, and the children of row i of level
-    l - 1 are rows 4i .. 4i + 3 of level l, starting where row i ends
-    with twice its width and three halvings of that."""
-    splits = 0.5 ** np.arange(4)
-    f, a = [splits], [np.zeros(4)]
-    for _ in range(_LOOKAHEAD - 1):
-        a.append((a[-1] + f[-1]).repeat(4))
-        f.append(np.outer(2.0 * f[-1], splits).ravel())
-    f, a = np.concatenate(f), np.concatenate(a)
-    return f, a, a + f                         # all exact dyadic numbers
-
-
-_TREE_W, _TREE_START, _TREE_END = _trial_tree()
 
 
 class _Side:
     """One side of the table, outward from scale_ref: outer edges, L at each
     panel's left edge and its coefficients, L at the outer edge as a
-    compensated pair, the next trial width and why the last trial failed."""
+    compensated pair, and the width the next panel tries first."""
 
     def __init__(self, ref):
         self.edges, self.off, self.coefs = [ref], [], []
-        self.acc, self.trial, self.why = (0.0, 0.0), 1.0, ""
+        self.acc, self.trial = (0.0, 0.0), 1.0
 
 
 def _add(acc, x):
@@ -495,8 +475,12 @@ def _gl_pieces(L, Lz, lo, hi):
 
 
 class _LogScale:
-    """L(x) = int_ref^x 2 mu / sigma_sq as a piecewise Chebyshev table,
-    grown lazily outward from ref; S' = e^{-L}.  See custom_model."""
+    """L(x) = int_ref^x g, g = 2 mu / sigma_sq, as a piecewise Chebyshev
+    table; S' = e^{-L}.  Its two _Sides grow outward from ref one panel at
+    a time (_extend), under a lock and only as far as the points asked
+    for, and each growth is published as one immutable table that
+    readers take without the lock.  custom_model states the panel rule
+    and its error."""
 
     def __init__(self, drift, dsq, interval, ref):
         self._drift, self._dsq, self._interval = drift, dsq, interval
@@ -531,70 +515,51 @@ class _LogScale:
             return self._tab
 
     def _extend(self, side, s, target, op):
-        """Append panels on one side until its outer edge passes target."""
+        """Append panels on one side until its outer edge passes target.
+
+        A panel starts at the outer edge with the side's trial width, at
+        most half the distance to a finite endpoint, and is halved until
+        sigma_sq > 0 at its nodes, the last three Chebyshev coefficients
+        of g are at most _TAIL max|g| or the rounding noise of g at its
+        nodes, and width * max|g| <= 1.  The next trial is twice the
+        accepted width, so a panel is fixed by the panels between it and
+        ref.  A trial width at or below 1e-12 max(1, |edge|) raises
+        NumericError with the reason the last trial failed.
+        """
         end = self._interval[1] if s > 0 else self._interval[0]
         while side.edges[-1] <= target if s > 0 else side.edges[-1] > target:
             e = side.edges[-1]
-            if not side.trial > 1e-12 * max(1.0, abs(e)):   # bisected to nothing
-                raise NumericError(f"{side.why} near {e:g}", operation=op,
-                                   value=target, module=_MOD)
-            for ne, C in self._panels(side, s, end):
-                off = side.acc[0] + side.acc[1]
-                side.acc = _add(side.acc, s * C.sum())
-                side.off.append(off if s > 0 else side.acc[0] + side.acc[1])
-                side.coefs.append(C)
-                side.edges.append(ne)
-
-    def _panels(self, side, s, end):
-        """Accept the next panels of a side and set its next trial width.
-
-        A panel starts at the outer edge with the trial width and is
-        bisected until g is finite with sigma_sq > 0 at its nodes, its
-        last three Chebyshev coefficients are at most _TAIL max|g| or
-        the rounding noise of g at its nodes, width * max|g| <= 1 and
-        the width is at most half the distance to a finite endpoint; the
-        next trial is twice the accepted width.
-        One batch tries four widths for each of _LOOKAHEAD panels in a
-        row, for every choice of the panels before, and accepts what
-        trying one width at a time would.  The batch is fixed by the edge
-        and the trial width, so its numbers are too.
-        """
-        e, trial = side.edges[-1], side.trial
-        if math.isfinite(end):
-            trial = min(trial, 0.5 * abs(end - e))
-        st = e + trial * _TREE_START if s > 0 else e - trial * _TREE_START
-        ne = e + trial * _TREE_END if s > 0 else e - trial * _TREE_END
-        hs = 0.5 * (ne - st) if s > 0 else 0.5 * (st - ne)
-        x = (st if s > 0 else ne)[:, None] + hs[:, None] * _TP1     # a panel per row
-        with np.errstate(all="ignore"):
-            s2 = self._dsq(x)
-            g = 2.0 * self._drift(x) / s2
-            gc = coefficients(g)
-            gmax = np.abs(g).max(axis=1)
-            # a node is off by up to eps |x|, so g by about eps |x g'|;
-            # near a singular finite endpoint that noise tops _TAIL max|g|
-            noise = _EPS * np.abs(x).max(axis=1) * (np.abs(gc) @ _J2) / hs
-            good = ((s2.min(axis=1) > 0.0) & (hs * gmax <= 0.5)
-                    & (np.abs(gc[:, -3:]).max(axis=1) <= np.maximum(_TAIL * gmax, noise)))
-            if math.isfinite(end):
-                good &= hs <= 0.25 * np.abs(end - st)
-        good = good.tolist()
-        level, i = 0, 0
-        for lev in range(_LOOKAHEAD):
-            r = level + 4 * i
-            if True not in good[r:r + 4]:
-                side.trial = 0.5 * trial * _TREE_W[r + 3]
-                side.why = ("diffusion_sq non-positive on integration path"
-                            if not np.all(s2[r + 3] > 0.0) else
-                            "2 mu / sigma_sq is not finite"
-                            if not np.all(np.isfinite(g[r + 3]))
-                            else "2 mu / sigma_sq is not resolved")
-                return
-            r += good[r:r + 4].index(True)
-            side.trial = 2.0 * trial * _TREE_W[r]
-            yield ne[r], antiderivative(g[r], hs[r])     # L - L(left edge)
-            i = r - level
-            level += 4 ** (lev + 1)
+            w, why = side.trial, "the trial width is at most 1e-12 max(1, |x|)"
+            while True:
+                if not w > 1e-12 * max(1.0, abs(e)):       # bisected to nothing
+                    raise NumericError(f"{why} near {e:g}", operation=op,
+                                       value=float(target), module=_MOD)
+                w = min(w, 0.5 * abs(end - e))
+                ne = e + w if s > 0 else e - w
+                hs = 0.5 * abs(ne - e)
+                x = min(e, ne) + hs * _TP1
+                with np.errstate(all="ignore"):
+                    s2 = self._dsq(x)
+                    g = 2.0 * self._drift(x) / s2
+                    gc = coefficients(g)
+                    gmax = np.abs(g).max()
+                    # a node is off by up to eps |x|, so g by about eps |x g'|;
+                    # near a singular finite endpoint that noise tops _TAIL max|g|
+                    noise = _EPS * np.abs(x).max() * (np.abs(gc) @ _J2) / hs
+                if (s2.min() > 0.0 and hs * gmax <= 0.5
+                        and np.abs(gc[-3:]).max() <= max(_TAIL * gmax, noise)):
+                    break
+                why = ("diffusion_sq non-positive on integration path" if not s2.min() > 0.0
+                       else "2 mu / sigma_sq is not finite" if not np.isfinite(g).all()
+                       else "2 mu / sigma_sq is not resolved")
+                w *= 0.5
+            C = antiderivative(g, hs)                    # L - L(left edge)
+            off = side.acc[0] + side.acc[1]
+            side.acc = _add(side.acc, s * C.sum())
+            side.off.append(off if s > 0 else side.acc[0] + side.acc[1])
+            side.coefs.append(C)
+            side.edges.append(ne)
+            side.trial = 2.0 * w
 
     def density(self, x):
         """S'(x) = e^{-L(x)}."""
@@ -609,18 +574,7 @@ class _LogScale:
         pieces: [a, b] (or [b, a]) is cut at panel edges, whole panels add
         e^{L(z) - off} times their stored integral and the two end pieces
         get Gauss-Legendre on e^{L(z) - L}."""
-        a, b, z = (np.asarray(v, dtype=float) for v in (a, b, z))
-        if a.ndim == b.ndim == z.ndim == 0:    # the laws' scalar calls: no array bookkeeping
-            lo, hi = (float(a), float(b)) if a <= b else (float(b), float(a))
-            L, full = self._covering(min(lo, float(z)), max(hi, float(z)), "scale")
-            Lz = L(z[None])
-            ka, kb = np.searchsorted(L.edges, (lo, hi), side="right") - 1
-            ends = _gl_pieces(L, Lz, np.array([lo, max(L.edges[kb], lo)]),
-                              np.array([min(hi, L.edges[ka + 1]), hi]))
-            out = ends[0] if ka == kb else (
-                ends[0] + np.exp(Lz[0] - L.offsets[ka + 1:kb]) @ full[ka + 1:kb] + ends[1])
-            return out if a <= b else -out
-        a, b, z = np.broadcast_arrays(a, b, z)
+        a, b, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, z)))
         if a.size == 0:
             return np.zeros(a.shape)
         lo, hi, zs = np.minimum(a, b).ravel(), np.maximum(a, b).ravel(), z.ravel()
@@ -687,7 +641,7 @@ def custom_model(drift_form: dict, diffusion_sq_form: dict,
 
     A g that is not finite, sigma_sq <= 0, or a g not resolved by panels
     down to a width of 1e-12 max(1, |x|), on the way from scale_ref to a
-    point, raises NumericError.
+    point, raises NumericError naming which.
     """
     interval = _check_interval(interval, "custom_model")
     ref = _check_ref(scale_ref if scale_ref is not None else _default_ref(interval),
@@ -717,26 +671,15 @@ def custom_model(drift_form: dict, diffusion_sq_form: dict,
 # JSON ingestion
 # ---------------------------------------------------------------------------
 
-_CONSTRUCTORS = {
-    "bm": brownian,
-    "drifted_bm": drifted_brownian,
-    "gbm": geometric_brownian,
-    "ou": ornstein_uhlenbeck,
+# kind -> (constructor, the params it takes, the params it needs)
+_KINDS = {
+    "bm": (brownian, {"sigma_sq"}, set()),
+    "drifted_bm": (drifted_brownian, {"mu", "sigma_sq"}, {"mu"}),
+    "gbm": (geometric_brownian, {"mu_bar", "sigma_bar_sq"}, {"mu_bar", "sigma_bar_sq"}),
+    "ou": (ornstein_uhlenbeck, {"theta", "mean", "sigma_sq"}, {"theta"}),
 }
 
-_KIND_PARAMS = {
-    "bm": {"sigma_sq"},
-    "drifted_bm": {"mu", "sigma_sq"},
-    "gbm": {"mu_bar", "sigma_bar_sq"},
-    "ou": {"theta", "mean", "sigma_sq"},
-}
-
-_KIND_REQUIRED = {
-    "bm": set(),
-    "drifted_bm": {"mu"},
-    "gbm": {"mu_bar", "sigma_bar_sq"},
-    "ou": {"theta"},
-}
+CATALOG_KINDS = tuple(_KINDS)
 
 _DOC_KEYS = {"kind", "params", "interval", "model_id"}
 
@@ -786,20 +729,20 @@ def model_from_dict(doc: dict) -> DiffusionModel:
                             scale_ref=params.get("scale_ref"),
                             model_id=model_id)
 
-    allowed = _KIND_PARAMS[kind] | {"scale_ref"}
-    extra = set(params) - allowed
+    make, allowed, required = _KINDS[kind]
+    extra = set(params) - allowed - {"scale_ref"}
     if extra:
         raise ValidationError(f"unknown params for kind {kind!r}: {sorted(extra)}",
                               operation="model_from_dict", value=sorted(extra),
                               module=_MOD)
-    missing = sorted(_KIND_REQUIRED[kind] - set(params))
+    missing = sorted(required - set(params))
     if missing:
         raise ValidationError(f"kind {kind!r} needs params {missing}",
                               operation="model_from_dict", value=missing,
                               module=_MOD)
     kwargs = {k: real(v, f"params.{k}", "model_from_dict", _MOD)
               for k, v in params.items()}
-    return _CONSTRUCTORS[kind](interval=interval, model_id=model_id, **kwargs)
+    return make(interval=interval, model_id=model_id, **kwargs)
 
 
 def model_from_json(text: str) -> DiffusionModel:

@@ -393,6 +393,26 @@ def test_custom_scale_past_a_zero_of_diffusion_sq_is_numeric_error():
         scale_diff(m, 4.0, 6.0)
 
 
+@pytest.mark.parametrize("drift, dsq, kw, x, why", [
+    ({"form": "constant", "value": 0.5}, {"form": "affine", "intercept": 1.0, "slope": -0.2},
+     {}, 6.0, "2 mu / sigma_sq is not resolved near 5"),
+    ({"form": "constant", "value": 0.5}, {"form": "affine", "intercept": 1.0, "slope": -1.0},
+     {"interval": (-10.0, 10.0), "scale_ref": -5.0}, 2.0,
+     "diffusion_sq non-positive on integration path near 1"),
+    ({"form": "power", "coef": 1.0, "exponent": -1.0}, {"form": "constant", "value": 1.0},
+     {"scale_ref": 0.0}, 1.0, "2 mu / sigma_sq is not finite near 0"),
+], ids=["diffusion_sq_zero_at_5", "diffusion_sq_zero_at_1_in_a_finite_interval",
+        "drift_pole_at_ref"])
+def test_custom_scale_refusal_names_its_reason(drift, dsq, kw, x, why):
+    # the table creeps toward sigma^2 = 0 by ever narrower accepted panels
+    # before it refuses; the reason must be the last trial's, never empty
+    m = custom_model(drift, dsq, **kw)
+    with pytest.raises(NumericError) as err:
+        scale_density(m, x)
+    assert why in str(err.value)
+    assert type(err.value.value) is float and err.value.value == x
+
+
 def _twin_values(m, order):
     out = {}
     for lo, hi in order:
@@ -444,9 +464,10 @@ def test_custom_scale_from_threads_matches_one_thread():
 
 def test_custom_scale_table_work_stays_bounded(monkeypatch):
     """Points at which one tail curve of a fresh OU twin evaluates the
-    drift: a count, so it cannot flake.  3,000 (six batches of panel
-    trials) when the table was written, against 121,947 for per-point
-    nested quadrature; panels that stop growing would blow this bound."""
+    drift: a count, so it cannot flake.  650 (26 panel trials of 25
+    points) when the table was grown one panel at a time, against 121,947
+    for per-point nested quadrature; panels that stop growing would blow
+    this bound."""
     points = []
     build = models._build_form
 
@@ -462,7 +483,7 @@ def test_custom_scale_table_work_stays_bounded(monkeypatch):
 
     monkeypatch.setattr(models, "_build_form", counted)
     tail_curve(_ou_twin(), DrawdownQuery(0.0, 1.0), np.linspace(0.2, 2.4, 12))
-    assert 0 < sum(points) <= 2 * 3_000
+    assert 0 < sum(points) <= 2 * 650
 
 
 def test_custom_scale_grows_to_a_singular_finite_endpoint(monkeypatch):
