@@ -16,7 +16,7 @@ The API is endpoint-only: batch_endpoints returns (u, u', v, v') at the
 right end of every window and nothing in between, which is all any law
 needs.  A value inside a window is the endpoint of a shorter window with
 the same left end, and hitting and exit transforms are quotients of
-right-end values of two windows (see laws.exit_transform).
+right-end values of two windows (see laws._passage).
 
 Integration multiplies Chebyshev panel propagators, batched over
 windows, each window at its own alpha or all at one.  A window is cut

@@ -250,6 +250,9 @@ def _cmd_tau_cdf(cfg: RunConfig) -> int:
 
 
 def _cmd_hit(cfg: RunConfig) -> int:
+    """(y, value) rows: laws.exit_transform with query.exit_lower, else
+    laws.hitting_laplace, truncated at the edge of the optional
+    query.box; a value that depends on an end of the state space exits 2."""
     rows = []
     for y in cfg.grid:
         if cfg.exit_lower is not None:

@@ -50,7 +50,7 @@ from numpy.polynomial.legendre import leggauss
 from . import invlap
 from .basis import OdeSettings, batch_endpoints
 from .chebyshev import Panels, antiderivative, coefficients, lobatto, series
-from .errors import (DegenerateBasisError, NumericError, UnsupportedModelError,
+from .errors import (DegenerateBasisError, DomainError, NumericError,
                      ValidationError, pair, real, real_array)
 from .models import (DiffusionModel, _require_interior, _require_window,
                      _scale_ratio, scale_density, scale_diff)
@@ -709,39 +709,63 @@ def conditional_laplace(model: DiffusionModel, query: DrawdownQuery,
 # hitting and exit transforms
 # ---------------------------------------------------------------------------
 
-def _psi_ratio(model, alpha, l, r, settings, op):
-    """S'(l0) u_[l0, r0](r0) / (S'(l1) u_[l1, r1](r1)) from one solve of two
-    windows with a shared left end (S' factor 1) or right end (factor
-    e^{log_w1 - log_w0}); exit_transform states the identity behind it.
-    At alpha = 0, S'(l) u_[l, r](r) = S(r) - S(l), both over S' at the end
-    z of [l1, r1] where S' is larger: the smaller of the two anchored
-    denominators.  Quotients anchored there stay finite where those
-    anchored at the other end overflow."""
+def _passage(model, x, t, o, alpha, op):
+    """(v, v_refl, err): E^x[e^{-alpha T_t}; T_t < T_o] with o absorbing,
+    the same with o reflecting (t and o on either side of x), and their
+    relative accuracy.
+
+    Each is phi(x) / phi(t), phi the solution vanishing or flat at o
+    (Borodin & Salminen, Handbook of Brownian Motion, II.10): u or v of
+    the window [o, z] at z, or with o above, S'(z) u or S'(z) u' of
+    [z, o] at o (the Wronskian of [l, r] grows from 1 to S'(r) / S'(l),
+    so each is one solution whatever z), S'(x) / S'(t) from the log_w
+    of the short window [t, x].  err is the solve's endpoint_gap plus
+    1e-14 (1 + the logs in the quotient).  At alpha = 0, v_refl = 1 and
+    v = (S(o) - S(x)) / (S(o) - S(t)), over S' where it is larger.
+    """
+    num, den = ((x, o), (t, o)) if t < x else ((o, x), (o, t))
     if alpha == 0.0:
         with np.errstate(over="ignore", invalid="ignore"):
-            dens = [(float(model.scale_ratio_fn(l[1], r[1], z)), z) for z in (l[1], r[1])]
+            dens = [(float(model.scale_ratio_fn(*den, z)), z) for z in den]
         dens = [d for d in dens if math.isfinite(d[0])]
         if not dens:
             raise NumericError("scale quotient is not finite", operation=op,
-                               value=(l[1], r[1]), module=_MOD)
-        den, z = min(dens)
-        return _scale_ratio(model, l[0], r[0], z, op) / den
-    ep = batch_endpoints(model, alpha, np.asarray(l, dtype=float),
-                         np.asarray(r, dtype=float), settings)
-    if not np.all(np.isfinite(ep.u_r) & (ep.u_r > 0.0)):
-        raise DegenerateBasisError("window endpoint value is not finite and "
-                                   "positive", operation=op, value=(l, r),
-                                   module=_MOD)
-    log_sp = 0.0 if l[0] == l[1] else ep.log_w[1] - ep.log_w[0]
-    return math.exp(math.log(ep.u_r[0]) - math.log(ep.u_r[1])
-                    + ep.lam[0] - ep.lam[1] + log_sp)
+                               value=den, module=_MOD)
+        d, z = min(dens)
+        return _scale_ratio(model, *num, z, op) / d, 1.0, _NODE_ROUNDING
+    l, r = np.array([num, den, (t, x)] if t < x else [num, den]).T
+    ep = batch_endpoints(model, alpha, l, r, _settings_for(1e-9))
+    ends = np.array([ep.u_r, ep.up_r if t < x else ep.v_r])[:, :2]
+    if not np.all(np.isfinite(ends) & (ends > 0.0)):
+        raise DegenerateBasisError("window endpoint value is not finite and positive",
+                                   operation=op, value=(num, den), module=_MOD)
+    log_sp = ep.log_w[2] if t < x else 0.0
+    q = np.exp(np.log(ends[:, 0] / ends[:, 1]) + ep.lam[0] - ep.lam[1] + log_sp)
+    logs = 1.0 + abs(ep.lam[0]) + abs(ep.lam[1]) + abs(log_sp)
+    return float(q[0]), float(q[1]), float(ep.endpoint_gap + _NODE_ROUNDING * logs)
 
 
-def _truncated_hit(model, x, y, alpha, lo, hi, settings):
-    """One-sided hitting transform with the far end absorbing at the
-    box edge."""
-    l, r = ([lo, lo], [x, y]) if x < y else ([x, y], [hi, hi])
-    return _psi_ratio(model, alpha, l, r, settings, "hitting_laplace")
+def _hit_rounds(model, x, y, far, alpha, op):
+    """_passage of the first round of hitting_laplace without a box whose
+    spread |v_refl - v| is at most 1e-9 v, or DomainError."""
+    prev, why = math.inf, "60 rounds left the spread above 1e-9 of the value"
+    for k in range(1, 61):
+        o = (far + (x - far) / 4.0 ** k if math.isfinite(far)
+             else x - math.copysign(abs(y - x) * 2.0 ** k, y - x))
+        if math.isfinite(far) and not abs(o - far) > 1e-12 * max(1.0, abs(far)):
+            why = "o came within 1e-12 max(1, |end|) of the end"
+            break
+        v, refl, err = _passage(model, x, y, o, alpha, op)
+        if abs(refl - v) <= 1e-9 * v:
+            return v, refl, err
+        if not abs(refl - v) < prev:
+            why = f"the spread stopped shrinking at {abs(refl - v):.3g}"
+            break
+        prev = abs(refl - v)
+    raise DomainError(f"the value depends on the end {far:g} beyond x, as absorbing "
+                      f"and reflecting at a level o there disagree: {why}; a box "
+                      "(lo, hi) truncates at its edge with a bound",
+                      operation=op, value=(x, y, alpha), module=_MOD)
 
 
 def hitting_laplace(model: DiffusionModel, x: float, y: float, alpha: float,
@@ -749,81 +773,69 @@ def hitting_laplace(model: DiffusionModel, x: float, y: float, alpha: float,
                     full_output: bool = False):
     """E^x[e^{-alpha T_y}] for the first passage to level y.
 
-    Catalog models with closed-form extreme solutions evaluate the
-    exact ratio.  Otherwise a truncation box (lo, hi) bracketing x and
-    y must be given: the transform is computed with an absorbing end
-    pushed to the box edge, re-solved on an enlarged box, and the
-    difference reported as the truncation sensitivity (full_output
-    returns the (value, sensitivity) pair).
+    A model with an exact_step of kind arith or loggauss is a drifted BM
+    (mu, s2) in xi = x or log x; where its end beyond x (below x when
+    y > x) is at xi = -+inf, the value is exp(-r |xi(y) - xi(x)|),
+    r = (sqrt(mu^2 + 2 alpha s2) - sign(y - x) mu) / s2.  Otherwise that
+    end is truncated at o.  E^z[e^{-alpha T_y}] is monotone in z, so on
+    [o, y] it combines the solutions vanishing and flat at o with weights
+    of one sign: the value lies between v and v_refl of _passage whatever
+    the process does past o.  (v_refl - v = v e h / (1 - e h), e the
+    discounted mass reaching o first, h <= 1 the reflected one back to x.)
 
-    On a box the transform is a ratio of one solution at two points
-    (Borodin & Salminen, Handbook of Brownian Motion, II.10).  As in
-    exit_transform, downward it is psi(x) / psi(y) with psi vanishing at
-    hi, that is S'(x) u_[x, hi](hi) / (S'(y) u_[y, hi](hi)); upward it is
-    u_[lo, x](x) / u_[lo, y](y).  Each is one two-window solve.
+    o is the edge beyond x of a box (lo, hi) bracketing x and y.  Without
+    one, o = x -+ |y - x| 2^k toward an infinite end, or A + (x - A) / 4^k
+    toward a finite one A, k = 1, 2, ..., until |v_refl - v| <= 1e-9 v.
+    A spread that stops shrinking, an o within 1e-12 max(1, |A|) of A or
+    60 rounds raise DomainError: the value depends on the end (a regular
+    finite A, or escape at alpha = 0, where v_refl = 1), out of scope.
+    full_output returns (value, |v_refl - v| + err v + any clip move);
+    the closed form reports 0.
     """
     op = "hitting_laplace"
     x, y = real(x, "x", op, _MOD), real(y, "y", op, _MOD)
     alpha = real(alpha, "alpha", op, _MOD, 0.0)
     _require_interior(model, np.array([x, y]), op)
+    if box is not None:
+        lo, hi = (real(v, "box entry", op, _MOD) for v in pair(box, "box", op, _MOD))
+        _require_interior(model, np.array([lo, hi]), op)
+        if not (lo < min(x, y) and hi > max(x, y)):
+            raise ValidationError("box must strictly bracket x and y",
+                                  operation=op, value=(lo, hi), module=_MOD)
     if x == y:
         return (1.0, 0.0) if full_output else 1.0
-    if model.eig is not None:
-        ratios = model.eig(alpha)
-        val = ratios.increasing(x, y) if x < y else ratios.decreasing(x, y)
-        val = min(float(val), 1.0)
-        return (val, 0.0) if full_output else val
-    if box is None:
-        raise UnsupportedModelError(
-            "no closed-form extreme solutions for this model; supply a "
-            "truncation box (lo, hi) bracketing x and y",
-            operation=op, value=model.model_id, module=_MOD)
-    lo, hi = (real(v, "box entry", op, _MOD) for v in pair(box, "box", op, _MOD))
-    _require_interior(model, np.array([lo, hi]), op)
-    if not (lo < min(x, y) and hi > max(x, y)):
-        raise ValidationError("box must strictly bracket x and y",
-                              operation=op, value=(lo, hi), module=_MOD)
-    settings = _settings_for(1e-9)
-    v1 = _truncated_hit(model, x, y, alpha, lo, hi, settings)
-    a, b = model.interval
-    lo2 = a + (lo - a) / 4.0 if math.isfinite(a) else 2.0 * lo - min(x, y)
-    hi2 = b - (b - hi) / 4.0 if math.isfinite(b) else 2.0 * hi - max(x, y)
-    v2 = _truncated_hit(model, x, y, alpha, lo2, hi2, settings)
-    val = min(max(v2, 0.0), 1.0)
-    sens = abs(v2 - v1)
-    return (val, sens) if full_output else val
+    step, far = model.exact_step, model.interval[0] if y > x else model.interval[1]
+    if box is None and step and step.kind in ("arith", "loggauss") and (
+            not math.isfinite(far) or far == 0.0 and step.kind == "loggauss"):
+        mu, s2 = step.mu_sim, step.sig_sq_sim
+        d = y - x if step.kind == "arith" else math.log(y / x)
+        r = (math.sqrt(mu * mu + 2.0 * alpha * s2) - math.copysign(1.0, d) * mu) / s2
+        return (math.exp(-r * abs(d)), 0.0) if full_output else math.exp(-r * abs(d))
+    v, refl, err = (_hit_rounds(model, x, y, far, alpha, op) if box is None else
+                    _passage(model, x, y, lo if y > x else hi, alpha, op))
+    val = min(max(v, 0.0), 1.0)
+    bound = abs(refl - v) + err * v + abs(val - v)
+    return (val, bound) if full_output else val
 
 
 def exit_probability(model: DiffusionModel, x: float, a: float,
                      bnd: float) -> float:
-    """P^x(T_a < T_bnd) = (S(bnd) - S(x)) / (S(bnd) - S(a))."""
-    return _exit(model, x, a, bnd, 0.0, None, "exit_probability")
+    """P^x(T_a < T_bnd), exit_transform at alpha = 0."""
+    return exit_transform(model, x, a, bnd, 0.0)
 
 
 def exit_transform(model: DiffusionModel, x: float, a: float, bnd: float,
-                   alpha: float, settings: OdeSettings | None = None) -> float:
-    """E^x[e^{-alpha T_a}; T_a < T_bnd] = psi(x) / psi(a).
-
-    psi is the solution vanishing at bnd.  The Wronskian u'v - uv' of the
-    basis of a window [l, r] grows from 1 to S'(r) / S'(l), so
-    S'(l) (v(r) u - u(r) v) is psi with psi'(bnd) = S'(bnd) for any l, and
-    psi(l) = -S'(l) u_[l, bnd](bnd).  The value is the quotient of the
-    right-end values of one solve of [x, bnd] and [a, bnd] times
-    S'(x) / S'(a) = e^{log_w_a - log_w_x}; at alpha = 0, exit_probability.
-    """
-    return _exit(model, x, a, bnd, alpha, settings, "exit_transform")
-
-
-def _exit(model, x, a, bnd, alpha, settings, op):
+                   alpha: float) -> float:
+    """E^x[e^{-alpha T_a}; T_a < T_bnd] for a < x < bnd: _passage to a with
+    bnd absorbing, clipped to [0, 1]."""
+    op = "exit_transform"
     x, a, bnd = (real(v, n, op, _MOD) for v, n in ((x, "x"), (a, "a"), (bnd, "bnd")))
     alpha = real(alpha, "alpha", op, _MOD, 0.0)
     _require_interior(model, np.array([a, bnd, x]), op)
     if not (a < x < bnd):
         raise ValidationError("need a < x < bnd", operation=op,
                               value=(a, x, bnd), module=_MOD)
-    val = _psi_ratio(model, alpha, [x, a], [bnd, bnd],
-                     settings or _settings_for(1e-9), op)
-    return min(max(val, 0.0), 1.0)
+    return min(max(_passage(model, x, a, bnd, alpha, op)[0], 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

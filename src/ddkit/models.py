@@ -13,11 +13,11 @@ and the speed density m'(x) = 2 / (sigma_sq(x) S'(x)).
 Every model carries S' and that quotient as two required array
 callables; ``scale_density``, ``scale_diff`` and ``scale`` read them
 with S'(scale_ref) = 1.  The catalog kinds (bm, drifted_bm, gbm, ou)
-give both in closed form, along with eigenfunction ratios where
-elementary ones exist and exact Gaussian transition steps used by the
-Monte Carlo engine.  Custom models are assembled from named coefficient
-forms and get both from one table of log S', piecewise Chebyshev and
-grown lazily outward from scale_ref.
+give both in closed form, and the exact Gaussian step of the Monte
+Carlo engine, which also marks a drifted BM in x or log x for the
+hitting transform's closed form.  Custom models are assembled from
+named coefficient forms and get both from one table of log S',
+piecewise Chebyshev and grown lazily outward from scale_ref.
 
 ``scale_ref`` is the normalization point where S' = 1; it is distinct
 from the anchor of a ScaleMap, which only fixes where S vanishes.
@@ -47,20 +47,6 @@ _MOD = "models"
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class EigenRatios:
-    """Closed-form ratios of the monotone eigenfunctions at level alpha.
-
-    increasing(x, y) = g1(x)/g1(y) for the increasing solution g1 of
-    (1/2) sigma_sq g'' + mu g' = alpha g, and decreasing(x, y) likewise
-    for the decreasing solution g2.  Ratios avoid overflow for large
-    arguments, which is all the hitting-time law needs.
-    """
-
-    increasing: Callable[[float, float], float]
-    decreasing: Callable[[float, float], float]
-
-
-@dataclass(frozen=True, eq=False)
 class ExactStepSpec:
     """Exact Gaussian transition structure for the Monte Carlo engine.
 
@@ -73,7 +59,9 @@ class ExactStepSpec:
 
     sig_sq_sim is the (constant) local variance rate in the sim
     coordinate, which the Brownian-bridge crossing/extreme corrections
-    use too.
+    use too.  arith and loggauss also mark the model as a drifted BM
+    (mu_sim, sig_sq_sim) in the sim coordinate, whose first-passage
+    transform laws.hitting_laplace takes in closed form.
     """
 
     kind: str
@@ -92,7 +80,10 @@ class DiffusionModel:
     at scale_ref; ``scale_ratio_fn(a, b, z)`` is (S(b) - S(a)) / S'(z),
     a, b and z broadcast, formed without subtracting two values of S or
     dividing by a value of S', which cancel or leave the float range
-    far from scale_ref where the quotient does not.
+    far from scale_ref where the quotient does not.  exact_step, when
+    present, is the Monte Carlo step and, for kinds arith and loggauss,
+    the hitting transform's closed form; every other law reads only the
+    coefficients and the two scale callables.
     """
 
     model_id: str
@@ -104,7 +95,6 @@ class DiffusionModel:
     scale_ratio_fn: Callable
     scale_ref: float = 0.0
     params: dict = field(default_factory=dict)
-    eig: Callable[[float], EigenRatios] | None = None
     exact_step: ExactStepSpec | None = None
 
     def contains(self, x) -> bool:
@@ -248,14 +238,6 @@ def brownian(sigma_sq: float = 1.0, interval=(-math.inf, math.inf),
     interval = _check_interval(interval, "brownian")
     ref = _check_ref(scale_ref if scale_ref is not None else _default_ref(interval),
                      interval, "brownian")
-
-    def eig(alpha):
-        k = math.sqrt(2.0 * alpha / sigma_sq)
-        return EigenRatios(
-            increasing=lambda x, y: math.exp(k * (x - y)),
-            decreasing=lambda x, y: math.exp(-k * (x - y)),
-        )
-
     return DiffusionModel(
         model_id=model_id, kind="bm",
         drift=lambda x: 0.0 * np.asarray(x, dtype=float),
@@ -264,7 +246,6 @@ def brownian(sigma_sq: float = 1.0, interval=(-math.inf, math.inf),
         params={"sigma_sq": sigma_sq},
         scale_density_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         scale_ratio_fn=lambda a, b, z: np.subtract(b, a, dtype=float),
-        eig=eig,
         exact_step=ExactStepSpec(kind="arith", mu_sim=0.0, sig_sq_sim=sigma_sq),
     )
 
@@ -291,15 +272,6 @@ def drifted_brownian(mu: float, sigma_sq: float = 1.0,
         return (np.sign(b - a) * np.exp(-g * (m - z))
                 * (-np.expm1(-abs(g) * np.abs(b - a))) / abs(g))
 
-    def eig(alpha):
-        disc = math.sqrt(mu * mu + 2.0 * alpha * sigma_sq)
-        r_up = (-mu + disc) / sigma_sq
-        r_dn = (-mu - disc) / sigma_sq
-        return EigenRatios(
-            increasing=lambda x, y: math.exp(r_up * (x - y)),
-            decreasing=lambda x, y: math.exp(r_dn * (x - y)),
-        )
-
     return DiffusionModel(
         model_id=model_id, kind="drifted_bm",
         drift=lambda x: mu + 0.0 * np.asarray(x, dtype=float),
@@ -308,7 +280,6 @@ def drifted_brownian(mu: float, sigma_sq: float = 1.0,
         params={"mu": mu, "sigma_sq": sigma_sq},
         scale_density_fn=lambda x: np.exp(-g * (np.asarray(x, dtype=float) - ref)),
         scale_ratio_fn=scale_ratio_fn,
-        eig=eig,
         exact_step=ExactStepSpec(kind="arith", mu_sim=mu, sig_sq_sim=sigma_sq),
     )
 
@@ -341,15 +312,6 @@ def geometric_brownian(mu_bar: float, sigma_bar_sq: float,
         return (np.sign(b - a) * (z / abs(q)) * (m / z) ** q
                 * -np.expm1(-abs(q) * np.abs(np.log1p((b - a) / a))))
 
-    def eig(alpha):
-        disc = math.sqrt((1.0 - p) ** 2 + 8.0 * alpha / sigma_bar_sq)
-        q_up = 0.5 * ((1.0 - p) + disc)
-        q_dn = 0.5 * ((1.0 - p) - disc)
-        return EigenRatios(
-            increasing=lambda x, y: (x / y) ** q_up,
-            decreasing=lambda x, y: (x / y) ** q_dn,
-        )
-
     return DiffusionModel(
         model_id=model_id, kind="gbm",
         drift=lambda x: mu_bar * np.asarray(x, dtype=float),
@@ -358,7 +320,6 @@ def geometric_brownian(mu_bar: float, sigma_bar_sq: float,
         params={"mu_bar": mu_bar, "sigma_bar_sq": sigma_bar_sq},
         scale_density_fn=lambda x: (np.asarray(x, dtype=float) / ref) ** (-p),
         scale_ratio_fn=scale_ratio_fn,
-        eig=eig,
         exact_step=ExactStepSpec(kind="loggauss",
                                  mu_sim=mu_bar - 0.5 * sigma_bar_sq,
                                  sig_sq_sim=sigma_bar_sq),
@@ -396,7 +357,6 @@ def ornstein_uhlenbeck(theta: float, mean: float = 0.0, sigma_sq: float = 1.0,
         scale_density_fn=lambda x: np.exp(k * ((np.asarray(x, dtype=float) - mean) ** 2
                                                - (ref - mean) ** 2)),
         scale_ratio_fn=scale_ratio_fn,
-        eig=None,  # no elementary eigenfunctions; hitting uses a truncation box
         exact_step=ExactStepSpec(kind="ou", theta=theta, mean=mean, sig_sq_sim=sigma_sq),
     )
 

@@ -231,14 +231,31 @@ def test_hit_with_lower_exit_barrier(tmp_path, capsys):
     assert value == pytest.approx(EXIT_RATIO, rel=1e-9)
 
 
-def test_ou_hit_needs_box_exits_2(tmp_path, capsys):
+def test_ou_hit_without_box_exits_0(tmp_path, capsys):
+    # the far end is pushed out until it no longer matters
     doc = {"model": {"kind": "ou", "params": {"theta": 1.0}},
            "query": {"x": 0.0, "delta": 1.0, "alpha": 0.5},
            "grids": {"y_grid": [1.0]}}
     cfg = write_cfg(tmp_path, doc)
-    code, _, err = run(["hit", "--config", cfg], capsys)
+    code, out, _ = run(["hit", "--config", cfg], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "y,value"
+    # parabolic-cylinder ratio, as HIT_OU in test_laws
+    assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(
+        0.33788458755196843, rel=1e-9)
+
+
+def test_hit_on_a_finite_interval_exits_2(tmp_path, capsys):
+    # BM on [0, 10] from 1 to 2 may reach 0 first, and what it does there
+    # is out of scope
+    doc = bm_doc(grids={"y_grid": [2.0]})
+    doc["model"]["interval"] = [0.0, 10.0]
+    doc["query"].update(x=1.0, delta=0.5, alpha=0.5)
+    cfg = write_cfg(tmp_path, doc)
+    code, out, err = run(["hit", "--config", cfg], capsys)
     assert code == 2
-    assert "box" in err
+    assert out == ""
+    assert "depends on the end 0" in err
 
 
 def test_density_tracks_tail_slope(tmp_path, capsys):

@@ -3,6 +3,7 @@ transform, conditional and run-up factors, hitting and exit transforms,
 and the inverted CDF of tau."""
 
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -15,7 +16,6 @@ from ddkit import (
     McConfig,
     NumericError,
     PathSample,
-    UnsupportedModelError,
     ValidationError,
     brownian,
     custom_model,
@@ -523,9 +523,11 @@ def test_hitting_closed_forms():
                     math.exp(-2.0), rtol=1e-12)
 
 
-def test_hitting_ou_needs_box_and_matches_special_function():
-    with pytest.raises(UnsupportedModelError):
-        hitting_laplace(OU, 0.0, 1.0, 0.5)
+def test_hitting_ou_matches_special_function():
+    # without a box the far end is pushed out until absorbing and
+    # reflecting there agree; the returned bound covers the frozen value
+    val, bound = hitting_laplace(OU, 0.0, 1.0, 0.5, full_output=True)
+    assert abs(val - HIT_OU) <= bound <= 1e-9 * HIT_OU
     with pytest.raises(ValidationError):
         hitting_laplace(OU, 0.0, 1.0, 0.5, box=(0.5, 6.0))
     for box in ((-3.0, 3.0, 4.0), 5.0):
@@ -538,6 +540,64 @@ def test_hitting_ou_needs_box_and_matches_special_function():
     # downward passage through the restoring drift
     down = hitting_laplace(OU, 1.0, -0.5, 0.8, box=(-6.0, 6.0))
     assert 0.0 < down < 1.0
+
+
+def test_hitting_refuses_a_reachable_finite_end():
+    # BM absorbed at 0 gives sinh(1) / sinh(2) and reflected at 0
+    # cosh(1) / cosh(2): on (0, 10) the value depends on the end, so the
+    # catalog model and its custom twin both refuse without a box
+    bm = brownian(interval=(0.0, 10.0))
+    twin = custom_model({"form": "constant", "value": 0.0},
+                        {"form": "constant", "value": 1.0}, interval=(0.0, 10.0))
+    for m in (bm, twin):
+        with pytest.raises(DomainError):
+            hitting_laplace(m, 1.0, 2.0, 0.5)
+    # with the same box both truncate at its edge, and the bound holds
+    # the value absorbed at 0
+    (v1, b1), (v2, b2) = (hitting_laplace(m, 1.0, 2.0, 0.5, box=(1e-9, 3.0),
+                                          full_output=True) for m in (bm, twin))
+    assert abs(v1 - v2) <= b1 + b2
+    assert v1 <= math.sinh(1.0) / math.sinh(2.0) <= v1 + b1
+    # a box given to a whole-line model is a truncation too, not ignored
+    val, bound = hitting_laplace(BM, 1.0, 2.0, 0.5, box=(0.5, 3.0), full_output=True)
+    assert val < HIT_BM <= val + bound
+    # GBM on (0.5, inf) no longer takes the (0, inf) closed form
+    gbm = geometric_brownian(mu_bar=0.1, sigma_bar_sq=0.3, interval=(0.5, math.inf))
+    with pytest.raises(DomainError):
+        hitting_laplace(gbm, 1.0, 2.0, 0.5)
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0, -1.0])
+def test_custom_twins_hit_within_their_bound(mu):
+    # the twin has no closed form: its far end is pushed out round by
+    # round, and the bound it returns must cover its distance to the
+    # catalog closed form.  Against the drift at alpha = 0 the path may
+    # escape to the far end, so there the twin refuses
+    cat = drifted_brownian(mu) if mu else BM
+    twin = custom_model({"form": "constant", "value": mu},
+                        {"form": "constant", "value": 1.0})
+    for x, y in ((0.0, 1.0), (1.0, 0.0), (0.3, 2.5)):
+        for alpha in (0.0, 1e-5, 0.5, 50.0):
+            ref = hitting_laplace(cat, x, y, alpha)
+            if alpha == 0.0 and mu * (y - x) < 0.0:
+                with pytest.raises(DomainError):
+                    hitting_laplace(twin, x, y, alpha)
+                continue
+            val, bound = hitting_laplace(twin, x, y, alpha, full_output=True)
+            assert abs(val - ref) <= bound <= 1e-9 * ref, (x, y, alpha)
+
+
+@pytest.mark.parametrize("mu", [-1.0, -50.0])
+def test_escape_refusal_is_quick(mu):
+    # at alpha = 0 against the drift the spread between absorbing and
+    # reflecting at the far end stops shrinking within a few rounds; the
+    # refusal must not grow the table or the windows for long
+    twin = custom_model({"form": "constant", "value": mu},
+                        {"form": "constant", "value": 1.0})
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        hitting_laplace(twin, 0.0, 1.0, 0.0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exit_transforms():
