@@ -64,6 +64,9 @@ _MASS_CUT = -math.log(1e-14)
 # survival mass a table panel is sized to carry: at a constant rate
 # sixteen panels reach the cut
 _PANEL_MASS = 2.0
+# the first panel's trial width, in windows delta: past a few windows
+# the rate of nu S' at x says nothing about the rate there
+_FIRST_SPAN = 8.0
 _TABLE_DEGREE = 16              # nu S' on a table panel; its even points certify it
 _DEGREES = (4, 8, 16, 32, 64)   # the transforms' nested ladder of panel points
 _STRIP_MASS = 1e-14             # mass left below a finite upper endpoint
@@ -249,10 +252,11 @@ class _MassTable:
     accepted when the mass from the degree-8 half of its points agrees
     with the degree-16 mass to the window solver's rel_tol (the degree
     ladder), and when it carries at most 2 _PANEL_MASS; otherwise it is
-    bisected.  Each trial width scales the last panel to carry
-    _PANEL_MASS, and a panel near the requested mass is stretched to
-    reach it.  beta plays no part: it enters the transforms' exponent
-    linearly, which their outer rule integrates exactly.
+    bisected.  Each trial width scales the last panel (the first one: the
+    rate at x, at most _FIRST_SPAN delta) to carry _PANEL_MASS, and a
+    panel near the requested mass is stretched to reach it.  beta plays
+    no part: it enters the transforms' exponent linearly, which their
+    outer rule integrates exactly.
 
     Toward a finite upper endpoint B a panel covers at most _REACH of
     the way to B, so the distance to B shrinks by a fixed factor per
@@ -284,7 +288,8 @@ class _MassTable:
         e, bnd = self.edges[-1], self.model.interval[1]
         if self._trial is None:
             rate = float(_nu_sp(self.model, np.array([e]), self.delta)[0])
-            self._trial = _PANEL_MASS / rate if 0.0 < rate < math.inf else 1.0
+            self._trial = min(_PANEL_MASS / rate if 0.0 < rate < math.inf else 1.0,
+                              _FIRST_SPAN * self.delta)
         h = self._trial
         left = mass - self.mass
         if left < 1.5 * _PANEL_MASS:

@@ -25,16 +25,20 @@ determinism contract: a different random stream, or a different order
 within a block, changes every path.  One chunk driver runs this
 stepper and the excursion counter over fixed 2048-path chunks.
 
-The 256-step blocks here and the excursion counter's 4096-step blocks
-define the streams; how a block's work is run is not part of the
-contract.  Consecutive calls on a generator read one stream, so the
-stepper fills each path's normals with one call and all of its
-block's uniforms (every arm's u_min and u_max, in the order above)
-with another, straight into the rows of the block's arrays.  The excursion counter
-runs a 4096-step block in sub-blocks of at most 2048 x 256 points;
-full rows carry their stepping state across them bit-identically,
-deep rows (below) draw row by row but share their arithmetic, and one
-row-vectorized scan counts the excursions of a whole sub-block.
+Two things define the streams: the stepper's 256-step blocks, in which
+a block's uniforms follow its normals, and the excursion counter's
+4096-step blocks, at whose start each row chooses to skip or to step;
+how a block's work is run is not part of the contract.  Consecutive
+calls on a generator read one stream, so the stepper fills each path's
+normals with one call and all of its block's uniforms (every arm's
+u_min and u_max, in the order above) with another, straight into the
+rows of the block's arrays.  ``sample_trajectory`` reads only normals,
+so it draws a whole trajectory with one call.  The excursion counter
+walks each kind of row on its own: deep rows (below) draw row by row
+and their tails are scanned in groups, full rows step a block in
+sub-blocks and carry their stepping state across them bit-identically.
+A group or sub-block holds at most 2048 x 256 points, and one
+row-vectorized scan counts its excursions.
 
 The excursion counter skips work where the count cannot move.  A path
 whose open excursion is already delta-deep is counted once that
@@ -630,7 +634,6 @@ def extract_excursions(path: np.ndarray, dt: float, delta: float,
 
 
 _EXC_BLOCK_STEPS = 4096
-_NO_TAIL = np.empty(0)
 
 
 def _scan_excursions(xs, level, low, lo, hi, delta):
@@ -743,63 +746,48 @@ def _excursion_chunk(model, x, y, delta, cfg, first, count):
     alive = np.arange(count)
     step_base = 0
 
+    def fold(rows, xs):
+        """Scan the block xs of rows into the counter's state; returns
+        which rows went above y."""
+        c, level[rows], cur_min[rows], over = _scan_excursions(
+            xs, level[rows], cur_min[rows], x, y, delta)
+        counts[rows] += c
+        done[rows[over]] = True
+        return over
+
     while alive.size and step_base < n_steps:
         length = min(_EXC_BLOCK_STEPS, n_steps - step_base)
         deep = skips & (level[alive] - cur_min[alive] >= delta)
-        tail_rows, tails = alive[:0], []
         if deep.any():
             skip = alive[deep]
             hits, tails, x_cur[skip] = _deep_blocks(
                 [gens[g] for g in skip], step, x_cur[skip], level[skip],
                 length, dt)
-            tail_rows = skip[hits]
-        # tails end at the block's end; flat holds them back to back
-        sizes = np.array([t.size for t in tails], dtype=np.intp)
-        flat = np.concatenate(tails) if tails else _NO_TAIL
-        offs = np.cumsum(sizes) - sizes
-        col0 = length - sizes
-        # the block runs in sub-blocks of at most a chunk's worth of
-        # _BLOCK_STEPS-step rows (wider when fewer rows remain), with
-        # full rows carrying their stepping state across; rows that
+            # tails end at the block's end; the points before a tail lie
+            # below the level, so the open minimum stands in for them
+            per = max(1, _CHUNK_PATHS * _BLOCK_STEPS // length)
+            for i in range(0, hits.size, per):
+                rows = skip[hits[i:i + per]]
+                xs = np.repeat(cur_min[rows, None], length, axis=1)
+                for row, tail in zip(xs, tails[i:i + per]):
+                    row[length - tail.size:] = tail
+                fold(rows, xs)
+        # full rows step in sub-blocks of at most a chunk's worth of
+        # _BLOCK_STEPS-step rows (wider when fewer rows remain), carrying
+        # their stepping state from the block's start x0; rows that
         # finish stop drawing
         full = alive[~deep]
         x0 = x_cur[full]
         carry = None
         s = 0
-        while s < length:
-            pend = np.flatnonzero(~done[tail_rows])
-            if not full.size:
-                if not pend.size:
-                    break
-                s = max(s, int(col0[pend].min()))
-            w = min(length - s, _BLOCK_STEPS * max(
-                1, _CHUNK_PATHS // (full.size + pend.size)))
-            blocks, rows = [], [full]
-            if full.size:
-                z = _draw_normals(gens, full, w)
-                xb, carry = _grid_block(model, cfg, x0, z, dt, carry)
-                blocks.append(xb)
-            # deep rows whose tail reaches this sub-block; the points
-            # before a tail lie below the level, so the open minimum
-            # stands in for them
-            sel = pend[col0[pend] < s + w]
-            if sel.size:
-                k = (s - col0[sel])[:, None] + np.arange(w)
-                blocks.append(np.where(
-                    k >= 0, flat[offs[sel, None] + np.maximum(k, 0)],
-                    cur_min[tail_rows[sel], None]))
-                rows.append(tail_rows[sel])
+        while full.size and s < length:
+            w = min(length - s, _BLOCK_STEPS * max(1, _CHUNK_PATHS // full.size))
+            z = _draw_normals(gens, full, w)
+            xb, carry = _grid_block(model, cfg, x0, z, dt, carry)
+            keep = ~fold(full, xb)
+            full, x0, carry = full[keep], x0[keep], carry[keep]
+            x_cur[full] = xb[keep, -1]
             s += w
-            rows = np.concatenate(rows)
-            c, level[rows], cur_min[rows], over = _scan_excursions(
-                np.concatenate(blocks), level[rows], cur_min[rows],
-                x, y, delta)
-            counts[rows] += c
-            done[rows[over]] = True
-            if full.size:
-                keep = ~over[:full.size]
-                full, x0, carry = full[keep], x0[keep], carry[keep]
-                x_cur[full] = xb[keep, -1]
         alive = alive[~done[alive]]
         step_base += length
 
@@ -836,10 +824,11 @@ def excursion_counts(model: DiffusionModel, x: float, y: float, delta: float,
     the counts already drawn.
 
     The 4096-step blocks, and the skip-or-step choice made at each
-    block's start, define the streams.  Each block runs in sub-blocks
-    of at most 2048 x 256 points (256 steps for a full chunk of rows,
-    more as rows finish), so memory stays bounded; that split is how
-    the work is run and changes no draw or count.
+    block's start, define the streams.  Within a block the deep rows'
+    tails are scanned in groups, and the stepped rows in sub-blocks
+    (256 steps for a full chunk of rows, more as rows finish), of at
+    most 2048 x 256 points each, so memory stays bounded; that split is
+    how the work is run and changes no draw or count.
     Returns (counts, finished).
     """
     op = "excursion_counts"
@@ -869,7 +858,8 @@ def sample_trajectory(model: DiffusionModel, x: float, cfg: McConfig,
                       n_steps: int | None = None,
                       path_index: int = 0) -> np.ndarray:
     """One gridded trajectory of n_steps steps (default: the horizon),
-    drawn from the stream of the given path index."""
+    drawn from the stream of the given path index.  It reads only that
+    stream's first n_steps normals and steps them in one call."""
     op = "sample_trajectory"
     x = real(x, "x", op, _MOD)
     if not model.contains(x):
@@ -878,16 +868,6 @@ def sample_trajectory(model: DiffusionModel, x: float, cfg: McConfig,
     _require_scheme(model, cfg)
     steps = integer(cfg.n_steps if n_steps is None else n_steps, "n_steps", op, _MOD, 1)
     first = integer(path_index, "path_index", op, _MOD, 0, 2 ** 64)
-    gens = _generators(cfg.seed, first, 1)
-    out = np.empty(steps + 1)
-    out[0] = x
-    x_cur = np.full(1, float(x))
-    donefill = 1
-    while donefill <= steps:
-        length = min(_BLOCK_STEPS, steps - donefill + 1)
-        z = _draw_normals(gens, [0], length)
-        xb, _ = _grid_block(model, cfg, x_cur, z, cfg.dt)
-        out[donefill:donefill + length] = xb[0]
-        x_cur = xb[:, -1].copy()
-        donefill += length
-    return out
+    z = _draw_normals(_generators(cfg.seed, first, 1), [0], steps)
+    xb, _ = _grid_block(model, cfg, np.full(1, float(x)), z, cfg.dt)
+    return np.concatenate([[x], xb[0]])

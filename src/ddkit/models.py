@@ -413,11 +413,13 @@ _GL_T, _GL_W = leggauss(16)
 class _Side:
     """One side of the table, outward from scale_ref: outer edges, L at each
     panel's left edge and its coefficients, L at the outer edge as a
-    compensated pair, and the width the next panel tries first."""
+    compensated pair, and the width the next panel tries first: at the
+    start 1, or 1e-6 |ref| where that is wider, a million times the
+    width floor 1e-12 max(1, |edge|) however far ref lies from 0."""
 
     def __init__(self, ref):
         self.edges, self.off, self.coefs = [ref], [], []
-        self.acc, self.trial = (0.0, 0.0), 1.0
+        self.acc, self.trial = (0.0, 0.0), max(1.0, 1e-6 * abs(ref))
 
 
 def _add(acc, x):
@@ -572,10 +574,10 @@ def custom_model(drift_form: dict, diffusion_sq_form: dict,
     three Chebyshev coefficients of g are at most 2^-46 max|g|, or at
     most g's own rounding noise at the points, 2^-52 max|x| max|g'|, and
     width * max|g| <= 1; otherwise it is bisected.  The first trial
-    width is 1, each next one twice the last accepted width, and no
-    width passes half the distance to a finite endpoint, so widths grow
-    geometrically where g allows and shrink geometrically toward a
-    finite end.  A panel's layout depends only on the model and the
+    width is max(1, 1e-6 |scale_ref|), each next one twice the last
+    accepted width, and no width passes half the distance to a finite
+    endpoint, so widths grow geometrically where g allows and shrink
+    geometrically toward a finite end.  A panel's layout depends only on the model and the
     panels between it and scale_ref, so a value never depends on the
     order of queries or on which thread grew the table.
 

@@ -243,6 +243,24 @@ def test_streams_match_pinned_digests(name):
     assert got == PINNED[name]
 
 
+@pytest.mark.parametrize("name", ["bm", "dbm", "gbm", "ou"])
+def test_excursion_counts_ignore_sub_block_width(monkeypatch, name):
+    # _BLOCK_STEPS sets how wide the counter's sub-blocks and deep-tail
+    # groups are, which is how the work is run, not which draws it makes
+    model, x, delta, y, kw, t_exc = PIN_CASES[name]
+    cfg = small_cfg(seed=2024, t_max=t_exc, **{k: v for k, v in kw.items()
+                                               if k != "t_max"})
+    got = []
+    for width in (64, 256, 4096):
+        monkeypatch.setattr(mc, "_BLOCK_STEPS", width)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")    # some paths end at the horizon
+            got.append(mc.excursion_counts(model, x, y, delta, cfg))
+    for counts, done in got[1:]:
+        assert np.array_equal(counts, got[0][0])
+        assert np.array_equal(done, got[0][1])
+
+
 @pytest.mark.parametrize("model,x0,scheme", [
     (BM, 0.0, "exact_bm"), (DBM, 0.0, "exact_bm"),
     (geometric_brownian(0.05, 0.09), 1.0, "exact_bm"),

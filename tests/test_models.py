@@ -462,6 +462,40 @@ def test_custom_scale_from_threads_matches_one_thread():
         _assert_bit_identical(g, want)
 
 
+def test_custom_scale_table_anchored_far_from_zero():
+    """scale_ref = 2e12, where the width floor 1e-12 max(1, |x|) is 2: the
+    first trial width is max(1, 1e-6 |scale_ref|), so it clears the
+    floor.  A GBM-like model has S' = (x / ref)^(-2 mu / sigma^2), and a
+    constant g = 2e-3 has S' = e^(-g (x - ref))."""
+    ref = 2e12
+    gbm = custom_model({"form": "affine", "intercept": 0.0, "slope": 0.05},
+                       {"form": "quadratic", "c0": 0.0, "c1": 0.0, "c2": 0.09},
+                       interval=(0.0, math.inf), scale_ref=ref)
+    xs = np.array([1e12, ref + 5.0, 7e12])
+    assert_allclose(scale_density(gbm, xs), (xs / ref) ** (-0.1 / 0.09),
+                    rtol=TABLE_REL)
+    const = custom_model({"form": "constant", "value": 1e-3},
+                         {"form": "constant", "value": 1.0}, scale_ref=ref)
+    d = np.array([-3e3, 5.0, 4e3])
+    assert_allclose(scale_density(const, ref + d), np.exp(-2e-3 * d), rtol=TABLE_REL)
+
+
+def test_mass_table_first_trial_stays_within_a_few_windows():
+    """OU twin from x = -0.5 with delta = 2: nu S' at x is 0.011, so a
+    first trial sized to carry mass 2 at that rate alone is 179 wide, and
+    the nu S' it evaluates grow the log-scale table out to there (47,788
+    panels) before bisection brings the width back.  The first trial is
+    at most 8 delta, so the table ends within about x + 16, and the
+    value is the catalog OU's."""
+    twin = _ou_twin()
+    q = DrawdownQuery(-0.5, 2.0, alpha=0.1)
+    got = joint_transform(twin, q)
+    panels = twin.scale_density_fn.__self__._tab[0].edges.size - 1
+    assert panels <= 400
+    want = joint_transform(ornstein_uhlenbeck(1.0), q)
+    assert abs(got.value - want.value) <= got.abs_error_estimate
+
+
 def test_custom_scale_table_work_stays_bounded(monkeypatch):
     """Points at which one tail curve of a fresh OU twin evaluates the
     drift: a count, so it cannot flake.  650 (26 panel trials of 25
