@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import laws, mc, verify
-from .errors import DdkitError, NumericError, ValidationError, real
+from .errors import (DdkitError, NumericError, ValidationError, decode_json,
+                     json_object, pair, real)
 from .laws import DrawdownQuery
 from .models import DiffusionModel, model_from_dict
 
@@ -57,19 +58,14 @@ def _fail(msg, value=None, operation="run_config"):
     raise ValidationError(msg, operation=operation, value=value, module=_MOD)
 
 
-def _require_keys(doc, allowed, where):
-    extra = sorted(set(doc) - set(allowed))
-    if extra:
-        _fail(f"unknown keys in {where}: {extra}; allowed {sorted(allowed)}",
-              value=extra)
+def _object(doc, where, allowed, required=()):
+    return json_object(doc, where, allowed, required, "run_config", _MOD)
 
 
-def _number(doc, key, where, default=None, required=False):
-    if key not in doc:
-        if required:
-            _fail(f"{where} is missing required key {key!r}")
+def _number(qdoc, key, default=None):
+    if key not in qdoc:
         return default
-    return real(doc[key], f"{where}.{key}", "run_config", _MOD)
+    return real(qdoc[key], f"query.{key}", "run_config", _MOD)
 
 
 def _grid_values(raw, name):
@@ -79,90 +75,62 @@ def _grid_values(raw, name):
                  for v in raw)
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str):
+    """The JSON document in the file at path; parse_run_config checks
+    its layout."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         _fail(f"cannot read config file: {e}", value=path,
               operation="load_config")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValidationError(
-            f"config JSON is malformed at line {e.lineno} col {e.colno}: "
-            f"{e.msg}", operation="load_config", value=path, module=_MOD)
-    if not isinstance(doc, dict):
-        _fail("config must be a JSON object", value=type(doc).__name__,
-              operation="load_config")
-    return doc
+    return decode_json(text, "config", "load_config", _MOD, value=path)
 
 
 def parse_run_config(doc: dict, command: str, seed_override=None,
                      out_override=None, format_override=None) -> RunConfig:
-    _require_keys(doc, ("model", "query", "grids", "mc", "output"),
-                  "config")
-    for key in ("model", "query"):
-        if key not in doc or not isinstance(doc[key], dict):
-            _fail(f"config needs a {key!r} object")
-
+    _object(doc, "config", ("model", "query", "grids", "mc", "output"),
+            ("model", "query"))
     model = model_from_dict(doc["model"])
 
-    qdoc = doc["query"]
-    _require_keys(qdoc, ("x", "delta", "alpha", "beta", "tol", "box",
-                         "exit_lower"), "query")
-    x = _number(qdoc, "x", "query", required=True)
-    delta = _number(qdoc, "delta", "query", required=True)
+    qdoc = _object(doc["query"], "query", ("x", "delta", "alpha", "beta",
+                                           "tol", "box", "exit_lower"),
+                   ("x", "delta"))
     query = DrawdownQuery(
-        x=x, delta=delta,
-        alpha=_number(qdoc, "alpha", "query", default=0.0),
-        beta=_number(qdoc, "beta", "query", default=0.0),
-        tol=_number(qdoc, "tol", "query", default=1e-9))
+        x=_number(qdoc, "x"), delta=_number(qdoc, "delta"),
+        alpha=_number(qdoc, "alpha", default=0.0),
+        beta=_number(qdoc, "beta", default=0.0),
+        tol=_number(qdoc, "tol", default=1e-9))
     box = None
     if "box" in qdoc:
-        raw = qdoc["box"]
-        if not (isinstance(raw, list) and len(raw) == 2):
-            _fail("query.box must be [lo, hi]", value=raw)
         box = tuple(real(v, "each entry of query.box", "run_config", _MOD)
-                    for v in raw)
-    exit_lower = _number(qdoc, "exit_lower", "query")
+                    for v in pair(qdoc["box"], "query.box", "run_config", _MOD))
+    exit_lower = _number(qdoc, "exit_lower")
 
     _, want, needs_mc = _COMMANDS[command]
-    gdoc = doc.get("grids", {})
-    if not isinstance(gdoc, dict):
-        _fail("grids must be an object", value=gdoc)
-    present = sorted(gdoc)
-    if want is None:
-        if present:
-            _fail(f"command {command!r} takes no grid; found {present}")
-        grid = None
-    else:
-        if present != [want]:
-            _fail(f"command {command!r} needs exactly grids.{want}; "
-                  f"found {present}")
-        grid = _grid_values(gdoc[want], want)
+    wants = (want,) if want else ()
+    takes = f"exactly {want}" if want else "no grid"
+    gdoc = _object(doc.get("grids", {}),
+                   f"grids (command {command!r} takes {takes})", wants, wants)
+    grid = _grid_values(gdoc[want], want) if want else None
 
     mc_cfg = None
     if needs_mc and "mc" not in doc:
         _fail(f"command {command!r} needs an mc section")
     if "mc" in doc:
-        mdoc = doc["mc"]
-        _require_keys(mdoc, ("n_paths", "dt", "t_max", "seed", "scheme"),
-                      "mc")
-        for key in ("n_paths", "dt", "t_max", "seed"):
-            if key not in mdoc:
-                _fail(f"mc is missing required key {key!r}")
+        mdoc = _object(doc["mc"], "mc", ("n_paths", "dt", "t_max", "seed",
+                                         "scheme"),
+                       ("n_paths", "dt", "t_max", "seed"))
         seed = seed_override if seed_override is not None else mdoc["seed"]
         mc_cfg = mc.McConfig(n_paths=mdoc["n_paths"], dt=mdoc["dt"],
                              t_max=mdoc["t_max"], seed=seed,
                              scheme=mdoc.get("scheme", "exact_bm"))
 
-    odoc = doc.get("output", {})
-    if not isinstance(odoc, dict):
-        _fail("output must be an object", value=odoc)
-    _require_keys(odoc, ("path", "format"), "output")
+    odoc = _object(doc.get("output", {}), "output", ("path", "format"))
     out_path = out_override if out_override is not None \
         else odoc.get("path")
+    if not isinstance(out_path, (str, type(None))):   # open() takes an int as a descriptor
+        _fail("output.path must be a string", value=out_path)
     out_format = format_override if format_override is not None \
         else odoc.get("format", "csv")
     if out_format not in ("csv", "json"):

@@ -10,12 +10,16 @@ point: ``real`` (a finite real number, returned as a float),
 ``integer`` (an int or numpy integer, returned as an int),
 ``real_array`` (a 1d array of finite real numbers, returned as a float
 ndarray) and ``pair`` (exactly two entries, returned as a tuple for the
-caller to check one by one).  All raise ValidationError naming the
-caller's operation and module.
+caller to check one by one).  Two more read JSON documents, the config
+and the model alike: ``decode_json`` (text to a document, naming the
+line and column of a syntax error) and ``json_object`` (an object with
+no key outside the allowed ones and every required one).  All raise
+ValidationError naming the caller's operation and module.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 
@@ -127,10 +131,48 @@ def holds_bool(v) -> bool:
 
 def pair(v, name, operation, module) -> tuple:
     """The two entries of v, unchecked; anything that is not a sequence
-    of exactly two entries is refused."""
+    of exactly two entries is refused, and so are a string and a dict,
+    whose two characters or keys are no pair of values."""
+    if not isinstance(v, (str, dict)):
+        try:
+            a, b = v
+            return a, b
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{name} must be a pair of numbers",
+                          operation=operation, value=v, module=module)
+
+
+def decode_json(text, what, operation, module, value=None):
+    """The document JSON text decodes to; a syntax error is refused with
+    its line and column."""
     try:
-        a, b = v
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a pair of numbers",
-                              operation=operation, value=v, module=module) from None
-    return a, b
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"{what} JSON is malformed at line {e.lineno} col "
+                              f"{e.colno}: {e.msg}", operation=operation, value=value,
+                              module=module) from None
+
+
+def json_object(doc, where, allowed, required, operation, module) -> dict:
+    """doc, once it is a JSON object whose keys are all in allowed and
+    include every key of required; where names it in the message."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where} must be a JSON object", operation=operation,
+                              value=type(doc).__name__, module=module)
+    unknown = sorted(set(doc) - set(allowed), key=str)
+    missing = sorted(set(required) - set(doc))
+    if not (unknown or missing):
+        return doc
+    found = []
+    if unknown:
+        found.append(f"unknown {_keys(unknown)}")
+    if missing:
+        found.append(f"missing {_keys(missing)}")
+    hint = f"; allowed: {', '.join(sorted(allowed)) or 'none'}" if unknown else ""
+    raise ValidationError(f"{' and '.join(found)} in {where}{hint}",
+                          operation=operation, module=module)
+
+
+def _keys(ks):
+    return f"key{'s' if len(ks) > 1 else ''} {', '.join(map(repr, ks))}"

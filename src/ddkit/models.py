@@ -25,7 +25,6 @@ from the anchor of a ScaleMap, which only fixes where S vanishes.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import threading
@@ -37,7 +36,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .chebyshev import Panels, antiderivative, coefficients, lobatto, series
 from .errors import (DomainError, NumericError, UnsupportedModelError,
-                     ValidationError, holds_bool, pair, real)
+                     ValidationError, decode_json, holds_bool, json_object, pair,
+                     real)
 
 _MOD = "models"
 
@@ -365,6 +365,11 @@ def ornstein_uhlenbeck(theta: float, mean: float = 0.0, sigma_sq: float = 1.0,
 # custom models from named coefficient forms
 # ---------------------------------------------------------------------------
 
+# form -> the coefficients its document names besides "form"
+_FORMS = {"constant": ("value",), "affine": ("intercept", "slope"),
+          "power": ("coef", "exponent"), "quadratic": ("c0", "c1", "c2")}
+
+
 def _build_form(doc, role):
     """Named coefficient forms; the only way to define custom coefficients.
 
@@ -372,39 +377,36 @@ def _build_form(doc, role):
     affine:    {"form": "affine", "intercept": a, "slope": b}     a + b x
     power:     {"form": "power", "coef": c, "exponent": p}        c x^p
     quadratic: {"form": "quadratic", "c0": ., "c1": ., "c2": .}
+
+    A form takes exactly its own keys.
     """
-    if not isinstance(doc, dict) or "form" not in doc:
-        raise ValidationError(f"{role} must be a dict with a 'form' key",
-                              operation="custom_model", value=doc, module=_MOD)
-    form = doc["form"]
-
-    def num(key):
-        if key not in doc:
-            raise ValidationError(f"{role} form {form!r} is missing key {key!r}",
-                                  operation="custom_model", value=doc, module=_MOD)
-        return real(doc[key], f"{role} {key!r}", "custom_model", _MOD)
-
+    try:
+        form, keys = doc["form"], _FORMS[doc["form"]]
+    except (TypeError, LookupError):
+        raise ValidationError(f"{role} must be an object whose 'form' is one of "
+                              f"{', '.join(_FORMS)}", operation="custom_model",
+                              value=doc, module=_MOD) from None
+    json_object(doc, f"{role} form {form!r}", ("form", *keys), keys, "custom_model", _MOD)
+    c = [real(doc[k], f"{role} {k!r}", "custom_model", _MOD) for k in keys]
     if form == "constant":
-        c = num("value")
-        return lambda x: c + 0.0 * np.asarray(x, dtype=float)
+        (c0,) = c
+        return lambda x: c0 + 0.0 * np.asarray(x, dtype=float)
     if form == "affine":
-        a0, b0 = num("intercept"), num("slope")
+        a0, b0 = c
         return lambda x: a0 + b0 * np.asarray(x, dtype=float)
     if form == "power":
-        c, p = num("coef"), num("exponent")
-        return lambda x: c * np.asarray(x, dtype=float) ** p
-    if form == "quadratic":
-        c0, c1, c2 = num("c0"), num("c1"), num("c2")
-        return lambda x: (c0 + np.asarray(x, dtype=float)
-                          * (c1 + c2 * np.asarray(x, dtype=float)))
-    raise ValidationError(f"unknown coefficient form for {role}: {form!r}",
-                          operation="custom_model", value=form, module=_MOD)
+        c0, p = c
+        return lambda x: c0 * np.asarray(x, dtype=float) ** p
+    c0, c1, c2 = c
+    return lambda x: (c0 + np.asarray(x, dtype=float)
+                      * (c1 + c2 * np.asarray(x, dtype=float)))
 
 
 # the log-scale table of custom models; custom_model states its error
 _DEGREE = 24                  # Chebyshev degree of g on every panel
 _TAIL = 2.0 ** -46            # accepted last coefficients of g, relative to max |g|
 _EPS = 2.0 ** -52             # ... or to its rounding noise, about eps max|x| max|g'|
+_FLOOR = 2.0 ** -46           # narrowest trial width over max(1, |edge|), 64 to 128 ulps
 _TP1 = lobatto(_DEGREE).t + 1.0
 _J2 = np.arange(_DEGREE + 1) ** 2.0          # Markov: |g'| <= sum j^2 |c_j| / hs
 _GL_T, _GL_W = leggauss(16)
@@ -414,8 +416,8 @@ class _Side:
     """One side of the table, outward from scale_ref: outer edges, L at each
     panel's left edge and its coefficients, L at the outer edge as a
     compensated pair, and the width the next panel tries first: at the
-    start 1, or 1e-6 |ref| where that is wider, a million times the
-    width floor 1e-12 max(1, |edge|) however far ref lies from 0."""
+    start 1, or 1e-6 |ref| where that is wider, far above the width floor
+    _FLOOR max(1, |edge|) however far ref lies from 0."""
 
     def __init__(self, ref):
         self.edges, self.off, self.coefs = [ref], [], []
@@ -485,15 +487,15 @@ class _LogScale:
         of g are at most _TAIL max|g| or the rounding noise of g at its
         nodes, and width * max|g| <= 1.  The next trial is twice the
         accepted width, so a panel is fixed by the panels between it and
-        ref.  A trial width at or below 1e-12 max(1, |edge|) raises
+        ref.  A trial width at or below _FLOOR max(1, |edge|) raises
         NumericError with the reason the last trial failed.
         """
         end = self._interval[1] if s > 0 else self._interval[0]
         while side.edges[-1] <= target if s > 0 else side.edges[-1] > target:
             e = side.edges[-1]
-            w, why = side.trial, "the trial width is at most 1e-12 max(1, |x|)"
+            w, why = side.trial, "the trial width is at most 2^-46 max(1, |x|)"
             while True:
-                if not w > 1e-12 * max(1.0, abs(e)):       # bisected to nothing
+                if not w > _FLOOR * max(1.0, abs(e)):      # bisected to nothing
                     raise NumericError(f"{why} near {e:g}", operation=op,
                                        value=float(target), module=_MOD)
                 w = min(w, 0.5 * abs(end - e))
@@ -602,7 +604,7 @@ def custom_model(drift_form: dict, diffusion_sq_form: dict,
     with compensated summation.
 
     A g that is not finite, sigma_sq <= 0, or a g not resolved by panels
-    down to a width of 1e-12 max(1, |x|), on the way from scale_ref to a
+    down to a width of 2^-46 max(1, |x|), on the way from scale_ref to a
     point, raises NumericError naming which.
     """
     interval = _check_interval(interval, "custom_model")
@@ -643,7 +645,8 @@ _KINDS = {
 
 CATALOG_KINDS = tuple(_KINDS)
 
-_DOC_KEYS = {"kind", "params", "interval", "model_id"}
+_DOC_KEYS = ("kind", "params", "interval", "model_id")
+_CUSTOM_PARAMS = ("drift", "diffusion_sq")
 
 
 def model_from_dict(doc: dict) -> DiffusionModel:
@@ -651,69 +654,41 @@ def model_from_dict(doc: dict) -> DiffusionModel:
 
     {"model_id": str, "kind": "bm"|"drifted_bm"|"gbm"|"ou"|"custom",
      "params": {...}, "interval": [A, B] with "-inf"/"inf" sentinels}
+
+    params holds the keyword arguments of the kind's constructor, and
+    for custom its two coefficient forms, "drift" and "diffusion_sq";
+    every kind may add "scale_ref".  Without "interval" the constructor's
+    default applies.  An unknown key at any level, in the document, in
+    params or in a coefficient form, is refused with ValidationError
+    naming it, as is a missing required one.
     """
-    if not isinstance(doc, dict):
-        raise ValidationError("model document must be a JSON object",
-                              operation="model_from_dict", value=type(doc).__name__,
-                              module=_MOD)
-    kind = doc.get("kind")
+    op = "model_from_dict"
+    json_object(doc, "model", _DOC_KEYS, ("kind",), op, _MOD)
+    kind = doc["kind"]
     if kind not in (*CATALOG_KINDS, "custom"):
-        raise ValidationError("model kind must be one of "
-                              f"{(*CATALOG_KINDS, 'custom')}",
-                              operation="model_from_dict", value=kind, module=_MOD)
-    stray = sorted(set(doc) - _DOC_KEYS)
-    if stray:
-        raise ValidationError(f"unknown model keys {stray}; parameters go "
-                              "inside 'params'", operation="model_from_dict",
-                              value=stray, module=_MOD)
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise ValidationError("params must be an object",
-                              operation="model_from_dict", value=params, module=_MOD)
-    raw_iv = doc.get("interval", ["-inf", "inf"] if kind != "gbm" else [0.0, "inf"])
-    if not (isinstance(raw_iv, (list, tuple)) and len(raw_iv) == 2):
-        raise ValidationError("interval must be a two-element array",
-                              operation="model_from_dict", value=raw_iv, module=_MOD)
-    interval = (_as_endpoint(raw_iv[0]), _as_endpoint(raw_iv[1]))
+        raise ValidationError(f"model kind must be one of {(*CATALOG_KINDS, 'custom')}",
+                              operation=op, value=kind, module=_MOD)
+    if kind == "custom":
+        allowed = required = _CUSTOM_PARAMS
+    else:
+        make, allowed, required = _KINDS[kind]
+    params = json_object(doc.get("params", {}), f"params of kind {kind!r}",
+                         (*allowed, "scale_ref"), required, op, _MOD)
     model_id = doc.get("model_id", kind)
     if not isinstance(model_id, str) or not model_id:
         raise ValidationError("model_id must be a nonempty string",
-                              operation="model_from_dict", value=model_id, module=_MOD)
-
+                              operation=op, value=model_id, module=_MOD)
+    kw = {"model_id": model_id}
+    if "interval" in doc:
+        kw["interval"] = tuple(map(_as_endpoint, pair(doc["interval"], "interval", op, _MOD)))
     if kind == "custom":
-        for key in ("drift", "diffusion_sq"):
-            if key not in params:
-                raise ValidationError(f"custom model params must include {key!r}",
-                                      operation="model_from_dict", value=sorted(params),
-                                      module=_MOD)
         return custom_model(params["drift"], params["diffusion_sq"],
-                            interval=interval,
-                            scale_ref=params.get("scale_ref"),
-                            model_id=model_id)
-
-    make, allowed, required = _KINDS[kind]
-    extra = set(params) - allowed - {"scale_ref"}
-    if extra:
-        raise ValidationError(f"unknown params for kind {kind!r}: {sorted(extra)}",
-                              operation="model_from_dict", value=sorted(extra),
-                              module=_MOD)
-    missing = sorted(required - set(params))
-    if missing:
-        raise ValidationError(f"kind {kind!r} needs params {missing}",
-                              operation="model_from_dict", value=missing,
-                              module=_MOD)
-    kwargs = {k: real(v, f"params.{k}", "model_from_dict", _MOD)
-              for k, v in params.items()}
-    return make(interval=interval, model_id=model_id, **kwargs)
+                            scale_ref=params.get("scale_ref"), **kw)
+    return make(**kw, **{k: real(v, f"params.{k}", op, _MOD) for k, v in params.items()})
 
 
 def model_from_json(text: str) -> DiffusionModel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"model JSON is malformed at line {e.lineno} col {e.colno}: "
-                              f"{e.msg}", operation="model_from_json", module=_MOD)
-    return model_from_dict(doc)
+    return model_from_dict(decode_json(text, "model", "model_from_json", _MOD))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ rows, and byte stability.
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -89,13 +90,52 @@ def test_grid_on_gridless_command_exits_2(tmp_path, capsys):
     assert "takes no grid" in err
 
 
-def test_unknown_query_key_exits_2(tmp_path, capsys):
-    doc = bm_doc(grids={"y_grid": [1.0]})
-    doc["query"]["detla"] = 0.5
+OU_MODEL = {"kind": "ou", "params": {"theta": 1.0}}
+FREE_CUSTOM = {"drift": {"form": "constant", "value": 0.0},
+               "diffusion_sq": {"form": "constant", "value": 1.0}}
+FORMS = {"constant": {"value": 1.0},
+         "affine": {"intercept": 1.0, "slope": 0.0},
+         "power": {"coef": 1.0, "exponent": 0.0},
+         "quadratic": {"c0": 1.0, "c1": 0.0, "c2": 0.0}}
+
+
+@pytest.mark.parametrize("level", [
+    "config", "query", "mc", "output", "model", "params", "custom_params",
+    *(f"form_{f}" for f in FORMS)])
+def test_unknown_query_key_exits_2(tmp_path, capsys, level):
+    """A misspelt key is refused at every level of the config and of the
+    model document, naming the key, never dropped."""
+    doc = bm_doc(grids={"y_grid": [1.0]},
+                 mc={"n_paths": 1000, "dt": 0.1, "t_max": 1.0, "seed": 1},
+                 output={"format": "csv"})
+    if level == "params":
+        doc["model"] = {"kind": "bm", "params": {"detla": 0.5}}
+    elif level == "custom_params":
+        doc["model"] = {"kind": "custom", "params": dict(FREE_CUSTOM, detla=0.5)}
+    elif level.startswith("form_"):
+        form = level[len("form_"):]
+        doc["model"] = {"kind": "custom", "params": dict(
+            FREE_CUSTOM, diffusion_sq=dict(FORMS[form], form=form, detla=0.5))}
+    else:
+        (doc if level == "config" else doc[level])["detla"] = 0.5
     cfg = write_cfg(tmp_path, doc)
     code, _, err = run(["tail", "--config", cfg], capsys)
     assert code == 2
     assert "detla" in err
+
+
+def test_readme_config_example_parses():
+    """The config block of the README is a valid tail config, so the
+    documented layout cannot drift from the reader."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("The config is one JSON object:")[1]
+    block = block.split("```json")[1].split("```")[0]
+    cfg = cli.parse_run_config(json.loads(block), "tail")
+    assert cfg.model.kind == "drifted_bm" and cfg.model.params["mu"] == 1.0
+    assert (cfg.query.x, cfg.query.delta, cfg.query.alpha) == (0.0, 1.0, 0.5)
+    assert cfg.grid == (0.5, 1.0, 2.0)
+    assert cfg.mc_cfg.n_paths == 50000 and cfg.mc_cfg.seed == 7
+    assert (cfg.out_path, cfg.out_format) == ("tail.csv", "csv")
 
 
 def test_model_params_outside_params_exits_2(tmp_path, capsys):
@@ -116,11 +156,6 @@ def test_missing_required_model_param_exits_2(tmp_path, capsys):
     code, _, err = run(["tail", "--config", cfg], capsys)
     assert code == 2
     assert "sigma_bar_sq" in err
-
-
-OU_MODEL = {"kind": "ou", "params": {"theta": 1.0}}
-FREE_CUSTOM = {"drift": {"form": "constant", "value": 0.0},
-               "diffusion_sq": {"form": "constant", "value": 1.0}}
 
 
 @pytest.mark.parametrize("model,query_extra,needle", [
@@ -145,6 +180,14 @@ def test_malformed_model_or_query_value_exits_2(tmp_path, capsys, model,
     code, _, err = run(["hit", "--config", cfg], capsys)
     assert code == 2
     assert needle in err
+
+
+def test_numeric_output_path_exits_2(tmp_path, capsys):
+    """A number is no path: open() would write to that file descriptor."""
+    cfg = write_cfg(tmp_path, bm_doc(grids={"y_grid": [1.0]}, output={"path": 1}))
+    code, out, err = run(["tail", "--config", cfg], capsys)
+    assert (code, out) == (2, "")
+    assert "output.path" in err
 
 
 def test_bad_delta_exits_2(tmp_path, capsys):

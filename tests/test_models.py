@@ -463,10 +463,10 @@ def test_custom_scale_from_threads_matches_one_thread():
 
 
 def test_custom_scale_table_anchored_far_from_zero():
-    """scale_ref = 2e12, where the width floor 1e-12 max(1, |x|) is 2: the
-    first trial width is max(1, 1e-6 |scale_ref|), so it clears the
-    floor.  A GBM-like model has S' = (x / ref)^(-2 mu / sigma^2), and a
-    constant g = 2e-3 has S' = e^(-g (x - ref))."""
+    """scale_ref = 2e12: the first trial width is max(1, 1e-6 |scale_ref|),
+    so the table does not creep out from there by unit panels.  A GBM-like
+    model has S' = (x / ref)^(-2 mu / sigma^2), and a constant g = 2e-3
+    has S' = e^(-g (x - ref))."""
     ref = 2e12
     gbm = custom_model({"form": "affine", "intercept": 0.0, "slope": 0.05},
                        {"form": "quadratic", "c0": 0.0, "c1": 0.0, "c2": 0.09},
@@ -478,6 +478,19 @@ def test_custom_scale_table_anchored_far_from_zero():
                          {"form": "constant", "value": 1.0}, scale_ref=ref)
     d = np.array([-3e3, 5.0, 4e3])
     assert_allclose(scale_density(const, ref + d), np.exp(-2e-3 * d), rtol=TABLE_REL)
+
+
+@pytest.mark.parametrize("interval, ref, x", [
+    ((-math.inf, 1.0), None, 1.0 - 1e-13),
+    ((-math.inf, math.inf), 2e12, 2e12 + 5.0),
+], ids=["next_to_a_finite_end", "off_a_far_scale_ref"])
+def test_custom_scale_table_reaches_within_float_spacing(interval, ref, x):
+    """Constant g = 1, S' = e^{-(x - ref)}: the panels toward a finite end,
+    and those of width 1 (width * |g| <= 1) at 2e12, are narrower than
+    1e-12 max(1, |x|) but wider than the width floor 2^-46 max(1, |x|)."""
+    m = custom_model({"form": "constant", "value": 0.5},
+                     {"form": "constant", "value": 1.0}, interval=interval, scale_ref=ref)
+    assert_allclose(scale_density(m, x), math.exp(-(x - m.scale_ref)), rtol=TABLE_REL)
 
 
 def test_mass_table_first_trial_stays_within_a_few_windows():
@@ -677,5 +690,7 @@ def test_model_from_dict_rejects_garbage():
         model_from_dict({"kind": "bm", "params": {}, "interval": [3, 1]})
     with pytest.raises(ValidationError):
         model_from_dict({"kind": "bm", "params": {}, "interval": ["nope", "inf"]})
+    with pytest.raises(ValidationError):
+        model_from_dict({"kind": "bm", "interval": {"-inf": 0, "inf": 0}})
     with pytest.raises(ValidationError):
         model_from_json("{not json")
