@@ -30,16 +30,21 @@ has no rounding floor that grows with N (Greengard, SIAM J. Numer. Anal.
 multiplied pairwise, every partial product rescaled by an exact power of
 two carried as a log factor that cancels in the laws' quotients.
 
-A degree ladder (8, 12, 16, 24, ...) on fixed panels certifies the
-result: a degree is accepted once its endpoint values agree with the
-previous degree's to rel_tol and the Wronskian monitor holds, and a
-ladder that stops improving first raises NumericError at its rounding
-floor.  The monitor reads every panel node: log det of the node states,
-summed over the panels before, against its reference, the integral of
--2 mu / sigma_sq from l that the panel's own J1 matrix takes of the
-coefficients at its nodes; w_drift is the largest gap.  n_steps counts
-panel nodes per window: the mean panel count, rounded up, times the
-accepted degree.
+Each solve certifies itself.  On every panel the converged unknown g
+is a Chebyshev series, and its last two coefficients carried to the
+panel's right end by J1 and J2 bound what cutting the series would move
+the panel map by, the chopping rule of Aurentz & Trefethen (ACM TOMS
+43, 2017).  A window's certificate is the sum of its panels' tails.  A
+degree ladder (12, 16, 24, ...) on fixed panels accepts the first degree
+whose certificate is at most rel_tol in every window while the Wronskian
+monitor holds, so a typical solve is one degree-12 sweep; the ladder
+climbs only where a tail fails, and one that stops improving raises
+NumericError at its rounding floor.  The monitor reads every panel
+node: log det of the node states, summed over the panels before,
+against its reference, the integral of -2 mu / sigma_sq from l that the
+panel's own J1 matrix takes of the coefficients at its nodes; w_drift
+is the largest gap.  n_steps counts panel nodes per window: the mean
+panel count, rounded up, times the accepted degree.
 """
 
 from __future__ import annotations
@@ -57,7 +62,8 @@ from .models import DiffusionModel
 _MOD = "basis"
 
 _BLOCK_NODES = 1 << 15        # rows x panels x (degree + 1) of one block
-_DEGREES = (8, 12, 16, 24, 32, 48, 64, 96, 128)
+_DEGREES = (12, 16, 24, 32, 48, 64, 96, 128)
+_ROUNDING = 8.0 * 2.0 ** -52  # the rounding a panel map adds, for endpoint_gap
 _PICARD_MAX = 60
 _LN2 = math.log(2.0)
 
@@ -66,9 +72,11 @@ _LN2 = math.log(2.0)
 class OdeSettings:
     """Accuracy knobs for the window solver.
 
-    rel_tol / abs_tol bound the accepted degree-ladder gap at the right
-    endpoint; the solve also has to hold the Wronskian monitor within
-    10 * rel_tol before a degree is accepted.  max_steps caps panels x
+    rel_tol bounds every window's tail certificate (the sum of its
+    panels' Chebyshev tails); the solve also has to hold the Wronskian
+    monitor within 10 * rel_tol before a degree is accepted.  abs_tol is
+    validated but not read: the certificate is relative to the unit
+    starts of each panel, with no absolute floor.  max_steps caps panels x
     degree for one window: a window past it is refused before any panel
     is solved, and the ladder stops where the next degree would pass it.
     """
@@ -110,12 +118,15 @@ def _normalize(m, ex):
 
 @functools.lru_cache(maxsize=None)
 def _cheb(n):
-    """Points t_j = -cos(j pi / n) on [-1, 1] and the stacked matrix
-    [J1; J2] taking the values of a degree-n polynomial there to the
-    values of its first and second antiderivatives from -1."""
-    t, ev, _, a, _ = lobatto(n)
+    """Points t_j = -cos(j pi / n) on [-1, 1], the stacked matrix [J1; J2]
+    taking the values of a degree-n polynomial there to the values of
+    its first and second antiderivatives from -1, the rows taking those
+    values to the coefficients of T_{n-1} and T_n, and |J1 T_{n-1}|,
+    |J1 T_n| (top row) and |J2 T_{n-1}|, |J2 T_n| at t = 1."""
+    t, ev, coef, a, _ = lobatto(n)
     c = antiderivative(np.eye(n + 1), 1.0).T.copy()
-    return t, np.vstack([ev[:, :-1] @ c, ev @ a @ c])
+    jj = np.vstack([ev[:, :-1] @ c, ev @ a @ c])
+    return t, jj, coef[n - 1:], np.abs(jj[n::n + 1] @ ev[:, n - 1:n + 1])
 
 
 def _coefficients(model, xs):
@@ -126,13 +137,18 @@ def _coefficients(model, xs):
 
 def _panel_states(model, alpha, x0, h, n):
     """(y, z = (h/2) y') at the n + 1 points of the panels [x0, x0 + h],
-    shaped (n + 1, 2, panels), from the starts (1, 0) and (0, 1), and
-    the log det reference J1 cb, shaped (n + 1, panels).  In
-    t = 2 (x - x0)/h - 1 the unknown g = (h/2)^2 y'' solves the Volterra
-    equation g = ca y + cb z; its fixed-point iteration converges for
-    any k h.  The determinant y_1 z_2 - y_2 z_1 of the two starts solves
-    d/dt det = cb det, so its log is the integral of cb from t = -1."""
-    t, jj = _cheb(n)
+    shaped (n + 1, 2, panels), from the starts (1, 0) and (0, 1), the
+    log det reference J1 cb, shaped (n + 1, panels), and each panel's
+    tail, shaped (panels,).  In t = 2 (x - x0)/h - 1 the unknown
+    g = (h/2)^2 y'' solves the Volterra equation g = ca y + cb z; its
+    fixed-point iteration converges for any k h.  The determinant
+    y_1 z_2 - y_2 z_1 of the two starts solves d/dt det = cb det, so its
+    log is the integral of cb from t = -1.  The tail is g's last two
+    Chebyshev coefficients carried to the panel's right end by J1 and J2,
+    |J T_{n-1}| |c_{n-1}| + |J T_n| |c_n|, the largest over y, z and the
+    two starts: what the panel map would move by if g's series were cut
+    one degree earlier."""
+    t, jj, last2, ends = _cheb(n)
     hs = 0.5 * h
     mu, s2 = _coefficients(model, x0 + (t[:, None] + 1.0) * hs)
     # the two starts of every panel side by side on the middle axis,
@@ -157,7 +173,8 @@ def _panel_states(model, alpha, x0, h, n):
             y[:, 0] += 1.0
             y[:, 1] += tp1
             z[:, 1] += 1.0
-            return y, z, jj[:n + 1] @ cb[:, 0]
+            tail = (ends @ np.abs(last2 @ g.reshape(n + 1, 2 * k))).max(axis=0)
+            return y, z, jj[:n + 1] @ cb[:, 0], tail.reshape(2, k).max(axis=0)
         end = qn.copy()
         g = np.multiply(ca, y, out=buf)
         g += np.multiply(cb, z, out=tmp)
@@ -185,7 +202,8 @@ def _sweep(model, alpha, l, r, y0, panels, n):
     blocks of at most _BLOCK_NODES nodes, applied to the states y0
     (2, 2, rows) as a mantissa with its largest entry in [0.5, 1) and
     lam = base-2 exponent * log 2.  log_w sums the log det of every
-    panel map of a window.  drift is the Wronskian monitor: the largest
+    panel map of a window, and tail the panels' tails (_panel_states),
+    the window's certificate.  drift is the Wronskian monitor: the largest
     gap, over every node of every window, between log det of the node
     states plus that of the panel maps before them and the reference
     integral of -2 mu / sigma_sq from l.  Rows past one block are swept
@@ -198,17 +216,19 @@ def _sweep(model, alpha, l, r, y0, panels, n):
         parts = [_sweep(model, alpha[i:i + rows], l[i:i + rows], r[i:i + rows],
                         y0[:, :, i:i + rows], panels[i:i + rows], n)
                  for i in range(0, B, rows)]
-        out = {k: np.concatenate([p[k] for p in parts]) for k in ("y", "lam", "log_w")}
+        out = {k: np.concatenate([p[k] for p in parts])
+               for k in ("y", "lam", "log_w", "tail")}
         return dict(out, drift=max(p["drift"] for p in parts))
     h = (r - l) / panels
     y, ex = _normalize(y0, np.zeros(B, dtype=np.int64))
-    log_w, dev_w, drift = np.zeros(B), np.zeros(B), 0.0
+    log_w, tail, dev_w, drift = np.zeros(B), np.zeros(B), np.zeros(B), 0.0
     block = max(1, _BLOCK_NODES // (B * (n + 1)))
     for j0 in range(0, int(panels.max()), block):
         live = (j0 + np.arange(min(block, panels.max() - j0)))[:, None] < panels
         jj, ii = np.nonzero(live)
-        ys, zs, ref = _panel_states(model, alpha[ii], l[ii] + (j0 + jj) * h[ii],
-                                    h[ii], n)
+        ys, zs, ref, pt = _panel_states(model, alpha[ii], l[ii] + (j0 + jj) * h[ii],
+                                        h[ii], n)
+        tail += np.bincount(ii, pt, minlength=B)
         hs = 0.5 * h[ii]
         m = np.eye(2)[:, :, None, None] * np.ones(live.shape)
         m[:, :, jj, ii] = [[ys[n, 0], hs * ys[n, 1]], [zs[n, 0] / hs, zs[n, 1]]]
@@ -224,7 +244,7 @@ def _sweep(model, alpha, l, r, y0, panels, n):
         p, ep = _tree_product(m)
         y, ex = _normalize(_mul(p, y), ep + ex)
     return dict(y=y.transpose(2, 1, 0).reshape(B, 4), lam=ex * _LN2, log_w=log_w,
-                drift=float(drift) if np.isfinite(drift) else math.inf)
+                tail=tail, drift=float(drift) if np.isfinite(drift) else math.inf)
 
 
 def _panel_counts(model, alpha, l, r, max_steps):
@@ -251,24 +271,6 @@ def _panel_counts(model, alpha, l, r, max_steps):
     return np.fmin(np.maximum(need, 1.0), max_steps + 1).astype(np.int64)
 
 
-def _endpoint_gap(a, b, abs_tol):
-    """Relative disagreement of two sweeps at r, log-scale aware.
-
-    Each component is measured against the larger magnitude of its
-    solution pair (u, u') or (v, v'): a derivative can sit orders below
-    its solution (v' ~ alpha v near alpha = 0), where its own digits run
-    out, and the laws use it only in quotients with its partner.
-    """
-    lam0 = np.minimum(a["lam"], b["lam"])
-    with np.errstate(invalid="ignore", over="ignore"):
-        va = (a["y"] * np.exp(a["lam"] - lam0)[:, None]).reshape(-1, 2, 2)
-        vb = (b["y"] * np.exp(b["lam"] - lam0)[:, None]).reshape(-1, 2, 2)
-        if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vb))):
-            return math.inf
-        pair = np.maximum(np.abs(va), np.abs(vb)).max(axis=2, keepdims=True)
-        return float(np.max(np.abs(va - vb) / np.maximum(pair, abs_tol)))
-
-
 def _solve_adaptive(model, alpha, l, r, settings):
     panels = _panel_counts(model, alpha, l, r, settings.max_steps)
     # the columns u = (0, 1) and v = (1, 0) of every window's start
@@ -279,8 +281,7 @@ def _solve_adaptive(model, alpha, l, r, settings):
         span = f"{lo:g}" if lo == hi else f"in [{lo:g}, {hi:g}]"
         return f"alpha {span}, window length {float(np.max(r - l)):g}"
 
-    drift_tol = 10.0 * settings.rel_tol
-    prev, last = None, math.inf
+    drift_tol, last = 10.0 * settings.rel_tol, math.inf
     for n in _DEGREES:
         if panels.max() * n > settings.max_steps:    # before any panel array
             raise NumericError(
@@ -288,22 +289,19 @@ def _solve_adaptive(model, alpha, l, r, settings):
                 f"cap of {settings.max_steps} panel nodes; {where()}",
                 operation="solve", value=int(panels.max() * n), module=_MOD)
         cur = _sweep(model, alpha, l, r, y0, panels, n)
-        if prev is not None:
-            gap = _endpoint_gap(prev, cur, settings.abs_tol)
-            drift = cur["drift"]
-            if gap <= settings.rel_tol and drift <= drift_tol:
-                return BatchEndpoints(
-                    *cur["y"].T.copy(), lam=cur["lam"], log_w=cur["log_w"],
-                    w_drift=drift, n_steps=-(-int(panels.sum()) // l.size) * n,
-                    endpoint_gap=gap)
-            err = max(gap / settings.rel_tol, drift / drift_tol)
-            if not err < last:
-                break
-            last = err
-        prev = cur
+        tail, drift = float(cur["tail"].max()), cur["drift"]
+        if tail <= settings.rel_tol and drift <= drift_tol:
+            return BatchEndpoints(
+                *cur["y"].T.copy(), lam=cur["lam"], log_w=cur["log_w"],
+                w_drift=drift, n_steps=-(-int(panels.sum()) // l.size) * n,
+                endpoint_gap=float((cur["tail"] + _ROUNDING * panels).max()))
+        err = max(tail / settings.rel_tol, drift / drift_tol)
+        if not err < last:
+            break
+        last = err
     raise NumericError(f"rounding floor: the degree ladder stopped improving at "
-                       f"degree {n}, endpoint gap {gap:.2g}, Wronskian drift "
-                       f"{drift:.2g}; {where()}", operation="solve", value=gap, module=_MOD)
+                       f"degree {n}, tail {tail:.2g}, Wronskian drift "
+                       f"{drift:.2g}; {where()}", operation="solve", value=tail, module=_MOD)
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +315,13 @@ class BatchEndpoints:
     True values at r are (field) * exp(lam); the common factor exp(lam)
     cancels in the quotients the laws form.  log_w is log S'(r) / S'(l),
     the log growth of the Wronskian u'v - uv' from its start at 1.
-    w_drift is the Wronskian monitor's largest gap and endpoint_gap the
-    accepted degree-ladder gap, the measured relative accuracy of the
-    endpoint values.  endpoint_gap does not cover the rounding that log_w
-    gathers along a long window: for drifted_brownian(3) at
-    alpha = 0.5 on [0, 64], log_w is off by 1.6e-12 from -384 while
-    endpoint_gap is 5.4e-14.
+    w_drift is the Wronskian monitor's largest gap.  endpoint_gap bounds
+    the relative error of the endpoint values, each component against
+    the larger of its solution pair: the largest over the windows of the
+    tail certificate plus 8 ulps of rounding per panel.  It does not
+    cover the rounding that log_w gathers along a long window: for
+    drifted_brownian(3) at alpha = 0.5 on [0, 64], log_w is off by
+    1.6e-12 from -384 while endpoint_gap is 7.2e-13.
     """
 
     u_r: np.ndarray

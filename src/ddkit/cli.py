@@ -180,8 +180,11 @@ def _emit(columns, rows, cfg: RunConfig, extra: dict | None = None) -> None:
         text = json.dumps(doc, sort_keys=True, indent=2,
                           separators=(",", ": ")) + "\n"
     if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as e:
+            _fail(f"cannot write output.path: {e}", value=cfg.out_path, operation="emit")
     else:
         sys.stdout.write(text)
 

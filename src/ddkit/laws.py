@@ -122,8 +122,8 @@ class TransformResult:
     (and, below a finite upper endpoint, times the mass left in the
     strip), the refinement term of the outer degree ladder (its last gap
     g1, or the predicted next gap g1^2 / g0 where the gaps fell at least
-    100x per rung), and the window solver's measured certificate (the
-    largest accepted degree-ladder gap of the node solves, times |value|).
+    100x per rung), and the window solver's certificate (the largest
+    endpoint_gap of the node solves, times |value|).
     truncation_point is the level where the outer integral was cut.
     """
 
@@ -197,11 +197,12 @@ def _nu_sp(model, z, delta):
 
 
 def _settings_for(tol: float) -> OdeSettings:
-    # the degree ladder certifies one decade tighter than the quadrature
+    # the window solves certify one decade tighter than the quadrature
     # target, inside [1e-12, 1e-6]: loose requests still get a certified
-    # basis, and tight ones stay above the panel solver's rounding floor
+    # basis, and tight ones stay above the rounding floor of the tail
+    # certificate, which windows up to alpha 2000 and length 3 still meet
     rel = min(max(tol / 10.0, 1e-12), 1e-6)
-    return OdeSettings(rel_tol=rel, abs_tol=rel / 100.0)
+    return OdeSettings(rel_tol=rel)
 
 
 def _window_factors(model, z, delta, alpha, settings, op):

@@ -14,6 +14,7 @@ from ddkit import (
     NumericError,
     ValidationError,
     brownian,
+    custom_model,
     drifted_brownian,
     geometric_brownian,
     ornstein_uhlenbeck,
@@ -286,6 +287,72 @@ def test_degree_ladder_at_its_rounding_floor_raises():
     assert batch_endpoints(*args).endpoint_gap <= 1e-10
     with pytest.raises(NumericError, match="rounding floor"):
         batch_endpoints(*args, settings=OdeSettings(rel_tol=1e-17, abs_tol=1e-17))
+
+
+def _reference_endpoints(model, alpha, l, r):
+    """(y, lam) of every window on twice the solver's panels at degree 64."""
+    panels = 2 * basis._panel_counts(model, alpha, l, r, 10**9)
+    y0 = np.broadcast_to(np.array([[0.0, 1.0], [1.0, 0.0]])[:, :, None], (2, 2, l.size))
+    ref = basis._sweep(model, alpha, l, r, y0, panels, 64)
+    return ref["y"], ref["lam"]
+
+
+@pytest.mark.parametrize("model,lo", [
+    (brownian(), -1.5),
+    (drifted_brownian(mu=-3.0), -1.5),
+    (geometric_brownian(mu_bar=0.05, sigma_bar_sq=0.04), 0.1),
+    (geometric_brownian(mu_bar=-0.2, sigma_bar_sq=0.5), 0.1),
+    (ornstein_uhlenbeck(theta=3.0), -1.5),
+], ids=["bm", "dbm-3", "gbm", "gbm-0.2", "ou3"])
+def test_endpoint_gap_bounds_the_error(model, lo):
+    """Each window's tail certificate, plus its rounding, bounds the
+    endpoint error of every component against its solution pair, from
+    alpha 1e-4 to 2000 and tolerances 1e-6 to 1e-12, also where the error
+    is rounding alone; tight GBM windows at alpha >= 500 are still
+    answered."""
+    for delta in (0.05, 3.0):
+        r = lo + delta + np.array([0.0, 0.3, 0.9, 1.9, 3.9])
+        l = r - delta
+        for alpha in (1e-4, 5.0, 500.0, 2000.0):
+            y, lam = _reference_endpoints(model, alpha, l, r)
+            want = y.reshape(-1, 2, 2)
+            pair = np.abs(want).max(axis=2, keepdims=True)
+            for tol in (1e-6, 1e-12):
+                ep = batch_endpoints(model, alpha, l, r,
+                                     OdeSettings(rel_tol=tol, abs_tol=tol / 100))
+                got = np.stack([ep.u_r, ep.up_r, ep.v_r, ep.vp_r], axis=1)
+                got = (got * np.exp(ep.lam - lam)[:, None]).reshape(-1, 2, 2)
+                err = np.max(np.abs(got - want) / pair)
+                assert err <= ep.endpoint_gap, (delta, alpha, tol, err, ep.endpoint_gap)
+
+
+_TWIN = custom_model({"form": "affine", "intercept": 0.0, "slope": -1.0},
+                     {"form": "constant", "value": 1.0}, model_id="ou_twin")
+
+
+@pytest.mark.parametrize("model,x0,delta", [
+    (brownian(), 0.0, 1.0),
+    (drifted_brownian(mu=1.0), 0.0, 1.0),
+    (geometric_brownian(mu_bar=0.05, sigma_bar_sq=0.04), 1.0, 0.5),
+    (ornstein_uhlenbeck(theta=1.0), 0.0, 1.0),
+    (_TWIN, 0.0, 1.0),
+], ids=["bm", "dbm", "gbm", "ou", "twin"])
+@pytest.mark.parametrize("alpha", [0.2, 1.5])
+def test_window_solve_makes_one_sweep(monkeypatch, model, x0, delta, alpha):
+    """The drawdown windows [z - delta, z] of b_factor and c_hat at default
+    settings: one degree-12 sweep per solve, accepted on its own tail."""
+    sweeps, sweep = [], basis._sweep
+
+    def counted(*args):
+        sweeps.append(args[-1])       # the degree
+        return sweep(*args)
+
+    monkeypatch.setattr(basis, "_sweep", counted)
+    zs = x0 + np.array([0.2, 0.7, 1.2, 1.7])
+    for z in zs:
+        batch_endpoints(model, alpha, np.array([z - delta]), np.array([z]))
+    batch_endpoints(model, alpha, zs - delta, zs)
+    assert sweeps == [12] * (zs.size + 1)
 
 
 def test_panel_iteration_cap_raises_numeric_error(monkeypatch):

@@ -190,6 +190,16 @@ def test_numeric_output_path_exits_2(tmp_path, capsys):
     assert "output.path" in err
 
 
+def test_unwritable_output_path_exits_2(tmp_path, capsys):
+    """A path whose directory does not exist is a request error, not a
+    raw OSError."""
+    out_path = str(tmp_path / "nodir" / "x.csv")
+    cfg = write_cfg(tmp_path, bm_doc(grids={"y_grid": [1.0]}, output={"path": out_path}))
+    code, out, err = run(["tail", "--config", cfg], capsys)
+    assert (code, out) == (2, "")
+    assert "output.path" in err and "nodir" in err
+
+
 def test_bad_delta_exits_2(tmp_path, capsys):
     doc = bm_doc(grids={"y_grid": [1.0]})
     doc["query"]["delta"] = -1.0
