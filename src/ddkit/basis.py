@@ -44,7 +44,8 @@ node: log det of the node states, summed over the panels before,
 against its reference, the integral of -2 mu / sigma_sq from l that the
 panel's own J1 matrix takes of the coefficients at its nodes; w_drift
 is the largest gap.  n_steps counts panel nodes per window: the mean
-panel count, rounded up, times the accepted degree.
+panel count, rounded up, times the accepted degree.  The one knob is
+rel_tol (OdeSettings); a window past _MAX_NODES is refused as too stiff.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import antiderivative, lobatto
-from .errors import NumericError, ValidationError, integer, real, real_array
+from .errors import NumericError, ValidationError, real, real_array
 from .models import DiffusionModel
 
 _MOD = "basis"
@@ -65,35 +66,31 @@ _BLOCK_NODES = 1 << 15        # rows x panels x (degree + 1) of one block
 _DEGREES = (12, 16, 24, 32, 48, 64, 96, 128)
 _ROUNDING = 8.0 * 2.0 ** -52  # the rounding a panel map adds, for endpoint_gap
 _PICARD_MAX = 60
+# panels x degree of one window: a window past it is refused before any
+# panel is solved, and the ladder stops where the next degree would pass it
+_MAX_NODES = 2_000_000
 _LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
 class OdeSettings:
-    """Accuracy knobs for the window solver.
+    """Accuracy knob for the window solver.
 
     rel_tol bounds every window's tail certificate (the sum of its
     panels' Chebyshev tails); the solve also has to hold the Wronskian
-    monitor within 10 * rel_tol before a degree is accepted.  abs_tol is
-    validated but not read: the certificate is relative to the unit
-    starts of each panel, with no absolute floor.  max_steps caps panels x
-    degree for one window: a window past it is refused before any panel
-    is solved, and the ladder stops where the next degree would pass it.
+    monitor within 10 * rel_tol before a degree is accepted.  The
+    certificate is relative to the unit starts of each panel, with no
+    absolute floor.
     """
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol"):
-            v = real(getattr(self, name), name, "OdeSettings", _MOD, 0.0, strict=True)
-            if v > 1e-4:
-                raise ValidationError(f"{name} must lie in ]0, 1e-4]",
-                                      operation="OdeSettings", value=v, module=_MOD)
-            object.__setattr__(self, name, v)
-        object.__setattr__(self, "max_steps", integer(self.max_steps, "max_steps",
-                                                      "OdeSettings", _MOD, 1000))
+        v = real(self.rel_tol, "rel_tol", "OdeSettings", _MOD, 0.0, strict=True)
+        if v > 1e-4:
+            raise ValidationError("rel_tol must lie in ]0, 1e-4]",
+                                  operation="OdeSettings", value=v, module=_MOD)
+        object.__setattr__(self, "rel_tol", v)
 
 
 DEFAULT_SETTINGS = OdeSettings()
@@ -272,7 +269,7 @@ def _panel_counts(model, alpha, l, r, max_steps):
 
 
 def _solve_adaptive(model, alpha, l, r, settings):
-    panels = _panel_counts(model, alpha, l, r, settings.max_steps)
+    panels = _panel_counts(model, alpha, l, r, _MAX_NODES)
     # the columns u = (0, 1) and v = (1, 0) of every window's start
     y0 = np.broadcast_to(np.array([[0.0, 1.0], [1.0, 0.0]])[:, :, None], (2, 2, l.size))
 
@@ -283,10 +280,10 @@ def _solve_adaptive(model, alpha, l, r, settings):
 
     drift_tol, last = 10.0 * settings.rel_tol, math.inf
     for n in _DEGREES:
-        if panels.max() * n > settings.max_steps:    # before any panel array
+        if panels.max() * n > _MAX_NODES:    # before any panel array
             raise NumericError(
                 f"window too stiff: {panels.max()} panels of degree {n} pass the "
-                f"cap of {settings.max_steps} panel nodes; {where()}",
+                f"cap of {_MAX_NODES} panel nodes; {where()}",
                 operation="solve", value=int(panels.max() * n), module=_MOD)
         cur = _sweep(model, alpha, l, r, y0, panels, n)
         tail, drift = float(cur["tail"].max()), cur["drift"]

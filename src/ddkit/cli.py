@@ -106,6 +106,11 @@ def parse_run_config(doc: dict, command: str, seed_override=None,
         box = tuple(real(v, "each entry of query.box", "run_config", _MOD)
                     for v in pair(qdoc["box"], "query.box", "run_config", _MOD))
     exit_lower = _number(qdoc, "exit_lower")
+    # hit reads one of these, every other command neither
+    hit_keys = [f"query.{k}" for k in ("box", "exit_lower") if k in qdoc]
+    if len(hit_keys) > (command == "hit"):
+        _fail(f"{' and '.join(hit_keys)} in a {command!r} config: only the hit "
+              "command reads query.box or query.exit_lower, never both")
 
     _, want, needs_mc = _COMMANDS[command]
     wants = (want,) if want else ()
@@ -145,16 +150,6 @@ def parse_run_config(doc: dict, command: str, seed_override=None,
 # emission
 # ---------------------------------------------------------------------------
 
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
-
-
 def _json_value(v):
     if isinstance(v, str):
         return v
@@ -163,6 +158,14 @@ def _json_value(v):
     if isinstance(v, (int, np.integer)):
         return int(v)
     return float(v)
+
+
+def _fmt(v) -> str:
+    """The CSV text of _json_value(v): a bool as 1 or 0, a float to 17 digits."""
+    v = _json_value(v)
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(int(v)) if isinstance(v, int) else v
 
 
 def _emit(columns, rows, cfg: RunConfig, extra: dict | None = None) -> None:
@@ -193,16 +196,13 @@ def _emit(columns, rows, cfg: RunConfig, extra: dict | None = None) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_tail(cfg: RunConfig) -> int:
-    curve = laws.tail_curve(cfg.model, cfg.query, cfg.grid)
-    _emit(("y", "tail"), list(zip(curve.grid, curve.tail)), cfg)
-    return EXIT_OK
-
-
-def _cmd_density(cfg: RunConfig) -> int:
-    curve = laws.tail_curve(cfg.model, cfg.query, cfg.grid)
-    _emit(("y", "density"), list(zip(curve.grid, curve.density)), cfg)
-    return EXIT_OK
+def _cmd_curve(column):
+    """The tail or density command: (y, column) rows of laws.tail_curve."""
+    def cmd(cfg: RunConfig) -> int:
+        curve = laws.tail_curve(cfg.model, cfg.query, cfg.grid)
+        _emit(("y", column), list(zip(curve.grid, getattr(curve, column))), cfg)
+        return EXIT_OK
+    return cmd
 
 
 def _cmd_transform(cfg: RunConfig) -> int:
@@ -294,8 +294,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 # command -> (handler, the one grid it requires or None, needs an mc section)
 _COMMANDS = {
-    "tail": (_cmd_tail, "y_grid", False),
-    "density": (_cmd_density, "y_grid", False),
+    "tail": (_cmd_curve("tail"), "y_grid", False),
+    "density": (_cmd_curve("density"), "y_grid", False),
     "transform": (_cmd_transform, "alpha_grid", False),
     "tau-cdf": (_cmd_tau_cdf, "t_grid", False),
     "hit": (_cmd_hit, "y_grid", False),

@@ -100,20 +100,10 @@ def invert_sweep(transform: Callable[[float], float], t: float,
         raise ValidationError("need at least two orders to sweep",
                               operation="invert_sweep", value=orders,
                               module=_MOD)
-    cache: dict[float, float] = {}
-
-    def cached(a: float) -> float:
-        if a not in cache:
-            cache[a] = float(transform(a))
-        return cache[a]
-
+    cached = lru_cache(maxsize=None)(lambda a: float(transform(a)))
     vals = {n: invert(cached, t, n) for n in orders}
-    best = None
-    for lo, hi in zip(orders, orders[1:]):
-        gap = abs(vals[hi] - vals[lo])
-        if best is None or gap < best[0]:
-            best = (gap, hi)
-    gap, order = best
+    # the closest pair, the first one on a tie
+    gap, order = min((abs(vals[hi] - vals[lo]), hi) for lo, hi in zip(orders, orders[1:]))
     return InversionResult(value=vals[order], disagreement=gap, order=order,
                            unstable=gap > INSTABILITY_THRESHOLD,
                            sweep=tuple(vals.items()))

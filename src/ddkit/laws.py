@@ -52,8 +52,8 @@ from .basis import OdeSettings, batch_endpoints
 from .chebyshev import Panels, antiderivative, coefficients, lobatto, series
 from .errors import (DegenerateBasisError, DomainError, NumericError,
                      ValidationError, pair, real, real_array)
-from .models import (DiffusionModel, _require_interior, _require_window,
-                     _scale_ratio, scale_density, scale_diff)
+from .models import (DiffusionModel, _over_scale_density, _require_interior,
+                     _require_window, _scale_ratio, scale_density)
 
 _MOD = "laws"
 
@@ -166,17 +166,9 @@ class TailCurve:
 # ---------------------------------------------------------------------------
 
 def nu(model: DiffusionModel, z: float, delta: float) -> float:
-    """Excursion mass 1 / (S(z) - S(z - delta)); diverges as delta -> 0."""
-    z, delta = _require_window(model, z, delta, "nu")
-    return 1.0 / _nonzero(scale_diff(model, z - delta, z), "S(z) - S(z - delta)", z, "nu")
-
-
-def _nonzero(v, what, z, op):
-    """v, a scale quantity at level z to divide by, unless it underflowed to 0."""
-    if not v > 0.0:
-        raise NumericError(f"{what} underflows to 0 at level {z:g}", operation=op,
-                           value=z, module=_MOD)
-    return v
+    """Excursion mass 1 / (S(z) - S(z - delta)); diverges as delta -> 0.
+    Computed as the rate nu S' of the laws over S'(z)."""
+    return _window_factor(model, z, delta, 0.0, None, "nu", 0)
 
 
 def _nu_sp(model, z, delta):
@@ -205,17 +197,19 @@ def _settings_for(tol: float) -> OdeSettings:
     return OdeSettings(rel_tol=rel)
 
 
-def _window_factors(model, z, delta, alpha, settings, op):
-    """(b, chat) at level z: the rates of one window solve over S'(z);
-    nu(z) at alpha = 0."""
+def _window_factor(model, z, delta, alpha, settings, op, k):
+    """b (k = 0) or chat (k = 1) at level z: the laws' own rate over S'(z),
+    from one window solve, or nu S' for either at alpha = 0; errors name
+    op."""
     z, delta = _require_window(model, z, delta, op)
     alpha = real(alpha, "alpha", op, _MOD, 0.0)
+    sp = scale_density(model, z)
     if alpha == 0.0:
-        return (nu(model, z, delta),) * 2
-    sp = _nonzero(scale_density(model, z), "S'(z)", z, op)
-    b, chat, _ = _factors(model, np.array([z]), delta, alpha,
-                          settings or _settings_for(1e-9), op)
-    return float(b[0]) / sp, float(chat[0]) / sp
+        rate = _nu_sp(model, z, delta)
+    else:
+        rate = _factors(model, np.array([z]), delta, alpha,
+                        settings or _settings_for(1e-9), op)[k][0]
+    return _over_scale_density(rate, sp, z, op)
 
 
 def b_factor(model: DiffusionModel, z: float, delta: float, alpha: float,
@@ -226,7 +220,7 @@ def b_factor(model: DiffusionModel, z: float, delta: float, alpha: float,
     alpha.  Computed as 1 / (S'(z - delta) u(z)) from the unit-slope
     window basis, that is its rate e^{log_w} / u(z) over S'(z).
     """
-    return _window_factors(model, z, delta, alpha, settings, "b_factor")[0]
+    return _window_factor(model, z, delta, alpha, settings, "b_factor", 0)
 
 
 def c_hat(model: DiffusionModel, z: float, delta: float, alpha: float,
@@ -237,7 +231,7 @@ def c_hat(model: DiffusionModel, z: float, delta: float, alpha: float,
     Equals nu(z) at alpha = 0 and dominates both nu and b_factor for
     alpha > 0; the run-up-only intensity is c_hat - nu.
     """
-    return _window_factors(model, z, delta, alpha, settings, "c_hat")[1]
+    return _window_factor(model, z, delta, alpha, settings, "c_hat", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -389,17 +383,14 @@ def _level_values(model, ys, delta, alphas, settings, op):
     They are the densities in y of nu dS, b dS and chat dS, so S', fixed
     only up to a constant, never enters.  Every alpha > 0 is solved in one
     batch, rows alpha-major; at alpha = 0, b S' = chat S' = nu S'."""
-    nu_v = _nu_sp(model, ys, delta)
-    pos = alphas > 0.0
-    b = c = nu_v
-    gap = 0.0
+    out = np.empty((len(alphas), 3, ys.size))
+    out[:] = _nu_sp(model, ys, delta)
+    pos, gap = alphas > 0.0, 0.0
     if pos.any():
         b, c, gap = _factors(model, np.tile(ys, int(pos.sum())), delta,
                              np.repeat(alphas[pos], ys.size), settings, op)
-    out = np.empty((len(alphas), 3, ys.size))
-    out[:] = nu_v
-    out[pos, 1] = np.reshape(b, (-1, ys.size))
-    out[pos, 2] = np.reshape(c, (-1, ys.size))
+        out[pos, 1] = np.reshape(b, (-1, ys.size))
+        out[pos, 2] = np.reshape(c, (-1, ys.size))
     return out, gap
 
 
@@ -575,8 +566,9 @@ def _transform_core(model, query, alphas, role_swap=False):
     table = _MassTable(model, x, delta, tol).grow(mass=_MASS_CUT)
     edges = np.asarray(table.edges)
     y_star, n_star = float(edges[-1]), table.mass
-    with np.errstate(under="ignore", over="ignore"):
-        remainder = math.exp(min(-beta * y_star - n_star, 50.0))
+    # everything below is e^{beta x} times the transform, in [0, 1]; the
+    # factor e^{-beta x} is put back last
+    remainder = math.exp(-beta * (y_star - x) - n_star)
     if table.hit_b:
         remainder *= min(1.0, table.strip)
 
@@ -603,24 +595,28 @@ def _transform_core(model, query, alphas, role_swap=False):
     def estimate(i, n, vals):
         rate, outside = integrands(vals)
         rise, r = first.pop(i) if n == _DEGREES[0] else _exponent(hs, rate, n)
-        with np.errstate(under="ignore"):
-            return math.exp(-beta * x) * _outer_integral(hs, rise, r, outside, n)
+        return _outer_integral(hs, rise, r, outside, n)
 
-    cap = min(1.0, math.exp(-beta * x)) if beta * x >= 0 else math.exp(-beta * x)
     out = []
     for value, refine, gap in _climb(
             model, edges, delta, alphas, tol, estimate, lambda v: max(abs(v), 1e-300),
             "transform", "transform", vals, solve_gap):
-        abs_err = remainder + refine + gap * abs(value)
-        if value < 0.0:
-            abs_err += -value
-            value = 0.0
-        elif value > cap:
-            abs_err += value - cap
-            value = cap
+        clipped = min(max(value, 0.0), 1.0)
+        abs_err = remainder + refine + gap * abs(value) + abs(value - clipped)
+        value, abs_err = _times_exp(clipped, -beta * x), _times_exp(abs_err, -beta * x)
+        if value == math.inf:
+            raise NumericError("the transform exceeds the float range",
+                               operation="transform", value=(x, beta), module=_MOD)
         out.append(TransformResult(value=value, abs_error_estimate=abs_err,
                                    truncation_point=y_star))
     return out
+
+
+def _times_exp(v, e):
+    """v e^e for v >= 0, finite wherever that product is, though e^e alone
+    may overflow; inf past the float range."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return v * math.exp(e) if e < 700.0 else float(np.exp(np.log(v) + e))
 
 
 def joint_transform(model: DiffusionModel,
@@ -630,7 +626,8 @@ def joint_transform(model: DiffusionModel,
     At alpha = beta = 0 this is the probability the drawdown ever
     completes.  The outer integral is truncated where the survival
     mass falls below 1e-14; the exact bound for the discarded piece is
-    part of abs_error_estimate.
+    part of abs_error_estimate.  A value past the float range, which
+    needs beta x below -709, raises NumericError.
     """
     return _transform_core(model, query, [query.alpha])[0]
 

@@ -148,9 +148,14 @@ def _default_ref(interval):
     return 0.0
 
 
-def _check_ref(ref, interval, kind):
-    ref = real(ref, "scale_ref", kind, _MOD)
+def _check_ref(ref, interval, kind, natural=None):
+    """scale_ref, which must lie inside the interval; without one, natural
+    where it lies inside, else _default_ref."""
     a, b = interval
+    if ref is None:
+        inside = natural is not None and a < natural < b
+        ref = natural if inside else _default_ref(interval)
+    ref = real(ref, "scale_ref", kind, _MOD)
     if not (a < ref < b):
         raise ValidationError("scale_ref must lie inside the interval",
                               operation=kind, value=ref, module=_MOD)
@@ -236,8 +241,7 @@ def brownian(sigma_sq: float = 1.0, interval=(-math.inf, math.inf),
     """Brownian motion with variance rate sigma_sq (natural scale)."""
     sigma_sq = real(sigma_sq, "sigma_sq", "brownian", _MOD, 0.0, strict=True)
     interval = _check_interval(interval, "brownian")
-    ref = _check_ref(scale_ref if scale_ref is not None else _default_ref(interval),
-                     interval, "brownian")
+    ref = _check_ref(scale_ref, interval, "brownian")
     return DiffusionModel(
         model_id=model_id, kind="bm",
         drift=lambda x: 0.0 * np.asarray(x, dtype=float),
@@ -259,8 +263,7 @@ def drifted_brownian(mu: float, sigma_sq: float = 1.0,
     if mu == 0.0:
         return brownian(sigma_sq, interval, scale_ref, model_id)
     interval = _check_interval(interval, "drifted_brownian")
-    ref = _check_ref(scale_ref if scale_ref is not None else _default_ref(interval),
-                     interval, "drifted_brownian")
+    ref = _check_ref(scale_ref, interval, "drifted_brownian")
     g = 2.0 * mu / sigma_sq  # S'(x) = exp(-g (x - ref))
 
     def scale_ratio_fn(a, b, z):
@@ -295,9 +298,7 @@ def geometric_brownian(mu_bar: float, sigma_bar_sq: float,
     if interval[0] < 0.0:
         raise ValidationError("gbm state space must sit inside ]0, inf[",
                               operation="geometric_brownian", value=interval, module=_MOD)
-    ref = scale_ref if scale_ref is not None else (1.0 if interval[0] < 1.0 < interval[1]
-                                                   else _default_ref(interval))
-    ref = _check_ref(ref, interval, "geometric_brownian")
+    ref = _check_ref(scale_ref, interval, "geometric_brownian", 1.0)
     p = 2.0 * mu_bar / sigma_bar_sq  # S'(x) = (x/ref)^(-p)
 
     def scale_ratio_fn(a, b, z):
@@ -334,9 +335,7 @@ def ornstein_uhlenbeck(theta: float, mean: float = 0.0, sigma_sq: float = 1.0,
     mean = real(mean, "mean", "ornstein_uhlenbeck", _MOD)
     sigma_sq = real(sigma_sq, "sigma_sq", "ornstein_uhlenbeck", _MOD, 0.0, strict=True)
     interval = _check_interval(interval, "ornstein_uhlenbeck")
-    ref = scale_ref if scale_ref is not None else (mean if interval[0] < mean < interval[1]
-                                                   else _default_ref(interval))
-    ref = _check_ref(ref, interval, "ornstein_uhlenbeck")
+    ref = _check_ref(scale_ref, interval, "ornstein_uhlenbeck", mean)
     k = theta / sigma_sq  # S'(x) = exp(k ((x-mean)^2 - (ref-mean)^2))
     sq = math.sqrt(k)
     # (S(b) - S(a)) / S'(z) = (sqrt(pi/k)/2) (erfi(sq (b-mean)) - ...) e^{-k (z-mean)^2}
@@ -608,8 +607,7 @@ def custom_model(drift_form: dict, diffusion_sq_form: dict,
     point, raises NumericError naming which.
     """
     interval = _check_interval(interval, "custom_model")
-    ref = _check_ref(scale_ref if scale_ref is not None else _default_ref(interval),
-                     interval, "custom_model")
+    ref = _check_ref(scale_ref, interval, "custom_model")
     drift = _build_form(drift_form, "drift")
     dsq = _build_form(diffusion_sq_form, "diffusion_sq")
     a, b = interval
@@ -742,6 +740,20 @@ def scale_density(model: DiffusionModel, x):
     return _evaluate(model, model.scale_density_fn, "scale density", "scale_density", x)
 
 
+def _over_scale_density(rate, sp, x, op):
+    """rate / sp, sp = S'(x), for the level functions and the speed
+    density; a float for scalars.  The first level where S'(x) underflows
+    to 0 or the quotient is not finite raises NumericError naming op."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.divide(rate, sp)
+    if not np.isfinite(out).all():
+        z, s, _ = next(t for t in np.broadcast(x, sp, out) if not np.isfinite(t[2]))
+        why = "S'(z) underflows to 0" if s == 0.0 else "the rate over S'(z) is not finite"
+        raise NumericError(f"{why} at level {z:g}", operation=op, value=float(z),
+                           module=_MOD)
+    return float(out) if out.ndim == 0 else out
+
+
 def _scale_ratio(model, a, b, z, op):
     """(S(b) - S(a)) / S'(z), the form in which scale values enter every
     law, as _evaluate gives it; errors name op."""
@@ -780,7 +792,8 @@ class ScaleMap:
 
 @dataclass(frozen=True, eq=False)
 class SpeedDensity:
-    """m'(x) = 2 / (sigma_sq(x) S'(x))."""
+    """m'(x) = 2 / (sigma_sq(x) S'(x)), refused like the level functions
+    where S'(x) underflows to 0 or the quotient is not finite."""
 
     model: DiffusionModel
 
@@ -791,8 +804,8 @@ class SpeedDensity:
         if not np.all(arr > 0):
             raise NumericError("diffusion_sq non-positive",
                                operation="SpeedDensity", value=x, module=_MOD)
-        out = 2.0 / (arr * np.asarray(scale_density(self.model, x), dtype=float))
-        return float(out) if np.ndim(x) == 0 else out
+        return _over_scale_density(2.0 / arr, scale_density(self.model, x), x,
+                                   "SpeedDensity")
 
 
 # ---------------------------------------------------------------------------

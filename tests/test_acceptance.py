@@ -94,7 +94,7 @@ def test_local_factors_and_basis_invariance(capsys):
         (BM, 0.5, B_BM, CHAT_BM),
         (DBM, 1.0, B_DBM, CHAT_DBM),
     ]
-    alt = OdeSettings(rel_tol=1e-11, abs_tol=1e-13)
+    alt = OdeSettings(rel_tol=1e-11)
     worst_val = 0.0
     worst_inv = 0.0
     for model, alpha, want_b, want_c in frozen:

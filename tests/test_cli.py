@@ -182,6 +182,40 @@ def test_malformed_model_or_query_value_exits_2(tmp_path, capsys, model,
     assert needle in err
 
 
+@pytest.mark.parametrize("section,value,needle", [
+    ("grids", {"y_grid": []}, "grids.y_grid must be a nonempty array"),
+    ("output", {"format": "xml"}, "output format must be 'csv' or 'json'"),
+    ("query", [], "query must be a JSON object"),
+], ids=["empty-grid", "format-xml", "query-list"])
+def test_malformed_config_section_exits_2(tmp_path, capsys, section, value, needle):
+    cfg = write_cfg(tmp_path, bm_doc(**{"grids": {"y_grid": [1.0]}, section: value}))
+    code, out, err = run(["tail", "--config", cfg], capsys)
+    assert (code, out) == (2, "")
+    assert needle in err
+
+
+def test_hit_refuses_a_box_with_a_lower_exit(tmp_path, capsys):
+    # the exit transform reads no box: the pair is refused, not half read
+    doc = bm_doc(grids={"y_grid": [1.0]})
+    doc["query"].update(alpha=0.5, box=[-0.5, 0.5], exit_lower=-1.0)
+    code, out, err = run(["hit", "--config", write_cfg(tmp_path, doc)], capsys)
+    assert (code, out) == (2, "")
+    assert "query.box" in err and "query.exit_lower" in err
+
+
+@pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "hit"])
+@pytest.mark.parametrize("key,value", [("box", [-3.0, 3.0]), ("exit_lower", -1.0)])
+def test_hit_query_keys_on_other_commands_exit_2(tmp_path, capsys, command, key,
+                                                 value):
+    grid = cli._COMMANDS[command][1]
+    doc = bm_doc(mc={"n_paths": 1000, "dt": 0.01, "t_max": 10.0, "seed": 1},
+                 **({"grids": {grid: [1.0]}} if grid else {}))
+    doc["query"][key] = value
+    code, out, err = run([command, "--config", write_cfg(tmp_path, doc)], capsys)
+    assert (code, out) == (2, "")
+    assert f"query.{key}" in err and "hit" in err
+
+
 def test_numeric_output_path_exits_2(tmp_path, capsys):
     """A number is no path: open() would write to that file descriptor."""
     cfg = write_cfg(tmp_path, bm_doc(grids={"y_grid": [1.0]}, output={"path": 1}))
@@ -336,6 +370,15 @@ def test_too_stiff_transform_exits_3(tmp_path, capsys):
     code, _, err = run(["transform", "--config", cfg], capsys)
     assert code == 3
     assert "numeric failure" in err
+
+
+def test_transform_past_the_float_range_exits_3(tmp_path, capsys):
+    # e^{-beta x} = e^{800}: the value itself overflows, a numeric failure
+    doc = bm_doc(grids={"alpha_grid": [0.5]})
+    doc["query"].update(x=-1.0, beta=800.0)
+    code, out, err = run(["transform", "--config", write_cfg(tmp_path, doc)], capsys)
+    assert (code, out) == (3, "")
+    assert "numeric failure" in err and "float range" in err
 
 
 def test_simulate_writes_sample_table(tmp_path, capsys):

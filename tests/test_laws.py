@@ -5,6 +5,7 @@ and the inverted CDF of tau."""
 import math
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -140,6 +141,20 @@ def test_level_functions_refuse_a_level_where_the_scale_underflows():
             call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: nu(drifted_brownian(mu=3.0), 119.0, 1.0),
+    lambda: c_hat(drifted_brownian(mu=3.0), 119.0, 1.0, 0.5),
+    lambda: b_factor(drifted_brownian(mu=3.0), 119.0, 1.0, 0.0),
+    lambda: b_factor(drifted_brownian(mu=-3.0), -119.0, 1.0, 0.5),
+], ids=["nu", "c_hat", "b_alpha0", "b_mirror"])
+def test_level_functions_refuse_a_quotient_past_the_float_range(call):
+    # S'(+-119) = e^{-714} is subnormal: the rate over it overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError, match="not finite at level -?119"):
+            call()
+
+
 def test_level_functions_scale_covariant_ratios_invariant():
     # changing the scale normalization point rescales nu, b, chat by a
     # common factor; their ratios and nu * S' are what the laws consume
@@ -242,6 +257,19 @@ def test_joint_transform_with_steep_exponents():
     r = joint_transform(geometric_brownian(mu_bar=0.05, sigma_bar_sq=0.2),
                         DrawdownQuery(1.0, 0.3, alpha=2000.0))
     assert_allclose(r.value, 4.66649833433908e-22, rtol=1e-9)
+
+
+def test_joint_transform_past_the_exp_range_of_beta_x():
+    # e^{-beta x} alone overflows at beta x < -709, the value need not:
+    # on BM it is e^{-beta x} b / (beta + chat), b = 1/sinh(1), chat = coth(1)
+    q = DrawdownQuery(-1.0, 1.0, alpha=0.5, beta=705.0)
+    want = math.exp(705.0 + math.log(B_BM / (705.0 + CHAT_BM)))
+    assert_allclose(joint_transform(BM, q).value, want, rtol=1e-9)
+    # past the float range the value itself is refused, with no OverflowError
+    for m, q in ((BM, replace(q, beta=800.0)),
+                 (OU, DrawdownQuery(-300.0, 1.0, alpha=0.5, beta=30.0))):
+        with pytest.raises(NumericError, match="float range"):
+            joint_transform(m, q)
 
 
 def test_joint_transform_monotone_in_alpha_and_beta():
@@ -382,6 +410,23 @@ def test_constant_rate_transforms_accept_on_the_first_rung(solver_calls):
     assert len(solver_calls) == 1
 
 
+def test_transform_ladder_drops_an_accepted_alpha(solver_calls, monkeypatch):
+    """On GBM, alpha = 1e-4 is accepted at rung 16 and alpha = 200 climbs
+    on: the rung-32 solve carries its rows alone, and each value is
+    within its estimate of a run of that alpha by itself."""
+    g, q = geometric_brownian(0.05, 0.04), DrawdownQuery(1.0, 0.2)
+    alphas, counted = [], laws.batch_endpoints
+    monkeypatch.setattr(laws, "batch_endpoints", lambda m, a, *args, **kw: (
+        alphas.append(set(np.atleast_1d(a).tolist())) or counted(m, a, *args, **kw)))
+    both = laws._transform_core(g, q, [1e-4, 200.0])
+    assert alphas[-2:] == [{1e-4, 200.0}, {200.0}]
+    # rung 16 solves 8 new points per panel for two alphas, rung 32 16 for one
+    assert solver_calls[-1][0] == solver_calls[-2][0]
+    for a, r in zip((1e-4, 200.0), both):
+        alone = laws._transform_core(g, q, [a])[0]
+        assert abs(r.value - alone.value) <= r.abs_error_estimate
+
+
 def test_transform_error_estimates_bound_the_error():
     """Every abs_error_estimate bounds the distance to a tol-1e-12 run:
     five models, four alphas, two betas and two tolerances, 80 cases.
@@ -420,7 +465,7 @@ def test_tail_curve_of_a_custom_model_calls_scale_with_arrays(monkeypatch):
     twin = custom_model({"form": "affine", "intercept": 0.0, "slope": -1.0},
                         {"form": "constant", "value": 1.0})
     scalar = []
-    for name in ("scale_density", "scale_diff", "_scale_ratio"):
+    for name in ("scale_density", "_scale_ratio"):
         fn = getattr(laws, name)
 
         def counted(model, *args, _fn=fn, _name=name):

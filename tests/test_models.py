@@ -5,6 +5,7 @@ forms, and query validation."""
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -575,6 +576,17 @@ def test_speed_density_identity():
     sp = SpeedDensity(m)
     for x in (-0.5, 0.0, 1.2):
         assert_allclose(sp(x), 2.0 / (2.0 * scale_density(m, x)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("x, why", [(119.0, "not finite"), (300.0, "underflows to 0"),
+                                    (np.array([1.0, 300.0]), "underflows to 0")])
+def test_speed_density_refuses_where_sprime_leaves_the_float_range(x, why):
+    # S'(119) = e^{-714} is subnormal and S'(300) is 0; the first bad
+    # level is named
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError, match=f"{why} at level (119|300)"):
+            SpeedDensity(drifted_brownian(mu=3.0))(x)
 
 
 # ---------------------------------------------------------------------------
