@@ -53,13 +53,15 @@ from .chebyshev import Panels, antiderivative, coefficients, lobatto, series
 from .errors import (DegenerateBasisError, DomainError, NumericError,
                      ValidationError, pair, real, real_array)
 from .models import (DiffusionModel, _over_scale_density, _require_interior,
-                     _require_window, _scale_ratio, scale_density)
+                     _require_window, _scale_ratio)
 
 _MOD = "laws"
 
 # survival mass at which the outer integral is cut; the remaining
 # contribution is below 1e-14 of the value scale and is reported
 _MASS_CUT = -math.log(1e-14)
+# survival mass past which exp(-N) is 0 in floats: the tails' table stops there
+_ZERO_MASS = 746.0
 
 # survival mass a table panel is sized to carry: at a constant rate
 # sixteen panels reach the cut
@@ -72,6 +74,7 @@ _DEGREES = (4, 8, 16, 32, 64)   # the transforms' nested ladder of panel points
 _STRIP_MASS = 1e-14             # mass left below a finite upper endpoint
 _REACH = 0.875                  # share of the way to that endpoint a panel may cover
 _LEGENDRE = leggauss(96)
+_LEGENDRE_CHEB = chebvander(_LEGENDRE[0], max(_DEGREES))   # T_k at its points
 _LAGUERRE = laggauss(48)
 # relative rounding of a transform value: the same nodes solved in
 # other batches move by up to 7.6e-15 relative
@@ -176,15 +179,15 @@ def _nu_sp(model, z, delta):
 
     Takes arrays of levels.  It is one over the scale quotient on
     [z - delta, z] anchored at z, which reads S' only relative to S'(z).
-    BM and drifted BM get their exact z-free rate, several times faster.
+    A drifted BM (exact_step of kind arith) gets its exact z-free rate,
+    several times faster: g / expm1(g delta) with g = 2 mu_sim /
+    sig_sq_sim, or 1 / delta at g = 0.
     """
-    if model.kind == "bm":
-        rate = 1.0 / delta
-    elif model.kind == "drifted_bm":
-        g = 2.0 * model.params["mu"] / model.params["sigma_sq"]
-        rate = g / math.expm1(g * delta)
-    else:
+    step = model.exact_step
+    if step is None or step.kind != "arith":
         return 1.0 / _scale_ratio(model, z - delta, z, z, "scale")
+    g = 2.0 * step.mu_sim / step.sig_sq_sim
+    rate = g / math.expm1(g * delta) if g else 1.0 / delta
     return rate if np.ndim(z) == 0 else np.full(np.shape(z), rate)
 
 
@@ -199,17 +202,15 @@ def _settings_for(tol: float) -> OdeSettings:
 
 def _window_factor(model, z, delta, alpha, settings, op, k):
     """b (k = 0) or chat (k = 1) at level z: the laws' own rate over S'(z),
-    from one window solve, or nu S' for either at alpha = 0; errors name
-    op."""
+    nu S' at alpha = 0, else from one window solve under settings (None:
+    the solver's default); errors name op."""
     z, delta = _require_window(model, z, delta, op)
     alpha = real(alpha, "alpha", op, _MOD, 0.0)
-    sp = scale_density(model, z)
     if alpha == 0.0:
         rate = _nu_sp(model, z, delta)
     else:
-        rate = _factors(model, np.array([z]), delta, alpha,
-                        settings or _settings_for(1e-9), op)[k][0]
-    return _over_scale_density(rate, sp, z, op)
+        rate = _factors(model, np.array([z]), delta, alpha, settings, op)[k][0]
+    return _over_scale_density(rate, model, z, op)
 
 
 def b_factor(model: DiffusionModel, z: float, delta: float, alpha: float,
@@ -331,10 +332,15 @@ class _MassTable:
 # ---------------------------------------------------------------------------
 
 def _survival_mass(model, query, ys):
-    """int_x^y nu dS at the levels ys, an array in [x, B[."""
-    t = _MassTable(model, query.x, query.delta, query.tol).grow(level=float(np.max(ys)))
-    return Panels(np.asarray(t.edges), np.asarray(t.offsets),
-                  np.reshape(t.anti, (-1, _TABLE_DEGREE + 2)))(ys)
+    """int_x^y nu dS at the levels ys, an array in [x, B[: inf, unread, past
+    a table that stopped on N = _ZERO_MASS short of them; past the last
+    edge of a table that stopped at a finite B, its last panel runs on."""
+    t = _MassTable(model, query.x, query.delta, query.tol).grow(
+        mass=_ZERO_MASS, level=float(np.max(ys)))
+    stop = math.inf if t.hit_b else t.edges[-1]
+    return np.where(ys > stop, math.inf, Panels(
+        np.asarray(t.edges), np.asarray(t.offsets),
+        np.reshape(t.anti, (-1, _TABLE_DEGREE + 2)))(np.minimum(ys, stop)))
 
 
 def max_tail(model: DiffusionModel, query: DrawdownQuery, y: float) -> float:
@@ -447,7 +453,7 @@ def _exp_moments(a, n):
     M = np.empty((a.size, n + 1))
     u, w = _LEGENDRE
     small = a <= 60.0
-    M[small] = (w * np.exp(-np.outer(a[small], u + 1.0))) @ chebvander(u, n)
+    M[small] = (w * np.exp(-np.outer(a[small], u + 1.0))) @ _LEGENDRE_CHEB[:, :n + 1]
     if not small.all():
         v, wl = _LAGUERRE
         ab = a[~small, None]
@@ -510,8 +516,8 @@ def _refinement(e, scale, accept, n):
 def _climb(model, edges, delta, alphas, tol, estimate, scale, op, name, vals=None,
            gap=0.0):
     """The outer degree ladder on the panels edges, for each alpha of
-    alphas: estimate(i, n, values) at the (nu S', b S', chat S') values of
-    the degree-n points of every panel for alphas[i], until _refinement
+    alphas: estimate(n, values) at the (nu S', b S', chat S') values of
+    the degree-n points of every panel for that alpha, until _refinement
     accepts the last three nested estimates at accept * scale(e_n), accept
     a decade above the window solver's own certificate.  The degree-n / 2
     and n / 4 estimates read the even and every fourth point, so the first
@@ -533,10 +539,10 @@ def _climb(model, edges, delta, alphas, tol, estimate, scale, op, name, vals=Non
             gaps[live] = np.maximum(gaps[live], g)
         keep = []
         for j, i in enumerate(live):
-            cur = estimate(i, n, vals[j])
+            cur = estimate(n, vals[j])
             if first:
-                est[i] = [estimate(i, n // 4, vals[j][..., ::4]),
-                          estimate(i, n // 2, vals[j][..., ::2]), cur]
+                est[i] = [estimate(n // 4, vals[j][..., ::4]),
+                          estimate(n // 2, vals[j][..., ::2]), cur]
             else:
                 est[i] = est[i][1:] + [cur]
             term = _refinement(est[i], scale(cur), accept, n)
@@ -585,17 +591,15 @@ def _transform_core(model, query, alphas, role_swap=False):
     while True:
         hs = 0.5 * np.diff(edges)
         vals, solve_gap = _panel_values(model, edges, n, delta, alphas, settings, None)
-        # each alpha's degree-4 exponent, read once by its first estimate
-        first = {i: _exponent(hs, integrands(v)[0], n) for i, v in enumerate(vals)}
-        far = np.any([np.abs(r).max(axis=1) > 1.0 for _, r in first.values()], axis=0)
+        far = np.any([np.abs(_exponent(hs, integrands(v)[0], n)[1]).max(axis=1) > 1.0
+                      for v in vals], axis=0)
         if not far.any() or hs.min() < 1e-9 * max(1.0, abs(y_star)):
             break
         edges = np.sort(np.concatenate([edges, edges[:-1][far] + hs[far]]))
 
-    def estimate(i, n, vals):
+    def estimate(n, vals):
         rate, outside = integrands(vals)
-        rise, r = first.pop(i) if n == _DEGREES[0] else _exponent(hs, rate, n)
-        return _outer_integral(hs, rise, r, outside, n)
+        return _outer_integral(hs, *_exponent(hs, rate, n), outside, n)
 
     out = []
     for value, refine, gap in _climb(
@@ -659,7 +663,7 @@ def _runup_exponent(model, x, ys_eval, delta, alpha, tol):
     edges = np.asarray(table.edges)
     hs = 0.5 * np.diff(edges)[:, None]
 
-    def estimate(i, n, vals):
+    def estimate(n, vals):
         nu_v, _, c_v = vals
         A = antiderivative(np.maximum(c_v - nu_v, 0.0), hs)
         offsets = np.concatenate([[0.0], np.cumsum(A.sum(axis=1))[:-1]])
@@ -737,7 +741,7 @@ def _passage(model, x, t, o, alpha, op):
         d, z = min(dens)
         return _scale_ratio(model, *num, z, op) / d, 1.0, _NODE_ROUNDING
     l, r = np.array([num, den, (t, x)] if t < x else [num, den]).T
-    ep = batch_endpoints(model, alpha, l, r, _settings_for(1e-9))
+    ep = batch_endpoints(model, alpha, l, r)
     ends = np.array([ep.u_r, ep.up_r if t < x else ep.v_r])[:, :2]
     if not np.all(np.isfinite(ends) & (ends > 0.0)):
         raise DegenerateBasisError("window endpoint value is not finite and positive",

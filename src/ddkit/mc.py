@@ -126,9 +126,9 @@ class McConfig:
     """Simulation settings.
 
     dt must also satisfy dt <= delta^2 / 100 for the query it is used
-    with; that guard is checked where delta is known.  t_max should be
-    generous: paths still running at the horizon are counted, bounded,
-    and warned about, never silently dropped.
+    with; that guard is checked where delta is known.  A run ends at its
+    horizon, n_steps = round(t_max / dt) steps of dt.  t_max should be generous: paths still running at the horizon are
+    counted, bounded, and warned about, never silently dropped.
     """
 
     n_paths: int
@@ -152,6 +152,10 @@ class McConfig:
     @property
     def n_steps(self) -> int:
         return max(1, int(round(self.t_max / self.dt)))
+
+    @property
+    def horizon(self) -> float:
+        return self.n_steps * self.dt
 
 
 @dataclass(frozen=True)
@@ -205,8 +209,7 @@ class PathCollection:
             raise ValidationError("a stopped path reported a maximum below "
                                   "its start", operation="PathCollection",
                                   module=_MOD)
-        horizon = self.cfg.n_steps * self.cfg.dt
-        if np.any(self.tau_hat > horizon * (1 + 1e-12)):
+        if np.any(self.tau_hat > self.cfg.horizon * (1 + 1e-12)):
             raise ValidationError("tau_hat beyond the horizon",
                                   operation="PathCollection", module=_MOD)
 
@@ -395,7 +398,7 @@ def _drawdown_chunk(model, x, delta, dts, cfg, first, count):
     x_cur = np.full((len(dts), count), float(x))
     m_cur = x_cur.copy()
     m_tau = x_cur.copy()
-    tau = np.full((len(dts), count), cfg.n_steps * cfg.dt)
+    tau = np.full((len(dts), count), cfg.horizon)
     stopped = np.zeros((len(dts), count), dtype=bool)
     alive = np.arange(count)
     base = 0
@@ -470,9 +473,8 @@ def _drawdown_paths(model, x, delta, cfg, paired):
     for i, dt in enumerate(dts):
         # both arms of a pair simulate exactly n_steps coarse steps of
         # time; an aligned t_max keeps each arm's step count consistent
-        arm_cfg = (McConfig(n_paths=cfg.n_paths, dt=dt,
-                            t_max=cfg.n_steps * cfg.dt, seed=cfg.seed,
-                            scheme=cfg.scheme) if paired else cfg)
+        arm_cfg = (McConfig(n_paths=cfg.n_paths, dt=dt, t_max=cfg.horizon,
+                            seed=cfg.seed, scheme=cfg.scheme) if paired else cfg)
         tau, m_tau, stopped = (np.concatenate([p[i][j] for p in parts])
                                for j in range(3))
         cols.append(PathCollection(x=x, delta=delta,
@@ -481,7 +483,7 @@ def _drawdown_paths(model, x, delta, cfg, paired):
     if cols[0].unstopped_fraction > 0.01:
         warnings.warn(
             f"{cols[0].unstopped_fraction:.1%} of paths did not reach the "
-            f"drawdown by t_max={cfg.t_max:g}; estimates carry that bias",
+            f"drawdown by the horizon {cfg.horizon:g}; estimates carry that bias",
             stacklevel=3)
     return cols
 
@@ -581,11 +583,11 @@ def estimate_transform(samples, alpha: float, beta: float) -> tuple[float, float
 
 
 def tau_cdf_estimate(samples, t: float) -> tuple[float, float]:
-    """Empirical P(tau <= t) with standard error; valid for t below the
-    horizon, where stopping is fully observed."""
+    """Empirical P(tau <= t) with standard error, up to the horizon
+    n_steps dt of a PathCollection, where stopping is fully observed."""
     t = real(t, "t", "tau_cdf_estimate", _MOD)
     tau, m, st, col = _as_arrays(samples)
-    if col is not None and t > col.cfg.t_max:
+    if col is not None and t > col.cfg.horizon * (1 + 1e-12):
         raise ValidationError("t beyond the simulated horizon",
                               operation="tau_cdf_estimate", value=t,
                               module=_MOD)

@@ -15,9 +15,9 @@ callables; ``scale_density``, ``scale_diff`` and ``scale`` read them
 with S'(scale_ref) = 1.  The catalog kinds (bm, drifted_bm, gbm, ou)
 give both in closed form, and the exact Gaussian step of the Monte
 Carlo engine, which also marks a drifted BM in x or log x for the
-hitting transform's closed form.  Custom models are assembled from
-named coefficient forms and get both from one table of log S',
-piecewise Chebyshev and grown lazily outward from scale_ref.
+closed forms of the hitting transform and, in x, of nu.  Custom models
+are assembled from named coefficient forms and get both from one table
+of log S', piecewise Chebyshev and grown lazily outward from scale_ref.
 
 ``scale_ref`` is the normalization point where S' = 1; it is distinct
 from the anchor of a ScaleMap, which only fixes where S vanishes.
@@ -59,9 +59,9 @@ class ExactStepSpec:
 
     sig_sq_sim is the (constant) local variance rate in the sim
     coordinate, which the Brownian-bridge crossing/extreme corrections
-    use too.  arith and loggauss also mark the model as a drifted BM
-    (mu_sim, sig_sq_sim) in the sim coordinate, whose first-passage
-    transform laws.hitting_laplace takes in closed form.
+    use too.  arith and loggauss also mark a drifted BM (mu_sim,
+    sig_sq_sim) in the sim coordinate, whose passage transform (and, for
+    arith, nu S') the laws take in closed form.
     """
 
     kind: str
@@ -82,8 +82,8 @@ class DiffusionModel:
     dividing by a value of S', which cancel or leave the float range
     far from scale_ref where the quotient does not.  exact_step, when
     present, is the Monte Carlo step and, for kinds arith and loggauss,
-    the hitting transform's closed form; every other law reads only the
-    coefficients and the two scale callables.
+    the hitting transform's closed form (arith: nu's constant rate too);
+    every other law reads only the coefficients and the two scale callables.
     """
 
     model_id: str
@@ -740,10 +740,12 @@ def scale_density(model: DiffusionModel, x):
     return _evaluate(model, model.scale_density_fn, "scale density", "scale_density", x)
 
 
-def _over_scale_density(rate, sp, x, op):
-    """rate / sp, sp = S'(x), for the level functions and the speed
-    density; a float for scalars.  The first level where S'(x) underflows
-    to 0 or the quotient is not finite raises NumericError naming op."""
+def _over_scale_density(rate, model, x, op):
+    """rate / S'(x), S' read under op, for the level functions and the
+    speed density; a float for scalars.  The first level where S'(x) is
+    not finite, underflows to 0 or leaves a quotient that is not finite
+    raises NumericError naming op."""
+    sp = _evaluate(model, model.scale_density_fn, "scale density", op, x)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = np.divide(rate, sp)
     if not np.isfinite(out).all():
@@ -804,8 +806,7 @@ class SpeedDensity:
         if not np.all(arr > 0):
             raise NumericError("diffusion_sq non-positive",
                                operation="SpeedDensity", value=x, module=_MOD)
-        return _over_scale_density(2.0 / arr, scale_density(self.model, x), x,
-                                   "SpeedDensity")
+        return _over_scale_density(2.0 / arr, self.model, x, "SpeedDensity")
 
 
 # ---------------------------------------------------------------------------

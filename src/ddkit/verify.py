@@ -207,7 +207,8 @@ def excursion_report(model: DiffusionModel, x: float, y: float,
     That difference spreads about sqrt(5) times wider than one Poisson
     mean, so its standard error is measured on the per-path values.
     The analytic mean is the tail law's exponent, the integral of nu dS
-    read from the mass table.
+    read from the mass table; inf where that passes 746, past which the
+    table does not grow.
     """
     query = laws.DrawdownQuery(x=x, delta=delta, tol=tol)
     x, delta = query.x, query.delta

@@ -29,6 +29,8 @@ def test_weights_reject_bad_orders():
     for bad in (0, 7, -2, 32):
         with pytest.raises(ValidationError):
             invlap.stehfest_weights(bad)
+    with pytest.raises(ValidationError, match="at least two orders"):
+        invlap.invert_sweep(lambda a: 1.0 / a, 1.0, orders=(12, 12))
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
@@ -92,6 +94,8 @@ def test_isotonic_projection_properties():
     assert fixed.max() <= noisy.max() + 1e-12
     # already-monotone input is untouched
     assert np.array_equal(invlap.isotonic_non_decreasing(base), base)
+    with pytest.raises(ValidationError, match="one-dimensional"):
+        invlap.isotonic_non_decreasing(base.reshape(8, 5))
 
 
 def test_isotonic_matches_brute_force_small():

@@ -94,6 +94,9 @@ def test_nu_is_inverse_scale_gap():
     assert_allclose(nu(BM, 0.7, 1.0), 1.0, rtol=1e-14)
     assert_allclose(nu(BM, 0.7, 0.25), 4.0, rtol=1e-14)
     assert_allclose(nu(DBM, 1.0, 1.0), NU_DBM, rtol=1e-13)
+    # zero drift is BM, whose exact step carries g = 0: nu S' = 1 / delta
+    assert drifted_brownian(0.0).kind == "bm"
+    assert nu(drifted_brownian(0.0), 0.3, 0.25) == 4.0
 
 
 def test_nu_rejects_windows_touching_the_boundary():
@@ -155,6 +158,19 @@ def test_level_functions_refuse_a_quotient_past_the_float_range(call):
             call()
 
 
+@pytest.mark.parametrize("call, op", [
+    (lambda: nu(ornstein_uhlenbeck(3.0), 16.0, 1.0), "nu"),
+    (lambda: b_factor(ornstein_uhlenbeck(3.0), 16.0, 1.0, 0.5), "b_factor"),
+    (lambda: c_hat(drifted_brownian(mu=3.0), -300.0, 1.0, 0.5), "c_hat"),
+], ids=["nu", "b_factor", "c_hat"])
+def test_level_functions_name_themselves_where_sprime_overflows(call, op):
+    # S'(16) = e^{768} on OU theta 3 and S'(-300) = e^{1800} on drifted BM
+    # mu 3 leave the float range; the refusal is the level function's own
+    with pytest.raises(NumericError, match="scale density is not finite") as err:
+        call()
+    assert err.value.operation == op
+
+
 def test_level_functions_scale_covariant_ratios_invariant():
     # changing the scale normalization point rescales nu, b, chat by a
     # common factor; their ratios and nu * S' are what the laws consume
@@ -181,6 +197,32 @@ def test_max_tail_drifted_and_gbm_fixed_values():
                     DBM_TAIL_1, rtol=1e-10)
     assert_allclose(max_tail(GBM, DrawdownQuery(1.0, 0.5), 2.0),
                     GBM_TAIL, rtol=1e-8)
+
+
+@pytest.mark.parametrize("model, q, y", [
+    (BM, DrawdownQuery(0.0, 1.0), 1e6),
+    (BM, DrawdownQuery(0.0, 1e-300), 1.0),
+    (geometric_brownian(0.05, 0.04), DrawdownQuery(1.0, 0.5), 1e6),
+], ids=["bm_far", "bm_tiny_delta", "gbm_far"])
+def test_tail_past_the_float_range_reads_zero_without_growing(monkeypatch, model, q, y):
+    # exp(-N) is 0 once N passes 746: the table stops there, after about
+    # 373 panels of mass 2 on BM, however far y lies
+    appended = []
+    grow = laws._MassTable._append
+    monkeypatch.setattr(laws._MassTable, "_append",
+                        lambda self, *a: appended.append(1) or grow(self, *a))
+    assert max_tail(model, q, y) == 0.0
+    assert len(appended) < 400
+    curve = tail_curve(model, q, [q.x, y])
+    assert curve.tail.tolist() == [1.0, 0.0] and curve.density[1] == 0.0
+
+
+def test_tail_next_to_the_underflow_and_past_a_finite_end():
+    # N = 745 is exp's last subnormal; a table that stopped at a finite B
+    # is read past its last edge as its last panel runs on
+    assert max_tail(BM, DrawdownQuery(0.0, 1.0), 745.0) == 5e-324
+    assert_allclose(max_tail(brownian(interval=(-math.inf, 2.0)), DrawdownQuery(0.0, 1.0),
+                             2.0 - 1e-13), math.exp(-2.0), rtol=1e-12)
 
 
 def test_max_density_is_tail_slope():
@@ -465,7 +507,7 @@ def test_tail_curve_of_a_custom_model_calls_scale_with_arrays(monkeypatch):
     twin = custom_model({"form": "affine", "intercept": 0.0, "slope": -1.0},
                         {"form": "constant", "value": 1.0})
     scalar = []
-    for name in ("scale_density", "_scale_ratio"):
+    for name in ("_scale_ratio",):
         fn = getattr(laws, name)
 
         def counted(model, *args, _fn=fn, _name=name):
@@ -533,6 +575,8 @@ def test_conditional_curve_shape():
     assert np.all(conditional_curve(BM, q0, ys) == 1.0)
     with pytest.raises(ValidationError):
         conditional_curve(BM, q, ["a"])
+    with pytest.raises(ValidationError, match="levels must exceed x"):
+        conditional_curve(BM, q, [0.0, 1.0])
 
 
 def test_joint_transform_factorizes_over_the_maximum():
@@ -816,6 +860,8 @@ def test_query_and_result_validation():
         DrawdownQuery(0.0, 1.0, beta=math.inf)
     with pytest.raises(ValidationError):
         DrawdownQuery(0.0, 1.0, tol=0.0)
+    with pytest.raises(ValidationError, match=r"tol must lie in \]0, 1e-2\]"):
+        DrawdownQuery(0.0, 1.0, tol=0.1)
     with pytest.raises(ValidationError):
         DrawdownQuery(0.0, 1.0, alpha=True)
     with pytest.raises(ValidationError):

@@ -162,6 +162,9 @@ def test_thread_cap_env_validation(monkeypatch):
     monkeypatch.setenv("DDKIT_THREADS", "many")
     with pytest.raises(ValidationError):
         mc.thread_cap()
+    monkeypatch.setenv("DDKIT_THREADS", "-1")
+    with pytest.raises(ValidationError, match=">= 0"):
+        mc.thread_cap()
     monkeypatch.setenv("DDKIT_THREADS", "0")
     assert mc.thread_cap() >= 1
     monkeypatch.setenv("DDKIT_THREADS", "3")
@@ -337,6 +340,8 @@ def test_unstopped_warning_and_bounds():
     with pytest.warns(UserWarning, match="transform lies in"):
         est, se = mc.estimate_transform(col, 0.5, 0.0)
     assert est < 0.5  # unstopped paths contribute zero here
+    with pytest.warns(UserWarning, match="unstopped in estimate_tail"):
+        mc.estimate_tail(col, 0.5)
 
 
 def test_estimators_on_fully_stopped_synthetic_set():
@@ -388,6 +393,18 @@ def test_tau_cdf_estimate_bounds_and_value():
     assert 0.0 < p1 < p2 <= 1.0
     with pytest.raises(ValidationError):
         mc.tau_cdf_estimate(col, 1e9)
+
+
+def test_tau_cdf_estimate_reads_up_to_the_horizon():
+    # 3 steps of 0.3 end at 0.9, short of t_max: past 0.9 nothing is observed
+    cfg = mc.McConfig(n_paths=2000, dt=0.3, t_max=1.0, seed=1)
+    with pytest.warns(UserWarning, match="did not reach"):
+        col = mc.simulate(BM, 0.0, 10.0, cfg)
+    assert cfg.horizon == 3 * 0.3
+    assert mc.tau_cdf_estimate(col, 0.9) == (0.0, 0.0)
+    for t in (0.95, 1.0):
+        with pytest.raises(ValidationError, match="beyond the simulated horizon"):
+            mc.tau_cdf_estimate(col, t)
 
 
 def test_paired_arms_share_noise():
@@ -669,6 +686,8 @@ def test_sample_trajectory_stays_in_state_space():
     path = mc.sample_trajectory(geometric_brownian(0.05, 0.09), 1.0, cfg,
                                 n_steps=2000)
     assert np.all(path > 0.0)
+    with pytest.raises(ValidationError, match="start must be interior"):
+        mc.sample_trajectory(geometric_brownian(0.05, 0.09), -1.0, cfg, n_steps=10)
 
 
 def test_verification_report_passes_on_bm():
@@ -679,6 +698,11 @@ def test_verification_report_passes_on_bm():
     assert all(abs(r.z_score) <= 3.0 for r in rep.rows)
     assert max(r.dt_move for r in rep.rows) < 1.0
     assert any("PASS" in line for line in rep.lines())
+
+
+def test_verification_report_refuses_two_levels():
+    with pytest.raises(ValidationError, match="exactly three tail levels"):
+        verify.verification_report(BM, 0.0, 1.0, small_cfg(), ys=(0.5, 1.0))
 
 
 def test_verification_report_extrapolates_one_euler_pair(monkeypatch):

@@ -589,6 +589,19 @@ def test_speed_density_refuses_where_sprime_leaves_the_float_range(x, why):
             SpeedDensity(drifted_brownian(mu=3.0))(x)
 
 
+@pytest.mark.parametrize("model, x, why", [
+    (drifted_brownian(mu=3.0), -300.0, "scale density is not finite"),
+    (custom_model({"form": "constant", "value": 0.0},
+                  {"form": "quadratic", "c0": 1.0, "c1": 0.0, "c2": -0.01}),
+     11.0, "diffusion_sq non-positive"),
+], ids=["sprime_overflows", "sigma_sq_negative"])
+def test_speed_density_refusals_name_speed_density(model, x, why):
+    # S'(-300) = e^{1800}; 1 - 0.01 x^2 < 0 at 11
+    with pytest.raises(NumericError, match=why) as err:
+        SpeedDensity(model)(x)
+    assert err.value.operation == "SpeedDensity"
+
+
 # ---------------------------------------------------------------------------
 # validation and ingestion
 # ---------------------------------------------------------------------------
@@ -633,6 +646,10 @@ def test_constructor_rejects_bad_parameters():
         brownian(interval=5)
     with pytest.raises(ValidationError):
         brownian(interval=(0, 1, 2))
+    with pytest.raises(ValidationError, match="scale_ref must lie inside"):
+        brownian(interval=(0, 1), scale_ref=5)
+    with pytest.raises(ValidationError, match="drift must be an object whose 'form'"):
+        custom_model({"value": 0.0}, {"form": "constant", "value": 1.0})
 
 
 def test_domain_errors_on_scale_evaluation():
@@ -704,5 +721,7 @@ def test_model_from_dict_rejects_garbage():
         model_from_dict({"kind": "bm", "params": {}, "interval": ["nope", "inf"]})
     with pytest.raises(ValidationError):
         model_from_dict({"kind": "bm", "interval": {"-inf": 0, "inf": 0}})
+    with pytest.raises(ValidationError, match="model_id must be a nonempty string"):
+        model_from_dict({"kind": "bm", "model_id": ""})
     with pytest.raises(ValidationError):
         model_from_json("{not json")
