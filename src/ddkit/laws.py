@@ -400,17 +400,23 @@ def _level_values(model, ys, delta, alphas, settings, op):
     return out, gap
 
 
+def _endpoints(model, alpha, l, r, op, settings=None):
+    """batch_endpoints of the windows [l, r] at alpha; a failed solve
+    is raised again under op."""
+    try:
+        return batch_endpoints(model, alpha, l, r, settings)
+    except NumericError as exc:
+        raise NumericError(
+            f"window solve failed inside {op} for windows in "
+            f"[{np.min(l):g}, {np.max(r):g}]: {exc}",
+            operation=op, value=float(np.min(r)), module=_MOD) from exc
+
+
 def _factors(model, ys, delta, alpha, settings, op):
     """(b S', chat S') = (e^{log_w} / u(y), u'(y) / u(y)) at the levels ys
     from one batched solve of the unit-slope windows at alpha (one per
     level or shared), and its gap; errors name op."""
-    try:
-        ep = batch_endpoints(model, alpha, ys - delta, ys, settings)
-    except NumericError as exc:
-        raise NumericError(
-            f"window solve failed inside {op} for levels in "
-            f"[{ys.min():g}, {ys.max():g}]: {exc}",
-            operation=op, value=float(ys.min()), module=_MOD) from exc
+    ep = _endpoints(model, alpha, ys - delta, ys, op, settings)
     scale = np.maximum(np.abs(ep.u_r), np.abs(ep.up_r) * delta)
     if np.any(~np.isfinite(ep.u_r) | (np.abs(ep.u_r) < 1e-13 * scale)):
         raise DegenerateBasisError(
@@ -422,20 +428,21 @@ def _factors(model, ys, delta, alpha, settings, op):
     return b, ep.up_r / ep.u_r, ep.endpoint_gap
 
 
-def _panel_values(model, edges, n, delta, alphas, settings, prev):
+def _panel_values(model, edges, n, delta, alphas, settings, prev, op):
     """(nu S', b S', chat S') at the degree-n Lobatto points of every
     panel for each alpha of alphas, shaped (alphas, 3, panels, n + 1), and
-    the solve gap.  prev holds the values at degree n / 2, whose points
-    are the even ones of degree n, so only the odd points are solved."""
+    the solve gap; errors name op.  prev holds the values at degree n / 2,
+    whose points are the even ones of degree n, so only the odd points
+    are solved."""
     t = lobatto(n).t
     lo, hs = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
     panels = hs.shape[0]
     if prev is None:
         ys = np.append((lo + hs * (t[:-1] + 1.0)).ravel(), edges[-1])
-        vals, gap = _level_values(model, ys, delta, alphas, settings, "transform")
+        vals, gap = _level_values(model, ys, delta, alphas, settings, op)
         return vals[..., np.arange(panels)[:, None] * n + np.arange(n + 1)], gap
     vals, gap = _level_values(model, (lo + hs * (t[1::2] + 1.0)).ravel(), delta,
-                              alphas, settings, "transform")
+                              alphas, settings, op)
     out = np.empty((len(alphas), 3, panels, n + 1))
     out[..., ::2] = prev
     out[..., 1::2] = vals.reshape(len(alphas), 3, panels, n // 2)
@@ -535,7 +542,8 @@ def _climb(model, edges, delta, alphas, tol, estimate, scale, op, name, vals=Non
     for n in _DEGREES:
         first = n == _DEGREES[0]
         if vals is None or not first:
-            vals, g = _panel_values(model, edges, n, delta, alphas[live], settings, vals)
+            vals, g = _panel_values(model, edges, n, delta, alphas[live], settings,
+                                    vals, op)
             gaps[live] = np.maximum(gaps[live], g)
         keep = []
         for j, i in enumerate(live):
@@ -590,7 +598,8 @@ def _transform_core(model, query, alphas, role_swap=False):
     n = _DEGREES[0]
     while True:
         hs = 0.5 * np.diff(edges)
-        vals, solve_gap = _panel_values(model, edges, n, delta, alphas, settings, None)
+        vals, solve_gap = _panel_values(model, edges, n, delta, alphas, settings,
+                                        None, "transform")
         far = np.any([np.abs(_exponent(hs, integrands(v)[0], n)[1]).max(axis=1) > 1.0
                       for v in vals], axis=0)
         if not far.any() or hs.min() < 1e-9 * max(1.0, abs(y_star)):
@@ -653,10 +662,10 @@ def _role_swapped_transform(model: DiffusionModel,
 # conditional and run-up transforms
 # ---------------------------------------------------------------------------
 
-def _runup_exponent(model, x, ys_eval, delta, alpha, tol):
+def _runup_exponent(model, x, ys_eval, delta, alpha, tol, op):
     """R(y) = int_x^y (chat - nu) dS at each requested level, on the mass
     table's panels up to the highest level, certified by the transforms'
-    degree ladder."""
+    degree ladder; errors name op."""
     if alpha == 0.0:
         return np.zeros(ys_eval.shape)
     table = _MassTable(model, x, delta, tol).grow(level=float(ys_eval.max()))
@@ -671,33 +680,34 @@ def _runup_exponent(model, x, ys_eval, delta, alpha, tol):
 
     return _climb(
         model, edges, delta, np.array([alpha]), tol, estimate,
-        lambda R: 1.0 + np.max(np.abs(R)), "run_up_transform", "run-up")[0][0]
+        lambda R: 1.0 + np.max(np.abs(R)), op, "run-up")[0][0]
 
 
 def run_up_transform(model: DiffusionModel, x: float, y: float, delta: float,
                      alpha: float, tol: float = 1e-9) -> float:
     """Cost of climbing from x to y without completing the drawdown:
     exp(-int_x^y (chat - nu) dS), in ]0, 1], equal to 1 at alpha = 0."""
+    op = "run_up_transform"
     query = DrawdownQuery(x=x, delta=delta, alpha=alpha, tol=tol)
-    x, delta = _require_window(model, query.x, query.delta, "run_up_transform")
-    y = real(y, "y", "run_up_transform", _MOD, x, strict=True)
-    _require_interior(model, y, "run_up_transform")
-    r = _runup_exponent(model, x, np.array([y]), delta, query.alpha, query.tol)
+    x, delta = _require_window(model, query.x, query.delta, op)
+    y = real(y, "y", op, _MOD, x, strict=True)
+    _require_interior(model, y, op)
+    r = _runup_exponent(model, x, np.array([y]), delta, query.alpha, query.tol, op)
     return float(np.exp(-r[0]))
 
 
 def conditional_curve(model: DiffusionModel, query: DrawdownQuery,
                       ys) -> np.ndarray:
     """E^x[e^{-alpha tau} | M_tau = y] along an array of levels y > x."""
-    _require_window(model, query.x, query.delta, "conditional_curve")
-    ys = real_array(ys, "levels", "conditional_curve", _MOD)
+    op = "conditional_curve"
+    _require_window(model, query.x, query.delta, op)
+    ys = real_array(ys, "levels", op, _MOD)
     if not np.all(ys > query.x):
-        raise ValidationError("levels must exceed x",
-                              operation="conditional_curve", module=_MOD)
-    _require_interior(model, float(ys.max()), "conditional_curve")
-    R = _runup_exponent(model, query.x, ys, query.delta, query.alpha, query.tol)
+        raise ValidationError("levels must exceed x", operation=op, module=_MOD)
+    _require_interior(model, float(ys.max()), op)
+    R = _runup_exponent(model, query.x, ys, query.delta, query.alpha, query.tol, op)
     vals, _ = _level_values(model, ys, query.delta, np.array([query.alpha]),
-                            _settings_for(query.tol), "conditional_curve")
+                            _settings_for(query.tol), op)
     nu_v, b_v, _ = vals[0]
     with np.errstate(under="ignore"):
         out = np.exp(-R) * b_v / nu_v
@@ -741,7 +751,7 @@ def _passage(model, x, t, o, alpha, op):
         d, z = min(dens)
         return _scale_ratio(model, *num, z, op) / d, 1.0, _NODE_ROUNDING
     l, r = np.array([num, den, (t, x)] if t < x else [num, den]).T
-    ep = batch_endpoints(model, alpha, l, r)
+    ep = _endpoints(model, alpha, l, r, op)
     ends = np.array([ep.u_r, ep.up_r if t < x else ep.v_r])[:, :2]
     if not np.all(np.isfinite(ends) & (ends > 0.0)):
         raise DegenerateBasisError("window endpoint value is not finite and positive",

@@ -35,10 +35,10 @@ u_min and u_max, in the order above) with another, straight into the
 rows of the block's arrays.  ``sample_trajectory`` reads only normals,
 so it draws a whole trajectory with one call.  The excursion counter
 walks each kind of row on its own: deep rows (below) draw row by row
-and their tails are scanned in groups, full rows step a block in
-sub-blocks and carry their stepping state across them bit-identically.
-A group or sub-block holds at most 2048 x 256 points, and one
-row-vectorized scan counts its excursions.
+and their tails are scanned in groups of at most 2048 x 256 points;
+full rows step 256 steps at a time from their last point, as the
+drawdown stepper does, and stop drawing once they finish.  One
+row-vectorized scan counts the excursions of each group or step.
 
 The excursion counter skips work where the count cannot move.  A path
 whose open excursion is already delta-deep is counted once that
@@ -127,7 +127,8 @@ class McConfig:
 
     dt must also satisfy dt <= delta^2 / 100 for the query it is used
     with; that guard is checked where delta is known.  A run ends at its
-    horizon, n_steps = round(t_max / dt) steps of dt.  t_max should be generous: paths still running at the horizon are
+    horizon, n_steps = round(t_max / dt) steps of dt, a finite count.
+    t_max should be generous: paths still running at the horizon are
     counted, bounded, and warned about, never silently dropped.
     """
 
@@ -144,6 +145,9 @@ class McConfig:
         put(self, "n_paths", integer(self.n_paths, "n_paths", op, _MOD, 1000))
         put(self, "dt", real(self.dt, "dt", op, _MOD, 0.0, strict=True))
         put(self, "t_max", real(self.t_max, "t_max", op, _MOD, self.dt))
+        if not math.isfinite(self.t_max / self.dt):
+            raise ValidationError("the step count t_max / dt is not finite",
+                                  operation=op, value=self.dt, module=_MOD)
         put(self, "seed", integer(self.seed, "seed", op, _MOD, 0, 2 ** 64))
         if self.scheme not in ("euler", "exact_bm"):
             raise ValidationError("scheme must be 'euler' or 'exact_bm'",
@@ -244,26 +248,15 @@ def _draw_normals(gens, rows, length):
     return z
 
 
-def _exact_blocks(model, x0, z, dt, carry=None):
-    """(X block, carry) under the exact Gaussian step from x0.
-
-    carry=None starts a stream block at x0.  Passing the returned carry
-    with the next normals continues the same block: arith and loggauss
-    carry the increment sum since x0, OU carries a times its last
-    deviation from the mean.  The continued steps are bit-identical to
-    one call over the whole block.
-    """
+def _exact_blocks(model, x0, z, dt):
+    """X block under the exact Gaussian step from x0."""
     step = model.exact_step
     if step.kind in ("arith", "loggauss"):
-        inc = step.mu_sim * dt + math.sqrt(step.sig_sq_sim * dt) * z
-        if carry is not None:
-            inc[:, 0] += carry
-        walk = np.cumsum(inc, axis=1)
+        walk = np.cumsum(step.mu_sim * dt + math.sqrt(step.sig_sq_sim * dt) * z,
+                         axis=1)
         if step.kind == "arith":
-            xb = x0[:, None] + walk
-        else:
-            xb = x0[:, None] * np.exp(walk)
-        return xb, walk[:, -1]
+            return x0[:, None] + walk
+        return x0[:, None] * np.exp(walk)
     if step.kind == "ou":
         a = math.exp(-step.theta * dt)
         sd = math.sqrt(step.sig_sq_sim * (-math.expm1(-2.0 * step.theta * dt))
@@ -272,11 +265,11 @@ def _exact_blocks(model, x0, z, dt, carry=None):
         # time-major copy: two roundings per step, as in a first-order
         # direct-form-II-transposed filter
         dev = np.ascontiguousarray((sd * z).T)
-        ay = a * (x0 - step.mean) if carry is None else carry
+        ay = a * (x0 - step.mean)
         for row in dev:
             row += ay
             ay = a * row
-        return np.add(step.mean, dev.T, order="C"), ay
+        return np.add(step.mean, dev.T, order="C")
     raise UnsupportedModelError(    # pragma: no cover - catalog kinds are closed
         "unknown exact step kind", operation="simulate", value=step.kind,
         module=_MOD)
@@ -307,17 +300,15 @@ def _bridge_extremes(model, ends, log_u_min, log_u_max, dt):
     return lo, hi
 
 
-def _euler_blocks(model, x0, z, dt, carry=None):
-    """(X block, last X) under the Euler step from x0, or from carry,
-    the last X of the previous call."""
+def _euler_blocks(model, x0, z, dt):
+    """X block under the Euler step from x0."""
     a, b = model.interval
     lo = a + 1e-12 * (1.0 + abs(a)) if math.isfinite(a) else -math.inf
     hi = b - 1e-12 * (1.0 + abs(b)) if math.isfinite(b) else math.inf
-    p, L = z.shape
-    xb = np.empty((p, L))
-    xc = x0 if carry is None else carry
+    xb = np.empty(z.shape)
+    xc = x0
     rdt = math.sqrt(dt)
-    for k in range(L):
+    for k in range(z.shape[1]):
         mu = np.asarray(model.drift(xc), dtype=float)
         s2 = np.asarray(model.diffusion_sq(xc), dtype=float)
         xc = xc + mu * dt + np.sqrt(s2) * rdt * z[:, k]
@@ -325,14 +316,14 @@ def _euler_blocks(model, x0, z, dt, carry=None):
         # itself cannot reach; pin it just inside
         xc = np.clip(xc, lo, hi)
         xb[:, k] = xc
-    return xb, xc
+    return xb
 
 
-def _grid_block(model, cfg, x0, z, dt, carry=None):
-    """(X block, carry) under cfg's scheme; see ``_exact_blocks``."""
+def _grid_block(model, cfg, x0, z, dt):
+    """X block from x0 under cfg's scheme."""
     if cfg.scheme == "exact_bm":
-        return _exact_blocks(model, x0, z, dt, carry)
-    return _euler_blocks(model, x0, z, dt, carry)
+        return _exact_blocks(model, x0, z, dt)
+    return _euler_blocks(model, x0, z, dt)
 
 
 def _require_scheme(model, cfg):
@@ -424,7 +415,7 @@ def _drawdown_chunk(model, x, delta, dts, cfg, first, count):
         for i, dt in enumerate(dts):
             live = ~stopped[i, alive]
             x0 = x_cur[i, alive]
-            xb, _ = _grid_block(model, cfg, x0, zs[i], dt)
+            xb = _grid_block(model, cfg, x0, zs[i], dt)
             if bridge:
                 ends = np.concatenate([x0[:, None], xb], axis=1)
                 probe, tops = _bridge_extremes(model, ends, *us[i], dt)
@@ -735,8 +726,7 @@ def _deep_blocks(gens, step, x0, level, length, dt):
 
 def _excursion_chunk(model, x, y, delta, cfg, first, count):
     gens = _generators(cfg.seed, first, count)
-    n_steps = cfg.n_steps
-    dt = cfg.dt
+    n_steps, dt = cfg.n_steps, cfg.dt
     step = model.exact_step
     skips = cfg.scheme == "exact_bm" and step.kind in ("arith", "loggauss")
 
@@ -774,20 +764,15 @@ def _excursion_chunk(model, x, y, delta, cfg, first, count):
                 for row, tail in zip(xs, tails[i:i + per]):
                     row[length - tail.size:] = tail
                 fold(rows, xs)
-        # full rows step in sub-blocks of at most a chunk's worth of
-        # _BLOCK_STEPS-step rows (wider when fewer rows remain), carrying
-        # their stepping state from the block's start x0; rows that
-        # finish stop drawing
+        # full rows step _BLOCK_STEPS steps at a time from their last
+        # point, as the drawdown stepper does; rows that finish stop drawing
         full = alive[~deep]
-        x0 = x_cur[full]
-        carry = None
         s = 0
         while full.size and s < length:
-            w = min(length - s, _BLOCK_STEPS * max(1, _CHUNK_PATHS // full.size))
-            z = _draw_normals(gens, full, w)
-            xb, carry = _grid_block(model, cfg, x0, z, dt, carry)
+            w = min(length - s, _BLOCK_STEPS)
+            xb = _grid_block(model, cfg, x_cur[full], _draw_normals(gens, full, w), dt)
             keep = ~fold(full, xb)
-            full, x0, carry = full[keep], x0[keep], carry[keep]
+            full = full[keep]
             x_cur[full] = xb[keep, -1]
             s += w
         alive = alive[~done[alive]]
@@ -827,10 +812,10 @@ def excursion_counts(model: DiffusionModel, x: float, y: float, delta: float,
 
     The 4096-step blocks, and the skip-or-step choice made at each
     block's start, define the streams.  Within a block the deep rows'
-    tails are scanned in groups, and the stepped rows in sub-blocks
-    (256 steps for a full chunk of rows, more as rows finish), of at
-    most 2048 x 256 points each, so memory stays bounded; that split is
-    how the work is run and changes no draw or count.
+    tails are scanned in groups of at most 2048 x 256 points, and the
+    stepped rows step 256 steps at a time from their last point and
+    stop drawing once they finish, so memory stays bounded; that split
+    is how the work is run and changes no draw or count.
     Returns (counts, finished).
     """
     op = "excursion_counts"
@@ -871,5 +856,5 @@ def sample_trajectory(model: DiffusionModel, x: float, cfg: McConfig,
     steps = integer(cfg.n_steps if n_steps is None else n_steps, "n_steps", op, _MOD, 1)
     first = integer(path_index, "path_index", op, _MOD, 0, 2 ** 64)
     z = _draw_normals(_generators(cfg.seed, first, 1), [0], steps)
-    xb, _ = _grid_block(model, cfg, np.full(1, float(x)), z, cfg.dt)
+    xb = _grid_block(model, cfg, np.full(1, float(x)), z, cfg.dt)
     return np.concatenate([[x], xb[0]])

@@ -208,7 +208,8 @@ def excursion_report(model: DiffusionModel, x: float, y: float,
     mean, so its standard error is measured on the per-path values.
     The analytic mean is the tail law's exponent, the integral of nu dS
     read from the mass table; inf where that passes 746, past which the
-    table does not grow.
+    table does not grow.  A run whose dt/4 arm counts no excursion leaves
+    var/mean undefined and raises ValidationError.
     """
     query = laws.DrawdownQuery(x=x, delta=delta, tol=tol)
     x, delta = query.x, query.delta
@@ -218,6 +219,11 @@ def excursion_report(model: DiffusionModel, x: float, y: float,
     fine_cfg = replace(cfg, dt=cfg.dt / 4)
     counts_f, done_f = mc.excursion_counts(model, x, y, delta, fine_cfg)
     mean_f = float(counts_f.mean())
+    if mean_f == 0.0:
+        raise ValidationError("no excursion counted at dt/4, so var/mean is "
+                              "undefined; widen the band or add paths",
+                              operation="excursion_report", value=(x, y),
+                              module=_MOD)
     mean_x, se_x = _extrapolate(counts_f, counts_c, 4.0, 0.5)
     return ExcursionReport(model_id=model.model_id, x=x, y=y, delta=delta,
                            n_paths=cfg.n_paths, dt_fine=fine_cfg.dt,

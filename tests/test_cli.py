@@ -413,6 +413,15 @@ def test_boolean_mc_number_exits_2(tmp_path, capsys):
     assert "invalid request" in err and "t_max" in err
 
 
+def test_overflowing_step_count_exits_2(tmp_path, capsys):
+    # t_max / dt = 1 / 5e-324 is inf: refused as a config, not a traceback
+    doc = bm_doc(mc={"n_paths": 1000, "dt": 5e-324, "t_max": 1.0, "seed": 0})
+    cfg = write_cfg(tmp_path, doc)
+    code, _, err = run(["simulate", "--config", cfg], capsys)
+    assert code == 2
+    assert "invalid request" in err and "step count" in err
+
+
 def test_seed_flag_overrides_config(tmp_path, capsys):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
@@ -496,6 +505,15 @@ def test_excursions_needs_single_band_top(tmp_path, capsys):
     code, _, err = run(["excursions", "--config", cfg], capsys)
     assert code == 2
     assert "exactly one" in err
+
+
+def test_excursions_without_a_counted_excursion_exits_2(tmp_path, capsys):
+    doc = bm_doc(grids={"y_grid": [1e-9]},
+                 mc={"n_paths": 1000, "dt": 0.01, "t_max": 5.0, "seed": 1})
+    cfg = write_cfg(tmp_path, doc)
+    code, _, err = run(["excursions", "--config", cfg], capsys)
+    assert code == 2
+    assert "invalid request" in err and "widen the band" in err
 
 
 def test_unknown_command_rejected(tmp_path, capsys):

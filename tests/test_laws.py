@@ -171,6 +171,23 @@ def test_level_functions_name_themselves_where_sprime_overflows(call, op):
     assert err.value.operation == op
 
 
+@pytest.mark.parametrize("call, op", [
+    (lambda: hitting_laplace(ornstein_uhlenbeck(1.0), 0.0, 1.0, 1e300),
+     "hitting_laplace"),
+    (lambda: exit_transform(ornstein_uhlenbeck(1.0), 0.0, -1.0, 1.0, 1e300),
+     "exit_transform"),
+    (lambda: run_up_transform(brownian(), 0.0, 5.0, 1.0, 1e12), "run_up_transform"),
+    (lambda: conditional_curve(brownian(), DrawdownQuery(0, 1, alpha=1e12), [2.0]),
+     "conditional_curve"),
+], ids=["hitting_laplace", "exit_transform", "run_up_transform",
+        "conditional_curve"])
+def test_window_solve_failures_name_the_public_operation(call, op):
+    # alpha this large makes every window too stiff for the solver's cap
+    with pytest.raises(NumericError, match="window solve failed") as err:
+        call()
+    assert err.value.operation == op
+
+
 def test_level_functions_scale_covariant_ratios_invariant():
     # changing the scale normalization point rescales nu, b, chat by a
     # common factor; their ratios and nu * S' are what the laws consume

@@ -51,6 +51,7 @@ def test_config_rejects_small_path_count():
     ("seed", -1), ("seed", 2 ** 64), ("seed", 1.5), ("seed", True),
     ("seed", np.int64(-1)), ("n_paths", 1000.0), ("scheme", "milstein"),
     ("dt", True), ("dt", "a"), ("t_max", True), ("t_max", "a"),
+    ("dt", 5e-324),
 ])
 def test_config_rejects_bad_fields(field, value):
     base = dict(n_paths=1000, dt=0.01, t_max=1.0, seed=0)
@@ -264,29 +265,33 @@ def test_excursion_counts_ignore_sub_block_width(monkeypatch, name):
         assert np.array_equal(done, got[0][1])
 
 
-@pytest.mark.parametrize("model,x0,scheme", [
-    (BM, 0.0, "exact_bm"), (DBM, 0.0, "exact_bm"),
-    (geometric_brownian(0.05, 0.09), 1.0, "exact_bm"),
-    (ornstein_uhlenbeck(1.0), 0.5, "exact_bm"),
-    (ornstein_uhlenbeck(1.0), 0.5, "euler"),
-], ids=["arith", "drifted", "loggauss", "ou", "euler"])
-def test_sub_block_carry_is_bit_identical(model, x0, scheme):
-    # the excursion counter steps a block in pieces of any width; with
-    # the returned carry the pieces must equal one call bit for bit
-    cfg = small_cfg(scheme=scheme)
-    z = np.random.default_rng(4).standard_normal((40, 700))
-    x = np.full(40, x0)
-    whole, _ = mc._grid_block(model, cfg, x, z, 0.001)
-    parts, carry = [], None
-    for a, b in ((0, 256), (256, 257), (257, 700)):
-        xb, carry = mc._grid_block(model, cfg, x, z[:, a:b], 0.001, carry)
-        parts.append(xb)
-    assert np.array_equal(np.concatenate(parts, axis=1), whole)
+def test_stepped_rows_stop_drawing_at_the_block_of_their_passage(monkeypatch):
+    # OU rows are never deep, so every row steps; a row finishes at its
+    # first point above y and draws no normal past that 256-step block
+    model, x, delta, y = ornstein_uhlenbeck(1.0), 0.0, 1.0, 0.8
+    cfg = small_cfg(seed=31, t_max=60.0)
+    drawn = np.zeros(cfg.n_paths, dtype=np.int64)
+    draw = mc._draw_normals
+
+    def counted(gens, rows, length):
+        drawn[rows] += length    # one chunk: its rows are the path indices
+        return draw(gens, rows, length)
+
+    monkeypatch.setattr(mc, "_draw_normals", counted)
+    _, done = mc.excursion_counts(model, x, y, delta, cfg)
+    monkeypatch.setattr(mc, "_draw_normals", draw)
+    assert done.all()
+    block = mc._BLOCK_STEPS
+    for i in range(cfg.n_paths):
+        up = mc.sample_trajectory(model, x, cfg, n_steps=int(drawn[i]),
+                                  path_index=i)[1:] > y
+        k = int(np.argmax(up)) + 1    # steps up to the first point above y
+        assert up.any() and drawn[i] == min(-(-k // block) * block, cfg.n_steps)
 
 
 def test_ou_step_is_the_sequential_recursion():
     # X_j - mean = sd z_j + a (X_{j-1} - mean), rounded step by step as
-    # plain Python floats do it; the carry continues a block bit for bit
+    # plain Python floats do it
     theta, mean, s2, dt = 1.3, 0.4, 0.7, 0.01
     model = ornstein_uhlenbeck(theta, mean=mean, sigma_sq=s2)
     z = np.random.default_rng(9).standard_normal((3, 300))
@@ -299,12 +304,7 @@ def test_ou_step_is_the_sequential_recursion():
         for j in range(300):
             y = sd * float(z[i, j]) + a * y
             want[i, j] = mean + y
-    whole, carry = mc._exact_blocks(model, x0, z, dt)
-    assert np.array_equal(whole, want)
-    head, mid = mc._exact_blocks(model, x0, z[:, :100], dt)
-    tail, end = mc._exact_blocks(model, x0, z[:, 100:], dt, mid)
-    assert np.array_equal(np.concatenate([head, tail], axis=1), whole)
-    assert np.array_equal(end, carry)
+    assert np.array_equal(mc._exact_blocks(model, x0, z, dt), want)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +512,7 @@ def test_deep_block_skip_matches_stepping(model, x0, level, length, dt):
                 skip_first[i] = length - tail.size + up[0]
                 skip_over[i] = tail[up[0]] - level
     z = mc._draw_normals(mc._generators(18, 0, n), rows, length)
-    xb, _ = mc._exact_blocks(model, np.full(n, x0), z, dt)
+    xb = mc._exact_blocks(model, np.full(n, x0), z, dt)
     up = xb >= level
     step_first = np.argmax(up, axis=1)
     step_stats = _first_passage_stats(up.any(axis=1),
@@ -745,6 +745,14 @@ def test_excursion_report_keeps_its_band_case():
     assert rep.extrapolated_se == pytest.approx(0.04415459917866574, rel=1e-14)
     assert (rep.mean_fine, rep.mean_coarse) == (0.548, 0.485)
     assert rep.passed
+
+
+def test_excursion_report_refuses_a_band_without_excursions():
+    # no path counts an excursion from ]0, 1e-9], so var/mean has no value
+    cfg = mc.McConfig(n_paths=1000, dt=0.01, t_max=5.0, seed=1)
+    with pytest.raises(ValidationError, match="widen the band") as err:
+        verify.excursion_report(BM, 0.0, 1e-9, 1.0, cfg)
+    assert err.value.operation == "excursion_report"
 
 
 def _scipy_modules_after(run):
