@@ -6,39 +6,47 @@ with CLT error bars.  Everything the analytic layer produces can be
 checked against these estimates, so the engine is built for
 reproducibility first and speed second:
 
-* every path owns a counter-based random stream keyed on
-  (seed, path index), so results are bit-identical no matter how the
-  work is chunked or how many threads run;
-* draws are consumed in fixed blocks per path (normals, then bridge
-  uniforms when the scheme needs them), so a path's randomness depends
-  only on its own history;
+* paths run in fixed chunks of 2048, and each draw phase of a block
+  of a chunk (below) reads its own counter-based Philox stream, keyed
+  on (seed, first path of the chunk) with the block and phase in the
+  counter (Salmon et al., SC 2011), so results are bit-identical no
+  matter how many threads run the chunks;
+* a phase is one draw for all of the block's rows that still run, and
+  the rows take consecutive slices of it in path order, so a path's
+  randomness depends only on its own history and on the paths before
+  it in its chunk: extending n_paths keeps the paths already drawn;
 * reductions concatenate chunk results in index order.
 
 One block stepper serves ``simulate`` and the coupled (dt/2, dt) pair
 of ``paired_simulate``: a single run is one arm at dt, a pair is a fine
 arm at dt/2 and a coarse arm at dt whose normals are combined from
 consecutive pairs of the fine ones.  A block covers 256 fine steps
-(128 coarse steps in a pair) and draws, per path, the fine normals,
-then, under the exact scheme, each arm's bridge uniforms u_min and
-then u_max, fine arm first.  That draw order is part of the
-determinism contract: a different random stream, or a different order
-within a block, changes every path.  One chunk driver runs this
-stepper and the excursion counter over fixed 2048-path chunks.
+(128 coarse steps in a pair); its fine normals drive both arms, and
+under the exact scheme each arm also reads bridge uniforms u_min and
+u_max, fine arm first.  One chunk driver runs this stepper and the
+excursion counter over the fixed chunks.
 
-Two things define the streams: the stepper's 256-step blocks, in which
-a block's uniforms follow its normals, and the excursion counter's
-4096-step blocks, at whose start each row chooses to skip or to step;
-how a block's work is run is not part of the contract.  Consecutive
-calls on a generator read one stream, so the stepper fills each path's
-normals with one call and all of its block's uniforms (every arm's
-u_min and u_max, in the order above) with another, straight into the
-rows of the block's arrays.  ``sample_trajectory`` reads only normals,
-so it draws a whole trajectory with one call.  The excursion counter
-walks each kind of row on its own: deep rows (below) draw row by row
-and their tails are scanned in groups of at most 2048 x 256 points;
-full rows step 256 steps at a time from their last point, as the
-drawdown stepper does, and stop drawing once they finish.  One
-row-vectorized scan counts the excursions of each group or step.
+Three things define the streams, and a change to any of them changes
+the paths: the stream of each draw phase, key (seed, first path of the
+chunk) and counter words (0, phase, block, 0); the order of the draws
+within a phase; and which rows draw.  The stepper's block b covers
+fine steps 256 b to 256 b + 255; phase 0 holds its normals, one row of
+the block's length per running path, and phase 1, under the exact
+scheme, its uniforms, one row of every arm's u_min and u_max per
+running path.  The excursion counter's block b covers steps 4096 b to
+4096 b + 4095, and at its start each row chooses to skip or to step.
+Its deep rows (below) read phase 2 for their end normals and 3 for
+their uniforms; the rows among them whose bridge reaches the maximum
+read phase 4 for their Wald variates and 5 for their tails' normals,
+one tail after another.  Its full rows step 256 steps at a time from
+their last point, as the drawdown stepper does, sub-block s of the
+block drawing from phase 6 + s // 256, and stop drawing once they
+finish.  The deep rows' tails are scanned in groups of at most 2048 x
+256 points, which bounds memory and changes no draw; one
+row-vectorized scan counts the excursions of each group or sub-block.
+``sample_trajectory`` keys its stream on (seed, path index), counter
+words (0, 0, 0, 1), and draws a whole trajectory with one call; it
+does not replay a path of ``simulate``.
 
 The excursion counter skips work where the count cannot move.  A path
 whose open excursion is already delta-deep is counted once that
@@ -54,9 +62,8 @@ points after it, as a bridge from the maximum to the endpoint; the
 points before it all lie below the maximum.  The scan then runs on
 those points as on a stepped block, so the counts keep their per-grid
 law exactly: a skipped block is the same grid walk, drawn in another
-order.  A row's number of draws then follows its own history, which
-the per-path streams allow.  Ornstein-Uhlenbeck and Euler rows, and
-rows whose open excursion is not yet deep, step every grid point.
+order.  Ornstein-Uhlenbeck and Euler rows, and rows whose open
+excursion is not yet deep, step every grid point.
 
 Schemes: ``euler`` is the generic first-order step with drawdown
 detection on the grid; ``exact_bm`` uses the model's exact Gaussian
@@ -78,6 +85,7 @@ measure what is left.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -92,7 +100,7 @@ from .models import DiffusionModel, _require_window
 
 _MOD = "mc"
 
-# partitioning contract: fixed path chunks and per-path draw blocks
+# partitioning contract: fixed path chunks and the draw blocks of a chunk
 _CHUNK_PATHS = 2048
 _BLOCK_STEPS = 256
 
@@ -231,21 +239,18 @@ class PathCollection:
 
 
 # ---------------------------------------------------------------------------
-# per-path streams and block stepping
+# chunk-block streams and block stepping
 # ---------------------------------------------------------------------------
 
-def _generators(seed: int, first: int, count: int) -> list:
-    return [np.random.Generator(
-        np.random.Philox(key=np.array([seed, first + i], dtype=np.uint64)))
-        for i in range(count)]
-
-
-def _draw_normals(gens, rows, length):
-    """Each row's next ``length`` normals, one row per path in rows."""
-    z = np.empty((len(rows), length))
-    for j, i in enumerate(rows):
-        gens[i].standard_normal(out=z[j])
-    return z
+def _stream(seed: int, first: int, block: int, phase: int,
+            trajectory: bool = False) -> np.random.Generator:
+    """The Philox stream of one draw phase of one block of the chunk that
+    starts at path ``first``: key (seed, first), counter words
+    (0, phase, block, 0); the last word is 1 for ``sample_trajectory``'s
+    stream, keyed on its path index instead."""
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed, first], dtype=np.uint64),
+        counter=np.array([0, phase, block, int(trajectory)], dtype=np.uint64)))
 
 
 def _exact_blocks(model, x0, z, dt):
@@ -379,9 +384,8 @@ def _drawdown_chunk(model, x, delta, dts, cfg, first, count):
 
     Arm i takes one step per i+1 fine steps, and a block draws in the
     order the module docstring fixes.  A path keeps drawing while
-    either arm is running, so both arms read the same stream.
+    either arm is running, so both arms read the same rows.
     """
-    gens = _generators(cfg.seed, first, count)
     n_fine = cfg.n_steps * len(dts)
     bridge = cfg.scheme == "exact_bm"
     off = 0.5 if bridge else 1.0
@@ -396,15 +400,15 @@ def _drawdown_chunk(model, x, delta, dts, cfg, first, count):
 
     while alive.size and base < n_fine:
         length = min(_BLOCK_STEPS, n_fine - base)
-        z = _draw_normals(gens, alive, length)
+        block = base // _BLOCK_STEPS
+        z = _stream(cfg.seed, first, block, 0).standard_normal((alive.size, length))
         zs = ((z,) if len(dts) == 1
               else (z, _paired_normals(model, cfg, z, dts[0])))
         if bridge:
             widths = [zi.shape[1] for zi in zs]
-            u = np.empty((alive.size, 2 * sum(widths)))
-            for j, g in enumerate(alive):
-                # one call reads every arm's u_min, u_max in stream order
-                gens[g].random(out=u[j])
+            # each row reads every arm's u_min, u_max in that order
+            u = _stream(cfg.seed, first, block, 1).random(
+                (alive.size, 2 * sum(widths)))
             # 1 - random() lies in ]0, 1]; at exactly 1 the bridge minimum
             # degenerates to the endpoint minimum, which is the right limit
             log_u = np.log(np.subtract(1.0, u, out=u), out=u)
@@ -485,8 +489,10 @@ def simulate(model: DiffusionModel, x: float, delta: float,
     size delta, the horizon, or the state space ends.
 
     Identical (seed, cfg) give bit-identical results at any thread
-    count: every path's randomness is keyed on (seed, path index) and
-    consumed in fixed blocks.
+    count: each draw phase of a block of a fixed 2048-path chunk reads
+    one stream keyed on (seed, first path of the chunk), its running
+    paths taking consecutive slices in path order, so extending n_paths
+    keeps the paths already drawn.
     """
     return _drawdown_paths(model, x, delta, cfg, False)[0]
 
@@ -627,6 +633,9 @@ def extract_excursions(path: np.ndarray, dt: float, delta: float,
 
 
 _EXC_BLOCK_STEPS = 4096
+# the deep rows' tails are scanned in groups of at most this many points;
+# it bounds memory and changes no draw or count
+_TAIL_GROUP_POINTS = _CHUNK_PATHS * _BLOCK_STEPS
 
 
 def _scan_excursions(xs, level, low, lo, hi, delta):
@@ -664,13 +673,7 @@ def _scan_excursions(xs, level, low, lo, hi, delta):
     return counts, levs[~closed], mins[~closed], (xs > hi).any(axis=1)
 
 
-def _scalar_map(f, v):
-    """f over the array v element by element, in Python floats, so that
-    each value matches f applied to that row alone."""
-    return np.fromiter(map(f, v.tolist()), dtype=float, count=v.size)
-
-
-def _deep_blocks(gens, step, x0, level, length, dt):
+def _deep_blocks(draw, step, x0, level, length, dt):
     """One block of each row whose open excursion is already delta-deep.
 
     Only a return to the running maximum can change such a row's count,
@@ -685,47 +688,49 @@ def _deep_blocks(gens, step, x0, level, length, dt):
     drift drops out.  ``step`` is an "arith" or "loggauss" exact step;
     loggauss rows work in log space.
 
-    Row i starts at x0[i] below level[i] and draws from gens[i]: its
-    normal and uniform, then, when its bridge reaches the level, the
-    Wald variate and the tail's normals.  Returns (hits, tails, x_end):
-    the indices of the rows whose bridge reaches the level, their grid
-    points after tau in the state coordinate, and every row's endpoint.
+    Row i starts at x0[i] below level[i].  ``draw(phase)`` gives the
+    block's stream of a draw phase, and each phase is one call for all
+    rows, in row order: 2 the end normals, 3 the uniforms, then, for the
+    rows whose bridge reaches the level, 4 the Wald variates and 5 the
+    tails' normals, one tail after another.  Returns (hits, tails,
+    x_end): the indices of the rows whose bridge reaches the level,
+    their grid points after tau in the state coordinate, and every
+    row's endpoint.
     """
     log = step.kind == "loggauss"
     span = length * dt
     sd = math.sqrt(step.sig_sq_sim * span)
-    z, u = np.empty(len(gens)), np.empty(len(gens))
-    for i, gen in enumerate(gens):
-        z[i] = gen.standard_normal()
-        u[i] = gen.random()
-    a = _scalar_map(math.log, x0) if log else x0
-    gap = (_scalar_map(math.log, level) if log else level) - a
+    z = draw(2).standard_normal(x0.size)
+    u = draw(3).random(x0.size)
+    a = np.log(x0) if log else x0
+    gap = (np.log(level) if log else level) - a
     w = step.mu_sim * span + sd * z
     end = a + w
     rest = gap - w
-    hits = np.flatnonzero(u < _scalar_map(
-        math.exp, np.minimum(0.0, -2.0 * gap * rest / (sd * sd))))
+    hits = np.flatnonzero(u < np.exp(np.minimum(0.0, -2.0 * gap * rest / (sd * sd))))
+    x_end = np.exp(end) if log else end
+    if not hits.size:
+        return hits, [], x_end
+    g, r = gap[hits], rest[hits]
+    v = draw(4).wald(g / np.maximum(np.abs(r), 1e-300), (g / sd) ** 2)
+    tau = span * v / (1.0 + v)
+    k1 = np.minimum((tau / dt).astype(np.int64), length - 1)
+    sizes = length - k1
+    zs = np.split(draw(5).standard_normal(int(sizes.sum())), np.cumsum(sizes)[:-1])
     tails = []
-    for i in hits.tolist():
-        gen = gens[i]
-        g, r = float(gap[i]), float(rest[i])
-        v = gen.wald(g / max(abs(r), 1e-300), (g / sd) ** 2)
-        tau = span * v / (1.0 + v)
-        k1 = min(int(tau / dt), length - 1)
+    for i, zi in enumerate(zs):
         # offsets of the grid points after tau; the last one is the endpoint
-        t = np.arange(k1 + 1, length + 1) * dt - tau
-        t[-1] = span / (1.0 + v)
+        t = np.arange(k1[i] + 1, length + 1) * dt - tau[i]
+        t[-1] = span / (1.0 + v[i])
         walk = np.cumsum(np.sqrt(step.sig_sq_sim
-                                 * np.diff(t, prepend=0.0).clip(min=0.0))
-                         * gen.standard_normal(t.size))
-        tail = (float(a[i]) + g) + walk - t / t[-1] * (walk[-1] + r)
-        tail[-1] = end[i]
+                                 * np.diff(t, prepend=0.0).clip(min=0.0)) * zi)
+        tail = (a[hits[i]] + g[i]) + walk - t / t[-1] * (walk[-1] + r[i])
+        tail[-1] = end[hits[i]]
         tails.append(np.exp(tail) if log else tail)
-    return hits, tails, (_scalar_map(math.exp, end) if log else end)
+    return hits, tails, x_end
 
 
 def _excursion_chunk(model, x, y, delta, cfg, first, count):
-    gens = _generators(cfg.seed, first, count)
     n_steps, dt = cfg.n_steps, cfg.dt
     step = model.exact_step
     skips = cfg.scheme == "exact_bm" and step.kind in ("arith", "loggauss")
@@ -749,15 +754,16 @@ def _excursion_chunk(model, x, y, delta, cfg, first, count):
 
     while alive.size and step_base < n_steps:
         length = min(_EXC_BLOCK_STEPS, n_steps - step_base)
+        draw = functools.partial(_stream, cfg.seed, first,
+                                 step_base // _EXC_BLOCK_STEPS)
         deep = skips & (level[alive] - cur_min[alive] >= delta)
         if deep.any():
             skip = alive[deep]
             hits, tails, x_cur[skip] = _deep_blocks(
-                [gens[g] for g in skip], step, x_cur[skip], level[skip],
-                length, dt)
+                draw, step, x_cur[skip], level[skip], length, dt)
             # tails end at the block's end; the points before a tail lie
             # below the level, so the open minimum stands in for them
-            per = max(1, _CHUNK_PATHS * _BLOCK_STEPS // length)
+            per = max(1, _TAIL_GROUP_POINTS // length)
             for i in range(0, hits.size, per):
                 rows = skip[hits[i:i + per]]
                 xs = np.repeat(cur_min[rows, None], length, axis=1)
@@ -765,12 +771,14 @@ def _excursion_chunk(model, x, y, delta, cfg, first, count):
                     row[length - tail.size:] = tail
                 fold(rows, xs)
         # full rows step _BLOCK_STEPS steps at a time from their last
-        # point, as the drawdown stepper does; rows that finish stop drawing
+        # point, as the drawdown stepper does, each sub-block from its own
+        # phase; rows that finish stop drawing
         full = alive[~deep]
         s = 0
         while full.size and s < length:
             w = min(length - s, _BLOCK_STEPS)
-            xb = _grid_block(model, cfg, x_cur[full], _draw_normals(gens, full, w), dt)
+            z = draw(6 + s // _BLOCK_STEPS).standard_normal((full.size, w))
+            xb = _grid_block(model, cfg, x_cur[full], z, dt)
             keep = ~fold(full, xb)
             full = full[keep]
             x_cur[full] = xb[keep, -1]
@@ -810,12 +818,12 @@ def excursion_counts(model: DiffusionModel, x: float, y: float, delta: float,
     stay bit-identical at any thread count, and extending n_paths keeps
     the counts already drawn.
 
-    The 4096-step blocks, and the skip-or-step choice made at each
-    block's start, define the streams.  Within a block the deep rows'
-    tails are scanned in groups of at most 2048 x 256 points, and the
-    stepped rows step 256 steps at a time from their last point and
-    stop drawing once they finish, so memory stays bounded; that split
-    is how the work is run and changes no draw or count.
+    The 4096-step blocks, the skip-or-step choice made at each block's
+    start and the 256-step sub-blocks of the stepped rows define the
+    streams: each draw phase of a block of a chunk is one call for all
+    its rows (see the module docstring).  The deep rows' tails are
+    scanned in groups of at most 2048 x 256 points, so memory stays
+    bounded; that grouping changes no draw or count.
     Returns (counts, finished).
     """
     op = "excursion_counts"
@@ -845,8 +853,11 @@ def sample_trajectory(model: DiffusionModel, x: float, cfg: McConfig,
                       n_steps: int | None = None,
                       path_index: int = 0) -> np.ndarray:
     """One gridded trajectory of n_steps steps (default: the horizon),
-    drawn from the stream of the given path index.  It reads only that
-    stream's first n_steps normals and steps them in one call."""
+    drawn from its own stream, keyed on (seed, path_index).  It reads
+    that stream's first n_steps normals and steps them in one call, so
+    a longer trajectory extends a shorter one.  The stream is not a
+    chunk's: the trajectory does not replay path path_index of
+    ``simulate`` or ``excursion_counts``."""
     op = "sample_trajectory"
     x = real(x, "x", op, _MOD)
     if not model.contains(x):
@@ -855,6 +866,6 @@ def sample_trajectory(model: DiffusionModel, x: float, cfg: McConfig,
     _require_scheme(model, cfg)
     steps = integer(cfg.n_steps if n_steps is None else n_steps, "n_steps", op, _MOD, 1)
     first = integer(path_index, "path_index", op, _MOD, 0, 2 ** 64)
-    z = _draw_normals(_generators(cfg.seed, first, 1), [0], steps)
+    z = _stream(cfg.seed, first, 0, 0, trajectory=True).standard_normal((1, steps))
     xb = _grid_block(model, cfg, np.full(1, float(x)), z, cfg.dt)
     return np.concatenate([[x], xb[0]])

@@ -78,6 +78,10 @@ class ExcursionReport:
     mean_extrapolated is the bias rule at ratio 4 and order 1/2,
     2 fine - coarse; extrapolated_se is taken from the per-path values
     (both arms share path indices); the mean band is three of it.
+    var_over_mean is read on the fine arm, and var_over_mean_se is its
+    delta-method standard error from the central moments of the fine
+    counts (sqrt(2 / n) for Poisson counts); the dispersion band around
+    1 is three of it.
     """
 
     model_id: str
@@ -93,6 +97,7 @@ class ExcursionReport:
     var_over_mean: float
     finished_fraction: float
     extrapolated_se: float
+    var_over_mean_se: float
 
     @property
     def mean_band(self) -> float:
@@ -104,8 +109,12 @@ class ExcursionReport:
             <= self.mean_band
 
     @property
+    def dispersion_band(self) -> float:
+        return _Z_MAX * self.var_over_mean_se
+
+    @property
     def dispersion_ok(self) -> bool:
-        return 0.9 <= self.var_over_mean <= 1.1
+        return abs(self.var_over_mean - 1.0) <= self.dispersion_band
 
     @property
     def passed(self) -> bool:
@@ -119,7 +128,8 @@ class ExcursionReport:
             f"extrapolated {self.mean_extrapolated:.6f}  "
             f"(fine {self.mean_fine:.6f} @ dt={self.dt_fine:g}, "
             f"coarse {self.mean_coarse:.6f})  band +-{self.mean_band:.4f}",
-            f"variance/mean {self.var_over_mean:.4f} in [0.9, 1.1]: "
+            f"variance/mean {self.var_over_mean:.4f} in 1 +-"
+            f"{self.dispersion_band:.4f}: "
             f"{'yes' if self.dispersion_ok else 'NO'}  "
             f"finished {self.finished_fraction:.2%}",
             "result: " + ("PASS" if self.passed else "FAIL"),
@@ -132,6 +142,18 @@ def _extrapolate(fine, coarse, ratio, order):
     dt / ratio and dt."""
     vals = fine + (fine - coarse) / (ratio ** order - 1.0)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
+
+
+def _dispersion(counts):
+    """var/mean of the counts and its delta-method standard error: the
+    spread of each path's influence (c^2 - m2) / m - m2 c / m^2, c the
+    centred count and m, m2 the mean and second central moment."""
+    m = float(counts.mean())
+    c = counts - m
+    m2 = float(np.mean(c * c))
+    influence = (c * c - m2) / m - (m2 / (m * m)) * c
+    return (float(counts.var(ddof=1)) / m,
+            float(influence.std(ddof=1) / math.sqrt(counts.size)))
 
 
 def _probe_paths(samples, ys, alpha):
@@ -225,11 +247,12 @@ def excursion_report(model: DiffusionModel, x: float, y: float,
                               operation="excursion_report", value=(x, y),
                               module=_MOD)
     mean_x, se_x = _extrapolate(counts_f, counts_c, 4.0, 0.5)
+    disp, disp_se = _dispersion(counts_f)
     return ExcursionReport(model_id=model.model_id, x=x, y=y, delta=delta,
                            n_paths=cfg.n_paths, dt_fine=fine_cfg.dt,
                            analytic_mean=analytic,
                            mean_fine=mean_f, mean_coarse=float(counts_c.mean()),
                            mean_extrapolated=mean_x,
-                           var_over_mean=float(counts_f.var(ddof=1)) / mean_f,
+                           var_over_mean=disp,
                            finished_fraction=float(done_f.mean()),
-                           extrapolated_se=se_x)
+                           extrapolated_se=se_x, var_over_mean_se=disp_se)

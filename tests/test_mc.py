@@ -1,12 +1,14 @@
 """Monte Carlo engine tests: reproducibility, closed-form agreement,
 estimator contracts, and the Poisson structure of excursion counts."""
 
+import functools
 import hashlib
 import math
 import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -212,16 +214,16 @@ PIN_CASES = {
 }
 # (simulate, paired_simulate, excursion_counts, sample_trajectory)
 PINNED = {
-    "bm": ("894c176abf8a65d2", "3c4ef12cfeccc6a4",
-           "f45b3a7d076fdd3e", "7b28b7c839bb9dfc"),
-    "dbm": ("a81cda5e71c79682", "65907228762f1eef",
-            "da7db3112b044177", "a7e8ea44ea3ec0e2"),
-    "gbm": ("b5215ddf2fa1bbe0", "3fa77451b82593ec",
-            "fe217affd26bfe23", "8bbf39fd1998240c"),
-    "ou": ("43fc66c2207cf533", "0a998c860015f05d",
-           "4e76dea75e86b274", "237022ee4058c810"),
-    "ou_euler": ("a746cd2bb1186a73", "27f60421a594bce2",
-                 "26cff35aff28caad", "a810014d99decc9d"),
+    "bm": ("1308c6e1d01e0338", "58c9fad465e5cd1e",
+           "97b61905a747d915", "ca999a4f7b987d7b"),
+    "dbm": ("b6935cdb9d1500cb", "33e98da8870deff3",
+            "524371f281879b1d", "9d3435f680c40e3f"),
+    "gbm": ("c2de0a7b5c4b6bdb", "49251ec5a2c67d8f",
+            "018c199e71eb17ce", "7ae763c3700feefb"),
+    "ou": ("77d3689d9e553d66", "5eefda6841d7e421",
+           "9e0a61c8cf302719", "05945a1cb5c8f643"),
+    "ou_euler": ("eee78ac460b1a9f6", "3ea403996616f2fe",
+                 "641392c2c713bde5", "a03112ecb1771b05"),
 }
 
 
@@ -247,16 +249,16 @@ def test_streams_match_pinned_digests(name):
     assert got == PINNED[name]
 
 
-@pytest.mark.parametrize("name", ["bm", "dbm", "gbm", "ou"])
-def test_excursion_counts_ignore_sub_block_width(monkeypatch, name):
-    # _BLOCK_STEPS sets how wide the counter's sub-blocks and deep-tail
-    # groups are, which is how the work is run, not which draws it makes
+@pytest.mark.parametrize("name", ["bm", "dbm", "gbm"])
+def test_excursion_counts_ignore_tail_group_size(monkeypatch, name):
+    # _TAIL_GROUP_POINTS sets how many deep-row tails are scanned at a
+    # time, which is how the work is run, not which draws it makes
     model, x, delta, y, kw, t_exc = PIN_CASES[name]
     cfg = small_cfg(seed=2024, t_max=t_exc, **{k: v for k, v in kw.items()
                                                if k != "t_max"})
     got = []
-    for width in (64, 256, 4096):
-        monkeypatch.setattr(mc, "_BLOCK_STEPS", width)
+    for points in (1, 3 * mc._EXC_BLOCK_STEPS, mc._TAIL_GROUP_POINTS):
+        monkeypatch.setattr(mc, "_TAIL_GROUP_POINTS", points)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")    # some paths end at the horizon
             got.append(mc.excursion_counts(model, x, y, delta, cfg))
@@ -265,28 +267,66 @@ def test_excursion_counts_ignore_sub_block_width(monkeypatch, name):
         assert np.array_equal(done, got[0][1])
 
 
+class _CountedStream:
+    """A stream that records the size of each standard_normal call."""
+
+    def __init__(self, gen, sizes):
+        self.gen, self.sizes = gen, sizes
+
+    def standard_normal(self, size):
+        self.sizes.append(size)
+        return self.gen.standard_normal(size)
+
+
 def test_stepped_rows_stop_drawing_at_the_block_of_their_passage(monkeypatch):
     # OU rows are never deep, so every row steps; a row finishes at its
     # first point above y and draws no normal past that 256-step block
     model, x, delta, y = ornstein_uhlenbeck(1.0), 0.0, 1.0, 0.8
     cfg = small_cfg(seed=31, t_max=60.0)
-    drawn = np.zeros(cfg.n_paths, dtype=np.int64)
-    draw = mc._draw_normals
+    sizes, steps = [], []
+    stream, grid = mc._stream, mc._grid_block
+    monkeypatch.setattr(mc, "_stream",
+                        lambda *a: _CountedStream(stream(*a), sizes))
 
-    def counted(gens, rows, length):
-        drawn[rows] += length    # one chunk: its rows are the path indices
-        return draw(gens, rows, length)
+    def stepped(model, cfg, x0, z, dt):
+        steps.append((x0, grid(model, cfg, x0, z, dt)))
+        return steps[-1][1]
 
-    monkeypatch.setattr(mc, "_draw_normals", counted)
+    monkeypatch.setattr(mc, "_grid_block", stepped)
     _, done = mc.excursion_counts(model, x, y, delta, cfg)
-    monkeypatch.setattr(mc, "_draw_normals", draw)
-    assert done.all()
+    monkeypatch.undo()
+    assert done.all() and len(sizes) == len(steps)
+    # one chunk: follow its rows through the stepped blocks, dropping a
+    # row once it went above y; each block must start at its rows' last
+    # points and draw exactly their normals
+    rows = np.arange(cfg.n_paths)
+    drawn = np.zeros(cfg.n_paths, dtype=np.int64)
+    points = [[np.array([x])] for _ in rows]
+    for size, (x0, xb) in zip(sizes, steps):
+        assert size == xb.shape and size[0] == rows.size
+        assert np.array_equal(x0, [points[i][-1][-1] for i in rows])
+        drawn[rows] += size[1]
+        for i, row in zip(rows, xb):
+            points[i].append(row)
+        rows = rows[~(xb > y).any(axis=1)]
     block = mc._BLOCK_STEPS
     for i in range(cfg.n_paths):
-        up = mc.sample_trajectory(model, x, cfg, n_steps=int(drawn[i]),
-                                  path_index=i)[1:] > y
+        up = np.concatenate(points[i])[1:] > y
         k = int(np.argmax(up)) + 1    # steps up to the first point above y
         assert up.any() and drawn[i] == min(-(-k // block) * block, cfg.n_steps)
+
+
+def test_simulate_builds_streams_per_block_not_per_path(monkeypatch):
+    # each draw phase of a chunk's block is one generator for all its rows
+    built = []
+    stream = mc._stream
+    monkeypatch.setattr(mc, "_stream", lambda *a: built.append(a[1:3]) or stream(*a))
+    cfg = small_cfg(n_paths=3000, seed=41)
+    mc.simulate(BM, 0.0, 1.0, cfg)
+    per_block = Counter(built)
+    assert {first for first, _ in per_block} == {0, mc._CHUNK_PATHS}
+    assert max(per_block.values()) <= 2
+    assert len(built) <= 2 * 2 * -(-cfg.n_steps // mc._BLOCK_STEPS)
 
 
 def test_ou_step_is_the_sequential_recursion():
@@ -497,21 +537,20 @@ def test_deep_block_skip_matches_stepping(model, x0, level, length, dt):
     # point does
     n = 10000
     rows = np.arange(n)
+    hits, tails, x_end = mc._deep_blocks(
+        functools.partial(mc._stream, 17, 0, 0), model.exact_step,
+        np.full(n, x0), np.full(n, level), length, dt)
     skip_hit = np.zeros(n, dtype=bool)
     skip_first = np.zeros(n)
     skip_over = np.zeros(n)
-    for i, gen in enumerate(mc._generators(17, 0, n)):
-        hits, tails, x_end = mc._deep_blocks([gen], model.exact_step, np.array([x0]),
-                                             np.array([level]), length, dt)
-        tail = tails[0] if hits.size else np.empty(0)
-        if tail.size:
-            assert tail[-1] == pytest.approx(x_end[0], rel=1e-12)
-            up = np.flatnonzero(tail >= level)
-            if up.size:
-                skip_hit[i] = True
-                skip_first[i] = length - tail.size + up[0]
-                skip_over[i] = tail[up[0]] - level
-    z = mc._draw_normals(mc._generators(18, 0, n), rows, length)
+    for i, tail in zip(hits, tails):
+        assert tail[-1] == pytest.approx(x_end[i], rel=1e-12)
+        up = np.flatnonzero(tail >= level)
+        if up.size:
+            skip_hit[i] = True
+            skip_first[i] = length - tail.size + up[0]
+            skip_over[i] = tail[up[0]] - level
+    z = mc._stream(18, 0, 0, 0).standard_normal((n, length))
     xb = mc._exact_blocks(model, np.full(n, x0), z, dt)
     up = xb >= level
     step_first = np.argmax(up, axis=1)
@@ -737,14 +776,28 @@ def test_extrapolate_is_richardson_on_paired_paths():
 
 
 def test_excursion_report_keeps_its_band_case():
-    # the CLI's band case, against the values of 2 fine - coarse computed
-    # inline before the reports shared one extrapolation
+    # the CLI's band case on the current streams; its var/mean 0.8926 is
+    # outside the old fixed band 0.9..1.1 and 2.96 measured se from 1
     cfg = mc.McConfig(n_paths=1000, dt=0.01, t_max=200.0, seed=8)
     rep = verify.excursion_report(drifted_brownian(1.0), 0.0, 2.0, 1.0, cfg)
-    assert rep.mean_extrapolated == pytest.approx(0.6110000000000001, rel=1e-14)
-    assert rep.extrapolated_se == pytest.approx(0.04415459917866574, rel=1e-14)
-    assert (rep.mean_fine, rep.mean_coarse) == (0.548, 0.485)
+    assert rep.mean_extrapolated == pytest.approx(0.613, rel=1e-14)
+    assert rep.extrapolated_se == pytest.approx(0.04371661174132943, rel=1e-14)
+    assert (rep.mean_fine, rep.mean_coarse) == (0.545, 0.477)
     assert rep.passed
+
+
+def test_dispersion_se_is_the_delta_method_on_central_moments():
+    # Var(m2 / m) from the central moments m2, m3, m4 of the counts; for
+    # Poisson counts it is 2 / n whatever the mean
+    counts = np.random.default_rng(4).poisson(0.7, 5000)
+    m = counts.mean()
+    m2, m3, m4 = (np.mean((counts - m) ** k) for k in (2, 3, 4))
+    var = ((m4 - m2 * m2) / m ** 2 - 2.0 * m3 * m2 / m ** 3
+           + m2 ** 3 / m ** 4) / counts.size
+    ratio, se = verify._dispersion(counts)
+    assert ratio == counts.var(ddof=1) / m
+    assert se == pytest.approx(math.sqrt(var), rel=1e-3)
+    assert se == pytest.approx(math.sqrt(2.0 / counts.size), rel=0.1)
 
 
 def test_excursion_report_refuses_a_band_without_excursions():
