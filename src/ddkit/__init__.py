@@ -39,7 +39,6 @@ from .mc import (
     ExcursionRecord,
     McConfig,
     PathCollection,
-    PathSample,
     estimate_tail,
     estimate_transform,
     excursion_counts,
@@ -52,7 +51,6 @@ from .mc import (
 from .models import (
     CATALOG_KINDS,
     DiffusionModel,
-    ScaleMap,
     SpeedDensity,
     brownian,
     custom_model,
@@ -80,7 +78,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DdkitError", "DegenerateBasisError", "DomainError", "NumericError",
     "UnsupportedModelError", "ValidationError",
-    "CATALOG_KINDS", "DiffusionModel", "ScaleMap", "SpeedDensity",
+    "CATALOG_KINDS", "DiffusionModel", "SpeedDensity",
     "brownian", "custom_model", "drifted_brownian", "geometric_brownian",
     "model_from_dict", "model_from_json", "ornstein_uhlenbeck",
     "scale", "scale_density", "scale_diff", "validate_query",
@@ -89,7 +87,7 @@ __all__ = [
     "exit_probability", "exit_transform", "hitting_laplace",
     "joint_transform", "max_density", "max_tail", "nu",
     "run_up_transform", "tail_curve", "tau_cdf",
-    "ExcursionRecord", "McConfig", "PathCollection", "PathSample",
+    "ExcursionRecord", "McConfig", "PathCollection",
     "estimate_tail", "estimate_transform", "excursion_counts",
     "extract_excursions", "paired_simulate", "sample_trajectory",
     "simulate", "tau_cdf_estimate",

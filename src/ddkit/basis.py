@@ -45,7 +45,7 @@ against its reference, the integral of -2 mu / sigma_sq from l that the
 panel's own J1 matrix takes of the coefficients at its nodes; w_drift
 is the largest gap.  n_steps counts panel nodes per window: the mean
 panel count, rounded up, times the accepted degree.  The one knob is
-rel_tol (OdeSettings); a window past _MAX_NODES is refused as too stiff.
+batch_endpoints' rel_tol; a window past _MAX_NODES is refused as too stiff.
 """
 
 from __future__ import annotations
@@ -70,30 +70,6 @@ _PICARD_MAX = 60
 # panel is solved, and the ladder stops where the next degree would pass it
 _MAX_NODES = 2_000_000
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class OdeSettings:
-    """Accuracy knob for the window solver.
-
-    rel_tol bounds every window's tail certificate (the sum of its
-    panels' Chebyshev tails); the solve also has to hold the Wronskian
-    monitor within 10 * rel_tol before a degree is accepted.  The
-    certificate is relative to the unit starts of each panel, with no
-    absolute floor.
-    """
-
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        v = real(self.rel_tol, "rel_tol", "OdeSettings", _MOD, 0.0, strict=True)
-        if v > 1e-4:
-            raise ValidationError("rel_tol must lie in ]0, 1e-4]",
-                                  operation="OdeSettings", value=v, module=_MOD)
-        object.__setattr__(self, "rel_tol", v)
-
-
-DEFAULT_SETTINGS = OdeSettings()
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +244,7 @@ def _panel_counts(model, alpha, l, r, max_steps):
     return np.fmin(np.maximum(need, 1.0), max_steps + 1).astype(np.int64)
 
 
-def _solve_adaptive(model, alpha, l, r, settings):
+def _solve_adaptive(model, alpha, l, r, rel_tol):
     panels = _panel_counts(model, alpha, l, r, _MAX_NODES)
     # the columns u = (0, 1) and v = (1, 0) of every window's start
     y0 = np.broadcast_to(np.array([[0.0, 1.0], [1.0, 0.0]])[:, :, None], (2, 2, l.size))
@@ -278,7 +254,7 @@ def _solve_adaptive(model, alpha, l, r, settings):
         span = f"{lo:g}" if lo == hi else f"in [{lo:g}, {hi:g}]"
         return f"alpha {span}, window length {float(np.max(r - l)):g}"
 
-    drift_tol, last = 10.0 * settings.rel_tol, math.inf
+    drift_tol, last = 10.0 * rel_tol, math.inf
     for n in _DEGREES:
         if panels.max() * n > _MAX_NODES:    # before any panel array
             raise NumericError(
@@ -287,12 +263,12 @@ def _solve_adaptive(model, alpha, l, r, settings):
                 operation="solve", value=int(panels.max() * n), module=_MOD)
         cur = _sweep(model, alpha, l, r, y0, panels, n)
         tail, drift = float(cur["tail"].max()), cur["drift"]
-        if tail <= settings.rel_tol and drift <= drift_tol:
+        if tail <= rel_tol and drift <= drift_tol:
             return BatchEndpoints(
                 *cur["y"].T.copy(), lam=cur["lam"], log_w=cur["log_w"],
                 w_drift=drift, n_steps=-(-int(panels.sum()) // l.size) * n,
                 endpoint_gap=float((cur["tail"] + _ROUNDING * panels).max()))
-        err = max(tail / settings.rel_tol, drift / drift_tol)
+        err = max(tail / rel_tol, drift / drift_tol)
         if not err < last:
             break
         last = err
@@ -334,15 +310,24 @@ class BatchEndpoints:
 
 def batch_endpoints(model: DiffusionModel, alpha,
                     l: np.ndarray, r: np.ndarray,
-                    settings: OdeSettings | None = None) -> BatchEndpoints:
+                    rel_tol: float = 1e-10) -> BatchEndpoints:
     """Solve all windows [l_i, r_i] at once and return endpoint data.
 
     alpha is one rate > 0 for every window, or an array of them with the
     shape of l, one per window: the windows of several rates then share
     one degree ladder, accepted at the first degree that holds for all
     of them, so endpoint_gap, w_drift and n_steps are batch-wide.
+
+    rel_tol, in ]0, 1e-4], bounds every window's tail certificate (the
+    sum of its panels' Chebyshev tails); the solve also has to hold the
+    Wronskian monitor within 10 * rel_tol before a degree is accepted.
+    The certificate is relative to the unit starts of each panel, with
+    no absolute floor.
     """
-    settings = settings or DEFAULT_SETTINGS
+    rel_tol = real(rel_tol, "rel_tol", "batch_endpoints", _MOD, 0.0, strict=True)
+    if rel_tol > 1e-4:
+        raise ValidationError("rel_tol must lie in ]0, 1e-4]",
+                              operation="batch_endpoints", value=rel_tol, module=_MOD)
     l = real_array(l, "l", "batch_endpoints", _MOD)
     r = real_array(r, "r", "batch_endpoints", _MOD)
     if l.shape != r.shape:
@@ -363,10 +348,10 @@ def batch_endpoints(model: DiffusionModel, alpha,
     if not (np.all(l > a) and np.all(r < b)):
         raise ValidationError("windows must lie inside the open state space",
                               operation="batch_endpoints", module=_MOD)
-    return _solve_adaptive(model, alpha, l, r, settings)
+    return _solve_adaptive(model, alpha, l, r, rel_tol)
 
 
-def solve_local_basis(model, alpha, l, r, settings=None):
+def solve_local_basis(model, alpha, l, r):
     """batch_endpoints on the one window [l, r].  Kept only because the
     benchmark's tracer binds this name; it goes when its list drops it."""
-    return batch_endpoints(model, alpha, np.array([l]), np.array([r]), settings)
+    return batch_endpoints(model, alpha, np.array([l]), np.array([r]))

@@ -250,7 +250,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         print(f"{name:<32} {v:.8f}  se {se:.2e}")
     print(f"unstopped fraction {col.unstopped_fraction:.4%}")
     rows = [(i, bool(col.stopped[i]), col.tau_hat[i], col.m_tau_hat[i])
-            for i in range(len(col))]
+            for i in range(col.cfg.n_paths)]
     extra = {"estimates": {name: [v, se] for name, v, se in est_rows},
              "unstopped_fraction": col.unstopped_fraction}
     _emit(("path_id", "stopped", "tau_hat", "m_tau_hat"), rows, cfg,
@@ -271,7 +271,9 @@ def _cmd_excursions(cfg: RunConfig) -> int:
             ("mean_fine", rep.mean_fine),
             ("mean_coarse", rep.mean_coarse),
             ("mean_extrapolated", rep.mean_extrapolated),
+            ("extrapolated_se", rep.extrapolated_se),
             ("var_over_mean", rep.var_over_mean),
+            ("var_over_mean_se", rep.var_over_mean_se),
             ("finished_fraction", rep.finished_fraction),
             ("passed", rep.passed)]
     _emit(("metric", "value"), rows, cfg)

@@ -48,7 +48,7 @@ from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
 from . import invlap
-from .basis import OdeSettings, batch_endpoints
+from .basis import batch_endpoints
 from .chebyshev import Panels, antiderivative, coefficients, lobatto, series
 from .errors import (DegenerateBasisError, DomainError, NumericError,
                      ValidationError, pair, real, real_array)
@@ -90,10 +90,10 @@ class DrawdownQuery:
     """Start point, depth and transform arguments for the drawdown laws.
 
     alpha discounts time, beta discounts the terminal level of the
-    running maximum; either may be zero.  tol is the relative target
-    for the quadrature layers (the ODE layer runs tighter).  Every
-    field is stored as a float; x and delta meet the model in
-    validate_query.
+    running maximum; either may be zero.  tol, in ]0, 1e-2], is the
+    relative target for the quadrature layers; the window solver
+    certifies at tol / 10, clipped to [1e-12, 1e-6].  Every field is
+    stored as a float; x and delta meet the model in validate_query.
     """
 
     x: float
@@ -103,15 +103,21 @@ class DrawdownQuery:
     tol: float = 1e-9
 
     def __post_init__(self):
-        for name, lower, strict in (("x", None, False), ("delta", None, False),
-                                    ("alpha", 0.0, False), ("beta", 0.0, False),
-                                    ("tol", 0.0, True)):
+        for name, lower in (("x", None), ("delta", None), ("alpha", 0.0),
+                            ("beta", 0.0)):
             object.__setattr__(self, name, real(getattr(self, name), name,
-                                                "DrawdownQuery", _MOD, lower, strict))
-        if not self.tol <= 1e-2:
-            raise ValidationError("tol must lie in ]0, 1e-2]",
-                                  operation="DrawdownQuery", value=self.tol,
-                                  module=_MOD)
+                                                "DrawdownQuery", _MOD, lower))
+        object.__setattr__(self, "tol", _check_tol(self.tol, "DrawdownQuery"))
+
+
+def _check_tol(tol, op):
+    """tol as a float in ]0, 1e-2], the range every law's target takes;
+    errors name op."""
+    tol = real(tol, "tol", op, _MOD, 0.0, strict=True)
+    if not tol <= 1e-2:
+        raise ValidationError("tol must lie in ]0, 1e-2]", operation=op, value=tol,
+                              module=_MOD)
+    return tol
 
 
 @dataclass(frozen=True)
@@ -191,48 +197,51 @@ def _nu_sp(model, z, delta):
     return rate if np.ndim(z) == 0 else np.full(np.shape(z), rate)
 
 
-def _settings_for(tol: float) -> OdeSettings:
+def _solver_tol(tol: float) -> float:
     # the window solves certify one decade tighter than the quadrature
     # target, inside [1e-12, 1e-6]: loose requests still get a certified
     # basis, and tight ones stay above the rounding floor of the tail
     # certificate, which windows up to alpha 2000 and length 3 still meet
-    rel = min(max(tol / 10.0, 1e-12), 1e-6)
-    return OdeSettings(rel_tol=rel)
+    return min(max(tol / 10.0, 1e-12), 1e-6)
 
 
-def _window_factor(model, z, delta, alpha, settings, op, k):
+def _window_factor(model, z, delta, alpha, tol, op, k):
     """b (k = 0) or chat (k = 1) at level z: the laws' own rate over S'(z),
-    nu S' at alpha = 0, else from one window solve under settings (None:
-    the solver's default); errors name op."""
+    nu S' at alpha = 0, else from one window solve certified at
+    _solver_tol(tol); tol is None for nu, which never solves; errors
+    name op."""
     z, delta = _require_window(model, z, delta, op)
     alpha = real(alpha, "alpha", op, _MOD, 0.0)
+    rel_tol = None if tol is None else _solver_tol(_check_tol(tol, op))
     if alpha == 0.0:
         rate = _nu_sp(model, z, delta)
     else:
-        rate = _factors(model, np.array([z]), delta, alpha, settings, op)[k][0]
+        rate = _factors(model, np.array([z]), delta, alpha, rel_tol, op)[k][0]
     return _over_scale_density(rate, model, z, op)
 
 
 def b_factor(model: DiffusionModel, z: float, delta: float, alpha: float,
-             settings: OdeSettings | None = None) -> float:
+             tol: float = 1e-9) -> float:
     """Discounted mass of delta-deep excursions at level z.
 
     Equals nu(z) at alpha = 0 (enforced exactly) and decreases in
     alpha.  Computed as 1 / (S'(z - delta) u(z)) from the unit-slope
-    window basis, that is its rate e^{log_w} / u(z) over S'(z).
+    window basis, that is its rate e^{log_w} / u(z) over S'(z).  tol is
+    the relative target, as in DrawdownQuery.
     """
-    return _window_factor(model, z, delta, alpha, settings, "b_factor", 0)
+    return _window_factor(model, z, delta, alpha, tol, "b_factor", 0)
 
 
 def c_hat(model: DiffusionModel, z: float, delta: float, alpha: float,
-          settings: OdeSettings | None = None) -> float:
+          tol: float = 1e-9) -> float:
     """Total exponent intensity at level z: survival mass plus the
     discounting cost of excursions that die above depth delta.
 
     Equals nu(z) at alpha = 0 and dominates both nu and b_factor for
-    alpha > 0; the run-up-only intensity is c_hat - nu.
+    alpha > 0; the run-up-only intensity is c_hat - nu.  tol is the
+    relative target, as in DrawdownQuery.
     """
-    return _window_factor(model, z, delta, alpha, settings, "c_hat", 1)
+    return _window_factor(model, z, delta, alpha, tol, "c_hat", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +275,7 @@ class _MassTable:
 
     def __init__(self, model, x, delta, tol):
         self.model, self.delta = model, delta
-        self.rel = _settings_for(tol).rel_tol
+        self.rel = _solver_tol(tol)
         self.edges, self.anti, self.offsets, self.mass = [x], [], [], 0.0
         self.hit_b, self.strip = False, 0.0
         self._trial = None
@@ -383,7 +392,7 @@ def tail_curve(model: DiffusionModel, query: DrawdownQuery, grid) -> TailCurve:
 # the transforms on the table's panels
 # ---------------------------------------------------------------------------
 
-def _level_values(model, ys, delta, alphas, settings, op):
+def _level_values(model, ys, delta, alphas, rel_tol, op):
     """The rates (nu S', b S', chat S') at the levels ys for each alpha of
     alphas, shaped (alphas, 3, levels), and the solve gap; errors name op.
     They are the densities in y of nu dS, b dS and chat dS, so S', fixed
@@ -394,17 +403,18 @@ def _level_values(model, ys, delta, alphas, settings, op):
     pos, gap = alphas > 0.0, 0.0
     if pos.any():
         b, c, gap = _factors(model, np.tile(ys, int(pos.sum())), delta,
-                             np.repeat(alphas[pos], ys.size), settings, op)
+                             np.repeat(alphas[pos], ys.size), rel_tol, op)
         out[pos, 1] = np.reshape(b, (-1, ys.size))
         out[pos, 2] = np.reshape(c, (-1, ys.size))
     return out, gap
 
 
-def _endpoints(model, alpha, l, r, op, settings=None):
-    """batch_endpoints of the windows [l, r] at alpha; a failed solve
-    is raised again under op."""
+def _endpoints(model, alpha, l, r, op, **rel_tol):
+    """batch_endpoints of the windows [l, r] at alpha, at the rel_tol
+    given or the solver's default; a failed solve is raised again under
+    op."""
     try:
-        return batch_endpoints(model, alpha, l, r, settings)
+        return batch_endpoints(model, alpha, l, r, **rel_tol)
     except NumericError as exc:
         raise NumericError(
             f"window solve failed inside {op} for windows in "
@@ -412,11 +422,11 @@ def _endpoints(model, alpha, l, r, op, settings=None):
             operation=op, value=float(np.min(r)), module=_MOD) from exc
 
 
-def _factors(model, ys, delta, alpha, settings, op):
+def _factors(model, ys, delta, alpha, rel_tol, op):
     """(b S', chat S') = (e^{log_w} / u(y), u'(y) / u(y)) at the levels ys
     from one batched solve of the unit-slope windows at alpha (one per
     level or shared), and its gap; errors name op."""
-    ep = _endpoints(model, alpha, ys - delta, ys, op, settings)
+    ep = _endpoints(model, alpha, ys - delta, ys, op, rel_tol=rel_tol)
     scale = np.maximum(np.abs(ep.u_r), np.abs(ep.up_r) * delta)
     if np.any(~np.isfinite(ep.u_r) | (np.abs(ep.u_r) < 1e-13 * scale)):
         raise DegenerateBasisError(
@@ -428,7 +438,7 @@ def _factors(model, ys, delta, alpha, settings, op):
     return b, ep.up_r / ep.u_r, ep.endpoint_gap
 
 
-def _panel_values(model, edges, n, delta, alphas, settings, prev, op):
+def _panel_values(model, edges, n, delta, alphas, rel_tol, prev, op):
     """(nu S', b S', chat S') at the degree-n Lobatto points of every
     panel for each alpha of alphas, shaped (alphas, 3, panels, n + 1), and
     the solve gap; errors name op.  prev holds the values at degree n / 2,
@@ -439,10 +449,10 @@ def _panel_values(model, edges, n, delta, alphas, settings, prev, op):
     panels = hs.shape[0]
     if prev is None:
         ys = np.append((lo + hs * (t[:-1] + 1.0)).ravel(), edges[-1])
-        vals, gap = _level_values(model, ys, delta, alphas, settings, op)
+        vals, gap = _level_values(model, ys, delta, alphas, rel_tol, op)
         return vals[..., np.arange(panels)[:, None] * n + np.arange(n + 1)], gap
     vals, gap = _level_values(model, (lo + hs * (t[1::2] + 1.0)).ravel(), delta,
-                              alphas, settings, op)
+                              alphas, rel_tol, op)
     out = np.empty((len(alphas), 3, panels, n + 1))
     out[..., ::2] = prev
     out[..., 1::2] = vals.reshape(len(alphas), 3, panels, n // 2)
@@ -534,15 +544,15 @@ def _climb(model, edges, delta, alphas, tol, estimate, scale, op, name, vals=Non
     every alpha, and gap their solve gap.  Returns, for each alpha, its
     last estimate, its refinement term (the last gap g1, or the predicted
     next gap g1^2 / g0) and the largest gap of the solves it took part in."""
-    settings = _settings_for(tol)
-    accept = max(tol, 10.0 * settings.rel_tol)
+    rel_tol = _solver_tol(tol)
+    accept = max(tol, 10.0 * rel_tol)
     gaps = np.full(len(alphas), gap)
     est, done = [None] * len(alphas), [None] * len(alphas)
     live = np.arange(len(alphas))
     for n in _DEGREES:
         first = n == _DEGREES[0]
         if vals is None or not first:
-            vals, g = _panel_values(model, edges, n, delta, alphas[live], settings,
+            vals, g = _panel_values(model, edges, n, delta, alphas[live], rel_tol,
                                     vals, op)
             gaps[live] = np.maximum(gaps[live], g)
         keep = []
@@ -575,7 +585,7 @@ def _transform_core(model, query, alphas, role_swap=False):
     _require_window(model, query.x, query.delta, "joint_transform")
     x, delta, beta, tol = query.x, query.delta, query.beta, query.tol
     alphas = np.array([real(a, "alpha", "joint_transform", _MOD, 0.0) for a in alphas])
-    settings = _settings_for(tol)
+    rel_tol = _solver_tol(tol)
 
     table = _MassTable(model, x, delta, tol).grow(mass=_MASS_CUT)
     edges = np.asarray(table.edges)
@@ -598,7 +608,7 @@ def _transform_core(model, query, alphas, role_swap=False):
     n = _DEGREES[0]
     while True:
         hs = 0.5 * np.diff(edges)
-        vals, solve_gap = _panel_values(model, edges, n, delta, alphas, settings,
+        vals, solve_gap = _panel_values(model, edges, n, delta, alphas, rel_tol,
                                         None, "transform")
         far = np.any([np.abs(_exponent(hs, integrands(v)[0], n)[1]).max(axis=1) > 1.0
                       for v in vals], axis=0)
@@ -707,7 +717,7 @@ def conditional_curve(model: DiffusionModel, query: DrawdownQuery,
     _require_interior(model, float(ys.max()), op)
     R = _runup_exponent(model, query.x, ys, query.delta, query.alpha, query.tol, op)
     vals, _ = _level_values(model, ys, query.delta, np.array([query.alpha]),
-                            _settings_for(query.tol), op)
+                            _solver_tol(query.tol), op)
     nu_v, b_v, _ = vals[0]
     with np.errstate(under="ignore"):
         out = np.exp(-R) * b_v / nu_v

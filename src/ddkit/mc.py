@@ -88,6 +88,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -187,21 +188,12 @@ class ExcursionRecord:
                                   module=_MOD)
 
 
-@dataclass(frozen=True)
-class PathSample:
-    """Stopping data of one simulated path."""
-
-    tau_hat: float
-    m_tau_hat: float
-    stopped: bool
-
-
 @dataclass(frozen=True, eq=False)
 class PathCollection:
-    """Column-oriented set of PathSamples from one simulate() call.
-
-    Behaves as a sequence of PathSample; the estimators read the
-    arrays directly.
+    """Stopping data of the paths of one simulate() call, one array
+    entry per path: the drawdown time, the maximum at that time, and
+    whether the path stopped before the horizon (if not, tau_hat is the
+    horizon and m_tau_hat the maximum so far).
     """
 
     x: float
@@ -225,14 +217,6 @@ class PathCollection:
             raise ValidationError("tau_hat beyond the horizon",
                                   operation="PathCollection", module=_MOD)
 
-    def __len__(self) -> int:
-        return self.cfg.n_paths
-
-    def __getitem__(self, i: int) -> PathSample:
-        return PathSample(tau_hat=float(self.tau_hat[i]),
-                          m_tau_hat=float(self.m_tau_hat[i]),
-                          stopped=bool(self.stopped[i]))
-
     @property
     def unstopped_fraction(self) -> float:
         return float(1.0 - self.stopped.mean())
@@ -242,15 +226,30 @@ class PathCollection:
 # chunk-block streams and block stepping
 # ---------------------------------------------------------------------------
 
+_THREAD = threading.local()
+
+
 def _stream(seed: int, first: int, block: int, phase: int,
             trajectory: bool = False) -> np.random.Generator:
     """The Philox stream of one draw phase of one block of the chunk that
     starts at path ``first``: key (seed, first), counter words
     (0, phase, block, 0); the last word is 1 for ``sample_trajectory``'s
-    stream, keyed on its path index instead."""
-    return np.random.Generator(np.random.Philox(
-        key=np.array([seed, first], dtype=np.uint64),
-        counter=np.array([0, phase, block, int(trajectory)], dtype=np.uint64)))
+    stream, keyed on its path index instead.
+
+    Each thread owns one generator, and every call re-keys it: key,
+    counter and an empty buffer are all a keyed Philox holds, so the
+    draws are those of a new one, whose build would also draw OS entropy
+    that the key overrides.  The stream is valid until the thread's next
+    call, so a caller draws before it asks again.
+    """
+    gen = getattr(_THREAD, "gen", None)
+    if gen is None:
+        gen = _THREAD.gen = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"key": (seed, first), "counter": (0, phase, block, int(trajectory))},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 def _exact_blocks(model, x0, z, dt):
@@ -513,21 +512,13 @@ def paired_simulate(model: DiffusionModel, x: float, delta: float,
 # estimators
 # ---------------------------------------------------------------------------
 
-def _as_arrays(samples):
-    if isinstance(samples, PathCollection):
-        return samples.tau_hat, samples.m_tau_hat, samples.stopped, samples
-    try:
-        rows = list(samples)
-    except TypeError:
-        rows = None
-    if not rows or not all(isinstance(r, PathSample) for r in rows):
-        raise ValidationError("samples must be a PathCollection or a non-empty "
-                              "sequence of PathSample", operation="estimate",
+def _as_arrays(samples, op):
+    """(tau_hat, m_tau_hat, stopped) of a PathCollection; anything else
+    is refused under op."""
+    if not isinstance(samples, PathCollection):
+        raise ValidationError("samples must be a PathCollection", operation=op,
                               value=type(samples).__name__, module=_MOD)
-    tau = np.array([s.tau_hat for s in rows])
-    m = np.array([s.m_tau_hat for s in rows])
-    st = np.array([s.stopped for s in rows])
-    return tau, m, st, None
+    return samples.tau_hat, samples.m_tau_hat, samples.stopped
 
 
 def _warn_unstopped(stopped, context):
@@ -539,7 +530,7 @@ def _warn_unstopped(stopped, context):
     return frac
 
 
-def estimate_tail(samples, y: float) -> tuple[float, float]:
+def estimate_tail(samples: PathCollection, y: float) -> tuple[float, float]:
     """Empirical P(M_tau > y) with its CLT standard error.
 
     Paths still running at the horizon contribute their maximum so
@@ -547,7 +538,7 @@ def estimate_tail(samples, y: float) -> tuple[float, float]:
     effect and triggers a warning above 1%.
     """
     y = real(y, "y", "estimate_tail", _MOD)
-    tau, m, st, _ = _as_arrays(samples)
+    _, m, st = _as_arrays(samples, "estimate_tail")
     _warn_unstopped(st, "estimate_tail")
     n = m.size
     p = float(np.mean(m > y))
@@ -555,14 +546,15 @@ def estimate_tail(samples, y: float) -> tuple[float, float]:
     return p, se
 
 
-def estimate_transform(samples, alpha: float, beta: float) -> tuple[float, float]:
+def estimate_transform(samples: PathCollection, alpha: float,
+                       beta: float) -> tuple[float, float]:
     """Empirical E[exp(-alpha tau - beta M_tau); stopped] with standard
     error.  Unstopped paths contribute 0 here and at most
-    exp(-alpha t_max - beta max_so_far) each; the gap is the bias
-    bound quoted in the warning."""
+    exp(-alpha horizon - beta max_so_far) each, horizon = cfg.horizon
+    where they sit; the gap is the bias bound quoted in the warning."""
     alpha = real(alpha, "alpha", "estimate_transform", _MOD, 0.0)
     beta = real(beta, "beta", "estimate_transform", _MOD, 0.0)
-    tau, m, st, _ = _as_arrays(samples)
+    tau, m, st = _as_arrays(samples, "estimate_transform")
     with np.errstate(under="ignore"):
         vals = np.where(st, np.exp(-alpha * tau - beta * m), 0.0)
     n = vals.size
@@ -579,12 +571,12 @@ def estimate_transform(samples, alpha: float, beta: float) -> tuple[float, float
     return est, se
 
 
-def tau_cdf_estimate(samples, t: float) -> tuple[float, float]:
+def tau_cdf_estimate(samples: PathCollection, t: float) -> tuple[float, float]:
     """Empirical P(tau <= t) with standard error, up to the horizon
-    n_steps dt of a PathCollection, where stopping is fully observed."""
+    n_steps dt, where stopping is fully observed."""
     t = real(t, "t", "tau_cdf_estimate", _MOD)
-    tau, m, st, col = _as_arrays(samples)
-    if col is not None and t > col.cfg.horizon * (1 + 1e-12):
+    tau, _, st = _as_arrays(samples, "tau_cdf_estimate")
+    if t > samples.cfg.horizon * (1 + 1e-12):
         raise ValidationError("t beyond the simulated horizon",
                               operation="tau_cdf_estimate", value=t,
                               module=_MOD)

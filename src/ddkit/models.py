@@ -20,7 +20,7 @@ are assembled from named coefficient forms and get both from one table
 of log S', piecewise Chebyshev and grown lazily outward from scale_ref.
 
 ``scale_ref`` is the normalization point where S' = 1; it is distinct
-from the anchor of a ScaleMap, which only fixes where S vanishes.
+from the anchor of ``scale``, which only fixes where S vanishes.
 """
 
 from __future__ import annotations
@@ -772,24 +772,6 @@ def scale_diff(model: DiffusionModel, a, b):
 def scale(model: DiffusionModel, x, anchor: float | None = None):
     """S(x) - S(anchor); anchor defaults to the model's scale_ref."""
     return scale_diff(model, model.scale_ref if anchor is None else anchor, x)
-
-
-@dataclass(frozen=True, eq=False)
-class ScaleMap:
-    """Scale function S with a chosen zero.  Re-anchoring shifts values by
-    a constant and leaves the density untouched."""
-
-    model: DiffusionModel
-    anchor: float
-
-    def __post_init__(self):
-        _require_interior(self.model, self.anchor, "ScaleMap")
-
-    def __call__(self, x):
-        return scale(self.model, x, anchor=self.anchor)
-
-    def density(self, x):
-        return scale_density(self.model, x)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ import pytest
 from scipy.integrate import quad
 
 from ddkit import laws, mc, models, verify
-from ddkit.basis import OdeSettings, batch_endpoints
+from ddkit.basis import batch_endpoints
 from ddkit.laws import DrawdownQuery
 
 BM = models.brownian()
@@ -94,7 +94,6 @@ def test_local_factors_and_basis_invariance(capsys):
         (BM, 0.5, B_BM, CHAT_BM),
         (DBM, 1.0, B_DBM, CHAT_DBM),
     ]
-    alt = OdeSettings(rel_tol=1e-11)
     worst_val = 0.0
     worst_inv = 0.0
     for model, alpha, want_b, want_c in frozen:
@@ -102,12 +101,12 @@ def test_local_factors_and_basis_invariance(capsys):
         c = laws.c_hat(model, 1.0, 1.0, alpha)
         worst_val = max(worst_val, abs(b / want_b - 1.0),
                         abs(c / want_c - 1.0))
-        b2 = laws.b_factor(model, 1.0, 1.0, alpha, settings=alt)
-        c2 = laws.c_hat(model, 1.0, 1.0, alpha, settings=alt)
+        b2 = laws.b_factor(model, 1.0, 1.0, alpha, tol=1e-10)
+        c2 = laws.c_hat(model, 1.0, 1.0, alpha, tol=1e-10)
         worst_inv = max(worst_inv, abs(b2 / b - 1.0), abs(c2 / c - 1.0))
     ok = worst_val <= 1e-9 and worst_inv <= 1e-10
     _report(capsys, ok, "local factors match closed forms, basis-invariant",
-            f"rel err {worst_val:.2e}, settings sweep {worst_inv:.2e}")
+            f"rel err {worst_val:.2e}, tol sweep {worst_inv:.2e}")
 
 
 def test_catalog_against_oracle(capsys):

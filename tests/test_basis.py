@@ -20,7 +20,7 @@ from ddkit import (
     ornstein_uhlenbeck,
 )
 from ddkit import basis
-from ddkit.basis import OdeSettings, batch_endpoints
+from ddkit.basis import batch_endpoints
 from ddkit.models import scale_density
 
 RS = np.array([0.35, 0.6, 1.0])
@@ -146,12 +146,11 @@ def test_mixed_alpha_batch_matches_one_alpha_solves(model):
 
 
 def test_settings_validation_and_window_checks():
-    with pytest.raises(ValidationError):
-        OdeSettings(rel_tol=0.0)
-    with pytest.raises(ValidationError):
-        OdeSettings(rel_tol=1e-3)
     m = brownian()
     one, zero = np.array([1.0]), np.array([0.0])
+    for rel_tol in (0.0, 1e-3):
+        with pytest.raises(ValidationError, match="rel_tol"):
+            batch_endpoints(m, 0.5, zero, one, rel_tol=rel_tol)
     with pytest.raises(ValidationError):
         batch_endpoints(m, 0.5, one, zero)
     with pytest.raises(ValidationError):
@@ -289,7 +288,7 @@ def test_degree_ladder_at_its_rounding_floor_raises():
     args = (g, 12.5, np.array([0.7]), np.array([1.0]))
     assert batch_endpoints(*args).endpoint_gap <= 1e-10
     with pytest.raises(NumericError, match="rounding floor"):
-        batch_endpoints(*args, settings=OdeSettings(rel_tol=1e-17))
+        batch_endpoints(*args, rel_tol=1e-17)
 
 
 def _reference_endpoints(model, alpha, l, r):
@@ -321,7 +320,7 @@ def test_endpoint_gap_bounds_the_error(model, lo):
             want = y.reshape(-1, 2, 2)
             pair = np.abs(want).max(axis=2, keepdims=True)
             for tol in (1e-6, 1e-12):
-                ep = batch_endpoints(model, alpha, l, r, OdeSettings(rel_tol=tol))
+                ep = batch_endpoints(model, alpha, l, r, rel_tol=tol)
                 got = np.stack([ep.u_r, ep.up_r, ep.v_r, ep.vp_r], axis=1)
                 got = (got * np.exp(ep.lam - lam)[:, None]).reshape(-1, 2, 2)
                 err = np.max(np.abs(got - want) / pair)
@@ -341,8 +340,8 @@ _TWIN = custom_model({"form": "affine", "intercept": 0.0, "slope": -1.0},
 ], ids=["bm", "dbm", "gbm", "ou", "twin"])
 @pytest.mark.parametrize("alpha", [0.2, 1.5])
 def test_window_solve_makes_one_sweep(monkeypatch, model, x0, delta, alpha):
-    """The drawdown windows [z - delta, z] of b_factor and c_hat at default
-    settings: one degree-12 sweep per solve, accepted on its own tail."""
+    """The drawdown windows [z - delta, z] of b_factor and c_hat at the
+    default tol: one degree-12 sweep per solve, accepted on its own tail."""
     sweeps, sweep = [], basis._sweep
 
     def counted(*args):

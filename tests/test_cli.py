@@ -493,7 +493,15 @@ def test_excursions_band_report(tmp_path, capsys):
     code, out, _ = run(["excursions", "--config", cfg], capsys)
     assert code == 0
     assert "analytic mean" in out
-    assert "metric,value" in out
+    # the rows carry the two standard errors that decide passed, each
+    # check holding within 3 of its own
+    rows = out.split("metric,value\n")[1].splitlines()
+    v = {name: float(x) for name, x in (r.split(",") for r in rows)}
+    assert v["extrapolated_se"] > 0.0 and v["var_over_mean_se"] > 0.0
+    mean_ok = (abs(v["mean_extrapolated"] - v["analytic_mean"])
+               <= 3.0 * v["extrapolated_se"])
+    disp_ok = abs(v["var_over_mean"] - 1.0) <= 3.0 * v["var_over_mean_se"]
+    assert v["passed"] == float(mean_ok and disp_ok)
 
 
 def test_excursions_needs_single_band_top(tmp_path, capsys):

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import ddkit
 from ddkit import (
     DomainError,
     McConfig,
     NumericError,
-    PathSample,
+    PathCollection,
     ValidationError,
     brownian,
     custom_model,
@@ -879,6 +880,12 @@ def test_query_and_result_validation():
         DrawdownQuery(0.0, 1.0, tol=0.0)
     with pytest.raises(ValidationError, match=r"tol must lie in \]0, 1e-2\]"):
         DrawdownQuery(0.0, 1.0, tol=0.1)
+    # b_factor and c_hat take their tol through the same check, at any alpha
+    for level_fn in (b_factor, c_hat):
+        for tol in (0.0, 0.1):
+            for alpha in (0.0, 0.5):
+                with pytest.raises(ValidationError, match="tol must"):
+                    level_fn(DBM, 1.0, 1.0, alpha, tol=tol)
     with pytest.raises(ValidationError):
         DrawdownQuery(0.0, 1.0, alpha=True)
     with pytest.raises(ValidationError):
@@ -894,10 +901,12 @@ def test_query_and_result_validation():
 # -- one check for every public scalar --------------------------------------
 
 _Q = DrawdownQuery(0.0, 1.0, alpha=0.5)
-_SAMPLES = [PathSample(tau_hat=t, m_tau_hat=m, stopped=True)
-            for t, m in ((0.5, 0.2), (1.5, 1.7), (2.5, 0.9))]
 _PATH = np.array([0.0, -0.5, -1.5, 0.5, 0.2, 1.0])
 _CFG = McConfig(n_paths=1000, dt=0.01, t_max=40.0, seed=2)
+_SAMPLES = PathCollection(x=0.0, delta=1.0, cfg=_CFG,
+                          tau_hat=np.resize([0.5, 1.5, 2.5], 1000),
+                          m_tau_hat=np.resize([0.2, 1.7, 0.9], 1000),
+                          stopped=np.ones(1000, dtype=bool))
 
 # (parameter, call with the value in that slot, a valid integer value)
 _SCALARS = [
@@ -975,3 +984,25 @@ def test_public_scalars_are_finite_reals(call, good):
     want = call(float(good))
     for wrap in (np.float32, np.int64):
         np.testing.assert_equal(call(wrap(good)), want)
+
+
+def test_public_names_are_pinned():
+    # growing or shrinking the public surface is a decision; it shows up
+    # here as an edit of this list
+    assert sorted(ddkit.__all__) == [
+        "CATALOG_KINDS", "CheckRow", "DdkitError", "DegenerateBasisError",
+        "DiffusionModel", "DomainError", "DrawdownQuery", "ExcursionRecord",
+        "ExcursionReport", "McConfig", "NumericError", "PathCollection",
+        "SpeedDensity", "TailCurve", "TransformResult", "UnsupportedModelError",
+        "ValidationError", "VerificationReport", "__version__", "b_factor",
+        "brownian", "c_hat", "conditional_curve", "conditional_laplace",
+        "custom_model", "drifted_brownian", "dt_pair_simulate", "estimate_tail",
+        "estimate_transform", "excursion_counts", "excursion_report",
+        "exit_probability", "exit_transform", "extract_excursions",
+        "geometric_brownian", "hitting_laplace", "joint_transform", "max_density",
+        "max_tail", "model_from_dict", "model_from_json", "nu",
+        "ornstein_uhlenbeck", "paired_simulate", "run_up_transform",
+        "sample_trajectory", "scale", "scale_density", "scale_diff", "simulate",
+        "tail_curve", "tau_cdf", "tau_cdf_estimate", "validate_query",
+        "verification_report"]
+    assert all(hasattr(ddkit, name) for name in ddkit.__all__)

@@ -351,17 +351,6 @@ def test_ou_step_is_the_sequential_recursion():
 # sample collection semantics
 # ---------------------------------------------------------------------------
 
-def test_collection_sequence_protocol():
-    col = mc.simulate(BM, 0.0, 1.0, small_cfg())
-    assert len(col) == 1000
-    s = col[7]
-    assert isinstance(s, mc.PathSample)
-    assert s.tau_hat == col.tau_hat[7]
-    assert s.m_tau_hat == col.m_tau_hat[7]
-    assert s.stopped == bool(col.stopped[7])
-    assert sum(1 for _ in col) == 1000
-
-
 def test_stopped_paths_have_consistent_fields():
     col = mc.simulate(BM, 0.0, 1.0, small_cfg(seed=2))
     st = col.stopped
@@ -397,11 +386,17 @@ def test_estimators_on_fully_stopped_synthetic_set():
     assert est == 1.0
 
 
-def test_estimators_accept_iterables_of_samples():
-    rows = [mc.PathSample(tau_hat=1.0, m_tau_hat=2.0, stopped=True)
-            for _ in range(50)]
-    p, se = mc.estimate_tail(rows, 1.5)
-    assert p == 1.0 and se == 0.0
+def test_estimators_refuse_anything_but_a_collection():
+    col = mc.simulate(BM, 0.0, 1.0, small_cfg(seed=2))
+    rows = [(float(t), float(m), bool(s))
+            for t, m, s in zip(col.tau_hat, col.m_tau_hat, col.stopped)]
+    for call in (lambda s: mc.estimate_tail(s, 1.5),
+                 lambda s: mc.estimate_transform(s, 0.5, 0.0),
+                 lambda s: mc.tau_cdf_estimate(s, 1.0)):
+        call(col)
+        for bad in (rows, [], (col.tau_hat, col.m_tau_hat, col.stopped)):
+            with pytest.raises(ValidationError, match="PathCollection"):
+                call(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from ddkit import (
     DomainError,
     DrawdownQuery,
     NumericError,
-    ScaleMap,
     SpeedDensity,
     ValidationError,
     brownian,
@@ -564,11 +563,8 @@ def test_custom_scale_grows_to_a_singular_finite_endpoint(monkeypatch):
 def test_anchor_shift_is_additive():
     m = drifted_brownian(mu=0.5)
     xs = np.linspace(-2, 2, 17)
-    s1 = ScaleMap(m, anchor=0.0)
-    s2 = ScaleMap(m, anchor=1.0)
-    gaps = s1(xs) - s2(xs)
+    gaps = scale(m, xs, anchor=0.0) - scale(m, xs, anchor=1.0)
     assert_allclose(gaps, gaps[0], rtol=0, atol=1e-12)
-    assert_allclose(s1.density(xs), s2.density(xs), rtol=0, atol=0)
 
 
 def test_speed_density_identity():
@@ -664,7 +660,7 @@ def test_domain_errors_on_scale_evaluation():
     for call in (lambda: scale_density(bm, True), lambda: scale_density(bm, np.True_),
                  lambda: scale(bm, np.array([True, False])),
                  lambda: scale_diff(bm, [False], [True]),
-                 lambda: SpeedDensity(bm)(True), lambda: ScaleMap(bm, True),
+                 lambda: SpeedDensity(bm)(True), lambda: scale(bm, 0.5, anchor=True),
                  # a bool among numbers, which numpy would promote to 1.0
                  lambda: scale_density(bm, [True, 0.5]),
                  lambda: scale(bm, [0.5, np.True_])):
