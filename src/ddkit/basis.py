@@ -58,7 +58,7 @@ import numpy as np
 
 from .chebyshev import antiderivative, lobatto
 from .errors import NumericError, ValidationError, real, real_array
-from .models import DiffusionModel
+from .models import DiffusionModel, _require_interior
 
 _MOD = "basis"
 
@@ -322,7 +322,7 @@ def batch_endpoints(model: DiffusionModel, alpha,
     sum of its panels' Chebyshev tails); the solve also has to hold the
     Wronskian monitor within 10 * rel_tol before a degree is accepted.
     The certificate is relative to the unit starts of each panel, with
-    no absolute floor.
+    no absolute floor.  A window end outside ]A, B[ raises DomainError.
     """
     rel_tol = real(rel_tol, "rel_tol", "batch_endpoints", _MOD, 0.0, strict=True)
     if rel_tol > 1e-4:
@@ -344,10 +344,8 @@ def batch_endpoints(model: DiffusionModel, alpha,
     if not np.all(r > l):
         raise ValidationError("windows must satisfy l < r",
                               operation="batch_endpoints", module=_MOD)
-    a, b = model.interval
-    if not (np.all(l > a) and np.all(r < b)):
-        raise ValidationError("windows must lie inside the open state space",
-                              operation="batch_endpoints", module=_MOD)
+    _require_interior(model, l, "batch_endpoints")
+    _require_interior(model, r, "batch_endpoints")
     return _solve_adaptive(model, alpha, l, r, rel_tol)
 
 

@@ -89,13 +89,14 @@ def load_config(path: str):
 
 def parse_run_config(doc: dict, command: str, seed_override=None,
                      out_override=None, format_override=None) -> RunConfig:
-    _object(doc, "config", ("model", "query", "grids", "mc", "output"),
-            ("model", "query"))
+    _, reads, want, reads_mc = _COMMANDS[command]
+    sections = ("mc",) if reads_mc else ()
+    _object(doc, f"config of command {command!r}",
+            ("model", "query", "grids", "output") + sections,
+            ("model", "query") + sections)
     model = model_from_dict(doc["model"])
 
-    qdoc = _object(doc["query"], "query", ("x", "delta", "alpha", "beta",
-                                           "tol", "box", "exit_lower"),
-                   ("x", "delta"))
+    qdoc = _object(doc["query"], "query", ("x", "delta") + reads, ("x", "delta"))
     query = DrawdownQuery(
         x=_number(qdoc, "x"), delta=_number(qdoc, "delta"),
         alpha=_number(qdoc, "alpha", default=0.0),
@@ -106,13 +107,10 @@ def parse_run_config(doc: dict, command: str, seed_override=None,
         box = tuple(real(v, "each entry of query.box", "run_config", _MOD)
                     for v in pair(qdoc["box"], "query.box", "run_config", _MOD))
     exit_lower = _number(qdoc, "exit_lower")
-    # hit reads one of these, every other command neither
-    hit_keys = [f"query.{k}" for k in ("box", "exit_lower") if k in qdoc]
-    if len(hit_keys) > (command == "hit"):
-        _fail(f"{' and '.join(hit_keys)} in a {command!r} config: only the hit "
-              "command reads query.box or query.exit_lower, never both")
+    if box is not None and exit_lower is not None:
+        _fail("query.box and query.exit_lower together: the exit transform "
+              "reads no box")
 
-    _, want, needs_mc = _COMMANDS[command]
     wants = (want,) if want else ()
     takes = f"exactly {want}" if want else "no grid"
     gdoc = _object(doc.get("grids", {}),
@@ -120,9 +118,7 @@ def parse_run_config(doc: dict, command: str, seed_override=None,
     grid = _grid_values(gdoc[want], want) if want else None
 
     mc_cfg = None
-    if needs_mc and "mc" not in doc:
-        _fail(f"command {command!r} needs an mc section")
-    if "mc" in doc:
+    if reads_mc:
         mdoc = _object(doc["mc"], "mc", ("n_paths", "dt", "t_max", "seed",
                                          "scheme"),
                        ("n_paths", "dt", "t_max", "seed"))
@@ -130,6 +126,9 @@ def parse_run_config(doc: dict, command: str, seed_override=None,
         mc_cfg = mc.McConfig(n_paths=mdoc["n_paths"], dt=mdoc["dt"],
                              t_max=mdoc["t_max"], seed=seed,
                              scheme=mdoc.get("scheme", "exact_bm"))
+    elif seed_override is not None:
+        _fail(f"--seed given, but command {command!r} reads no mc section",
+              value=seed_override)
 
     odoc = _object(doc.get("output", {}), "output", ("path", "format"))
     out_path = out_override if out_override is not None \
@@ -241,7 +240,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     q = cfg.query
     col = mc.simulate(cfg.model, q.x, q.delta, cfg.mc_cfg)
     est_rows = []
-    for y in (q.x + 0.5 * q.delta, q.x + q.delta, q.x + 2.0 * q.delta):
+    for y in verify._tail_levels(q.x, q.delta):
         p, se = mc.estimate_tail(col, y)
         est_rows.append((f"P(max > {y:g})", p, se))
     tr, tse = mc.estimate_transform(col, q.alpha, q.beta)
@@ -294,16 +293,17 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if rep.passed else EXIT_VERIFY
 
 
-# command -> (handler, the one grid it requires or None, needs an mc section)
+# command -> (handler, the query keys it reads besides x and delta, the one
+# grid it requires or None, whether it reads an mc section)
 _COMMANDS = {
-    "tail": (_cmd_curve("tail"), "y_grid", False),
-    "density": (_cmd_curve("density"), "y_grid", False),
-    "transform": (_cmd_transform, "alpha_grid", False),
-    "tau-cdf": (_cmd_tau_cdf, "t_grid", False),
-    "hit": (_cmd_hit, "y_grid", False),
-    "simulate": (_cmd_simulate, None, True),
-    "excursions": (_cmd_excursions, "y_grid", True),
-    "verify": (_cmd_verify, None, True),
+    "tail": (_cmd_curve("tail"), ("tol",), "y_grid", False),
+    "density": (_cmd_curve("density"), ("tol",), "y_grid", False),
+    "transform": (_cmd_transform, ("beta", "tol"), "alpha_grid", False),
+    "tau-cdf": (_cmd_tau_cdf, ("beta", "tol"), "t_grid", False),
+    "hit": (_cmd_hit, ("alpha", "box", "exit_lower"), "y_grid", False),
+    "simulate": (_cmd_simulate, ("alpha", "beta"), None, True),
+    "excursions": (_cmd_excursions, ("tol",), "y_grid", True),
+    "verify": (_cmd_verify, ("alpha", "tol"), None, True),
 }
 
 COMMANDS = tuple(_COMMANDS)

@@ -93,7 +93,8 @@ class DrawdownQuery:
     running maximum; either may be zero.  tol, in ]0, 1e-2], is the
     relative target for the quadrature layers; the window solver
     certifies at tol / 10, clipped to [1e-12, 1e-6].  Every field is
-    stored as a float; x and delta meet the model in validate_query.
+    stored as a float; each law checks x and delta against the model
+    through _require_window, as validate_query does.
     """
 
     x: float
@@ -698,11 +699,12 @@ def run_up_transform(model: DiffusionModel, x: float, y: float, delta: float,
     """Cost of climbing from x to y without completing the drawdown:
     exp(-int_x^y (chat - nu) dS), in ]0, 1], equal to 1 at alpha = 0."""
     op = "run_up_transform"
-    query = DrawdownQuery(x=x, delta=delta, alpha=alpha, tol=tol)
-    x, delta = _require_window(model, query.x, query.delta, op)
+    x, delta = _require_window(model, x, delta, op)
+    alpha = real(alpha, "alpha", op, _MOD, 0.0)
+    tol = _check_tol(tol, op)
     y = real(y, "y", op, _MOD, x, strict=True)
     _require_interior(model, y, op)
-    r = _runup_exponent(model, x, np.array([y]), delta, query.alpha, query.tol, op)
+    r = _runup_exponent(model, x, np.array([y]), delta, alpha, tol, op)
     return float(np.exp(-r[0]))
 
 

@@ -97,13 +97,19 @@ import numpy as np
 
 from .errors import (UnsupportedModelError, ValidationError, integer, pair, real,
                      real_array)
-from .models import DiffusionModel, _require_window
+from .models import DiffusionModel, _require_interior, _require_window
 
 _MOD = "mc"
 
 # partitioning contract: fixed path chunks and the draw blocks of a chunk
 _CHUNK_PATHS = 2048
 _BLOCK_STEPS = 256
+# scheme -> order in dt of its drawdown probe's bias: bridge extremes
+# leave O(dt), Euler's grid monitoring O(sqrt(dt)) (Broadie, Glasserman
+# & Kou 1997)
+_BIAS_ORDER = {"exact_bm": 1.0, "euler": 0.5}
+# share of paths still running at the horizon from which a run is unfinished
+_UNFINISHED_SHARE = 0.01
 
 
 def thread_cap() -> int:
@@ -158,8 +164,8 @@ class McConfig:
             raise ValidationError("the step count t_max / dt is not finite",
                                   operation=op, value=self.dt, module=_MOD)
         put(self, "seed", integer(self.seed, "seed", op, _MOD, 0, 2 ** 64))
-        if self.scheme not in ("euler", "exact_bm"):
-            raise ValidationError("scheme must be 'euler' or 'exact_bm'",
+        if not (isinstance(self.scheme, str) and self.scheme in _BIAS_ORDER):
+            raise ValidationError(f"scheme must be one of {sorted(_BIAS_ORDER)}",
                                   operation=op, value=self.scheme, module=_MOD)
 
     @property
@@ -220,6 +226,20 @@ class PathCollection:
     @property
     def unstopped_fraction(self) -> float:
         return float(1.0 - self.stopped.mean())
+
+
+def _unfinished(frac) -> bool:
+    """Whether a run that leaves the share frac of its paths running at
+    the horizon is unfinished: warned about, and no verification pass."""
+    return frac >= _UNFINISHED_SHARE
+
+
+def _warn_unfinished(frac, what, stacklevel):
+    """Warn that frac of the paths {what}, where that leaves the run
+    unfinished; stacklevel is the caller's own, as warnings.warn takes
+    it, so the warning points at the public caller's line."""
+    if _unfinished(frac):
+        warnings.warn(f"{frac:.1%} of paths {what}", stacklevel=stacklevel + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +476,7 @@ def _drawdown_chunk(model, x, delta, dts, cfg, first, count):
 def _drawdown_paths(model, x, delta, cfg, paired):
     """PathCollections of simulate (one) or paired_simulate (fine,
     coarse); warns, on behalf of the public caller, when the first arm
-    leaves more than 1% of paths unstopped."""
+    is unfinished."""
     op = "paired_simulate" if paired else "simulate"
     x, delta = _require_window(model, x, delta, op)
     _require_scheme(model, cfg)
@@ -474,11 +494,8 @@ def _drawdown_paths(model, x, delta, cfg, paired):
         cols.append(PathCollection(x=x, delta=delta,
                                    cfg=arm_cfg, tau_hat=tau,
                                    m_tau_hat=m_tau, stopped=stopped))
-    if cols[0].unstopped_fraction > 0.01:
-        warnings.warn(
-            f"{cols[0].unstopped_fraction:.1%} of paths did not reach the "
-            f"drawdown by the horizon {cfg.horizon:g}; estimates carry that bias",
-            stacklevel=3)
+    _warn_unfinished(cols[0].unstopped_fraction, "did not reach the drawdown by "
+                     f"the horizon {cfg.horizon:g}; estimates carry that bias", 3)
     return cols
 
 
@@ -521,25 +538,15 @@ def _as_arrays(samples, op):
     return samples.tau_hat, samples.m_tau_hat, samples.stopped
 
 
-def _warn_unstopped(stopped, context):
-    frac = float(1.0 - stopped.mean())
-    if frac > 0.01:
-        warnings.warn(f"{frac:.1%} of paths unstopped in {context}; "
-                      "their contribution is bounded, not known",
-                      stacklevel=3)
-    return frac
-
-
 def estimate_tail(samples: PathCollection, y: float) -> tuple[float, float]:
     """Empirical P(M_tau > y) with its CLT standard error.
 
     Paths still running at the horizon contribute their maximum so
     far, which can only undercount; the unstopped fraction bounds the
-    effect and triggers a warning above 1%.
+    effect, and simulate warned where it leaves the run unfinished.
     """
     y = real(y, "y", "estimate_tail", _MOD)
-    _, m, st = _as_arrays(samples, "estimate_tail")
-    _warn_unstopped(st, "estimate_tail")
+    _, m, _ = _as_arrays(samples, "estimate_tail")
     n = m.size
     p = float(np.mean(m > y))
     se = math.sqrt(p * (1.0 - p) / n)
@@ -556,18 +563,13 @@ def estimate_transform(samples: PathCollection, alpha: float,
     beta = real(beta, "beta", "estimate_transform", _MOD, 0.0)
     tau, m, st = _as_arrays(samples, "estimate_transform")
     with np.errstate(under="ignore"):
-        vals = np.where(st, np.exp(-alpha * tau - beta * m), 0.0)
+        bound = np.exp(-alpha * tau - beta * m)
+    vals = np.where(st, bound, 0.0)
     n = vals.size
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    frac = float(1.0 - st.mean())
-    if frac > 0.01:
-        with np.errstate(under="ignore"):
-            high = est + float(np.where(~st, np.exp(-alpha * tau - beta * m),
-                                        0.0).mean())
-        warnings.warn(
-            f"{frac:.1%} of paths unstopped; the transform lies in "
-            f"[{est:.6g}, {high:.6g}]", stacklevel=2)
+    _warn_unfinished(samples.unstopped_fraction, "unstopped; the transform lies "
+                     f"in [{est:.6g}, {float(bound.mean()):.6g}]", 2)
     return est, se
 
 
@@ -798,7 +800,9 @@ def excursion_counts(model: DiffusionModel, x: float, y: float, delta: float,
     they undercount by O(sqrt(dt)), which a dt-refinement pair removes
     in the verification layer.  Hitting times of y can be heavy tailed,
     so pick t_max generously; paths still short of y at the horizon are
-    reported in the finished array and bias the mean low.
+    reported in the finished array and bias the mean low, and the run
+    warns once where they make it unfinished.  y lies in ]x, B[: at or
+    past B it raises DomainError, at or below x ValidationError.
 
     Rows of an "arith" or "loggauss" exact step whose open excursion is
     already delta-deep skip to each block's end unless the bridge to it
@@ -821,19 +825,16 @@ def excursion_counts(model: DiffusionModel, x: float, y: float, delta: float,
     op = "excursion_counts"
     x, delta = _require_window(model, x, delta, op)
     y = real(y, "y", op, _MOD)
+    _require_interior(model, y, op)
     _require_scheme(model, cfg)
-    if not (x < y < model.interval[1]):
-        raise ValidationError("need x < y inside the state space",
-                              operation="excursion_counts", value=y,
-                              module=_MOD)
+    if not x < y:
+        raise ValidationError("need x < y", operation=op, value=y, module=_MOD)
     _check_dt(cfg, delta, op)
     parts = _run_chunks(_excursion_chunk, cfg, model, x, y, delta)
     counts = np.concatenate([p[0] for p in parts])
     done = np.concatenate([p[1] for p in parts])
-    frac = float(1.0 - done.mean())
-    if frac > 0.01:
-        warnings.warn(f"{frac:.1%} of excursion paths hit the horizon "
-                      "before the stopping drawdown", stacklevel=2)
+    _warn_unfinished(float(1.0 - done.mean()),
+                     f"did not pass y = {y:g} by the horizon {cfg.horizon:g}", 2)
     return counts, done
 
 
@@ -852,9 +853,7 @@ def sample_trajectory(model: DiffusionModel, x: float, cfg: McConfig,
     ``simulate`` or ``excursion_counts``."""
     op = "sample_trajectory"
     x = real(x, "x", op, _MOD)
-    if not model.contains(x):
-        raise ValidationError("start must be interior", operation=op, value=x,
-                              module=_MOD)
+    _require_interior(model, x, op)
     _require_scheme(model, cfg)
     steps = integer(cfg.n_steps if n_steps is None else n_steps, "n_steps", op, _MOD, 1)
     first = integer(path_index, "path_index", op, _MOD, 0, 2 ** 64)

@@ -97,11 +97,6 @@ class DiffusionModel:
     params: dict = field(default_factory=dict)
     exact_step: ExactStepSpec | None = None
 
-    def contains(self, x) -> bool:
-        a, b = self.interval
-        x = np.asarray(x, dtype=float)
-        return bool(np.all((x > a) & (x < b)))
-
     def __repr__(self):  # params only; callables are noise
         return (f"DiffusionModel(id={self.model_id!r}, kind={self.kind!r}, "
                 f"interval={self.interval}, params={self.params})")
@@ -705,16 +700,14 @@ def _require_interior(model, x, op):
     except (TypeError, ValueError):
         raise ValidationError("point must be a real number or an array of them",
                               operation=op, value=x, module=_MOD) from None
-    if arr.size == 0:
-        return
+    inside = (arr > a) & (arr < b)
+    if inside.all():
+        return      # an empty array too; nan and +-inf fail the comparisons
     if not np.all(np.isfinite(arr)):
         raise DomainError("point must be finite", operation=op,
                           value=x, module=_MOD)
-    if not (np.all(arr > a) and np.all(arr < b)):
-        bad = arr[~((arr > a) & (arr < b))]
-        raise DomainError(f"point outside open interval ]{a}, {b}[",
-                          operation=op,
-                          value=float(np.atleast_1d(bad)[0]), module=_MOD)
+    raise DomainError(f"point outside open interval ]{a}, {b}[", operation=op,
+                      value=float(arr[~inside].flat[0]), module=_MOD)
 
 
 def _evaluate(model, fn, what, op, *points):
@@ -800,11 +793,8 @@ def _require_window(model, x, delta, op):
     strictly above the left endpoint; see validate_query."""
     x = real(x, "x", op, _MOD)
     delta = real(delta, "delta", op, _MOD, 0.0, strict=True)
-    a, b = model.interval
-    if not (a < x < b):
-        raise DomainError(f"x outside open interval ]{a}, {b}[",
-                          operation=op, value=x, module=_MOD)
-    if not (x - delta > a):
+    _require_interior(model, x, op)
+    if not (x - delta > model.interval[0]):
         raise DomainError("x - delta must lie strictly above the left endpoint; "
                           "the first drawdown window would leave the state space",
                           operation=op, value=x - delta, module=_MOD)

@@ -21,9 +21,6 @@ from .models import DiffusionModel
 
 _MOD = "verify"
 _Z_MAX = 3.0
-# order of the drawdown probes' bias in dt: bridge extremes leave O(dt),
-# Euler's grid monitoring O(sqrt(dt)) (Broadie, Glasserman & Kou 1997)
-_BIAS_ORDER = {"exact_bm": 1.0, "euler": 0.5}
 
 
 @dataclass(frozen=True)
@@ -60,7 +57,7 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.rows) and \
-            self.unstopped_fraction < 0.01
+            not mc._unfinished(self.unstopped_fraction)
 
     def lines(self) -> list[str]:
         out = [f"model {self.model_id}  x={self.x:g} delta={self.delta:g}  "
@@ -156,6 +153,12 @@ def _dispersion(counts):
             float(influence.std(ddof=1) / math.sqrt(counts.size)))
 
 
+def _tail_levels(x, delta):
+    """The three tail levels that verification_report and the simulate
+    command probe by default."""
+    return (x + 0.5 * delta, x + delta, x + 2.0 * delta)
+
+
 def _probe_paths(samples, ys, alpha):
     """Per-path terms of mc.estimate_tail at ys, then of mc.estimate_transform."""
     with np.errstate(under="ignore"):
@@ -174,7 +177,7 @@ def dt_pair_simulate(model: DiffusionModel, x: float, delta: float,
     ys = [real(y, "tail level", op, _MOD) for y in ys]
     alpha = real(alpha, "alpha", op, _MOD, 0.0)
     fine, coarse = mc.paired_simulate(model, x, delta, cfg)
-    order = _BIAS_ORDER[cfg.scheme]
+    order = mc._BIAS_ORDER[cfg.scheme]
     probes = []
     for f, c in zip(_probe_paths(fine, ys, alpha),
                     _probe_paths(coarse, ys, alpha)):
@@ -192,7 +195,7 @@ def verification_report(model: DiffusionModel, x: float, delta: float,
     query = laws.DrawdownQuery(x=x, delta=delta, alpha=alpha, tol=tol)
     x, delta, alpha = query.x, query.delta, query.alpha
     if ys is None:
-        ys = (x + 0.5 * delta, x + delta, x + 2.0 * delta)
+        ys = _tail_levels(x, delta)
     ys = tuple(real(v, "tail level", "verification_report", _MOD) for v in ys)
     if len(ys) != 3:
         raise ValidationError("need exactly three tail levels",

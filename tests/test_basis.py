@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ddkit import (
+    DomainError,
     NumericError,
     ValidationError,
     brownian,
@@ -166,7 +167,7 @@ def test_settings_validation_and_window_checks():
         with pytest.raises(ValidationError):
             batch_endpoints(m, alpha, two, three)
     g = geometric_brownian(mu_bar=0.1, sigma_bar_sq=0.2)
-    with pytest.raises(ValidationError):
+    with pytest.raises(DomainError, match="batch_endpoints"):
         batch_endpoints(g, 0.5, np.array([-0.5]), one)
     # sigma^2 = 1 - 0.01 x^2 is negative on [11, 12]
     c = custom_model({"form": "constant", "value": 0.0},
@@ -365,7 +366,8 @@ def test_panel_iteration_cap_raises_numeric_error(monkeypatch):
 
 def test_basis_reads_no_scale():
     """The solver works from drift and diffusion_sq alone: basis.py takes
-    nothing from the models module but the DiffusionModel type."""
+    nothing from the models module but the DiffusionModel type and the
+    interior check, which reads only the interval."""
     path = Path(basis.__file__)
     names = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -376,4 +378,4 @@ def test_basis_reads_no_scale():
                 p for p in ("ddkit", node.module) if p)
             names += [f"{base}.{a.name}" for a in node.names]
     assert [n for n in names if n.startswith("ddkit.models")] == [
-        "ddkit.models.DiffusionModel"]
+        "ddkit.models.DiffusionModel", "ddkit.models._require_interior"]

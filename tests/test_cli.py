@@ -33,6 +33,9 @@ def bm_doc(**over):
     return doc
 
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def run(args, capsys):
     code = cli.main(args)
     out = capsys.readouterr()
@@ -119,23 +122,37 @@ def test_unknown_query_key_exits_2(tmp_path, capsys, level):
     else:
         (doc if level == "config" else doc[level])["detla"] = 0.5
     cfg = write_cfg(tmp_path, doc)
-    code, _, err = run(["tail", "--config", cfg], capsys)
+    # excursions reads every section of this doc
+    code, _, err = run(["excursions", "--config", cfg], capsys)
     assert code == 2
     assert "detla" in err
 
 
 def test_readme_config_example_parses():
-    """The config block of the README is a valid tail config, so the
-    documented layout cannot drift from the reader."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("The config is one JSON object:")[1]
+    """The config block of the README is a valid excursions config, so
+    the documented layout cannot drift from the reader."""
+    block = README.split("The config is one JSON object")[1]
     block = block.split("```json")[1].split("```")[0]
-    cfg = cli.parse_run_config(json.loads(block), "tail")
+    cfg = cli.parse_run_config(json.loads(block), "excursions")
     assert cfg.model.kind == "drifted_bm" and cfg.model.params["mu"] == 1.0
-    assert (cfg.query.x, cfg.query.delta, cfg.query.alpha) == (0.0, 1.0, 0.5)
-    assert cfg.grid == (0.5, 1.0, 2.0)
-    assert cfg.mc_cfg.n_paths == 50000 and cfg.mc_cfg.seed == 7
-    assert (cfg.out_path, cfg.out_format) == ("tail.csv", "csv")
+    assert (cfg.query.x, cfg.query.delta, cfg.query.tol) == (0.0, 1.0, 1e-6)
+    assert cfg.grid == (2.0,)
+    assert cfg.mc_cfg.n_paths == 4000 and cfg.mc_cfg.seed == 7
+    assert (cfg.out_path, cfg.out_format) == ("excursions.csv", "csv")
+
+
+def test_readme_command_table_matches_the_cli():
+    """Each row of the README's command table names the grid, the query
+    keys and the mc section that cli._COMMANDS gives its command."""
+    table = README.split("| command ")[1].split("\n\n")[0].splitlines()[2:]
+    rows = {}
+    for line in table:
+        command, grid, keys, reads_mc = (c.strip() for c in line.split("|")[1:5])
+        ticked = [k.strip("`") for k in grid.split() if k.startswith("`")]
+        rows[command.strip("`")] = (
+            tuple(k.strip("`,") for k in keys.split() if k.startswith("`")),
+            ticked[0] if ticked else None, reads_mc == "yes")
+    assert rows == {c: row[1:] for c, row in cli._COMMANDS.items()}
 
 
 def test_model_params_outside_params_exits_2(tmp_path, capsys):
@@ -203,17 +220,49 @@ def test_hit_refuses_a_box_with_a_lower_exit(tmp_path, capsys):
     assert "query.box" in err and "query.exit_lower" in err
 
 
-@pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "hit"])
-@pytest.mark.parametrize("key,value", [("box", [-3.0, 3.0]), ("exit_lower", -1.0)])
+# what each command reads besides x, delta and its grid: the query keys,
+# the mc section and the --seed that overrides it
+READS = {"tail": {"tol"}, "density": {"tol"}, "transform": {"beta", "tol"},
+         "tau-cdf": {"beta", "tol"}, "hit": {"alpha", "box", "exit_lower"},
+         "simulate": {"alpha", "beta", "mc", "--seed"},
+         "excursions": {"tol", "mc", "--seed"},
+         "verify": {"alpha", "tol", "mc", "--seed"}}
+MC_DOC = {"n_paths": 1000, "dt": 0.01, "t_max": 10.0, "seed": 1}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@pytest.mark.parametrize("key,value", [
+    ("box", [-3.0, 3.0]), ("exit_lower", -1.0), ("alpha", 0.5), ("beta", 0.5),
+    ("tol", 1e-6), ("mc", MC_DOC), ("--seed", 3)])
 def test_hit_query_keys_on_other_commands_exit_2(tmp_path, capsys, command, key,
                                                  value):
-    grid = cli._COMMANDS[command][1]
-    doc = bm_doc(mc={"n_paths": 1000, "dt": 0.01, "t_max": 10.0, "seed": 1},
-                 **({"grids": {grid: [1.0]}} if grid else {}))
-    doc["query"][key] = value
-    code, out, err = run([command, "--config", write_cfg(tmp_path, doc)], capsys)
+    """Every command reads exactly what READS lists: each other query key,
+    an mc section and --seed exit 2 naming it, before any computation;
+    what it lists is parsed into the RunConfig."""
+    grid = cli._COMMANDS[command][2]
+    doc = bm_doc(**({"grids": {grid: [1.0]}} if grid else {}))
+    if "mc" in READS[command]:
+        doc["mc"] = MC_DOC
+    args = ["--seed", str(value)] if key == "--seed" else []
+    if key == "mc":
+        doc["mc"] = value
+    elif key != "--seed":
+        doc["query"][key] = value
+    if key in READS[command]:
+        cfg = cli.parse_run_config(doc, command, seed_override=value if args else None)
+        if key == "mc":
+            assert cfg.mc_cfg == mc.McConfig(**value)
+        elif key == "--seed":
+            assert cfg.mc_cfg.seed == value
+        elif key == "box":
+            assert cfg.box == tuple(value)
+        else:
+            assert getattr(cfg.query if key != "exit_lower" else cfg, key) == value
+        return
+    code, out, err = run([command, "--config", write_cfg(tmp_path, doc), *args],
+                         capsys)
     assert (code, out) == (2, "")
-    assert f"query.{key}" in err and "hit" in err
+    assert (key if key == "--seed" else repr(key)) in err
 
 
 def test_numeric_output_path_exits_2(tmp_path, capsys):

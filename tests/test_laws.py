@@ -886,6 +886,11 @@ def test_query_and_result_validation():
             for alpha in (0.0, 0.5):
                 with pytest.raises(ValidationError, match="tol must"):
                     level_fn(DBM, 1.0, 1.0, alpha, tol=tol)
+    # run_up_transform checks x, delta, alpha and tol under its own name
+    for args, tol in (((math.nan, 2.0, 1.0, 0.5), 1e-9), ((0.0, 2.0, 0.0, 0.5), 1e-9),
+                      ((0.0, 2.0, 1.0, -0.5), 1e-9), ((0.0, 2.0, 1.0, 0.5), 0.0)):
+        with pytest.raises(ValidationError, match=r"\.run_up_transform\]"):
+            run_up_transform(DBM, *args, tol=tol)
     with pytest.raises(ValidationError):
         DrawdownQuery(0.0, 1.0, alpha=True)
     with pytest.raises(ValidationError):

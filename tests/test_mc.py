@@ -16,7 +16,7 @@ import pytest
 
 import ddkit
 from ddkit import mc, verify
-from ddkit.errors import UnsupportedModelError, ValidationError
+from ddkit.errors import DomainError, UnsupportedModelError, ValidationError
 from ddkit.models import (brownian, custom_model, drifted_brownian,
                           geometric_brownian, ornstein_uhlenbeck)
 
@@ -361,16 +361,30 @@ def test_stopped_paths_have_consistent_fields():
 
 
 def test_unstopped_warning_and_bounds():
-    # a horizon this short strands most paths
+    # a horizon this short strands most paths: the run warns once, at the
+    # caller's line, and the tail estimate adds no second warning
     cfg = mc.McConfig(n_paths=1000, dt=0.01, t_max=0.05, seed=4)
-    with pytest.warns(UserWarning, match="did not reach"):
+    with pytest.warns(UserWarning, match="did not reach") as record:
         col = mc.simulate(BM, 0.0, 1.0, cfg)
+    assert len(record) == 1 and record[0].filename == __file__
     assert col.unstopped_fraction > 0.5
-    with pytest.warns(UserWarning, match="transform lies in"):
-        est, se = mc.estimate_transform(col, 0.5, 0.0)
-    assert est < 0.5  # unstopped paths contribute zero here
-    with pytest.warns(UserWarning, match="unstopped in estimate_tail"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         mc.estimate_tail(col, 0.5)
+    with pytest.warns(UserWarning, match="transform lies in") as record:
+        est, se = mc.estimate_transform(col, 0.5, 0.0)
+    assert record[0].filename == __file__
+    assert est < 0.5  # unstopped paths contribute zero here
+    # 1% unstopped is an unfinished run: it warns, and verify fails it
+    n = 1000
+    edge = mc.PathCollection(x=0.0, delta=1.0, cfg=small_cfg(),
+                             tau_hat=np.full(n, 2.0), m_tau_hat=np.full(n, 1.0),
+                             stopped=np.arange(n) >= n // 100)
+    with pytest.warns(UserWarning, match="transform lies in"):
+        mc.estimate_transform(edge, 0.5, 0.0)
+    report = verify.VerificationReport("bm", 0.0, 1.0, 0.01, n, (), 0.01)
+    assert not report.passed
+    assert verify.VerificationReport("bm", 0.0, 1.0, 0.01, n, (), 0.0099).passed
 
 
 def test_estimators_on_fully_stopped_synthetic_set():
@@ -503,6 +517,11 @@ def test_excursion_counts_validation():
         mc.excursion_counts(BM, 0.0, -1.0, 1.0, small_cfg())
     with pytest.raises(ValidationError):
         mc.excursion_counts(BM, 0.0, 2.0, 0.3, small_cfg())
+    # a band top at or past B is outside the state space, not an ordering
+    boxed = brownian(interval=(-5.0, 2.0))
+    for y in (2.0, 3.0):
+        with pytest.raises(DomainError, match="excursion_counts"):
+            mc.excursion_counts(boxed, 0.0, y, 1.0, small_cfg())
 
 
 def test_excursion_counts_deterministic():
@@ -720,7 +739,7 @@ def test_sample_trajectory_stays_in_state_space():
     path = mc.sample_trajectory(geometric_brownian(0.05, 0.09), 1.0, cfg,
                                 n_steps=2000)
     assert np.all(path > 0.0)
-    with pytest.raises(ValidationError, match="start must be interior"):
+    with pytest.raises(DomainError, match="sample_trajectory"):
         mc.sample_trajectory(geometric_brownian(0.05, 0.09), -1.0, cfg, n_steps=10)
 
 
@@ -732,6 +751,11 @@ def test_verification_report_passes_on_bm():
     assert all(abs(r.z_score) <= 3.0 for r in rep.rows)
     assert max(r.dt_move for r in rep.rows) < 1.0
     assert any("PASS" in line for line in rep.lines())
+    # every path passes level 0: no spread, and the 1e-12 rule passes the row
+    rep = verify.verification_report(BM, 0.0, 1.0, mc.McConfig(2000, 0.01, 40.0, 5),
+                                     ys=(0.0, 0.5, 1.0))
+    zero = rep.rows[0]
+    assert (zero.std_error, zero.z_score, zero.passed) == (0.0, 0.0, True)
 
 
 def test_verification_report_refuses_two_levels():
@@ -767,7 +791,7 @@ def test_extrapolate_is_richardson_on_paired_paths():
                                    rel=1e-15)
     assert verify._extrapolate(fine, coarse, 2.0, 0.5)[0] == pytest.approx(
         1.75 + 0.5 / (math.sqrt(2.0) - 1.0), rel=1e-15)
-    assert set(verify._BIAS_ORDER) == {"euler", "exact_bm"}
+    assert set(mc._BIAS_ORDER) == {"euler", "exact_bm"}
 
 
 def test_excursion_report_keeps_its_band_case():
